@@ -24,7 +24,7 @@ from .dynamics import DisturbanceSpec
 from .errors import AbstractionError, NoTransition, UnknownTransition
 from .scenario import Scenario, rational_str
 
-DEFAULT_LEG_TIMEOUT = 90.0
+LEG_TIMEOUT = 90.0
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,7 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def build_wts(
-    scenario: Scenario,
-    leg_timeout: float = DEFAULT_LEG_TIMEOUT,
-    progress=None,
-) -> Wts:
+def build_wts(scenario: Scenario) -> Wts:
     """Run every center-to-region leg on the nominal system and keep the
     ones that arrive.
 
@@ -127,7 +123,7 @@ def build_wts(
     input_set = scenario.input_set()
     settle = scenario.settle_steps
     h = float(scenario.step)
-    timeout = round(leg_timeout / h) * h
+    timeout = round(LEG_TIMEOUT / h) * h
     no_disturbance = DisturbanceSpec(0.0, "zero")
 
     names = tuple(sorted(scenario.regions))
@@ -135,8 +131,6 @@ def build_wts(
     for src in names:
         start = model.embed_position(scenario.regions[src].center)
         for dst in names:
-            if progress is not None:
-                progress(src, dst)
             outcome = navigate(
                 model,
                 start,

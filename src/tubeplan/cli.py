@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages: parse a formula, abstract a scenario
 into a weighted transition system, synthesize a plan, simulate it, verify a
 trace, or do the whole chain with ``run``.  Exit codes: 0 verified pass,
 1 verification failure, 2 unrealizable task, 3 invalid input, 4 runtime
-failure during abstraction or execution.
+failure during abstraction or execution, 5 search budget exceeded
+(realizability unknown).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 
 from . import abstraction, harness, mitl, synthesis
+from .dynamics import DISTURBANCE_POLICIES
 from .errors import (
     AbstractionError,
     ExecutionFailure,
@@ -32,6 +34,7 @@ EXIT_FAIL = 1
 EXIT_UNREALIZABLE = 2
 EXIT_INVALID = 3
 EXIT_RUNTIME = 4
+EXIT_BUDGET = 5
 
 
 def _load(args):
@@ -103,7 +106,6 @@ def cmd_verify(args) -> int:
     scenario = _load(args)
     plan = synthesis.load_plan(args.plan)
     trace = harness.import_trace(args.trace)
-    trace.word = harness.rebuild_word(scenario, trace)
     report = harness.verify_trace(scenario, plan, trace)
     print(json.dumps(report, indent=2))
     return EXIT_PASS if report["pass"] else EXIT_FAIL
@@ -162,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="product-node search budget")
         if disturbance:
             p.add_argument("--disturbance", default="random",
-                           choices=sorted(harness.DISTURBANCE_CHOICES))
+                           choices=DISTURBANCE_POLICIES)
 
     p = sub.add_parser("parse", help="parse and echo a task formula")
     p.add_argument("--formula", help="formula text (default: scenario's)")
@@ -211,9 +213,13 @@ def main(argv=None) -> int:
     except (ValidationError, MitlSyntaxError, UnsupportedFragment) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (Unrealizable, SearchBudgetExceeded) as exc:
+    except Unrealizable as exc:
         print(f"unrealizable: {exc}", file=sys.stderr)
         return EXIT_UNREALIZABLE
+    except SearchBudgetExceeded as exc:
+        print(f"search budget exceeded; realizability unknown: {exc}",
+              file=sys.stderr)
+        return EXIT_BUDGET
     except (ExecutionFailure, AbstractionError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -77,9 +77,17 @@ def _check_spd(name: str, m: np.ndarray):
     return m
 
 
+# shooting-solver settings
+MAX_ITERS = 60
+TOL = 1e-8
+PENALTY_WEIGHT = 1e3
+PENALTY_MAX = 1e6
+FEASIBILITY_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class FhocpParams:
-    """Horizon, sampling step, cost matrices and solver knobs."""
+    """Horizon, sampling step and cost matrices."""
 
     horizon: float
     step: float
@@ -87,12 +95,6 @@ class FhocpParams:
     terminal_weight: np.ndarray
     input_weight: np.ndarray
     terminal_level: float
-    segments: int = 0  # 0 means round(horizon / step)
-    max_iters: int = 60
-    tol: float = 1e-8
-    penalty_weight: float = 1e3
-    penalty_max: float = 1e6
-    feasibility_tol: float = 1e-6
 
     def __post_init__(self):
         if not (self.horizon > self.step > 0):
@@ -102,22 +104,17 @@ class FhocpParams:
         object.__setattr__(self, "state_weight", _check_spd("Q", self.state_weight))
         object.__setattr__(self, "terminal_weight", _check_spd("P", self.terminal_weight))
         object.__setattr__(self, "input_weight", _check_spd("R", self.input_weight))
-        if self.segments == 0:
-            object.__setattr__(self, "segments", round(self.horizon / self.step))
-        if self.segments <= 0:
-            raise InvalidParam("segments must be >= 1")
+
+    @property
+    def segments(self) -> int:
+        """Piecewise-constant control segments: one per sampling step."""
+        return round(self.horizon / self.step)
 
     @property
     def arrival_radius(self) -> float:
         """Stop-test radius: terminal level over sqrt of min eigenvalue of P."""
         lam = float(np.min(np.linalg.eigvalsh(self.terminal_weight)))
         return self.terminal_level / np.sqrt(lam)
-
-
-def terminal_check(e_hat, terminal_weight, level: float) -> bool:
-    """Whether the weighted norm of the nominal error is within the level."""
-    e = np.asarray(e_hat, dtype=float)
-    return float(e @ np.asarray(terminal_weight) @ e) <= level * level
 
 
 def ancillary_control(u_hat, e_hat, e, sigma: float) -> np.ndarray:
@@ -183,16 +180,7 @@ def _rollout(model: DynamicsModel, e0: np.ndarray, controls: np.ndarray, h: floa
     e = np.broadcast_to(e0, batch + (e0.shape[-1],)).copy()
     states[..., 0, :] = e
     for k in range(m):
-        u = controls[..., k, :]
-
-        def deriv(ei):
-            return model.f(ei) + np.einsum("...ij,...j->...i", model.g(ei), u)
-
-        k1 = deriv(e)
-        k2 = deriv(e + h / 2 * k1)
-        k3 = deriv(e + h / 2 * k2)
-        k4 = deriv(e + h * k3)
-        e = e + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        e = rk4_step(model, e, controls[..., k, :], h)
         states[..., k + 1, :] = e
     return states
 
@@ -287,7 +275,7 @@ def solve_fhocp(
     controls = project_input(controls, u_set)
 
     fd_step = 1e-6
-    weight = params.penalty_weight
+    weight = PENALTY_WEIGHT
     iters_done = 0
     step_size = 1.0
     halvings = 0.5 ** np.arange(30)
@@ -295,10 +283,10 @@ def solve_fhocp(
         cost, _ = obj.total(e0, controls, weight)
         cost = float(cost)
         prev_controls = prev_grad = None
-        for _ in range(params.max_iters):
+        for _ in range(MAX_ITERS):
             iters_done += 1
             grad = _fd_gradient(obj, e0, controls, weight, fd_step)
-            if float(np.max(np.abs(grad))) < params.tol:
+            if float(np.max(np.abs(grad))) < TOL:
                 break
             # spectral (Barzilai-Borwein) initial step, then backtracking
             # with all candidate steps evaluated in one batched rollout
@@ -329,18 +317,18 @@ def solve_fhocp(
             moved = float(np.max(np.abs(cand - controls)))
             gained = cost - cand_cost
             controls, cost = cand, cand_cost
-            if moved < params.tol or gained < params.tol * (1.0 + abs(cost)):
+            if moved < TOL or gained < TOL * (1.0 + abs(cost)):
                 break
         _, states = obj.total(e0, controls, weight)
         violation = float(np.max(obj.penetration(states)))
-        if violation <= params.feasibility_tol or weight >= params.penalty_max:
+        if violation <= FEASIBILITY_TOL or weight >= PENALTY_MAX:
             break
         weight *= 10.0
 
     quad = float(obj.quadratic(states, controls))
     if not np.isfinite(quad):
         raise SolverDiverged("non-finite cost at solution")
-    feasible = violation <= params.feasibility_tol
+    feasible = violation <= FEASIBILITY_TOL
     return FhocpSolution(controls, states, quad, feasible, violation, iters_done)
 
 
@@ -432,9 +420,9 @@ def navigate(
     pos_idx = list(model.position_projection)
 
     dist_spec = disturbance
-    if disturbance.policy == "worst-case-radial" and disturbance.target is None:
+    if disturbance.policy == "worst" and disturbance.target is None:
         dist_spec = DisturbanceSpec(
-            disturbance.bound, disturbance.policy, disturbance.hold_time, target_state
+            disturbance.bound, disturbance.policy, target_state
         )
     delta_fn = dist_spec.generator(model.n, seed)
 
@@ -489,9 +477,8 @@ def navigate(
             if input_violation(u, input_set):
                 saturations += 1
                 u = project_input(u, input_set)
-            x = rk4_step(model, x, t, sim_dt, lambda ti, xi: u, delta)
-            e_hat = rk4_step(err_model, e_hat, t, sim_dt, lambda ti, xi: u_hat,
-                             np.zeros(model.n))
+            x = rk4_step(model, x, u, sim_dt, delta)
+            e_hat = rk4_step(err_model, e_hat, u_hat, sim_dt)
             if not np.all(np.isfinite(x)):
                 raise NonFiniteError(f"state became non-finite at t={t + sim_dt}")
             dev = float(np.linalg.norm((x - target_state) - e_hat))

@@ -1,4 +1,4 @@
-"""Robot models, fixed-step RK4 integration, and tube-sizing constants.
+"""Robot models, one batched RK4 step, and tube-sizing constants.
 
 Models are control-affine, ``xdot = f(x) + g(x) u + delta``, with ``f`` and
 ``g`` vectorised over a leading batch axis so the shooting solver can roll
@@ -15,18 +15,18 @@ import numpy as np
 
 from .errors import (
     AssumptionViolated,
-    DimensionMismatch,
+    InternalError,
     InvalidParam,
-    NonFiniteError,
 )
 from .geometry import Box
 
 DISTURBANCE_POLICIES = (
     "zero",
-    "worst-case-radial",
-    "uniform-in-ball",
-    "random-hold",
+    "worst",    # full-magnitude push away from the target
+    "random",   # one draw from the bound ball, held for RANDOM_HOLD seconds
+    "uniform",  # a fresh draw from the bound ball at every step
 )
+RANDOM_HOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -102,75 +102,16 @@ MODEL_FACTORIES = {
 }
 
 
-def eval_dynamics(model: DynamicsModel, x, u, delta) -> np.ndarray:
-    """Evaluate ``f(x) + g(x) u + delta`` with dimension checks."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(delta, dtype=float)
-    for name, v in (("x", x), ("u", u), ("delta", d)):
-        if v.shape != (model.n,):
-            raise DimensionMismatch(
-                f"{name} has shape {v.shape}, expected ({model.n},)"
-            )
-    return model.derivative(x, u, d)
+def rk4_step(model: DynamicsModel, x, u, dt: float, delta=None) -> np.ndarray:
+    """One classical RK4 step, batched over leading axes of ``x`` and ``u``.
 
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniformly sampled trajectory record."""
-
-    ts: np.ndarray
-    xs: np.ndarray
-    us: np.ndarray
-    deltas: np.ndarray
-
-    def __len__(self) -> int:
-        return self.ts.shape[0]
-
-
-def integrate(model, x0, control, disturbance, t0, T, dt) -> Trajectory:
-    """Fixed-step RK4 integration of the disturbed dynamics.
-
-    ``control(t, x)`` is evaluated at every RK4 stage; ``disturbance(t, x)``
-    is sampled once per step and held constant through the stages (a
-    piecewise-constant realisation, which keeps runs bit-reproducible).
+    The input ``u`` and the disturbance ``delta`` are held constant through
+    the four stages (piecewise-constant signals keep runs bit-reproducible).
     """
-    if T <= 0 or dt <= 0:
-        raise InvalidParam("T and dt must be > 0")
-    steps = round(T / dt)
-    if abs(steps * dt - T) > 1e-9:
-        raise InvalidParam(f"dt={dt} does not divide T={T}")
-    x = np.asarray(x0, dtype=float).copy()
-    ts = t0 + dt * np.arange(steps + 1)
-    xs = np.empty((steps + 1, model.n))
-    us = np.empty((steps + 1, model.n))
-    ds = np.empty((steps + 1, model.n))
-    xs[0] = x
-    for k in range(steps):
-        t = ts[k]
-        d = np.asarray(disturbance(t, x), dtype=float)
-        u0 = np.asarray(control(t, x), dtype=float)
-        us[k] = u0
-        ds[k] = d
-        x = rk4_step(model, x, t, dt, control, d)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError(f"state became non-finite at t={t + dt}")
-        xs[k + 1] = x
-    us[steps] = control(ts[steps], x)
-    ds[steps] = disturbance(ts[steps], x)
-    return Trajectory(ts, xs, us, ds)
-
-
-def rk4_step(model, x, t, dt, control, delta):
-    """One classical RK4 step with stage-evaluated control and held delta."""
-
-    def deriv(ti, xi):
-        return model.derivative(xi, np.asarray(control(ti, xi), dtype=float), delta)
-
-    k1 = deriv(t, x)
-    k2 = deriv(t + dt / 2, x + dt / 2 * k1)
-    k3 = deriv(t + dt / 2, x + dt / 2 * k2)
-    k4 = deriv(t + dt, x + dt * k3)
+    k1 = model.derivative(x, u, delta)
+    k2 = model.derivative(x + dt / 2 * k1, u, delta)
+    k3 = model.derivative(x + dt / 2 * k2, u, delta)
+    k4 = model.derivative(x + dt * k3, u, delta)
     return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -236,7 +177,6 @@ class DisturbanceSpec:
 
     bound: float
     policy: str = "zero"
-    hold_time: float = 0.1
     target: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -246,8 +186,6 @@ class DisturbanceSpec:
             raise InvalidParam(
                 f"unknown policy {self.policy!r}; choose from {DISTURBANCE_POLICIES}"
             )
-        if self.hold_time <= 0:
-            raise InvalidParam("hold_time must be > 0")
 
     def generator(self, n: int, seed) -> Callable[[float, np.ndarray], np.ndarray]:
         """Deterministic ``delta(t, x)`` whose norm never exceeds the bound."""
@@ -255,10 +193,10 @@ class DisturbanceSpec:
         if self.policy == "zero" or bound == 0.0:
             zero = np.zeros(n)
             return lambda t, x: zero
-        if self.policy == "worst-case-radial":
+        if self.policy == "worst":
             target = np.asarray(self.target, dtype=float)
             if target is None or target.shape != (n,):
-                raise InvalidParam("worst-case-radial needs a full-state target")
+                raise InvalidParam("the worst policy needs a full-state target")
 
             def radial(t, x):
                 v = np.asarray(x, dtype=float) - target
@@ -272,7 +210,7 @@ class DisturbanceSpec:
             return radial
 
         rng = np.random.default_rng(seed)
-        hold = self.hold_time if self.policy == "random-hold" else None
+        hold = RANDOM_HOLD if self.policy == "random" else None
         state = {"next_t": -np.inf, "value": np.zeros(n)}
 
         def draw():
@@ -280,7 +218,10 @@ class DisturbanceSpec:
             v /= np.linalg.norm(v)
             r = bound * rng.uniform() ** (1.0 / n)
             d = r * v
-            assert np.linalg.norm(d) <= bound
+            if np.linalg.norm(d) > bound:
+                raise InternalError(
+                    f"disturbance draw {d} exceeds the bound {bound}"
+                )
             return d
 
         def gen(t, x):

@@ -9,8 +9,8 @@ class EmptySetError(TubeplanError):
     """A set operation (erosion, tightening) produced an empty set."""
 
 
-class DimensionMismatch(TubeplanError):
-    """Vector/matrix dimensions do not agree."""
+class InternalError(TubeplanError):
+    """A self-check of the program failed: a bug, not an input problem."""
 
 
 class NonFiniteError(TubeplanError):

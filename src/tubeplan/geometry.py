@@ -1,8 +1,8 @@
 """Exact set algebra for balls and axis-aligned boxes.
 
-Everything the constraint-tightening arithmetic needs: Minkowski sums of
-balls, scalar scaling, box-minus-ball erosion, and the composed tightening
-of state/input constraint sets by a tube radius.  All values are plain
+Everything the constraint-tightening arithmetic needs: ball inflation,
+box-minus-ball erosion, and the composed tightening of state/input
+constraint sets by a tube radius.  All values are plain
 double-precision; membership tests take an explicit tolerance so sampled
 property tests stay deterministic.
 """
@@ -80,9 +80,6 @@ class Box:
         s = _as_vector(shift)
         return Box(self.lower + s, self.upper + s)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(size, self.dim))
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -128,16 +125,6 @@ def erode_box_by_ball(box: Box, r: float) -> Box:
     if np.any(lo > up):
         raise EmptySetError(f"box of widths {box.widths} eroded by {r} is empty")
     return Box(lo, up)
-
-
-def ball_minkowski_ball(b1: Ball, b2: Ball) -> Ball:
-    """Minkowski sum of two balls: add centers, add radii."""
-    return Ball(b1.center + b2.center, b1.radius + b2.radius)
-
-
-def scale_ball(m: float, b: Ball) -> Ball:
-    """Image of a ball under the scalar map ``x -> m*x``."""
-    return Ball(m * b.center, abs(m) * b.radius)
 
 
 def inflate_ball(b: Ball, r: float) -> Ball:

@@ -21,16 +21,10 @@ import numpy as np
 from .abstraction import Wts
 from .controller import navigate
 from .dynamics import DisturbanceSpec, derive_seed
-from .errors import ExecutionFailure, NoTransition
+from .errors import ExecutionFailure
 from .mitl import TimedWord, monitor
 from .scenario import Scenario, rational_str
 from .synthesis import Plan
-
-DISTURBANCE_CHOICES = {
-    "zero": "zero",
-    "worst": "worst-case-radial",
-    "random": "random-hold",
-}
 
 # Loop-closure slack on the tube radius: the controller resets the nominal
 # state every sampling step, so the deviation it must absorb per interval is
@@ -67,7 +61,6 @@ class Trace:
     leg_index: np.ndarray
     stamps: tuple                   # scheduled stamps, one per plan state
     plan_states: tuple
-    word: TimedWord
     legs: list = field(default_factory=list)
     seed: int = 0
     disturbance: str = "zero"
@@ -91,11 +84,10 @@ def execute_plan(
 ) -> Trace:
     """Run every leg of the plan on the disturbed system.
 
-    Per-leg disturbance streams are derived from ``seed`` and the leg's
-    position in the plan, so the whole run is reproducible and independent
-    of how other legs unfolded.
+    ``disturbance`` is one of ``DISTURBANCE_POLICIES``.  Per-leg disturbance
+    streams are derived from ``seed`` and the leg's position in the plan, so
+    the whole run is reproducible and independent of how other legs unfolded.
     """
-    policy = DISTURBANCE_CHOICES.get(disturbance, disturbance)
     model = scenario.model()
     tube = scenario.tube_params()
     fhocp = scenario.fhocp_params()
@@ -113,7 +105,7 @@ def execute_plan(
     legs = []
 
     def partial() -> Trace:
-        return _assemble(scenario, plan, ts, xs, nom, us, ds, leg_ix, legs,
+        return _assemble(plan, ts, xs, nom, us, ds, leg_ix, legs,
                          seed, disturbance)
 
     t_offset = 0.0
@@ -128,7 +120,7 @@ def execute_plan(
             steps = tr.descriptor.weight_steps
         else:
             steps = int(weight / scenario.step)
-        spec = DisturbanceSpec(scenario.disturbance_bound, policy)
+        spec = DisturbanceSpec(scenario.disturbance_bound, disturbance)
         outcome = navigate(
             model,
             x,
@@ -169,18 +161,14 @@ def execute_plan(
         x = outcome.states[-1].copy()
         t_offset += steps * h
 
-    return _assemble(scenario, plan, ts, xs, nom, us, ds, leg_ix, legs,
+    return _assemble(plan, ts, xs, nom, us, ds, leg_ix, legs,
                      seed, disturbance)
 
 
-def _assemble(scenario, plan, ts, xs, nom, us, ds, leg_ix, legs, seed,
+def _assemble(plan, ts, xs, nom, us, ds, leg_ix, legs, seed,
               disturbance) -> Trace:
     n_done = len(legs) + 1 if len(legs) + 1 <= len(plan.states) else len(plan.states)
     word_states = plan.states[:max(n_done, 1)]
-    word = TimedWord(
-        tuple(scenario.label_of(s) for s in word_states),
-        plan.stamps[:len(word_states)],
-    )
     return Trace(
         ts=np.concatenate(ts),
         states=np.concatenate(xs),
@@ -190,7 +178,6 @@ def _assemble(scenario, plan, ts, xs, nom, us, ds, leg_ix, legs, seed,
         leg_index=np.concatenate(leg_ix),
         stamps=plan.stamps[:len(word_states)],
         plan_states=word_states,
-        word=word,
         legs=list(legs),
         seed=seed,
         disturbance=disturbance,
@@ -226,7 +213,10 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace, formula=None) -> 
     containment_ok = all(c["ok"] for c in containment)
 
     complete = len(trace.plan_states) == len(plan.states)
-    monitor_ok = complete and monitor(formula, trace.word)
+    word = TimedWord(
+        tuple(scenario.label_of(s) for s in trace.plan_states), trace.stamps
+    )
+    monitor_ok = complete and monitor(formula, word)
 
     offpath = int(sum(leg.offpath_entries for leg in trace.legs))
     exits = int(sum(leg.workspace_exits for leg in trace.legs))
@@ -314,7 +304,6 @@ def import_trace(path) -> Trace:
     stamps = tuple(Fraction(s) for s in meta["stamps"])
     plan_states = tuple(meta["plan_states"])
     legs = [LegRecord(**d) for d in meta["legs"]]
-    word = TimedWord(tuple(frozenset() for _ in plan_states), stamps)
     trace = Trace(
         ts=data[:, 0],
         states=data[:, 1:1 + n],
@@ -324,19 +313,11 @@ def import_trace(path) -> Trace:
         leg_index=leg_ix,
         stamps=stamps,
         plan_states=plan_states,
-        word=word,
         legs=legs,
         seed=meta["seed"],
         disturbance=meta["disturbance"],
     )
     return trace
-
-
-def rebuild_word(scenario: Scenario, trace: Trace) -> TimedWord:
-    """Recompute the timed word from region labels (after an import)."""
-    return TimedWord(
-        tuple(scenario.label_of(s) for s in trace.plan_states), trace.stamps
-    )
 
 
 # ---------------------------------------------------------------------------

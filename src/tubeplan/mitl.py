@@ -24,16 +24,10 @@ from .errors import InvalidParam, MitlSyntaxError
 
 @dataclass(frozen=True)
 class Interval:
-    """Time interval with rational endpoints; ``hi is None`` means +inf.
-
-    The concrete syntax only produces closed endpoints; the open/closed
-    flags exist so programmatic constructions can be precise.
-    """
+    """Closed time interval with rational endpoints; ``hi is None`` means +inf."""
 
     lo: Fraction
     hi: Optional[Fraction]
-    lo_closed: bool = True
-    hi_closed: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "lo", Fraction(self.lo))
@@ -42,16 +36,14 @@ class Interval:
         if self.lo < 0:
             raise InvalidParam("interval lower endpoint must be >= 0")
         if self.hi is not None:
-            if self.hi < self.lo or (
-                self.hi == self.lo and not (self.lo_closed and self.hi_closed)
-            ):
+            if self.hi < self.lo:
                 raise InvalidParam("interval is empty")
 
     def contains(self, v: Fraction) -> bool:
-        if v < self.lo or (v == self.lo and not self.lo_closed):
+        if v < self.lo:
             return False
         if self.hi is not None:
-            if v > self.hi or (v == self.hi and not self.hi_closed):
+            if v > self.hi:
                 return False
         return True
 
@@ -72,9 +64,6 @@ class Interval:
     def __str__(self) -> str:
         hi = "inf" if self.hi is None else str(self.hi)
         return f"[{self.lo},{hi}]"
-
-
-UNBOUNDED = Interval(Fraction(0), None)
 
 
 # ---------------------------------------------------------------------------

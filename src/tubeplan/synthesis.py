@@ -1,9 +1,9 @@
 """Accepting-run search in the product of a transition system and automaton.
 
-Because every clock measures time since the start of the run (no resets),
-a clock valuation is one scalar: elapsed time, saturated at one unit past
-the largest guard constant.  Saturation makes the product graph finite, so
-the search is a breadth-first exploration followed by lasso detection:
+The automaton's one clock measures time since the start of the run (no
+resets), so a product node carries one scalar: elapsed time, saturated at
+one unit past the largest guard constant.  Saturation makes the product
+graph finite, so the search is a breadth-first exploration followed by lasso detection:
 an accepting product node that can reach itself.
 
 All arithmetic on stamps and weights is exact (fractions), and every
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abstraction import Wts
-from .errors import InvalidParam, SearchBudgetExceeded, Unrealizable
+from .errors import InternalError, InvalidParam, SearchBudgetExceeded, Unrealizable
 from .scenario import rational_str
 from .tba import TimedAutomaton
 
@@ -53,15 +53,11 @@ class _Product:
         self.tba = tba
         self.cap = tba.cmax + slack
 
-    def _valuation(self, clock: Fraction) -> dict:
-        return {c: clock for c in self.tba.clocks}
-
     def initial_nodes(self, initial_state: str):
         letter = self.wts.label_of(initial_state)
         zero = Fraction(0)
-        val = self._valuation(zero)
         nodes = []
-        for e in self.tba.successors(self.tba.initial, letter, val):
+        for e in self.tba.successors(self.tba.initial, letter, zero):
             nodes.append(ProductNode(initial_state, e.target, zero))
         return nodes
 
@@ -70,8 +66,7 @@ class _Product:
         for dst, tr in self.wts.successors(node.state):
             clock = min(node.clock + tr.weight, self.cap)
             letter = self.wts.label_of(dst)
-            val = self._valuation(clock)
-            for e in self.tba.successors(node.location, letter, val):
+            for e in self.tba.successors(node.location, letter, clock):
                 out.append((ProductNode(dst, e.target, clock), tr.weight))
         out.sort(key=lambda p: (p[0].state, p[0].location, p[1]))
         return out
@@ -225,7 +220,7 @@ def synthesize(wts: Wts, formula, saturation_slack=1,
 
     The returned plan's induced timed word is re-checked against the formula
     with the independent semantic monitor; a disagreement is a bug, not an
-    input problem, hence the assertion.
+    input problem, hence ``InternalError``.
     """
     from .mitl import monitor
     from .tba import build_tba
@@ -234,9 +229,8 @@ def synthesize(wts: Wts, formula, saturation_slack=1,
     run = find_accepting_run(wts, tba, saturation_slack=saturation_slack,
                              budget=budget)
     plan = run_to_plan(run, wts, wts.scenario_hash, formula_text)
-    assert monitor(formula, plan_word(plan, wts)), (
-        "internal error: synthesized plan fails the semantic monitor"
-    )
+    if not monitor(formula, plan_word(plan, wts)):
+        raise InternalError("synthesized plan fails the semantic monitor")
     return plan
 
 

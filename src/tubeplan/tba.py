@@ -2,9 +2,9 @@
 
 Supported fragment: Boolean combinations (negations pushed inward by
 duality) of blocks ``G[I] psi``, ``F[I] psi``, ``psi1 U[I] psi2`` with
-propositional bodies, plus purely propositional blocks.  Each timed block
-owns one clock; since all blocks are anchored at the start of the word, no
-clock is ever reset and every clock tracks global time.
+propositional bodies, plus purely propositional blocks.  All blocks are
+anchored at the start of the word, so the automaton needs no resets and one
+clock: the time elapsed since the start, shared by every block.
 
 Each block automaton is deterministic and complete, with trap locations for
 settled verdicts.  The exported automaton is the synchronous product of the
@@ -44,9 +44,8 @@ from .mitl import (
 
 @dataclass(frozen=True)
 class Guard:
-    """Atomic clock constraint ``clock op k``."""
+    """Atomic constraint ``elapsed op bound`` on the elapsed time."""
 
-    clock: str
     op: str  # one of < <= > >=
     bound: Fraction
 
@@ -68,12 +67,11 @@ class Edge:
     target: str
     label: Optional[object]  # propositional formula; None means "any letter"
     guards: Tuple[Guard, ...] = ()
-    resets: frozenset = frozenset()
 
-    def enabled(self, letter: frozenset, valuation: dict) -> bool:
+    def enabled(self, letter: frozenset, elapsed: Fraction) -> bool:
         if self.label is not None and not eval_propositional(self.label, letter):
             return False
-        return all(g.holds(valuation[g.clock]) for g in self.guards)
+        return all(g.holds(elapsed) for g in self.guards)
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,6 @@ class TimedAutomaton:
     locations: Tuple[str, ...]
     initial: str
     accepting: frozenset
-    clocks: Tuple[str, ...]
     edges: Tuple[Edge, ...]
     cmax: Fraction = Fraction(0)
     _by_source: dict = field(default=None, repr=False, compare=False)
@@ -95,8 +92,8 @@ class TimedAutomaton:
     def edges_from(self, location: str):
         return self._by_source.get(location, ())
 
-    def successors(self, location: str, letter: frozenset, valuation: dict):
-        return [e for e in self.edges_from(location) if e.enabled(letter, valuation)]
+    def successors(self, location: str, letter: frozenset, elapsed: Fraction):
+        return [e for e in self.edges_from(location) if e.enabled(letter, elapsed)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +105,10 @@ _TRUE_GUARD: Tuple[Guard, ...] = ()
 
 @dataclass
 class _Block:
-    kind: str                    # "cosafe" or "safe"
     locations: Tuple[str, ...]
     initial: str
     edges: list                  # (src, dst, label-or-None, guards)
     verdict: dict                # location -> bool (current verdict)
-    clock: Optional[str]
     constants: list              # rational guard constants
 
 
@@ -121,21 +116,21 @@ def _negate(f):
     return f.child if isinstance(f, Not) else Not(f)
 
 
-def _interval_guards(clock: str, iv: Interval) -> Tuple[Guard, ...]:
+def _interval_guards(iv: Interval) -> Tuple[Guard, ...]:
     guards = []
     if iv.lo > 0:
-        guards.append(Guard(clock, ">=", iv.lo))
+        guards.append(Guard(">=", iv.lo))
     if iv.hi is not None:
-        guards.append(Guard(clock, "<=", iv.hi))
+        guards.append(Guard("<=", iv.hi))
     return tuple(guards)
 
 
-def _below_guard(clock: str, iv: Interval) -> Tuple[Guard, ...]:
-    return (Guard(clock, "<", iv.lo),)
+def _below_guard(iv: Interval) -> Tuple[Guard, ...]:
+    return (Guard("<", iv.lo),)
 
 
-def _above_guard(clock: str, iv: Interval) -> Tuple[Guard, ...]:
-    return (Guard(clock, ">", iv.hi),)
+def _above_guard(iv: Interval) -> Tuple[Guard, ...]:
+    return (Guard(">", iv.hi),)
 
 
 def _block_constants(iv: Interval) -> list:
@@ -145,7 +140,7 @@ def _block_constants(iv: Interval) -> list:
     return out
 
 
-def _prop_block(idx: int, psi) -> _Block:
+def _prop_block(psi) -> _Block:
     init, true, rej = "init", "true", "reject"
     edges = [
         (init, true, psi, _TRUE_GUARD),
@@ -153,52 +148,49 @@ def _prop_block(idx: int, psi) -> _Block:
         (true, true, None, _TRUE_GUARD),
         (rej, rej, None, _TRUE_GUARD),
     ]
-    return _Block("cosafe", (init, true, rej), init, edges,
-                  {init: False, true: True, rej: False}, None, [])
+    return _Block((init, true, rej), init, edges,
+                  {init: False, true: True, rej: False}, [])
 
 
-def _eventually_block(idx: int, psi, iv: Interval) -> _Block:
-    clock = f"c{idx}"
+def _eventually_block(psi, iv: Interval) -> _Block:
     wait, done = "wait", "done"
     edges = [
-        (wait, done, psi, _interval_guards(clock, iv)),
+        (wait, done, psi, _interval_guards(iv)),
         (wait, wait, _negate(psi), _TRUE_GUARD),
         (done, done, None, _TRUE_GUARD),
     ]
     if iv.lo > 0:
-        edges.append((wait, wait, psi, _below_guard(clock, iv)))
+        edges.append((wait, wait, psi, _below_guard(iv)))
     if iv.hi is not None:
-        edges.append((wait, wait, psi, _above_guard(clock, iv)))
-    return _Block("cosafe", (wait, done), wait, edges,
-                  {wait: False, done: True}, clock, _block_constants(iv))
+        edges.append((wait, wait, psi, _above_guard(iv)))
+    return _Block((wait, done), wait, edges,
+                  {wait: False, done: True}, _block_constants(iv))
 
 
-def _always_block(idx: int, psi, iv: Interval) -> _Block:
-    clock = f"c{idx}"
+def _always_block(psi, iv: Interval) -> _Block:
     active, safe, rej = "active", "safe", "reject"
     edges = [
-        (active, active, psi, _interval_guards(clock, iv)),
-        (active, rej, _negate(psi), _interval_guards(clock, iv)),
+        (active, active, psi, _interval_guards(iv)),
+        (active, rej, _negate(psi), _interval_guards(iv)),
         (rej, rej, None, _TRUE_GUARD),
     ]
     locations = [active, rej]
     if iv.lo > 0:
-        edges.append((active, active, None, _below_guard(clock, iv)))
+        edges.append((active, active, None, _below_guard(iv)))
     if iv.hi is not None:
         locations.append(safe)
-        edges.append((active, safe, None, _above_guard(clock, iv)))
+        edges.append((active, safe, None, _above_guard(iv)))
         edges.append((safe, safe, None, _TRUE_GUARD))
     verdict = {active: True, rej: False}
     if iv.hi is not None:
         verdict[safe] = True
-    return _Block("safe", tuple(locations), active, edges, verdict, clock,
+    return _Block(tuple(locations), active, edges, verdict,
                   _block_constants(iv))
 
 
-def _until_block(idx: int, psi1, psi2, iv: Interval) -> _Block:
-    clock = f"c{idx}"
+def _until_block(psi1, psi2, iv: Interval) -> _Block:
     wait, done, rej = "wait", "done", "reject"
-    in_window = _interval_guards(clock, iv)
+    in_window = _interval_guards(iv)
     edges = [
         (wait, done, psi2, in_window),
         (wait, wait, And(psi1, _negate(psi2)), in_window),
@@ -207,12 +199,12 @@ def _until_block(idx: int, psi1, psi2, iv: Interval) -> _Block:
         (rej, rej, None, _TRUE_GUARD),
     ]
     if iv.lo > 0:
-        edges.append((wait, wait, psi1, _below_guard(clock, iv)))
-        edges.append((wait, rej, _negate(psi1), _below_guard(clock, iv)))
+        edges.append((wait, wait, psi1, _below_guard(iv)))
+        edges.append((wait, rej, _negate(psi1), _below_guard(iv)))
     if iv.hi is not None:
-        edges.append((wait, rej, None, _above_guard(clock, iv)))
-    return _Block("cosafe", (wait, done, rej), wait, edges,
-                  {wait: False, done: True, rej: False}, clock,
+        edges.append((wait, rej, None, _above_guard(iv)))
+    return _Block((wait, done, rej), wait, edges,
+                  {wait: False, done: True, rej: False},
                   _block_constants(iv))
 
 
@@ -263,13 +255,13 @@ def _collect_blocks(f, blocks: list):
         return (op, _collect_blocks(f.left, blocks), _collect_blocks(f.right, blocks))
     idx = len(blocks)
     if is_propositional(f):
-        blocks.append(_prop_block(idx, f))
+        blocks.append(_prop_block(f))
     elif isinstance(f, Eventually) and is_propositional(f.child):
-        blocks.append(_eventually_block(idx, f.child, f.interval))
+        blocks.append(_eventually_block(f.child, f.interval))
     elif isinstance(f, Always) and is_propositional(f.child):
-        blocks.append(_always_block(idx, f.child, f.interval))
+        blocks.append(_always_block(f.child, f.interval))
     elif isinstance(f, Until) and is_propositional(f.left) and is_propositional(f.right):
-        blocks.append(_until_block(idx, f.left, f.right, f.interval))
+        blocks.append(_until_block(f.left, f.right, f.interval))
     else:
         raise UnsupportedFragment(
             f"nested timed operators are outside the fragment: {to_string(f)}", f
@@ -304,7 +296,6 @@ def build_tba(formula) -> TimedAutomaton:
     blocks: list = []
     tree = _collect_blocks(norm, blocks)
 
-    clocks = tuple(b.clock for b in blocks if b.clock is not None)
     constants = [c for b in blocks for c in b.constants]
     cmax = max(constants, default=Fraction(0))
 
@@ -339,7 +330,6 @@ def build_tba(formula) -> TimedAutomaton:
         locations=tuple(sorted(locations)),
         initial=name(init_vec),
         accepting=frozenset(accepting),
-        clocks=clocks,
         edges=tuple(edges),
         cmax=cmax,
     )

@@ -19,9 +19,7 @@ from tubeplan.geometry import (
     Ball,
     Box,
     ConstraintSet,
-    ball_minkowski_ball,
     erode_box_by_ball,
-    scale_ball,
 )
 from tubeplan.harness import execute_plan, export_trace, import_trace
 from tubeplan.mitl import (
@@ -75,7 +73,7 @@ def disturbed_batch():
     constraints = ConstraintSet(workspace, obstacles)
     u_set = Box(-0.5 * np.ones(3), 0.5 * np.ones(3))
     target = Ball([1.5, -1.5], 0.3)
-    policies = ("worst-case-radial", "random-hold", "uniform-in-ball")
+    policies = ("worst", "random", "uniform")
     rng = np.random.default_rng(42)
 
     def feasible_start():
@@ -159,7 +157,7 @@ def test_criterion_2_arrival_bound():
         target = Ball(target_pos, 0.3)
         out = navigate(model, model.embed_position(start_pos), target,
                        constraints, u_set, tube, fhocp,
-                       DisturbanceSpec(DELTA_BOUND, "random-hold"),
+                       DisturbanceSpec(DELTA_BOUND, "random"),
                        t_max=12.0, seed=derive_seed(3, i), settle_steps=10,
                        sim_dt=SIM_DT)
         if not out.arrived:
@@ -419,26 +417,6 @@ def test_criterion_6_geometry_exactness():
     rng = np.random.default_rng(6)
     samples = 10_000
 
-    # ball (+) ball: membership equals existence of a decomposition
-    b1 = Ball(rng.normal(size=3), 0.7)
-    b2 = Ball(rng.normal(size=3), 0.4)
-    s = ball_minkowski_ball(b1, b2)
-    assert np.array_equal(s.center, b1.center + b2.center)
-    assert s.radius == b1.radius + b2.radius
-    pts = rng.normal(size=(samples, 3)) * 2.0 + s.center
-    for p in pts:
-        d = float(np.linalg.norm(p - s.center))
-        decomposable = d <= b1.radius + b2.radius
-        assert s.contains(p, tol=0.0) == decomposable
-
-    # scalar scaling: m*x is in m(*)B exactly when x is in B
-    m = -1.7
-    b = Ball(rng.normal(size=2), 0.9)
-    sb = scale_ball(m, b)
-    assert sb.radius == abs(m) * b.radius
-    for p in rng.normal(size=(samples, 2)) * 1.5 + b.center:
-        assert sb.contains(m * p, tol=0.0) == b.contains(p, tol=0.0)
-
     # box (-) ball: y survives erosion exactly when y +- r e_i stays inside
     box = Box([-1.0, -2.0], [2.0, 1.0])
     r = 0.35
@@ -452,7 +430,7 @@ def test_criterion_6_geometry_exactness():
                       np.array([0, 1.0]), np.array([0, -1.0]))
         )
         assert eroded.contains(p, tol=0.0) == worst
-    print(f"criterion 6 (geometry exactness): PASS  {3 * samples} sampled "
+    print(f"criterion 6 (geometry exactness): PASS  {samples} sampled "
           "memberships, 0 counterexamples")
 
 

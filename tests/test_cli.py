@@ -113,10 +113,14 @@ def test_unrealizable_exit_code(workdir, wts_cache, capsys):
     assert "unrealizable" in capsys.readouterr().err
 
 
-def test_budget_exit_code(workdir, wts_cache):
+def test_budget_exit_code(workdir, wts_cache, capsys):
+    # an exhausted budget decides nothing: realizability is unknown
     code = cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),
                      "--wts", str(wts_cache), "--budget", "2"])
-    assert code == cli.EXIT_UNREALIZABLE
+    assert code == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "search budget exceeded; realizability unknown" in err
+    assert "unrealizable:" not in err
 
 
 def test_unsupported_fragment_exit_code(workdir, wts_cache, capsys):

@@ -10,7 +10,6 @@ from tubeplan.controller import (
     project_input,
     shift_to_error_frame,
     solve_fhocp,
-    terminal_check,
 )
 from tubeplan.dynamics import DisturbanceSpec, single_integrator
 from tubeplan.errors import InvalidParam
@@ -44,12 +43,6 @@ def test_arrival_radius():
                     0.5 * np.eye(3), 0.1)
     assert p.arrival_radius == pytest.approx(0.1 / np.sqrt(0.5))
     assert p.segments == 12
-
-
-def test_terminal_check():
-    P = 0.5 * np.eye(2)
-    assert terminal_check([0.1, 0.1], P, 0.1)      # sqrt(0.5*0.02) = 0.1
-    assert not terminal_check([0.15, 0.1], P, 0.1)
 
 
 def test_project_input_box_and_ball():
@@ -93,8 +86,9 @@ def test_solve_fhocp_beats_candidate_controls():
     assert sol.feasible
     # the terminal set is a soft target; from a reachable start it is met
     near = solve_fhocp(np.array([0.1, -0.05]), m, params, None, u_set)
-    assert terminal_check(near.nominal[-1], params.terminal_weight,
-                          params.terminal_level + 1e-4)
+    e_n = near.nominal[-1]
+    level = params.terminal_level + 1e-4
+    assert float(e_n @ params.terminal_weight @ e_n) <= level * level
 
     from tubeplan.controller import _FhocpObjective
 
@@ -158,7 +152,7 @@ def test_navigate_reaches_target_without_disturbance():
 
 
 def test_navigate_under_disturbance_stays_in_tube():
-    out = _simple_navigation(0.05, policy="random-hold", seed=4, settle=10)
+    out = _simple_navigation(0.05, policy="random", seed=4, settle=10)
     assert out.arrived
     assert out.max_deviation <= 0.05 * 1.001 + 10 * 0.01 * 0.05
     assert out.arrival_steps + 10 == out.total_steps
@@ -166,7 +160,7 @@ def test_navigate_under_disturbance_stays_in_tube():
 
 def test_navigate_hold_keeps_target():
     # after arrival, the settle hold must keep the robot near the target
-    out = _simple_navigation(0.05, policy="worst-case-radial", seed=1,
+    out = _simple_navigation(0.05, policy="worst", seed=1,
                              settle=20)
     assert out.arrived
     substeps = round(0.1 / 0.01)

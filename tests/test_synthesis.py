@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tubeplan.abstraction import wts_from_dict
-from tubeplan.errors import SearchBudgetExceeded, Unrealizable
+from tubeplan.errors import InternalError, SearchBudgetExceeded, Unrealizable
 from tubeplan.mitl import monitor, parse
 from tubeplan.synthesis import (
     find_accepting_run,
@@ -103,6 +103,15 @@ def test_budget_exceeded():
     wts = two_state_wts()
     with pytest.raises(SearchBudgetExceeded):
         synthesize(wts, parse("F[0,100] p"), budget=5)
+
+
+def test_monitor_disagreement_raises(monkeypatch):
+    # the monitor re-check must survive python -O, so it cannot be an assert
+    import tubeplan.mitl
+
+    monkeypatch.setattr(tubeplan.mitl, "monitor", lambda formula, word: False)
+    with pytest.raises(InternalError, match="semantic monitor"):
+        synthesize(two_state_wts(), parse("F[0,2] p"))
 
 
 def test_determinism():

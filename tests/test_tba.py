@@ -16,10 +16,10 @@ def word(letters, times):
 
 
 def test_guard_ops():
-    g = Guard("c", "<=", F(5))
+    g = Guard("<=", F(5))
     assert g.holds(F(5)) and g.holds(F(0)) and not g.holds(F(6))
-    assert Guard("c", ">", F(2)).holds(F(3))
-    assert not Guard("c", "<", F(2)).holds(F(2))
+    assert Guard(">", F(2)).holds(F(3))
+    assert not Guard("<", F(2)).holds(F(2))
 
 
 def test_eventually_block_shape():
@@ -27,7 +27,6 @@ def test_eventually_block_shape():
     assert len(tba.locations) == 2
     assert len(tba.accepting) == 1
     assert tba.cmax == 0
-    assert len(tba.clocks) == 1
 
 
 def test_safety_block_shape():
@@ -76,12 +75,11 @@ def test_determinism_and_completeness():
     tba = build_tba(parse("G[0,inf] !o & F[3,5] m & (a U[1,4] b)"))
     letters = [frozenset(s for s in ("o", "m", "a", "b") if rng.random() < 0.5)
                for _ in range(40)]
-    clock_values = [F(k, 2) for k in range(0, 14)]
+    elapsed_values = [F(k, 2) for k in range(0, 14)]
     for loc in tba.locations:
         for letter in letters:
-            for v in clock_values:
-                val = {c: v for c in tba.clocks}
-                assert len(tba.successors(loc, letter, val)) == 1
+            for v in elapsed_values:
+                assert len(tba.successors(loc, letter, v)) == 1
 
 
 def test_stutter_loop_weight_halves_gcd():
