@@ -6,7 +6,7 @@ of region ``i``, reaches region ``j`` (stop test plus a settle hold) without
 leaving the leg's free space.  Its weight is the exact duration of that run
 in sampling steps times the step length — settle hold included — so the
 discrete timed runs over this system predict the stamps the executor will
-reproduce.
+reproduce, and a weight divided by the step is the executor's step count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -24,23 +23,7 @@ from .dynamics import DisturbanceSpec
 from .errors import AbstractionError, NoTransition, UnknownTransition
 from .scenario import Scenario, rational_str
 
-LEG_TIMEOUT = 90.0
-
-
-@dataclass(frozen=True)
-class ControllerDescriptor:
-    """What the executor needs to replay one leg."""
-
-    source: str
-    target: str
-    arrival_steps: int          # disturbance-free steps to the stop test
-    weight_steps: int           # arrival + settle; the scheduled duration
-
-
-@dataclass(frozen=True)
-class WtsTransition:
-    weight: Fraction
-    descriptor: Optional[ControllerDescriptor] = None
+LEG_TIMEOUT = 90          # seconds
 
 
 @dataclass(frozen=True)
@@ -48,18 +31,18 @@ class Wts:
     states: tuple
     initial: str
     labels: dict                        # state -> frozenset of propositions
-    transitions: dict                   # (src, dst) -> WtsTransition
+    transitions: dict                   # (src, dst) -> Fraction weight
     scenario_hash: str = ""
     _succ: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         succ = {s: [] for s in self.states}
-        for (src, dst), tr in sorted(self.transitions.items()):
-            if tr.weight <= 0:
+        for (src, dst), weight in sorted(self.transitions.items()):
+            if weight <= 0:
                 raise AbstractionError(
                     f"transition {src!r} -> {dst!r} has nonpositive weight"
                 )
-            succ[src].append((dst, tr))
+            succ[src].append((dst, weight))
         object.__setattr__(self, "_succ", succ)
 
     def successors(self, state: str):
@@ -71,7 +54,7 @@ class Wts:
         if src not in self._succ or dst not in self._succ:
             raise UnknownTransition(f"unknown state in ({src!r}, {dst!r})")
         try:
-            return self.transitions[(src, dst)].weight
+            return self.transitions[(src, dst)]
         except KeyError:
             raise NoTransition(f"no transition {src!r} -> {dst!r}") from None
 
@@ -112,7 +95,7 @@ def scenario_hash(scenario: Scenario) -> str:
 
 def build_wts(scenario: Scenario) -> Wts:
     """Run every center-to-region leg on the nominal system and keep the
-    ones that arrive.
+    ones that arrive with no sample outside the leg's free space.
 
     Self-loops are included (arrive immediately, hold for the settle time),
     so plans can wait at a region in settle-time quanta.
@@ -122,8 +105,7 @@ def build_wts(scenario: Scenario) -> Wts:
     fhocp = scenario.fhocp_params()
     input_set = scenario.input_set()
     settle = scenario.settle_steps
-    h = float(scenario.step)
-    timeout = round(LEG_TIMEOUT / h) * h
+    max_steps = round(LEG_TIMEOUT / scenario.step)
     no_disturbance = DisturbanceSpec(0.0, "zero")
 
     names = tuple(sorted(scenario.regions))
@@ -131,16 +113,17 @@ def build_wts(scenario: Scenario) -> Wts:
     for src in names:
         start = model.embed_position(scenario.regions[src].center)
         for dst in names:
+            free = scenario.state_constraints_for(src, dst)
             outcome = navigate(
                 model,
                 start,
                 scenario.regions[dst],
-                scenario.state_constraints_for(src, dst),
+                free,
                 input_set,
                 tube,
                 fhocp,
                 no_disturbance,
-                t_max=timeout,
+                max_steps,
                 seed=0,
                 settle_steps=settle,
                 sim_dt=scenario.sim_dt,
@@ -152,15 +135,9 @@ def build_wts(scenario: Scenario) -> Wts:
                         "the settle hold cannot be realised"
                     )
                 continue
-            if outcome.obstacle_violations or outcome.workspace_violations:
+            if any(free.count_violations(model.position(outcome.states))):
                 continue
-            weight_steps = outcome.arrival_steps + settle
-            transitions[(src, dst)] = WtsTransition(
-                weight=weight_steps * outcome.step_fraction,
-                descriptor=ControllerDescriptor(
-                    src, dst, outcome.arrival_steps, weight_steps
-                ),
-            )
+            transitions[(src, dst)] = (outcome.arrival_steps + settle) * scenario.step
 
     labels = {name: scenario.label_of(name) for name in names}
     return Wts(
@@ -180,25 +157,20 @@ def wts_to_dict(wts: Wts) -> dict:
         "scenario_hash": wts.scenario_hash,
         "transitions": [],
     }
-    for (src, dst), tr in sorted(wts.transitions.items()):
-        item = {"source": src, "target": dst, "weight": rational_str(tr.weight)}
-        if tr.descriptor is not None:
-            item["arrival_steps"] = tr.descriptor.arrival_steps
-            item["weight_steps"] = tr.descriptor.weight_steps
-        out["transitions"].append(item)
+    for (src, dst), weight in sorted(wts.transitions.items()):
+        out["transitions"].append(
+            {"source": src, "target": dst, "weight": rational_str(weight)}
+        )
     return out
 
 
 def wts_from_dict(data: dict) -> Wts:
-    transitions = {}
-    for item in data["transitions"]:
-        src, dst = item["source"], item["target"]
-        desc = None
-        if "weight_steps" in item:
-            desc = ControllerDescriptor(
-                src, dst, int(item["arrival_steps"]), int(item["weight_steps"])
-            )
-        transitions[(src, dst)] = WtsTransition(Fraction(item["weight"]), desc)
+    """Inverse of ``wts_to_dict``; extra per-transition keys (older files
+    carry ``arrival_steps`` and ``weight_steps``) are ignored."""
+    transitions = {
+        (item["source"], item["target"]): Fraction(item["weight"])
+        for item in data["transitions"]
+    }
     return Wts(
         states=tuple(data["states"]),
         initial=data["initial"],

@@ -72,8 +72,8 @@ def cmd_abstract(args) -> int:
     if args.out:
         abstraction.save_wts(wts, args.out)
     print(f"states: {len(wts.states)}  transitions: {len(wts.transitions)}")
-    for (src, dst), tr in sorted(wts.transitions.items()):
-        print(f"  {src} -> {dst}  weight {float(tr.weight):g}")
+    for (src, dst), weight in sorted(wts.transitions.items()):
+        print(f"  {src} -> {dst}  weight {float(weight):g}")
     return EXIT_PASS
 
 

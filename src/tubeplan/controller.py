@@ -15,7 +15,6 @@ sampling instant (so the tube deviation restarts from zero each interval).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -362,22 +361,22 @@ class NavigationOutcome:
     disturbances: np.ndarray
     arrival_steps: Optional[int]        # sampling steps until the stop test
     total_steps: int                    # sampling steps actually simulated
-    step_fraction: Fraction             # exact sampling step, seconds
-    max_deviation: float                # max |e - e_hat| over all samples
     saturation_count: int
-    obstacle_violations: int
-    workspace_violations: int
     costs: list = field(default_factory=list)
-
-    @property
-    def arrival_time(self) -> Optional[Fraction]:
-        if self.arrival_steps is None:
-            return None
-        return self.arrival_steps * self.step_fraction
 
     @property
     def arrived(self) -> bool:
         return self.status == ARRIVED
+
+    @property
+    def max_deviation(self) -> float:
+        """Largest ``|x - x_hat|`` over all samples."""
+        return max_deviation(self.states, self.nominal_states)
+
+
+def max_deviation(states: np.ndarray, nominal: np.ndarray) -> float:
+    """Largest row-wise ``|x - x_hat|``; 0.0 for no rows."""
+    return float(np.max(np.linalg.norm(states - nominal, axis=-1), initial=0.0))
 
 
 def navigate(
@@ -389,7 +388,7 @@ def navigate(
     tube: TubeParams,
     fhocp: FhocpParams,
     disturbance: DisturbanceSpec,
-    t_max: float,
+    max_steps: int,
     seed: int = 0,
     settle_steps: int = 0,
     min_duration_steps: int = 0,
@@ -402,15 +401,13 @@ def navigate(
     previous solution), and the ancillary law is applied over the interval.
     The run stops ``settle_steps`` sampling steps after the stop test
     ``|pos(x) - target.center| <= arrival_radius`` first passes, but never
-    before ``min_duration_steps`` steps have elapsed.
+    before ``min_duration_steps`` steps have elapsed, and gives up after
+    ``max_steps``.  Safety of the samples is left to the caller.
     """
     h = fhocp.step
     substeps = round(h / sim_dt)
     if abs(substeps * sim_dt - h) > 1e-9 or substeps < 1:
         raise InvalidParam(f"sim_dt={sim_dt} must divide the sampling step {h}")
-    max_steps = round(t_max / h)
-    if abs(max_steps * h - t_max) > 1e-9:
-        raise InvalidParam(f"t_max={t_max} must be a multiple of the step {h}")
 
     target_state = model.embed_position(target.center)
     err_model = shift_to_error_frame(model, target_state)
@@ -418,13 +415,7 @@ def navigate(
     u_tight = tighten_input_constraints(input_set, tube.sigma, tube.tube_radius)
     arrival_radius = fhocp.arrival_radius
     pos_idx = list(model.position_projection)
-
-    dist_spec = disturbance
-    if disturbance.policy == "worst" and disturbance.target is None:
-        dist_spec = DisturbanceSpec(
-            disturbance.bound, disturbance.policy, target_state
-        )
-    delta_fn = dist_spec.generator(model.n, seed)
+    delta_fn = disturbance.generator(target_state, seed)
 
     x = np.asarray(x_start, dtype=float).copy()
     ts = [0.0]
@@ -437,12 +428,7 @@ def navigate(
     warm = None
     arrival_steps = None
     status = TIMED_OUT
-    max_dev = 0.0
     saturations = 0
-    obstacle_hits = 0
-    workspace_hits = 0
-
-    step_frac = Fraction(h).limit_denominator(10**6)
 
     k = 0
     while k <= max_steps:
@@ -481,15 +467,6 @@ def navigate(
             e_hat = rk4_step(err_model, e_hat, u_hat, sim_dt)
             if not np.all(np.isfinite(x)):
                 raise NonFiniteError(f"state became non-finite at t={t + sim_dt}")
-            dev = float(np.linalg.norm((x - target_state) - e_hat))
-            max_dev = max(max_dev, dev)
-            pos = x[pos_idx]
-            if not state_constraints.region.contains(pos):
-                workspace_hits += 1
-            for b in state_constraints.exclusions:
-                if float(np.linalg.norm(pos - b.center)) <= b.radius:
-                    obstacle_hits += 1
-                    break
             ts.append(t + sim_dt)
             xs.append(x.copy())
             nominal.append(e_hat + target_state)
@@ -508,10 +485,6 @@ def navigate(
         disturbances=np.asarray(deltas),
         arrival_steps=arrival_steps,
         total_steps=k,
-        step_fraction=step_frac,
-        max_deviation=max_dev,
         saturation_count=saturations,
-        obstacle_violations=obstacle_hits,
-        workspace_violations=workspace_hits,
         costs=costs,
     )

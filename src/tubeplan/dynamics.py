@@ -8,7 +8,7 @@ out many perturbed control sequences at once.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -177,7 +177,6 @@ class DisturbanceSpec:
 
     bound: float
     policy: str = "zero"
-    target: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.bound < 0:
@@ -187,17 +186,19 @@ class DisturbanceSpec:
                 f"unknown policy {self.policy!r}; choose from {DISTURBANCE_POLICIES}"
             )
 
-    def generator(self, n: int, seed) -> Callable[[float, np.ndarray], np.ndarray]:
-        """Deterministic ``delta(t, x)`` whose norm never exceeds the bound."""
+    def generator(self, target, seed) -> Callable[[float, np.ndarray], np.ndarray]:
+        """Deterministic ``delta(t, x)`` whose norm never exceeds the bound.
+
+        ``target`` is the full state the robot is steered to; the ``worst``
+        policy pushes away from it, and its size sets the state dimension.
+        """
+        target = np.asarray(target, dtype=float)
+        n = target.shape[0]
         bound = self.bound
         if self.policy == "zero" or bound == 0.0:
             zero = np.zeros(n)
             return lambda t, x: zero
         if self.policy == "worst":
-            target = np.asarray(self.target, dtype=float)
-            if target is None or target.shape != (n,):
-                raise InvalidParam("the worst policy needs a full-state target")
-
             def radial(t, x):
                 v = np.asarray(x, dtype=float) - target
                 nrm = np.linalg.norm(v)

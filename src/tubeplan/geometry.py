@@ -115,6 +115,22 @@ class ConstraintSet:
             worst = max(worst, b.radius - float(np.linalg.norm(p - b.center)))
         return max(worst, 0.0)
 
+    def count_violations(self, points) -> tuple:
+        """``(workspace_exits, exclusion_hits)`` over points of shape (k, dim).
+
+        An exit is a point outside the region (tolerance ``DEFAULT_TOL``); a
+        hit is a point inside or on some exclusion ball, counted once however
+        many balls it touches.
+        """
+        p = np.asarray(points, dtype=float)
+        box = self.region
+        inside = np.all((p >= box.lower - DEFAULT_TOL) & (p <= box.upper + DEFAULT_TOL),
+                        axis=-1)
+        hit = np.zeros(inside.shape, dtype=bool)
+        for b in self.exclusions:
+            hit |= np.linalg.norm(p - b.center, axis=-1) <= b.radius
+        return int(np.count_nonzero(~inside)), int(np.count_nonzero(hit))
+
 
 def erode_box_by_ball(box: Box, r: float) -> Box:
     """Pontryagin difference box ``-`` ball: move each bound inward by ``r``."""

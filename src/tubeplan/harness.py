@@ -6,20 +6,20 @@ weight).  Arrival earlier than the schedule becomes a hold at the target;
 arrival later than the schedule is a failure.  The stamps of the produced
 timed word are therefore the plan's stamps; what execution actually has to
 earn is the containment check at each stamp, and that is what the verifier
-tests, together with the semantic monitor and the continuous-time safety
-counters.
+tests, together with the semantic monitor and safety checks it recomputes
+from the recorded samples alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .abstraction import Wts
-from .controller import navigate
+from .controller import input_violation, max_deviation, navigate
 from .dynamics import DisturbanceSpec, derive_seed
 from .errors import ExecutionFailure
 from .mitl import TimedWord, monitor
@@ -43,10 +43,7 @@ class LegRecord:
     target: str
     scheduled_steps: int
     physical_arrival_steps: int     # when the stop test first passed
-    max_deviation: float
-    saturations: int
-    offpath_entries: int            # samples inside some third region
-    workspace_exits: int
+    saturations: int                # diagnostic only; the verdict ignores it
 
 
 @dataclass
@@ -67,12 +64,8 @@ class Trace:
 
     @property
     def max_deviation(self) -> float:
-        return max((leg.max_deviation for leg in self.legs), default=0.0)
-
-    def sample_at(self, stamp: Fraction) -> int:
-        dt = float(self.ts[1] - self.ts[0]) if len(self.ts) > 1 else 1.0
-        idx = int(round(float(stamp) / dt))
-        return min(idx, len(self.ts) - 1)
+        """Largest ``|x - x_hat|`` over all samples."""
+        return max_deviation(self.states, self.nominal)
 
 
 def execute_plan(
@@ -93,7 +86,6 @@ def execute_plan(
     fhocp = scenario.fhocp_params()
     input_set = scenario.input_set()
     h = float(scenario.step)
-    substeps = round(h / scenario.sim_dt)
 
     x = model.embed_position(scenario.regions[plan.states[0]].center)
     ts = [np.zeros(1)]
@@ -110,16 +102,17 @@ def execute_plan(
 
     t_offset = 0.0
     for i, (src, dst, weight) in enumerate(plan.legs()):
-        try:
-            tr = wts.transitions[(src, dst)]
-        except KeyError:
+        if (src, dst) not in wts.transitions:
             raise ExecutionFailure(
                 f"plan leg {src!r} -> {dst!r} has no transition", partial()
-            ) from None
-        if tr.descriptor is not None:
-            steps = tr.descriptor.weight_steps
-        else:
-            steps = int(weight / scenario.step)
+            )
+        steps = weight / scenario.step
+        if steps.denominator != 1:
+            raise ExecutionFailure(
+                f"plan leg {src!r} -> {dst!r} lasts {weight}, not a whole "
+                f"number of {scenario.step} s steps", partial()
+            )
+        steps = int(steps)
         spec = DisturbanceSpec(scenario.disturbance_bound, disturbance)
         outcome = navigate(
             model,
@@ -130,28 +123,22 @@ def execute_plan(
             tube,
             fhocp,
             spec,
-            t_max=steps * h,
+            steps,
             seed=derive_seed(seed, i, src, dst),
             settle_steps=0,
             min_duration_steps=steps,
             sim_dt=scenario.sim_dt,
         )
         if not outcome.arrived:
-            legs.append(LegRecord(src, dst, steps,
-                                  outcome.arrival_steps or -1,
-                                  outcome.max_deviation,
-                                  outcome.saturation_count,
-                                  outcome.obstacle_violations,
-                                  outcome.workspace_violations))
+            legs.append(LegRecord(src, dst, steps, outcome.arrival_steps or -1,
+                                  outcome.saturation_count))
             raise ExecutionFailure(
                 f"leg {i} ({src!r} -> {dst!r}) ended {outcome.status} after "
                 f"{outcome.total_steps} of {steps} scheduled steps",
                 partial(),
             )
         legs.append(LegRecord(src, dst, steps, outcome.arrival_steps,
-                              outcome.max_deviation, outcome.saturation_count,
-                              outcome.obstacle_violations,
-                              outcome.workspace_violations))
+                              outcome.saturation_count))
         ts.append(outcome.ts[1:] + t_offset)
         xs.append(outcome.states[1:])
         nom.append(outcome.nominal_states[1:])
@@ -167,8 +154,7 @@ def execute_plan(
 
 def _assemble(plan, ts, xs, nom, us, ds, leg_ix, legs, seed,
               disturbance) -> Trace:
-    n_done = len(legs) + 1 if len(legs) + 1 <= len(plan.states) else len(plan.states)
-    word_states = plan.states[:max(n_done, 1)]
+    word_states = plan.states[:min(len(legs) + 1, len(plan.states))]
     return Trace(
         ts=np.concatenate(ts),
         states=np.concatenate(xs),
@@ -188,27 +174,34 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace, formula=None) -> 
     """Independent pass/fail report for an executed trace.
 
     Checks, in order: the robot body sits inside the scheduled region at
-    every stamp; the semantic monitor accepts the produced timed word; the
-    continuous trajectory never grazes a third region or leaves the
-    workspace; the applied inputs respect their bounds; and the deviation
-    from the nominal trajectory stays within the tube tolerance.
+    the sample of every stamp; the semantic monitor accepts the produced
+    timed word; no recorded sample of a leg lies in a third region or
+    outside the workspace; the applied inputs respect their bounds; and the
+    deviation from the nominal trajectory stays within the tube tolerance.
+    Everything but the saturation count is computed from the samples.
     """
     if formula is None:
         formula = scenario.formula()
     tube = scenario.tube_params()
     eta = scenario.robot_radius
+    pos = scenario.model().position(trace.states)
+    # the sample of an exact stamp: sim_dt is step / substeps exactly
+    substeps = round(float(scenario.step) / scenario.sim_dt)
 
     containment = []
     for state, stamp in zip(trace.plan_states, trace.stamps):
         ball = scenario.regions[state]
-        idx = trace.sample_at(stamp)
-        pos = scenario.model().position(trace.states[idx])
-        margin = (ball.radius - eta) - float(np.linalg.norm(pos - ball.center))
+        idx = stamp * substeps / scenario.step
+        if idx.denominator == 1 and idx < len(pos):
+            dist = float(np.linalg.norm(pos[int(idx)] - ball.center))
+            margin = (ball.radius - eta) - dist
+        else:
+            margin = None           # no sample at this stamp
         containment.append({
             "state": state,
             "stamp": rational_str(stamp),
             "margin": margin,
-            "ok": margin >= -1e-9,
+            "ok": margin is not None and margin >= -1e-9,
         })
     containment_ok = all(c["ok"] for c in containment)
 
@@ -218,13 +211,15 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace, formula=None) -> 
     )
     monitor_ok = complete and monitor(formula, word)
 
-    offpath = int(sum(leg.offpath_entries for leg in trace.legs))
-    exits = int(sum(leg.workspace_exits for leg in trace.legs))
+    offpath = exits = 0
+    for i, (src, dst, _) in enumerate(plan.legs()):
+        free = scenario.state_constraints_for(src, dst)
+        leg_exits, leg_hits = free.count_violations(pos[trace.leg_index == i])
+        exits += leg_exits
+        offpath += leg_hits
     saturations = int(sum(leg.saturations for leg in trace.legs))
 
     u_set = scenario.input_set()
-    from .controller import input_violation
-
     input_bad = int(sum(1 for u in trace.inputs if input_violation(u, u_set)))
 
     tol = tube_tolerance(tube.tube_radius, scenario.sim_dt,
@@ -259,19 +254,7 @@ def _meta_dict(trace: Trace) -> dict:
         "plan_states": list(trace.plan_states),
         "seed": trace.seed,
         "disturbance": trace.disturbance,
-        "legs": [
-            {
-                "source": leg.source,
-                "target": leg.target,
-                "scheduled_steps": leg.scheduled_steps,
-                "physical_arrival_steps": leg.physical_arrival_steps,
-                "max_deviation": leg.max_deviation,
-                "saturations": leg.saturations,
-                "offpath_entries": leg.offpath_entries,
-                "workspace_exits": leg.workspace_exits,
-            }
-            for leg in trace.legs
-        ],
+        "legs": [asdict(leg) for leg in trace.legs],
     }
 
 
@@ -303,7 +286,10 @@ def import_trace(path) -> Trace:
     n = (data.shape[1] - 1) // 4
     stamps = tuple(Fraction(s) for s in meta["stamps"])
     plan_states = tuple(meta["plan_states"])
-    legs = [LegRecord(**d) for d in meta["legs"]]
+    # headers written by older versions also carry per-leg safety counters;
+    # the verifier recomputes those from the samples, so they are dropped
+    keys = [f.name for f in fields(LegRecord)]
+    legs = [LegRecord(**{k: d[k] for k in keys}) for d in meta["legs"]]
     trace = Trace(
         ts=data[:, 0],
         states=data[:, 1:1 + n],
@@ -363,6 +349,7 @@ def export_plot_data(scenario: Scenario, trace: Trace, outdir) -> list:
     table("legs.tsv", ["index", "source", "target", "scheduled_steps",
                        "physical_arrival_steps", "max_deviation"],
           [(str(i), leg.source, leg.target, str(leg.scheduled_steps),
-            str(leg.physical_arrival_steps), leg.max_deviation)
+            str(leg.physical_arrival_steps),
+            float(np.max(dev[trace.leg_index == i], initial=0.0)))
            for i, leg in enumerate(trace.legs)])
     return written

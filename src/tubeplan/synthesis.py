@@ -63,11 +63,11 @@ class _Product:
 
     def successors(self, node: ProductNode):
         out = []
-        for dst, tr in self.wts.successors(node.state):
-            clock = min(node.clock + tr.weight, self.cap)
+        for dst, weight in self.wts.successors(node.state):
+            clock = min(node.clock + weight, self.cap)
             letter = self.wts.label_of(dst)
             for e in self.tba.successors(node.location, letter, clock):
-                out.append((ProductNode(dst, e.target, clock), tr.weight))
+                out.append((ProductNode(dst, e.target, clock), weight))
         out.sort(key=lambda p: (p[0].state, p[0].location, p[1]))
         return out
 
@@ -79,7 +79,7 @@ def _bfs(product: _Product, roots, budget: int):
     meta = {}
     adjacency = {}
     queue = deque()
-    for i, node in enumerate(roots):
+    for node in roots:
         if node not in meta:
             meta[node] = (0, Fraction(0), len(meta))
             parent[node] = None
@@ -110,25 +110,21 @@ def _path_to(parent, node):
 
 
 def _shortest_cycle(adjacency, anchor):
-    """Shortest (by edges, then duration, then order) path anchor -> anchor."""
+    """Shortest (by edges, then successor order) path anchor -> anchor."""
     parent = {}
-    meta = {}
     queue = deque()
-    for child, weight in adjacency[anchor]:
+    for child, _ in adjacency[anchor]:
         if child == anchor:
             return [anchor]
-        if child not in meta:
-            meta[child] = (1, weight, len(meta))
+        if child not in parent:
             parent[child] = None
             queue.append(child)
     while queue:
         node = queue.popleft()
-        for child, weight in adjacency.get(node, ()):
+        for child, _ in adjacency.get(node, ()):
             if child == anchor:
                 return _path_to(parent, node) + [anchor]
-            if child not in meta:
-                d, dur, _ = meta[node]
-                meta[child] = (d + 1, dur + weight, len(meta))
+            if child not in parent:
                 parent[child] = node
                 queue.append(child)
     return None

@@ -371,7 +371,7 @@ def accepts_word(tba: TimedAutomaton, word: TimedWord, saturation_slack=1) -> bo
     (with a stutter self-loop on its last state) and searching the product
     with the automaton for an accepting lasso.
     """
-    from .abstraction import Wts, WtsTransition
+    from .abstraction import Wts
     from .errors import Unrealizable
     from .synthesis import find_accepting_run
 
@@ -380,9 +380,8 @@ def accepts_word(tba: TimedAutomaton, word: TimedWord, saturation_slack=1) -> bo
     transitions = {}
     for i in range(len(word) - 1):
         weight = word.times[i + 1] - word.times[i]
-        transitions[(states[i], states[i + 1])] = WtsTransition(weight, None)
-    loop_w = stutter_loop_weight(tba, word.times[-1])
-    transitions[(states[-1], states[-1])] = WtsTransition(loop_w, None)
+        transitions[(states[i], states[i + 1])] = weight
+    transitions[(states[-1], states[-1])] = stutter_loop_weight(tba, word.times[-1])
     wts = Wts(states=states, initial=states[0], labels=labels, transitions=transitions)
     try:
         find_accepting_run(wts, tba, states[0], saturation_slack=saturation_slack)

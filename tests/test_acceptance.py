@@ -90,10 +90,11 @@ def disturbed_batch():
         start = model.embed_position(feasible_start())
         spec = DisturbanceSpec(DELTA_BOUND, policies[i % len(policies)])
         out = navigate(model, start, target, constraints, u_set, tube, fhocp,
-                       spec, t_max=0.6, seed=derive_seed(7, i), sim_dt=SIM_DT)
+                       spec, max_steps=6, seed=derive_seed(7, i), sim_dt=SIM_DT)
         max_dev = max(max_dev, out.max_deviation)
-        obstacle_hits += out.obstacle_violations
-        workspace_exits += out.workspace_violations
+        exits, hits = constraints.count_violations(model.position(out.states))
+        obstacle_hits += hits
+        workspace_exits += exits
         saturations += out.saturation_count
     elapsed = time.perf_counter() - t0
     return {
@@ -158,14 +159,12 @@ def test_criterion_2_arrival_bound():
         out = navigate(model, model.embed_position(start_pos), target,
                        constraints, u_set, tube, fhocp,
                        DisturbanceSpec(DELTA_BOUND, "random"),
-                       t_max=12.0, seed=derive_seed(3, i), settle_steps=10,
+                       max_steps=120, seed=derive_seed(3, i), settle_steps=10,
                        sim_dt=SIM_DT)
         if not out.arrived:
             continue
         arrived += 1
-        # the recorded arrival time is an exact multiple of the sampling step
-        assert (out.arrival_time / step).denominator == 1
-        hold = out.ts >= float(out.arrival_time) - 1e-12
+        hold = out.ts >= float(out.arrival_steps * step) - 1e-12
         dists = np.linalg.norm(model.position(out.states[hold]) - target.center,
                                axis=1)
         assert float(np.max(dists)) <= bound, (
@@ -450,8 +449,9 @@ def test_criterion_7_zero_disturbance(tiny_zero_scenario, tiny_zero_wts):
     for leg in trace.legs:
         assert 0 <= leg.physical_arrival_steps <= leg.scheduled_steps
     first = trace.legs[0]
-    tr = tiny_zero_wts.transitions[(first.source, first.target)]
-    assert first.physical_arrival_steps == tr.descriptor.arrival_steps
+    weight = tiny_zero_wts.transitions[(first.source, first.target)]
+    assert first.physical_arrival_steps == (
+        weight / tiny_zero_scenario.step - tiny_zero_scenario.settle_steps)
     print(f"criterion 7 (zero-disturbance degeneracy): PASS  "
           f"max deviation {trace.max_deviation:.2e} <= 1e-6, exact stamps")
 
@@ -544,7 +544,7 @@ def test_criterion_9_synthesis_soundness():
             {"source": "s1", "target": "s1", "weight": "3/2"},
         ],
     })
-    assert all(tr.weight > 1 for tr in slow.transitions.values())
+    assert all(weight > 1 for weight in slow.transitions.values())
     with pytest.raises(Unrealizable):
         synthesize(slow, parse("F[0,1] m"))
     print(f"criterion 9 (synthesis soundness): PASS  "

@@ -137,7 +137,7 @@ def _simple_navigation(delta_bound, policy="zero", seed=0, settle=0):
     return navigate(
         m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs,
         Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube, params,
-        DisturbanceSpec(delta_bound, policy), t_max=30.0, seed=seed,
+        DisturbanceSpec(delta_bound, policy), max_steps=300, seed=seed,
         settle_steps=settle,
     )
 
@@ -180,7 +180,7 @@ def test_navigate_min_duration_holds_longer():
     held = navigate(
         m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs,
         Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube, params,
-        DisturbanceSpec(0.0, "zero"), t_max=scheduled * 0.1,
+        DisturbanceSpec(0.0, "zero"), max_steps=scheduled,
         min_duration_steps=scheduled,
     )
     assert held.arrived

@@ -98,7 +98,7 @@ def test_min_eig_single_integrator():
 def test_disturbance_policies_respect_bound():
     for policy in ("uniform", "random"):
         spec = DisturbanceSpec(0.07, policy)
-        gen = spec.generator(3, seed=5)
+        gen = spec.generator(np.zeros(3), seed=5)
         for k in range(200):
             d = gen(0.01 * k, np.zeros(3))
             assert np.linalg.norm(d) <= 0.07 + 1e-12
@@ -106,8 +106,8 @@ def test_disturbance_policies_respect_bound():
 
 def test_worst_case_radial_points_away_from_target():
     target = np.array([1.0, 0.0, 0.0])
-    spec = DisturbanceSpec(0.05, "worst", target=target)
-    gen = spec.generator(3, seed=0)
+    spec = DisturbanceSpec(0.05, "worst")
+    gen = spec.generator(target, seed=0)
     x = np.array([2.0, 0.0, 0.0])
     d = gen(0.0, x)
     assert np.allclose(d, [0.05, 0.0, 0.0])
@@ -116,7 +116,7 @@ def test_worst_case_radial_points_away_from_target():
 
 def test_random_hold_is_piecewise_constant():
     spec = DisturbanceSpec(0.1, "random")
-    gen = spec.generator(2, seed=9)
+    gen = spec.generator(np.zeros(2), seed=9)
     a = gen(0.00, np.zeros(2))
     b = gen(0.05, np.zeros(2))
     c = gen(0.11, np.zeros(2))
@@ -125,7 +125,7 @@ def test_random_hold_is_piecewise_constant():
 
 
 def test_zero_policy():
-    gen = DisturbanceSpec(0.3, "zero").generator(4, seed=2)
+    gen = DisturbanceSpec(0.3, "zero").generator(np.zeros(4), seed=2)
     assert np.array_equal(gen(1.0, np.ones(4)), np.zeros(4))
 
 

@@ -1,10 +1,13 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import json
+
 import numpy as np
 import pytest
 
-from tubeplan.abstraction import Wts, WtsTransition
+from tubeplan import cli
+from tubeplan.abstraction import Wts
 from tubeplan.errors import ExecutionFailure
 from tubeplan.harness import (
     execute_plan,
@@ -14,7 +17,9 @@ from tubeplan.harness import (
     tube_tolerance,
     verify_trace,
 )
-from tubeplan.synthesis import Plan, synthesize
+from tubeplan.synthesis import Plan, save_plan, synthesize
+
+from conftest import tiny_dict
 
 F = Fraction
 
@@ -89,6 +94,53 @@ def test_trace_export_import_round_trip(tiny_scenario, tiny_plan, tiny_trace,
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_forged_samples_between_stamps_fail(tiny_scenario, tiny_plan,
+                                            tiny_trace, tmp_path):
+    # every sample off the scheduled stamps, with its nominal, moves onto the
+    # centre of the hazard region H; the stamps, the inputs, the deviation and
+    # the header stay clean, so only the samples themselves can tell
+    substeps = round(float(tiny_scenario.step) / tiny_scenario.sim_dt)
+    stamped = [int(s * substeps / tiny_scenario.step) for s in tiny_trace.stamps]
+    forged_rows = np.ones(len(tiny_trace.ts), dtype=bool)
+    forged_rows[stamped] = False
+    hazard = tiny_scenario.model().embed_position(tiny_scenario.regions["H"].center)
+    states = tiny_trace.states.copy()
+    nominal = tiny_trace.nominal.copy()
+    states[forged_rows] = hazard
+    nominal[forged_rows] = hazard
+    forged = replace(tiny_trace, states=states, nominal=nominal)
+
+    report = verify_trace(tiny_scenario, tiny_plan, forged)
+    assert report["containment_ok"] and report["tube_ok"]
+    assert report["offpath_entries"] > 0
+    assert not report["pass"]
+
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(tiny_dict()))
+    save_plan(tiny_plan, tmp_path / "plan.json")
+    export_trace(forged, tmp_path / "trace.tsv")
+    code = cli.main(["verify", "--scenario", str(scenario_path),
+                     "--plan", str(tmp_path / "plan.json"),
+                     "--trace", str(tmp_path / "trace.tsv")])
+    assert code == cli.EXIT_FAIL
+
+
+def test_import_drops_old_header_counters(tiny_trace, tmp_path):
+    # traces written before the verifier recomputed safety from the samples
+    # carry per-leg counters in their header; they still load
+    path = tmp_path / "trace.tsv"
+    export_trace(tiny_trace, path)
+    header, rest = path.read_text().split("\n", 1)
+    meta = json.loads(header[2:])
+    for leg in meta["legs"]:
+        leg.update(max_deviation=0.0, offpath_entries=0, workspace_exits=0)
+    old = tmp_path / "old.tsv"
+    old.write_text("# " + json.dumps(meta) + "\n" + rest)
+    loaded = import_trace(old)
+    assert loaded.legs == tiny_trace.legs
+    assert np.array_equal(loaded.states, tiny_trace.states)
+
+
 def test_plot_data_files(tiny_scenario, tiny_trace, tmp_path):
     written = export_plot_data(tiny_scenario, tiny_trace, tmp_path / "plots")
     names = sorted(p.split("/")[-1] for p in written)
@@ -112,11 +164,8 @@ def test_missing_transition_fails_with_partial_trace(tiny_scenario, tiny_wts):
 
 def test_impossible_schedule_fails_with_partial_trace(tiny_scenario, tiny_wts):
     # shrink the A -> B schedule to one sampling step so the leg times out
-    tr = tiny_wts.transitions[("A", "B")]
     squeezed = dict(tiny_wts.transitions)
-    squeezed[("A", "B")] = WtsTransition(
-        F(1, 10), replace(tr.descriptor, arrival_steps=1, weight_steps=1)
-    )
+    squeezed[("A", "B")] = F(1, 10)
     wts = Wts(tiny_wts.states, tiny_wts.initial, tiny_wts.labels, squeezed,
               tiny_wts.scenario_hash)
     plan = Plan(states=("A", "B"), stamps=(F(0), F(1, 10)), prefix_len=2)
