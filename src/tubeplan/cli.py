@@ -3,8 +3,9 @@
 Subcommands mirror the pipeline stages: parse a formula, abstract a scenario
 into a weighted transition system, synthesize a plan, simulate it, verify a
 trace, or do the whole chain with ``run``.  Exit codes: 0 verified pass,
-1 verification failure, 2 unrealizable task, 3 invalid input, 4 runtime
-failure during abstraction or execution, 5 search budget exceeded
+1 verification failure, 2 unrealizable task, 3 invalid input (including a
+plan or trace that does not match the scenario or plan it is used with),
+4 runtime failure during abstraction or execution, 5 search budget exceeded
 (realizability unknown).
 """
 
@@ -48,11 +49,23 @@ def _get_wts(args, scenario):
     expected = abstraction.scenario_hash(scenario)
     path = getattr(args, "wts", None)
     if path and os.path.exists(path):
-        return abstraction.load_wts(path, expected_hash=expected)
+        wts = abstraction.load_wts(path, expected_hash=expected)
+        # the scenario hash leaves the labels out
+        if wts.labels != {s: scenario.label_of(s) for s in wts.states}:
+            raise AbstractionError("cached transition system has stale labels")
+        return wts
     wts = abstraction.build_wts(scenario)
     if path:
         abstraction.save_wts(wts, path)
     return wts
+
+
+def _load_plan(args, scenario):
+    """Load ``--plan``, which must have been synthesized for ``scenario``."""
+    plan = synthesis.load_plan(args.plan)
+    if plan.scenario_hash != abstraction.scenario_hash(scenario):
+        raise ValidationError([f"{args.plan} was synthesized for another scenario"])
+    return plan
 
 
 def cmd_parse(args) -> int:
@@ -92,8 +105,8 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
+    plan = _load_plan(args, scenario)
     wts = _get_wts(args, scenario)
-    plan = synthesis.load_plan(args.plan)
     trace = harness.execute_plan(scenario, wts, plan,
                                  disturbance=args.disturbance, seed=args.seed)
     if args.out:
@@ -104,7 +117,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     scenario = _load(args)
-    plan = synthesis.load_plan(args.plan)
+    plan = _load_plan(args, scenario)
     trace = harness.import_trace(args.trace)
     report = harness.verify_trace(scenario, plan, trace)
     print(json.dumps(report, indent=2))
@@ -135,8 +148,9 @@ def cmd_run(args) -> int:
 
 def cmd_plot_data(args) -> int:
     scenario = _load(args)
+    plan = _load_plan(args, scenario)
     trace = harness.import_trace(args.trace)
-    written = harness.export_plot_data(scenario, trace, args.out)
+    written = harness.export_plot_data(scenario, plan, trace, args.out)
     for path in written:
         print(path)
     return EXIT_PASS
@@ -199,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot-data", help="dump plotting series from a trace")
     p.add_argument("--scenario")
+    p.add_argument("--plan", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_plot_data)

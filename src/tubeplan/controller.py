@@ -34,11 +34,7 @@ from .geometry import (
 class TubeParams:
     """Ancillary gain and tube radius derived from the model constants."""
 
-    lipschitz: float
-    gain_floor: float
-    sigma_margin: float
     sigma: float
-    delta_bound: float
     tube_radius: float
 
 
@@ -54,13 +50,8 @@ def make_tube_params(
         raise InvalidParam(f"disturbance bound must be >= 0, got {delta_bound}")
     if lipschitz < 0:
         raise InvalidParam(f"Lipschitz constant must be >= 0, got {lipschitz}")
-    sigma = lipschitz / gain_floor + sigma_margin
     return TubeParams(
-        lipschitz=lipschitz,
-        gain_floor=gain_floor,
-        sigma_margin=sigma_margin,
-        sigma=sigma,
-        delta_bound=delta_bound,
+        sigma=lipschitz / gain_floor + sigma_margin,
         tube_radius=delta_bound / sigma_margin,
     )
 

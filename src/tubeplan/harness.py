@@ -7,24 +7,26 @@ arrival later than the schedule is a failure.  The stamps of the produced
 timed word are therefore the plan's stamps; what execution actually has to
 earn is the containment check at each stamp, and that is what the verifier
 tests, together with the semantic monitor and safety checks it recomputes
-from the recorded samples alone.
+from the recorded samples alone.  A trace holds the samples and the digest
+of its plan; the stamps, the word and the leg of each sample are read from
+the plan, the only copy of them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
-from fractions import Fraction
 
 import numpy as np
 
 from .abstraction import Wts
 from .controller import input_violation, max_deviation, navigate
 from .dynamics import DisturbanceSpec, derive_seed
-from .errors import ExecutionFailure
+from .errors import ExecutionFailure, ValidationError
 from .mitl import TimedWord, monitor
 from .scenario import Scenario, rational_str
-from .synthesis import Plan
+from .synthesis import Plan, plan_digest
 
 # Loop-closure slack on the tube radius: the controller resets the nominal
 # state every sampling step, so the deviation it must absorb per interval is
@@ -39,9 +41,6 @@ def tube_tolerance(tube_radius: float, sim_dt: float, delta_bound: float) -> flo
 
 @dataclass
 class LegRecord:
-    source: str
-    target: str
-    scheduled_steps: int
     physical_arrival_steps: int     # when the stop test first passed
     saturations: int                # diagnostic only; the verdict ignores it
 
@@ -55,9 +54,7 @@ class Trace:
     nominal: np.ndarray
     inputs: np.ndarray
     deltas: np.ndarray
-    leg_index: np.ndarray
-    stamps: tuple                   # scheduled stamps, one per plan state
-    plan_states: tuple
+    plan_digest: str                # ``synthesis.plan_digest`` of the plan run
     legs: list = field(default_factory=list)
     seed: int = 0
     disturbance: str = "zero"
@@ -93,24 +90,25 @@ def execute_plan(
     nom = [x[None, :]]
     us = [np.zeros((1, model.n))]
     ds = [np.zeros((1, model.n))]
-    leg_ix = [np.zeros(1, dtype=int)]
     legs = []
 
-    def partial() -> Trace:
-        return _assemble(plan, ts, xs, nom, us, ds, leg_ix, legs,
-                         seed, disturbance)
+    def recorded() -> Trace:
+        return Trace(np.concatenate(ts), np.concatenate(xs),
+                     np.concatenate(nom), np.concatenate(us),
+                     np.concatenate(ds), plan_digest(plan), list(legs),
+                     seed, disturbance)
 
     t_offset = 0.0
     for i, (src, dst, weight) in enumerate(plan.legs()):
         if (src, dst) not in wts.transitions:
             raise ExecutionFailure(
-                f"plan leg {src!r} -> {dst!r} has no transition", partial()
+                f"plan leg {src!r} -> {dst!r} has no transition", recorded()
             )
         steps = weight / scenario.step
         if steps.denominator != 1:
             raise ExecutionFailure(
                 f"plan leg {src!r} -> {dst!r} lasts {weight}, not a whole "
-                f"number of {scenario.step} s steps", partial()
+                f"number of {scenario.step} s steps", recorded()
             )
         steps = int(steps)
         spec = DisturbanceSpec(scenario.disturbance_bound, disturbance)
@@ -130,44 +128,41 @@ def execute_plan(
             sim_dt=scenario.sim_dt,
         )
         if not outcome.arrived:
-            legs.append(LegRecord(src, dst, steps, outcome.arrival_steps or -1,
+            legs.append(LegRecord(outcome.arrival_steps or -1,
                                   outcome.saturation_count))
             raise ExecutionFailure(
                 f"leg {i} ({src!r} -> {dst!r}) ended {outcome.status} after "
                 f"{outcome.total_steps} of {steps} scheduled steps",
-                partial(),
+                recorded(),
             )
-        legs.append(LegRecord(src, dst, steps, outcome.arrival_steps,
-                              outcome.saturation_count))
+        legs.append(LegRecord(outcome.arrival_steps, outcome.saturation_count))
         ts.append(outcome.ts[1:] + t_offset)
         xs.append(outcome.states[1:])
         nom.append(outcome.nominal_states[1:])
         us.append(outcome.inputs[1:])
         ds.append(outcome.disturbances[1:])
-        leg_ix.append(np.full(len(outcome.ts) - 1, i, dtype=int))
         x = outcome.states[-1].copy()
         t_offset += steps * h
 
-    return _assemble(plan, ts, xs, nom, us, ds, leg_ix, legs,
-                     seed, disturbance)
+    return recorded()
 
 
-def _assemble(plan, ts, xs, nom, us, ds, leg_ix, legs, seed,
-              disturbance) -> Trace:
-    word_states = plan.states[:min(len(legs) + 1, len(plan.states))]
-    return Trace(
-        ts=np.concatenate(ts),
-        states=np.concatenate(xs),
-        nominal=np.concatenate(nom),
-        inputs=np.concatenate(us),
-        deltas=np.concatenate(ds),
-        leg_index=np.concatenate(leg_ix),
-        stamps=plan.stamps[:len(word_states)],
-        plan_states=word_states,
-        legs=list(legs),
-        seed=seed,
-        disturbance=disturbance,
-    )
+def stamp_indices(scenario: Scenario, plan: Plan) -> list:
+    """Sample index of each plan stamp; a Fraction, whole if a sample is there."""
+    substeps = round(float(scenario.step) / scenario.sim_dt)
+    return [stamp * substeps / scenario.step for stamp in plan.stamps]
+
+
+def leg_rows(indices: list) -> list:
+    """Rows of each leg: the samples from its start to its end stamp."""
+    return [slice(math.ceil(a), math.floor(b) + 1)
+            for a, b in zip(indices, indices[1:])]
+
+
+def _check_digest(plan: Plan, trace: Trace) -> None:
+    if trace.plan_digest != plan_digest(plan):
+        raise ValidationError([f"trace was recorded for plan "
+                               f"{trace.plan_digest[:12]!r}, not this one"])
 
 
 def verify_trace(scenario: Scenario, plan: Plan, trace: Trace, formula=None) -> dict:
@@ -178,20 +173,21 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace, formula=None) -> 
     timed word; no recorded sample of a leg lies in a third region or
     outside the workspace; the applied inputs respect their bounds; and the
     deviation from the nominal trajectory stays within the tube tolerance.
-    Everything but the saturation count is computed from the samples.
+    Everything but the saturation count is computed from the samples; the
+    stamps, the word and the legs come from the plan, which must be the one
+    the trace was recorded for (else ``ValidationError``).
     """
+    _check_digest(plan, trace)
     if formula is None:
         formula = scenario.formula()
     tube = scenario.tube_params()
     eta = scenario.robot_radius
     pos = scenario.model().position(trace.states)
-    # the sample of an exact stamp: sim_dt is step / substeps exactly
-    substeps = round(float(scenario.step) / scenario.sim_dt)
+    indices = stamp_indices(scenario, plan)
 
     containment = []
-    for state, stamp in zip(trace.plan_states, trace.stamps):
+    for state, stamp, idx in zip(plan.states, plan.stamps, indices):
         ball = scenario.regions[state]
-        idx = stamp * substeps / scenario.step
         if idx.denominator == 1 and idx < len(pos):
             dist = float(np.linalg.norm(pos[int(idx)] - ball.center))
             margin = (ball.radius - eta) - dist
@@ -205,16 +201,16 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace, formula=None) -> 
         })
     containment_ok = all(c["ok"] for c in containment)
 
-    complete = len(trace.plan_states) == len(plan.states)
+    complete = len(pos) == indices[-1] + 1
     word = TimedWord(
-        tuple(scenario.label_of(s) for s in trace.plan_states), trace.stamps
+        tuple(scenario.label_of(s) for s in plan.states), plan.stamps
     )
     monitor_ok = complete and monitor(formula, word)
 
     offpath = exits = 0
-    for i, (src, dst, _) in enumerate(plan.legs()):
+    for (src, dst, _), rows in zip(plan.legs(), leg_rows(indices)):
         free = scenario.state_constraints_for(src, dst)
-        leg_exits, leg_hits = free.count_violations(pos[trace.leg_index == i])
+        leg_exits, leg_hits = free.count_violations(pos[rows])
         exits += leg_exits
         offpath += leg_hits
     saturations = int(sum(leg.saturations for leg in trace.legs))
@@ -250,8 +246,7 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace, formula=None) -> 
 
 def _meta_dict(trace: Trace) -> dict:
     return {
-        "stamps": [rational_str(t) for t in trace.stamps],
-        "plan_states": list(trace.plan_states),
+        "plan_digest": trace.plan_digest,
         "seed": trace.seed,
         "disturbance": trace.disturbance,
         "legs": [asdict(leg) for leg in trace.legs],
@@ -262,8 +257,7 @@ def export_trace(trace: Trace, path) -> None:
     """Tab-separated samples with a JSON metadata comment line on top."""
     n = trace.states.shape[1]
     cols = (["t"] + [f"x{i}" for i in range(n)] + [f"xhat{i}" for i in range(n)]
-            + [f"u{i}" for i in range(n)] + [f"delta{i}" for i in range(n)]
-            + ["leg"])
+            + [f"u{i}" for i in range(n)] + [f"delta{i}" for i in range(n)])
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(_meta_dict(trace), sort_keys=True,
                                    separators=(",", ":")) + "\n")
@@ -272,8 +266,7 @@ def export_trace(trace: Trace, path) -> None:
             row = np.concatenate([[trace.ts[k]], trace.states[k],
                                   trace.nominal[k], trace.inputs[k],
                                   trace.deltas[k]])
-            fh.write("\t".join(f"{v:.17g}" for v in row))
-            fh.write(f"\t{int(trace.leg_index[k])}\n")
+            fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def import_trace(path) -> Trace:
@@ -281,39 +274,37 @@ def import_trace(path) -> Trace:
         meta = json.loads(fh.readline().lstrip("# ").strip())
         fh.readline()  # column header
         rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in row[:-1]] for row in rows])
-    leg_ix = np.array([int(row[-1]) for row in rows], dtype=int)
+    data = np.array([[float(v) for v in row] for row in rows])
     n = (data.shape[1] - 1) // 4
-    stamps = tuple(Fraction(s) for s in meta["stamps"])
-    plan_states = tuple(meta["plan_states"])
-    # headers written by older versions also carry per-leg safety counters;
-    # the verifier recomputes those from the samples, so they are dropped
+    # headers written by older versions also carry per-leg schedules and
+    # safety counters; the plan and the samples give those, so they are
+    # dropped
     keys = [f.name for f in fields(LegRecord)]
     legs = [LegRecord(**{k: d[k] for k in keys}) for d in meta["legs"]]
-    trace = Trace(
+    return Trace(
         ts=data[:, 0],
         states=data[:, 1:1 + n],
         nominal=data[:, 1 + n:1 + 2 * n],
         inputs=data[:, 1 + 2 * n:1 + 3 * n],
         deltas=data[:, 1 + 3 * n:1 + 4 * n],
-        leg_index=leg_ix,
-        stamps=stamps,
-        plan_states=plan_states,
+        plan_digest=meta.get("plan_digest", ""),
         legs=legs,
         seed=meta["seed"],
         disturbance=meta["disturbance"],
     )
-    return trace
 
 
 # ---------------------------------------------------------------------------
 # plot data
 # ---------------------------------------------------------------------------
 
-def export_plot_data(scenario: Scenario, trace: Trace, outdir) -> list:
-    """Plain numeric series for external plotting; returns written paths."""
+def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
+                     outdir) -> list:
+    """Plain numeric series for external plotting; returns written paths.
+    The stamps and legs come from ``plan``, the one the trace ran."""
     import os
 
+    _check_digest(plan, trace)
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -330,9 +321,13 @@ def export_plot_data(scenario: Scenario, trace: Trace, outdir) -> list:
     model = scenario.model()
     pos = model.position(trace.states)
     nom = model.position(trace.nominal)
+    indices = stamp_indices(scenario, plan)
+    # a sample belongs to the leg it lies in or closes; the first to leg 0
+    leg_of = np.searchsorted(np.array(indices[1:], dtype=float),
+                             np.arange(len(pos)))
     table("path.tsv", ["t", "px", "py", "nom_px", "nom_py", "leg"],
           [(trace.ts[k], pos[k, 0], pos[k, 1], nom[k, 0], nom[k, 1],
-            str(int(trace.leg_index[k]))) for k in range(len(trace.ts))])
+            str(int(leg_of[k]))) for k in range(len(trace.ts))])
     table("regions.tsv", ["name", "cx", "cy", "radius", "labels"],
           [(name, ball.center[0], ball.center[1], ball.radius,
             ",".join(sorted(scenario.label_of(name))))
@@ -345,11 +340,12 @@ def export_plot_data(scenario: Scenario, trace: Trace, outdir) -> list:
            for k in range(len(trace.ts))])
     table("stamps.tsv", ["stamp", "state", "labels"],
           [(float(s), name, ",".join(sorted(scenario.label_of(name))))
-           for s, name in zip(trace.stamps, trace.plan_states)])
-    table("legs.tsv", ["index", "source", "target", "scheduled_steps",
+           for s, name in zip(plan.stamps, plan.states)])
+    table("legs.tsv", ["index", "source", "target", "plan_steps",
                        "physical_arrival_steps", "max_deviation"],
-          [(str(i), leg.source, leg.target, str(leg.scheduled_steps),
+          [(str(i), src, dst, str(weight / scenario.step),
             str(leg.physical_arrival_steps),
-            float(np.max(dev[trace.leg_index == i], initial=0.0)))
-           for i, leg in enumerate(trace.legs)])
+            float(np.max(dev[rows], initial=0.0)))
+           for i, ((src, dst, weight), leg, rows)
+           in enumerate(zip(plan.legs(), trace.legs, leg_rows(indices)))])
     return written

@@ -309,10 +309,6 @@ def parse(text: str):
     return _Parser(text).parse()
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(v)
-
-
 def to_string(f) -> str:
     """Canonical fully parenthesised rendering; round-trips through parse."""
     if isinstance(f, Atom):
@@ -324,22 +320,16 @@ def to_string(f) -> str:
     if isinstance(f, Or):
         return f"({to_string(f.left)} | {to_string(f.right)})"
     if isinstance(f, Until):
-        iv = _interval_str(f.interval)
-        return f"({_wrap(f.left)} U{iv} {_wrap(f.right)})"
+        return f"({_wrap(f.left)} U{f.interval} {_wrap(f.right)})"
     for sym, cls in TEMPORAL_UNARY.items():
         if isinstance(f, cls):
-            return f"{sym}{_interval_str(f.interval)}{_wrap(f.child)}"
+            return f"{sym}{f.interval}{_wrap(f.child)}"
     raise InvalidParam(f"not a formula node: {f!r}")
 
 
 def _wrap(f) -> str:
     s = to_string(f)
     return s if s.startswith("(") or isinstance(f, Atom) else f"({s})"
-
-
-def _interval_str(iv: Interval) -> str:
-    hi = "inf" if iv.hi is None else _frac_str(iv.hi)
-    return f"[{_frac_str(iv.lo)},{hi}]"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ tie is broken lexicographically, so results are bit-reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -248,6 +249,12 @@ def plan_from_dict(data: dict) -> Plan:
         scenario_hash=data.get("scenario_hash", ""),
         formula_text=data.get("formula", ""),
     )
+
+
+def plan_digest(plan: Plan) -> str:
+    """sha256 of the plan's canonical JSON; a trace names its plan by it."""
+    blob = json.dumps(plan_to_dict(plan), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def save_plan(plan: Plan, path) -> None:

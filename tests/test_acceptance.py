@@ -35,7 +35,7 @@ from tubeplan.mitl import (
     parse,
     to_string,
 )
-from tubeplan.synthesis import find_accepting_run, plan_word, synthesize
+from tubeplan.synthesis import find_accepting_run, plan_digest, plan_word, synthesize
 from tubeplan.tba import accepts_word, build_tba
 
 from conftest import tiny_dict
@@ -443,15 +443,20 @@ def test_criterion_7_zero_disturbance(tiny_zero_scenario, tiny_zero_wts):
     trace = execute_plan(tiny_zero_scenario, tiny_zero_wts, plan,
                          disturbance="random", seed=1)
     assert trace.max_deviation <= 1e-6
-    assert trace.stamps == plan.stamps
+    # the plan's stamps are the transition weights, and the samples end
+    # exactly at the last one
+    step = tiny_zero_scenario.step
+    substeps = round(float(step) / tiny_zero_scenario.sim_dt)
+    assert len(trace.ts) == plan.stamps[-1] / step * substeps + 1
+    assert len(trace.legs) == len(plan.legs())
     # every leg makes its schedule; the first starts at the exact region
     # center, so it replays the abstraction's step count to the step
-    for leg in trace.legs:
-        assert 0 <= leg.physical_arrival_steps <= leg.scheduled_steps
-    first = trace.legs[0]
-    weight = tiny_zero_wts.transitions[(first.source, first.target)]
-    assert first.physical_arrival_steps == (
-        weight / tiny_zero_scenario.step - tiny_zero_scenario.settle_steps)
+    for (src, dst, weight), leg in zip(plan.legs(), trace.legs):
+        assert weight == tiny_zero_wts.transitions[(src, dst)]
+        assert 0 <= leg.physical_arrival_steps <= weight / step
+    weight = plan.legs()[0][2]
+    assert trace.legs[0].physical_arrival_steps == (
+        weight / step - tiny_zero_scenario.settle_steps)
     print(f"criterion 7 (zero-disturbance degeneracy): PASS  "
           f"max deviation {trace.max_deviation:.2e} <= 1e-6, exact stamps")
 
@@ -479,7 +484,7 @@ def test_criterion_8_determinism(tiny_scenario, tiny_wts, tmp_path):
     loaded = import_trace(pa)
     assert np.array_equal(loaded.states, a.states)
     assert np.array_equal(loaded.ts, a.ts)
-    assert loaded.stamps == a.stamps
+    assert loaded.plan_digest == a.plan_digest == plan_digest(plan)
     again = tmp_path / "c.tsv"
     export_trace(loaded, again)
     assert again.read_bytes() == pa.read_bytes()

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +89,7 @@ def test_plot_data_command(workdir, wts_cache, tmp_path, capsys):
     trace_path = workdir / "trace.tsv"
     assert trace_path.exists()
     code = cli.main(["plot-data", "--scenario", str(workdir / "tiny.json"),
+                     "--plan", str(workdir / "plan.json"),
                      "--trace", str(trace_path), "--out", str(tmp_path / "p")])
     assert code == cli.EXIT_PASS
     listed = capsys.readouterr().out.splitlines()
@@ -137,3 +141,51 @@ def test_stale_cache_is_rejected(workdir, wts_cache, tmp_path):
     code = cli.main(["synthesize", "--scenario", str(scn),
                      "--wts", str(wts_cache)])
     assert code == cli.EXIT_RUNTIME
+
+
+def test_stale_labels_in_cache_are_rejected(workdir, wts_cache, tmp_path):
+    # the scenario hash leaves labels out, so only the label check sees this
+    relabelled = tiny_dict()
+    relabelled["labels"] = {"A": ["home"], "B": ["hazard"], "H": ["goal"]}
+    scn = tmp_path / "relabelled.json"
+    scn.write_text(json.dumps(relabelled))
+    code = cli.main(["run", "--scenario", str(scn), "--wts", str(wts_cache)])
+    assert code == cli.EXIT_RUNTIME
+
+
+def test_plan_of_another_scenario_is_rejected(workdir, wts_cache, tmp_path,
+                                              capsys):
+    plan_path = workdir / "plan.json"
+    trace_path = workdir / "trace.tsv"
+    assert plan_path.exists() and trace_path.exists()
+    changed = tiny_dict()
+    changed["disturbance_bound"] = 0.01
+    scn = tmp_path / "changed.json"
+    scn.write_text(json.dumps(changed))
+    for argv in (
+        ["simulate", "--plan", str(plan_path)],
+        ["verify", "--plan", str(plan_path), "--trace", str(trace_path)],
+        ["plot-data", "--plan", str(plan_path), "--trace", str(trace_path),
+         "--out", str(tmp_path / "p")],
+    ):
+        code = cli.main(argv + ["--scenario", str(scn)])
+        assert code == cli.EXIT_INVALID, argv[0]
+        assert "another scenario" in capsys.readouterr().err
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```[^\n]*\n(.*?)```", readme.read_text(), re.S)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("tubeplan ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} >= {
+        "run", "parse", "abstract", "synthesize", "simulate", "verify",
+        "plot-data"}
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -8,16 +8,18 @@ import pytest
 
 from tubeplan import cli
 from tubeplan.abstraction import Wts
-from tubeplan.errors import ExecutionFailure
+from tubeplan.errors import ExecutionFailure, ValidationError
 from tubeplan.harness import (
     execute_plan,
     export_plot_data,
     export_trace,
     import_trace,
+    stamp_indices,
     tube_tolerance,
     verify_trace,
 )
-from tubeplan.synthesis import Plan, save_plan, synthesize
+from tubeplan.mitl import parse
+from tubeplan.synthesis import Plan, plan_digest, save_plan, synthesize
 
 from conftest import tiny_dict
 
@@ -36,9 +38,13 @@ def tiny_trace(tiny_scenario, tiny_wts, tiny_plan):
                         disturbance="random", seed=7)
 
 
-def test_executed_stamps_are_the_scheduled_stamps(tiny_plan, tiny_trace):
-    assert tiny_trace.stamps == tiny_plan.stamps
-    assert tiny_trace.plan_states == tiny_plan.states
+def test_executed_stamps_are_the_scheduled_stamps(tiny_scenario, tiny_plan,
+                                                  tiny_trace):
+    assert tiny_trace.plan_digest == plan_digest(tiny_plan)
+    for stamp, idx in zip(tiny_plan.stamps,
+                          stamp_indices(tiny_scenario, tiny_plan)):
+        assert idx.denominator == 1
+        assert tiny_trace.ts[int(idx)] == pytest.approx(float(stamp))
     assert tiny_trace.ts[-1] == pytest.approx(float(tiny_plan.stamps[-1]))
     # sample count: one initial sample plus one per simulation substep
     assert len(tiny_trace.ts) == round(float(tiny_plan.stamps[-1]) / 0.01) + 1
@@ -84,8 +90,7 @@ def test_trace_export_import_round_trip(tiny_scenario, tiny_plan, tiny_trace,
     loaded = import_trace(path)
     assert np.array_equal(loaded.states, tiny_trace.states)
     assert np.array_equal(loaded.ts, tiny_trace.ts)
-    assert loaded.stamps == tiny_trace.stamps
-    assert loaded.plan_states == tiny_trace.plan_states
+    assert loaded.plan_digest == tiny_trace.plan_digest
     assert loaded.legs == tiny_trace.legs
     # the verifier derives the timed word from the scenario's labels
     assert verify_trace(tiny_scenario, tiny_plan, loaded)["monitor_ok"]
@@ -100,7 +105,7 @@ def test_forged_samples_between_stamps_fail(tiny_scenario, tiny_plan,
     # centre of the hazard region H; the stamps, the inputs, the deviation and
     # the header stay clean, so only the samples themselves can tell
     substeps = round(float(tiny_scenario.step) / tiny_scenario.sim_dt)
-    stamped = [int(s * substeps / tiny_scenario.step) for s in tiny_trace.stamps]
+    stamped = [int(s * substeps / tiny_scenario.step) for s in tiny_plan.stamps]
     forged_rows = np.ones(len(tiny_trace.ts), dtype=bool)
     forged_rows[stamped] = False
     hazard = tiny_scenario.model().embed_position(tiny_scenario.regions["H"].center)
@@ -125,6 +130,45 @@ def test_forged_samples_between_stamps_fail(tiny_scenario, tiny_plan,
     assert code == cli.EXIT_FAIL
 
 
+def test_trace_of_another_plan_is_rejected(tiny_scenario, tiny_wts,
+                                           tiny_trace, tmp_path):
+    # same scenario, other task: the trace names the plan it ran by digest
+    other = synthesize(tiny_wts, parse("F[0,30] goal"),
+                       formula_text="F[0,30] goal")
+    assert plan_digest(other) != tiny_trace.plan_digest
+    with pytest.raises(ValidationError):
+        verify_trace(tiny_scenario, other, tiny_trace)
+
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(tiny_dict()))
+    save_plan(other, tmp_path / "plan.json")
+    export_trace(tiny_trace, tmp_path / "trace.tsv")
+    code = cli.main(["verify", "--scenario", str(scenario_path),
+                     "--plan", str(tmp_path / "plan.json"),
+                     "--trace", str(tmp_path / "trace.tsv")])
+    assert code == cli.EXIT_INVALID
+
+
+def test_samples_after_the_last_stamp_are_incomplete(tiny_scenario, tiny_plan,
+                                                     tiny_trace):
+    # the run goes on past the plan's last stamp, holding the last sample
+    extra = 5
+    longer = replace(
+        tiny_trace,
+        ts=np.concatenate([tiny_trace.ts,
+                           tiny_trace.ts[-1] + 0.01 * np.arange(1, extra + 1)]),
+        **{name: np.concatenate([arr, np.repeat(arr[-1:], extra, axis=0)])
+           for name, arr in (("states", tiny_trace.states),
+                             ("nominal", tiny_trace.nominal),
+                             ("inputs", tiny_trace.inputs),
+                             ("deltas", tiny_trace.deltas))},
+    )
+    report = verify_trace(tiny_scenario, tiny_plan, longer)
+    assert report["containment_ok"] and report["tube_ok"]
+    assert not report["complete"]
+    assert not report["pass"]
+
+
 def test_import_drops_old_header_counters(tiny_trace, tmp_path):
     # traces written before the verifier recomputed safety from the samples
     # carry per-leg counters in their header; they still load
@@ -141,8 +185,9 @@ def test_import_drops_old_header_counters(tiny_trace, tmp_path):
     assert np.array_equal(loaded.states, tiny_trace.states)
 
 
-def test_plot_data_files(tiny_scenario, tiny_trace, tmp_path):
-    written = export_plot_data(tiny_scenario, tiny_trace, tmp_path / "plots")
+def test_plot_data_files(tiny_scenario, tiny_plan, tiny_trace, tmp_path):
+    written = export_plot_data(tiny_scenario, tiny_plan, tiny_trace,
+                               tmp_path / "plots")
     names = sorted(p.split("/")[-1] for p in written)
     assert names == ["deviation.tsv", "inputs.tsv", "legs.tsv", "path.tsv",
                      "regions.tsv", "stamps.tsv"]
@@ -150,6 +195,15 @@ def test_plot_data_files(tiny_scenario, tiny_trace, tmp_path):
         header = fh.readline().split("\t")
         assert header[0] == "t"
         assert len(fh.readlines()) == len(tiny_trace.ts)
+    # each sample's leg comes from the plan: the first sample and the
+    # samples up to and including stamp i + 1 belong to leg i
+    path = np.loadtxt(tmp_path / "plots" / "path.tsv", skiprows=1)
+    ends = stamp_indices(tiny_scenario, tiny_plan)[1:]
+    expected = [next(i for i, end in enumerate(ends) if k <= end)
+                for k in range(len(tiny_trace.ts))]
+    assert path[:, -1].astype(int).tolist() == expected
+    legs = (tmp_path / "plots" / "legs.tsv").read_text().splitlines()
+    assert len(legs) == len(tiny_plan.states)   # header plus one per leg
 
 
 def test_missing_transition_fails_with_partial_trace(tiny_scenario, tiny_wts):
@@ -158,7 +212,7 @@ def test_missing_transition_fails_with_partial_trace(tiny_scenario, tiny_wts):
         execute_plan(tiny_scenario, tiny_wts, plan, disturbance="zero")
     partial = err.value.partial_trace
     assert partial is not None
-    assert partial.plan_states == ("A",)
+    assert len(partial.legs) == 0
     assert len(partial.ts) == 1
 
 

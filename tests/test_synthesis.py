@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from tubeplan.mitl import monitor, parse
 from tubeplan.synthesis import (
     find_accepting_run,
     load_plan,
+    plan_digest,
     plan_from_dict,
     plan_to_dict,
     plan_word,
@@ -97,6 +99,9 @@ def test_plan_round_trip(tmp_path):
     save_plan(plan, path)
     assert load_plan(path) == plan
     assert plan_from_dict(plan_to_dict(plan)) == plan
+    # the digest survives the file and sees every field
+    assert plan_digest(load_plan(path)) == plan_digest(plan)
+    assert plan_digest(replace(plan, formula_text="F[0,3] p")) != plan_digest(plan)
 
 
 def test_budget_exceeded():
