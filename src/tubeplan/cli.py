@@ -61,10 +61,30 @@ def _get_wts(args, scenario):
 
 
 def _load_plan(args, scenario):
-    """Load ``--plan``, which must have been synthesized for ``scenario``."""
-    plan = synthesis.load_plan(args.plan)
+    """Load ``--plan``, which must have been synthesized for ``scenario``.
+
+    Its states must be regions of the scenario, with one stamp each, starting
+    at 0 and strictly increasing, and its prefix must be 1..len(states) long.
+    """
+    try:
+        plan = synthesis.load_plan(args.plan)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError([f"{args.plan} is not a plan: {exc!r}"]) from exc
     if plan.scenario_hash != abstraction.scenario_hash(scenario):
         raise ValidationError([f"{args.plan} was synthesized for another scenario"])
+    problems = [f"state {s!r} is not a region of the scenario"
+                for s in plan.states if s not in scenario.regions]
+    if len(plan.stamps) != len(plan.states):
+        problems.append(f"{len(plan.stamps)} stamps for {len(plan.states)} states")
+    if plan.stamps and plan.stamps[0] != 0:
+        problems.append(f"first stamp is {plan.stamps[0]}, not 0")
+    if any(b <= a for a, b in zip(plan.stamps, plan.stamps[1:])):
+        problems.append("stamps do not strictly increase")
+    if not 1 <= plan.prefix_len <= len(plan.states):
+        problems.append(f"prefix_len {plan.prefix_len} is outside "
+                        f"1..{len(plan.states)}")
+    if problems:
+        raise ValidationError([f"{args.plan}: {p}" for p in problems])
     return plan
 
 
@@ -230,6 +250,8 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except Unrealizable as exc:
         print(f"unrealizable: {exc}", file=sys.stderr)
+        print("reachable locations: "
+              + ", ".join(sorted(exc.reachable_locations)), file=sys.stderr)
         return EXIT_UNREALIZABLE
     except SearchBudgetExceeded as exc:
         print(f"search budget exceeded; realizability unknown: {exc}",

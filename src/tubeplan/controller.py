@@ -19,7 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DisturbanceSpec, DynamicsModel, rk4_step
+from .dynamics import (
+    DisturbanceSpec,
+    DynamicsModel,
+    integrator_increment,
+    rk4_step,
+)
 from .errors import InvalidParam, NonFiniteError, SolverDiverged
 from .geometry import (
     Ball,
@@ -135,7 +140,10 @@ def input_violation(u: np.ndarray, u_set, tol: float = 1e-9) -> bool:
 
 
 def shift_to_error_frame(model: DynamicsModel, target_state: np.ndarray) -> DynamicsModel:
-    """Model expressed in error coordinates ``e = x - target_state``."""
+    """Model expressed in error coordinates ``e = x - target_state``.
+
+    A pure integrator is translation-invariant, so it stays one.
+    """
     target = np.asarray(target_state, dtype=float)
 
     def f(e):
@@ -145,7 +153,8 @@ def shift_to_error_frame(model: DynamicsModel, target_state: np.ndarray) -> Dyna
         return model.g(np.asarray(e) + target)
 
     return DynamicsModel(
-        f"{model.name}@error", model.n, f, g, model.position_projection
+        f"{model.name}@error", model.n, f, g, model.position_projection,
+        model.pure_integrator,
     )
 
 
@@ -163,9 +172,17 @@ def _rollout(model: DynamicsModel, e0: np.ndarray, controls: np.ndarray, h: floa
     """Batched RK4 rollout of ``controls`` with one step per segment.
 
     ``controls`` has shape (..., m, n); returns states of shape (..., m+1, n).
+    For a pure integrator the exact path stacks ``e0`` and the per-segment
+    RK4 increments and sums them with one ``np.add.accumulate``: the same
+    additions, in the same order, as the ``rk4_step`` loop.
     """
     m = controls.shape[-2]
     batch = controls.shape[:-2]
+    if model.pure_integrator:
+        parts = np.empty(batch + (m + 1, controls.shape[-1]))
+        parts[..., 0, :] = e0
+        parts[..., 1:, :] = integrator_increment(controls, h)
+        return np.add.accumulate(parts, axis=-2)
     states = np.empty(batch + (m + 1, controls.shape[-1]))
     e = np.broadcast_to(e0, batch + (e0.shape[-1],)).copy()
     states[..., 0, :] = e

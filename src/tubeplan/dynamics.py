@@ -36,7 +36,9 @@ class DynamicsModel:
     ``f`` maps states of shape ``(..., n)`` to drifts of the same shape;
     ``g`` maps them to input gains of shape ``(..., n, n)``.
     ``position_projection`` selects the workspace coordinates (the ones the
-    geometric constraints talk about).
+    geometric constraints talk about).  ``pure_integrator`` declares that
+    ``f == 0`` and ``g == I`` (which the callables cannot show), so RK4 may
+    take its exact shortcut; only ``single_integrator`` sets it.
     """
 
     name: str
@@ -44,6 +46,7 @@ class DynamicsModel:
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     position_projection: tuple = (0, 1)
+    pure_integrator: bool = False
 
     def position(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x)[..., list(self.position_projection)]
@@ -73,7 +76,7 @@ def single_integrator(n: int = 3) -> DynamicsModel:
     def g(x):
         return np.broadcast_to(eye, np.shape(x)[:-1] + (n, n))
 
-    return DynamicsModel("single_integrator", n, f, g)
+    return DynamicsModel("single_integrator", n, f, g, pure_integrator=True)
 
 
 def demo_nonlinear(n: int = 3) -> DynamicsModel:
@@ -107,12 +110,28 @@ def rk4_step(model: DynamicsModel, x, u, dt: float, delta=None) -> np.ndarray:
 
     The input ``u`` and the disturbance ``delta`` are held constant through
     the four stages (piecewise-constant signals keep runs bit-reproducible).
+    For a pure integrator the four stages are equal, and the step is the
+    same float arithmetic done once (see ``integrator_increment``).
     """
+    if model.pure_integrator:
+        return x + integrator_increment(u, dt, delta)
     k1 = model.derivative(x, u, delta)
     k2 = model.derivative(x + dt / 2 * k1, u, delta)
     k3 = model.derivative(x + dt / 2 * k2, u, delta)
     k4 = model.derivative(x + dt * k3, u, delta)
     return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def integrator_increment(u, dt: float, delta=None) -> np.ndarray:
+    """RK4's increment ``dt/6 * (k1 + 2 k2 + 2 k3 + k4)`` for ``xdot = u + delta``.
+
+    Every stage is ``k = 0 + u (+ delta)``; adding the zero drift first, as
+    ``DynamicsModel.derivative`` does, keeps its signed zeros.
+    """
+    k = 0.0 + np.asarray(u, dtype=float)
+    if delta is not None:
+        k = k + delta
+    return dt / 6 * (k + 2 * k + 2 * k + k)
 
 
 LIPSCHITZ_SAFETY = 1.2

@@ -66,12 +66,19 @@ def test_synthesize_writes_plan(workdir, wts_cache, capsys):
     assert "t=" in capsys.readouterr().out
 
 
-def test_simulate_then_verify(workdir, wts_cache, capsys):
+def _tiny_plan(workdir, wts_cache):
+    """The tiny plan as a dict, synthesized into the workdir if missing."""
     plan_path = workdir / "plan.json"
     if not plan_path.exists():
         assert cli.main(["synthesize", "--scenario",
                          str(workdir / "tiny.json"), "--wts", str(wts_cache),
                          "--out", str(plan_path)]) == cli.EXIT_PASS
+    return json.loads(plan_path.read_text())
+
+
+def test_simulate_then_verify(workdir, wts_cache, capsys):
+    _tiny_plan(workdir, wts_cache)
+    plan_path = workdir / "plan.json"
     trace_path = workdir / "trace.tsv"
     code = cli.main(["simulate", "--scenario", str(workdir / "tiny.json"),
                      "--wts", str(wts_cache), "--plan", str(plan_path),
@@ -171,6 +178,66 @@ def test_plan_of_another_scenario_is_rejected(workdir, wts_cache, tmp_path,
         code = cli.main(argv + ["--scenario", str(scn)])
         assert code == cli.EXIT_INVALID, argv[0]
         assert "another scenario" in capsys.readouterr().err
+
+
+def _set_state_z(plan):
+    plan["states"][0] = "Z"
+
+
+def _drop_two_stamps(plan):
+    del plan["stamps"][-2:]
+
+
+def _start_at_one(plan):
+    plan["stamps"][0] = "1"
+
+
+def _repeat_a_stamp(plan):
+    plan["stamps"][2] = plan["stamps"][1]
+
+
+def _prefix_too_long(plan):
+    plan["prefix_len"] = len(plan["states"]) + 1
+
+
+def _drop_prefix_len(plan):
+    del plan["prefix_len"]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set_state_z, "state 'Z' is not a region"),
+    (_drop_two_stamps, "stamps for"),
+    (_start_at_one, "first stamp is 1, not 0"),
+    (_repeat_a_stamp, "do not strictly increase"),
+    (_prefix_too_long, "prefix_len"),
+    (_drop_prefix_len, "is not a plan"),
+], ids=["unknown-state", "missing-stamps", "nonzero-start", "repeated-stamp",
+        "prefix-too-long", "missing-key"])
+def test_malformed_plan_is_rejected(workdir, wts_cache, tmp_path, capsys,
+                                    corrupt, message):
+    # unchecked, these crash execution (KeyError, IndexError) or run a
+    # schedule that does not start at 0
+    plan = _tiny_plan(workdir, wts_cache)
+    corrupt(plan)
+    bad = tmp_path / "bad_plan.json"
+    bad.write_text(json.dumps(plan))
+    capsys.readouterr()
+    code = cli.main(["simulate", "--scenario", str(workdir / "tiny.json"),
+                     "--wts", str(wts_cache), "--plan", str(bad)])
+    assert code == cli.EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+def test_unrealizable_prints_reachable_locations(workdir, wts_cache, capsys):
+    code = cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),
+                     "--wts", str(wts_cache),
+                     "--formula", "G[0,inf] !hazard & F[0,1] goal"])
+    assert code == cli.EXIT_UNREALIZABLE
+    lines = capsys.readouterr().err.splitlines()
+    listed = [line for line in lines if line.startswith("reachable locations: ")]
+    assert len(listed) == 1
+    locations = listed[0].split(": ", 1)[1].split(", ")
+    assert len(locations) >= 2 and locations == sorted(locations)
 
 
 def _readme_commands():

@@ -3,6 +3,7 @@ import pytest
 
 from tubeplan.controller import (
     FhocpParams,
+    _rollout,
     ancillary_control,
     input_violation,
     make_tube_params,
@@ -11,7 +12,12 @@ from tubeplan.controller import (
     shift_to_error_frame,
     solve_fhocp,
 )
-from tubeplan.dynamics import DisturbanceSpec, single_integrator
+from tubeplan.dynamics import (
+    DisturbanceSpec,
+    DynamicsModel,
+    rk4_step,
+    single_integrator,
+)
 from tubeplan.errors import InvalidParam
 from tubeplan.geometry import Ball, Box, ConstraintSet
 
@@ -63,6 +69,25 @@ def test_shift_to_error_frame():
     e = np.array([0.3, 0.4])
     assert np.allclose(em.f(e), m.f(e + target))
     assert np.allclose(em.g(e), m.g(e + target))
+    assert em.pure_integrator
+
+
+def test_pure_integrator_rollout_is_the_step_loop():
+    # the exact path must add the same increments in the same order as
+    # stepping the four-stage RK4 once per segment
+    fast = shift_to_error_frame(single_integrator(3), np.array([1.0, -1.0, 0.0]))
+    base = single_integrator(3)
+    ref = DynamicsModel("four_stage", 3, base.f, base.g)
+    rng = np.random.default_rng(5)
+    for h in (0.1, 1.0):
+        e0 = rng.normal(size=3)
+        controls = rng.normal(size=(72, 12, 3))
+        want = np.empty((72, 13, 3))
+        want[:, 0] = e = np.broadcast_to(e0, (72, 3))
+        for k in range(12):
+            e = rk4_step(ref, e, controls[:, k], h)
+            want[:, k + 1] = e
+        assert np.array_equal(_rollout(fast, e0, controls, h), want)
 
 
 def _params(**kw):

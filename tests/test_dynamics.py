@@ -65,6 +65,32 @@ def test_rk4_step_batch_matches_rows():
     assert np.array_equal(rk4_step(m, x, u, 0.1)[2], rk4_step(m, x[2], u[2], 0.1))
 
 
+def _four_stage_integrator(n=3):
+    """``single_integrator``'s f and g without the flag: the generic RK4."""
+    m = single_integrator(n)
+    return DynamicsModel("four_stage", n, m.f, m.g)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
+def test_pure_integrator_step_is_bit_identical(dt):
+    fast, ref = single_integrator(3), _four_stage_integrator(3)
+    assert fast.pure_integrator and not ref.pure_integrator
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        x = rng.normal(size=(7, 3)) * 10.0 ** rng.uniform(-3, 3)
+        u = rng.normal(size=(7, 3)) * 10.0 ** rng.uniform(-3, 3)
+        d = 0.05 * rng.normal(size=(7, 3))
+        x[0] = u[0] = -0.0  # the generic path adds the zero drift: +0.0
+        for delta in (None, d):
+            got = rk4_step(fast, x, u, dt, delta)
+            want = rk4_step(ref, x, u, dt, delta)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            row = None if delta is None else delta[3]
+            assert np.array_equal(rk4_step(fast, x[3], u[3], dt, row),
+                                  rk4_step(ref, x[3], u[3], dt, row))
+
+
 def test_lipschitz_single_integrator_is_zero():
     box = Box([-2.0, -2.0], [2.0, 2.0])
     assert estimate_lipschitz(single_integrator(3), box, 500, seed=0) == 0.0
