@@ -270,17 +270,31 @@ def export_trace(trace: Trace, path) -> None:
 
 
 def import_trace(path) -> Trace:
+    """Read a trace written by ``export_trace``; a file that is not one, such
+    as a truncated copy, raises ``ValidationError``."""
     with open(path) as fh:
-        meta = json.loads(fh.readline().lstrip("# ").strip())
-        fh.readline()  # column header
+        header = fh.readline()
+        width = len(fh.readline().split("\t"))  # column header
         rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows])
-    n = (data.shape[1] - 1) // 4
     # headers written by older versions also carry per-leg schedules and
     # safety counters; the plan and the samples give those, so they are
     # dropped
     keys = [f.name for f in fields(LegRecord)]
-    legs = [LegRecord(**{k: d[k] for k in keys}) for d in meta["legs"]]
+    try:
+        meta = json.loads(header.lstrip("# "))
+        legs = [LegRecord(**{k: d[k] for k in keys}) for d in meta["legs"]]
+        seed, disturbance = meta["seed"], meta["disturbance"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError([f"{path}: bad trace header: {exc!r}"]) from exc
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValidationError([f"{path}: sample row {i} has {len(row)} "
+                                   f"cells, the column header {width}"])
+    try:
+        data = np.array([[float(v) for v in row] for row in rows]).reshape(-1, width)
+    except ValueError as exc:
+        raise ValidationError([f"{path}: bad sample: {exc}"]) from exc
+    n = (width - 1) // 4
     return Trace(
         ts=data[:, 0],
         states=data[:, 1:1 + n],
@@ -289,8 +303,8 @@ def import_trace(path) -> Trace:
         deltas=data[:, 1 + 3 * n:1 + 4 * n],
         plan_digest=meta.get("plan_digest", ""),
         legs=legs,
-        seed=meta["seed"],
-        disturbance=meta["disturbance"],
+        seed=seed,
+        disturbance=disturbance,
     )
 
 

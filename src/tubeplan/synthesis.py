@@ -2,9 +2,11 @@
 
 The automaton's one clock measures time since the start of the run (no
 resets), so a product node carries one scalar: elapsed time, saturated at
-one unit past the largest guard constant.  Saturation makes the product
-graph finite, so the search is a breadth-first exploration followed by lasso detection:
-an accepting product node that can reach itself.
+one unit past the largest guard constant.  The automaton is deterministic
+and complete, so a product node has exactly one successor per transition of
+the system.  Saturation makes the product graph finite, so the search is a
+breadth-first exploration followed by lasso detection: an accepting product
+node that can reach itself.
 
 All arithmetic on stamps and weights is exact (fractions), and every
 tie is broken lexicographically, so results are bit-reproducible.
@@ -54,37 +56,29 @@ class _Product:
         self.tba = tba
         self.cap = tba.cmax + slack
 
-    def initial_nodes(self, initial_state: str):
-        letter = self.wts.label_of(initial_state)
+    def initial_node(self, initial_state: str) -> ProductNode:
         zero = Fraction(0)
-        nodes = []
-        for e in self.tba.successors(self.tba.initial, letter, zero):
-            nodes.append(ProductNode(initial_state, e.target, zero))
-        return nodes
+        letter = self.wts.label_of(initial_state)
+        return ProductNode(initial_state,
+                           self.tba.successors(self.tba.initial, letter, zero), zero)
 
     def successors(self, node: ProductNode):
+        """One child per transition, in the transition system's target order."""
         out = []
         for dst, weight in self.wts.successors(node.state):
             clock = min(node.clock + weight, self.cap)
-            letter = self.wts.label_of(dst)
-            for e in self.tba.successors(node.location, letter, clock):
-                out.append((ProductNode(dst, e.target, clock), weight))
-        out.sort(key=lambda p: (p[0].state, p[0].location, p[1]))
+            location = self.tba.successors(node.location, self.wts.label_of(dst), clock)
+            out.append((ProductNode(dst, location, clock), weight))
         return out
 
 
-def _bfs(product: _Product, roots, budget: int):
+def _bfs(product: _Product, root: ProductNode, budget: int):
     """Deterministic BFS; returns parent map, per-node (depth, duration, idx),
     and adjacency for the fully explored reachable graph."""
-    parent = {}
-    meta = {}
+    parent = {root: None}
+    meta = {root: (0, Fraction(0), 0)}
     adjacency = {}
-    queue = deque()
-    for node in roots:
-        if node not in meta:
-            meta[node] = (0, Fraction(0), len(meta))
-            parent[node] = None
-            queue.append(node)
+    queue = deque([root])
     while queue:
         node = queue.popleft()
         if len(meta) > budget:
@@ -142,8 +136,8 @@ def find_accepting_run(
     if initial_state is None:
         initial_state = wts.initial
     product = _Product(wts, tba, saturation_slack)
-    roots = product.initial_nodes(initial_state)
-    parent, meta, adjacency = _bfs(product, roots, budget)
+    parent, meta, adjacency = _bfs(product, product.initial_node(initial_state),
+                                   budget)
 
     # Weights are strictly positive, so the clock rises until it saturates;
     # only saturated nodes can recur, hence only they can anchor a lasso.

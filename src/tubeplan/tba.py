@@ -7,24 +7,29 @@ anchored at the start of the word, so the automaton needs no resets and one
 clock: the time elapsed since the start, shared by every block.
 
 Each block automaton is deterministic and complete, with trap locations for
-settled verdicts.  The exported automaton is the synchronous product of the
-blocks; a product location is Büchi-accepting when the Boolean combination
-evaluates to true on the per-block verdicts (co-safety blocks: reached their
-DONE trap; safety blocks: not in their REJECT trap).  Along any infinite
-word with diverging time the verdict vector is eventually constant, so
-"accepting location visited infinitely often" coincides with the formula's
-verdict.
+settled verdicts, and so is the exported automaton, the synchronous product
+of the blocks.  A guard compares the clock only with guard constants, so it
+is a range of clock regions; each (location, letter) pair compiles once
+into a table with one target per region, and each step is a lookup that
+yields one location.  A product location is Büchi-accepting when the
+Boolean combination evaluates to true on the per-block verdicts (co-safety
+blocks: reached their DONE trap; safety blocks: not in their REJECT trap).
+Along any infinite word with diverging time the verdict vector is
+eventually constant, so "accepting location visited infinitely often"
+coincides with the formula's verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple
 
-from .errors import InvalidParam, UnsupportedFragment
+from .errors import InternalError, InvalidParam, UnsupportedFragment
 from .mitl import (
     And,
     Always,
@@ -43,169 +48,150 @@ from .mitl import (
 
 
 @dataclass(frozen=True)
-class Guard:
-    """Atomic constraint ``elapsed op bound`` on the elapsed time."""
-
-    op: str  # one of < <= > >=
-    bound: Fraction
-
-    def holds(self, value: Fraction) -> bool:
-        if self.op == "<":
-            return value < self.bound
-        if self.op == "<=":
-            return value <= self.bound
-        if self.op == ">":
-            return value > self.bound
-        if self.op == ">=":
-            return value >= self.bound
-        raise InvalidParam(f"unknown guard operator {self.op!r}")
-
-
-@dataclass(frozen=True)
 class Edge:
     source: str
     target: str
     label: Optional[object]  # propositional formula; None means "any letter"
-    guards: Tuple[Guard, ...] = ()
-
-    def enabled(self, letter: frozenset, elapsed: Fraction) -> bool:
-        if self.label is not None and not eval_propositional(self.label, letter):
-            return False
-        return all(g.holds(elapsed) for g in self.guards)
+    regions: Tuple[int, int]  # inclusive range of clock regions
 
 
 @dataclass(frozen=True)
 class TimedAutomaton:
+    """Deterministic, complete automaton over one never-reset clock.
+
+    ``constants`` are the sorted guard constants.  Clock region ``2i`` is the
+    open gap just below ``constants[i]``, region ``2i+1`` is ``constants[i]``
+    and region ``2n`` lies above the last; an edge's guard is a region range.
+    """
+
     locations: Tuple[str, ...]
     initial: str
     accepting: frozenset
     edges: Tuple[Edge, ...]
-    cmax: Fraction = Fraction(0)
-    _by_source: dict = field(default=None, repr=False, compare=False)
+    constants: Tuple[Fraction, ...] = ()
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        by_src = {}
+    @property
+    def cmax(self) -> Fraction:
+        return self.constants[-1] if self.constants else Fraction(0)
+
+    def successors(self, location: str, letter: frozenset, elapsed: Fraction) -> str:
+        """The one location reached from ``location`` by reading ``letter``
+        at clock value ``elapsed``."""
+        table = self._tables.get((location, letter))
+        if table is None:
+            table = self._tables[(location, letter)] = self._table(location, letter)
+        i = bisect_left(self.constants, elapsed)
+        at_constant = i < len(self.constants) and self.constants[i] == elapsed
+        return table[2 * i + at_constant]
+
+    def _table(self, location: str, letter: frozenset) -> tuple:
+        """Target per region; exactly one edge must cover each region."""
+        hits = [[] for _ in range(2 * len(self.constants) + 1)]
         for e in self.edges:
-            by_src.setdefault(e.source, []).append(e)
-        object.__setattr__(self, "_by_source", by_src)
-
-    def edges_from(self, location: str):
-        return self._by_source.get(location, ())
-
-    def successors(self, location: str, letter: frozenset, elapsed: Fraction):
-        return [e for e in self.edges_from(location) if e.enabled(letter, elapsed)]
+            if e.source == location and (
+                    e.label is None or eval_propositional(e.label, letter)):
+                for targets in hits[e.regions[0]:e.regions[1] + 1]:
+                    targets.append(e.target)
+        for r, targets in enumerate(hits):
+            if len(targets) != 1:
+                raise InternalError(f"{len(targets)} edges leave {location!r} on "
+                                    f"{sorted(letter)} in clock region {r}")
+        return tuple(target for target, in hits)
 
 
 # ---------------------------------------------------------------------------
 # block construction
 # ---------------------------------------------------------------------------
 
-_TRUE_GUARD: Tuple[Guard, ...] = ()
+# A block edge's time condition is a pair of region ends, ``None`` for
+# unbounded, else ``(constant, offset)``: offset 0 is the constant's own
+# region, -1 the gap below it, +1 the gap above it.
+_ANY = (None, None)
 
 
 @dataclass
 class _Block:
     locations: Tuple[str, ...]
     initial: str
-    edges: list                  # (src, dst, label-or-None, guards)
+    edges: list                  # (src, dst, label-or-None, time condition)
     verdict: dict                # location -> bool (current verdict)
-    constants: list              # rational guard constants
+    interval: Optional[Interval] = None
 
 
 def _negate(f):
     return f.child if isinstance(f, Not) else Not(f)
 
 
-def _interval_guards(iv: Interval) -> Tuple[Guard, ...]:
-    guards = []
-    if iv.lo > 0:
-        guards.append(Guard(">=", iv.lo))
-    if iv.hi is not None:
-        guards.append(Guard("<=", iv.hi))
-    return tuple(guards)
-
-
-def _below_guard(iv: Interval) -> Tuple[Guard, ...]:
-    return (Guard("<", iv.lo),)
-
-
-def _above_guard(iv: Interval) -> Tuple[Guard, ...]:
-    return (Guard(">", iv.hi),)
-
-
-def _block_constants(iv: Interval) -> list:
-    out = [iv.lo]
-    if iv.hi is not None:
-        out.append(iv.hi)
-    return out
+def _within(iv: Interval):
+    return ((iv.lo, 0) if iv.lo > 0 else None,
+            None if iv.hi is None else (iv.hi, 0))
 
 
 def _prop_block(psi) -> _Block:
     init, true, rej = "init", "true", "reject"
     edges = [
-        (init, true, psi, _TRUE_GUARD),
-        (init, rej, _negate(psi), _TRUE_GUARD),
-        (true, true, None, _TRUE_GUARD),
-        (rej, rej, None, _TRUE_GUARD),
+        (init, true, psi, _ANY),
+        (init, rej, _negate(psi), _ANY),
+        (true, true, None, _ANY),
+        (rej, rej, None, _ANY),
     ]
     return _Block((init, true, rej), init, edges,
-                  {init: False, true: True, rej: False}, [])
+                  {init: False, true: True, rej: False})
 
 
 def _eventually_block(psi, iv: Interval) -> _Block:
     wait, done = "wait", "done"
     edges = [
-        (wait, done, psi, _interval_guards(iv)),
-        (wait, wait, _negate(psi), _TRUE_GUARD),
-        (done, done, None, _TRUE_GUARD),
+        (wait, done, psi, _within(iv)),
+        (wait, wait, _negate(psi), _ANY),
+        (done, done, None, _ANY),
     ]
     if iv.lo > 0:
-        edges.append((wait, wait, psi, _below_guard(iv)))
+        edges.append((wait, wait, psi, (None, (iv.lo, -1))))
     if iv.hi is not None:
-        edges.append((wait, wait, psi, _above_guard(iv)))
+        edges.append((wait, wait, psi, ((iv.hi, 1), None)))
     return _Block((wait, done), wait, edges,
-                  {wait: False, done: True}, _block_constants(iv))
+                  {wait: False, done: True}, iv)
 
 
 def _always_block(psi, iv: Interval) -> _Block:
     active, safe, rej = "active", "safe", "reject"
     edges = [
-        (active, active, psi, _interval_guards(iv)),
-        (active, rej, _negate(psi), _interval_guards(iv)),
-        (rej, rej, None, _TRUE_GUARD),
+        (active, active, psi, _within(iv)),
+        (active, rej, _negate(psi), _within(iv)),
+        (rej, rej, None, _ANY),
     ]
     locations = [active, rej]
     if iv.lo > 0:
-        edges.append((active, active, None, _below_guard(iv)))
+        edges.append((active, active, None, (None, (iv.lo, -1))))
     if iv.hi is not None:
         locations.append(safe)
-        edges.append((active, safe, None, _above_guard(iv)))
-        edges.append((safe, safe, None, _TRUE_GUARD))
+        edges.append((active, safe, None, ((iv.hi, 1), None)))
+        edges.append((safe, safe, None, _ANY))
     verdict = {active: True, rej: False}
     if iv.hi is not None:
         verdict[safe] = True
-    return _Block(tuple(locations), active, edges, verdict,
-                  _block_constants(iv))
+    return _Block(tuple(locations), active, edges, verdict, iv)
 
 
 def _until_block(psi1, psi2, iv: Interval) -> _Block:
     wait, done, rej = "wait", "done", "reject"
-    in_window = _interval_guards(iv)
+    in_window = _within(iv)
     edges = [
         (wait, done, psi2, in_window),
         (wait, wait, And(psi1, _negate(psi2)), in_window),
         (wait, rej, And(_negate(psi1), _negate(psi2)), in_window),
-        (done, done, None, _TRUE_GUARD),
-        (rej, rej, None, _TRUE_GUARD),
+        (done, done, None, _ANY),
+        (rej, rej, None, _ANY),
     ]
     if iv.lo > 0:
-        edges.append((wait, wait, psi1, _below_guard(iv)))
-        edges.append((wait, rej, _negate(psi1), _below_guard(iv)))
+        edges.append((wait, wait, psi1, (None, (iv.lo, -1))))
+        edges.append((wait, rej, _negate(psi1), (None, (iv.lo, -1))))
     if iv.hi is not None:
-        edges.append((wait, rej, None, _above_guard(iv)))
+        edges.append((wait, rej, None, ((iv.hi, 1), None)))
     return _Block((wait, done, rej), wait, edges,
-                  {wait: False, done: True, rej: False},
-                  _block_constants(iv))
+                  {wait: False, done: True, rej: False}, iv)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +268,7 @@ def _eval_tree(tree, verdicts) -> bool:
 
 def _and_labels(labels):
     labels = [l for l in labels if l is not None]
-    if not labels:
-        return None
-    out = labels[0]
-    for l in labels[1:]:
-        out = And(out, l)
-    return out
+    return functools.reduce(And, labels) if labels else None
 
 
 def build_tba(formula) -> TimedAutomaton:
@@ -296,8 +277,14 @@ def build_tba(formula) -> TimedAutomaton:
     blocks: list = []
     tree = _collect_blocks(norm, blocks)
 
-    constants = [c for b in blocks for c in b.constants]
-    cmax = max(constants, default=Fraction(0))
+    constants = tuple(sorted({c for b in blocks if b.interval is not None
+                              for c in (b.interval.lo, b.interval.hi)
+                              if c is not None}))
+
+    def regions(condition) -> Tuple[int, int]:
+        lo, hi = [None if end is None else 2 * constants.index(end[0]) + 1 + end[1]
+                  for end in condition]
+        return (lo or 0, 2 * len(constants) if hi is None else hi)
 
     def name(vec) -> str:
         return "|".join(f"{i}:{loc}" for i, loc in enumerate(vec))
@@ -320,8 +307,10 @@ def build_tba(formula) -> TimedAutomaton:
         for combo in itertools.product(*per_block):
             dst = tuple(e[1] for e in combo)
             label = _and_labels([e[2] for e in combo])
-            guards = tuple(g for e in combo for g in e[3])
-            edges.append(Edge(name(vec), name(dst), label, guards))
+            # an empty range (lo > hi) is kept: its edge never fires
+            ranges = [regions(e[3]) for e in combo]
+            span = (max(r[0] for r in ranges), min(r[1] for r in ranges))
+            edges.append(Edge(name(vec), name(dst), label, span))
             if dst not in seen:
                 seen.add(dst)
                 frontier.append(dst)
@@ -331,7 +320,7 @@ def build_tba(formula) -> TimedAutomaton:
         initial=name(init_vec),
         accepting=frozenset(accepting),
         edges=tuple(edges),
-        cmax=cmax,
+        constants=constants,
     )
 
 
@@ -354,8 +343,7 @@ def stutter_loop_weight(tba: TimedAutomaton, final_time: Fraction) -> Fraction:
     each open region between consecutive constants at least once, so the
     discrete run decides acceptance exactly as the dense extension would.
     """
-    constants = sorted({g.bound for e in tba.edges for g in e.guards})
-    diffs = [c - final_time for c in constants if c > final_time]
+    diffs = [c - final_time for c in tba.constants if c > final_time]
     if not diffs:
         return Fraction(1)
     g = diffs[0]
@@ -364,7 +352,7 @@ def stutter_loop_weight(tba: TimedAutomaton, final_time: Fraction) -> Fraction:
     return g / 2
 
 
-def accepts_word(tba: TimedAutomaton, word: TimedWord, saturation_slack=1) -> bool:
+def accepts_word(tba: TimedAutomaton, word: TimedWord) -> bool:
     """Büchi acceptance of the stutter-extended word.
 
     Implemented by viewing the word as a linear weighted transition system
@@ -384,7 +372,7 @@ def accepts_word(tba: TimedAutomaton, word: TimedWord, saturation_slack=1) -> bo
     transitions[(states[-1], states[-1])] = stutter_loop_weight(tba, word.times[-1])
     wts = Wts(states=states, initial=states[0], labels=labels, transitions=transitions)
     try:
-        find_accepting_run(wts, tba, states[0], saturation_slack=saturation_slack)
+        find_accepting_run(wts, tba, states[0])
         return True
     except Unrealizable:
         return False

@@ -103,6 +103,18 @@ def test_plot_data_command(workdir, wts_cache, tmp_path, capsys):
     assert len(listed) == 6
 
 
+def test_truncated_trace_is_rejected(workdir, tmp_path, capsys):
+    # an interrupted copy cuts the last row short: that is bad input
+    # (exit 3), not a failed verdict (exit 1)
+    trace = (workdir / "trace.tsv").read_bytes()
+    cut = tmp_path / "cut.tsv"
+    cut.write_bytes(trace[:-40])
+    code = cli.main(["verify", "--scenario", str(workdir / "tiny.json"),
+                     "--plan", str(workdir / "plan.json"), "--trace", str(cut)])
+    assert code == cli.EXIT_INVALID
+    assert "cells, the column header" in capsys.readouterr().err
+
+
 def test_run_end_to_end(workdir, wts_cache, tmp_path, capsys):
     out = tmp_path / "artifacts"
     code = cli.main(["run", "--scenario", str(workdir / "tiny.json"),

@@ -185,6 +185,45 @@ def test_import_drops_old_header_counters(tiny_trace, tmp_path):
     assert np.array_equal(loaded.states, tiny_trace.states)
 
 
+def _header_not_json(lines):
+    lines[0] = lines[0][:-5]
+
+
+def _drop_header_key(key):
+    def corrupt(lines):
+        meta = json.loads(lines[0][2:])
+        del meta[key]
+        lines[0] = "# " + json.dumps(meta)
+    return corrupt
+
+
+def _extra_cell(lines):
+    lines[5] += "\t0"
+
+
+def _word_cell(lines):
+    lines[5] = lines[5].replace("\t", "\tx", 1)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_header_not_json, "bad trace header"),
+    (_drop_header_key("legs"), "'legs'"),
+    (_drop_header_key("seed"), "'seed'"),
+    (_drop_header_key("disturbance"), "'disturbance'"),
+    (_extra_cell, "sample row 3 has"),
+    (_word_cell, "bad sample"),
+], ids=["header-not-json", "no-legs", "no-seed", "no-disturbance",
+        "row-width", "non-numeric"])
+def test_malformed_trace_is_rejected(tiny_trace, tmp_path, corrupt, message):
+    path = tmp_path / "trace.tsv"
+    export_trace(tiny_trace, path)
+    lines = path.read_text().split("\n")
+    corrupt(lines)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValidationError, match=message):
+        import_trace(path)
+
+
 def test_plot_data_files(tiny_scenario, tiny_plan, tiny_trace, tmp_path):
     written = export_plot_data(tiny_scenario, tiny_plan, tiny_trace,
                                tmp_path / "plots")

@@ -1,11 +1,13 @@
+import os
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from tubeplan.abstraction import wts_from_dict
+from tubeplan.abstraction import load_wts, scenario_hash, wts_from_dict
 from tubeplan.errors import InternalError, SearchBudgetExceeded, Unrealizable
 from tubeplan.mitl import monitor, parse
+from tubeplan.scenario import default_scenario
 from tubeplan.synthesis import (
     find_accepting_run,
     load_plan,
@@ -138,3 +140,26 @@ def test_saturation_slack_does_not_change_verdicts():
             except Unrealizable:
                 outcomes.append(False)
         assert outcomes[0] == outcomes[1], text
+
+
+def _golden(states, stamps, prefix_len):
+    return (tuple(states.split()), tuple(F(t) for t in stamps.split()),
+            prefix_len)
+
+
+@pytest.mark.parametrize("which", ["bundled", "tiny"])
+def test_golden_plans(which, request):
+    # pinned plans: a search change that alters them alters the artifacts
+    if which == "bundled":
+        scenario = default_scenario()
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        wts = load_wts(os.path.join(root, "perfbench", "data", "nexus_wts.json"),
+                       expected_hash=scenario_hash(scenario))
+        expected = _golden("R1 R5 R3 R5 R1 R5 R5",
+                           "0 281/10 214/5 115/2 428/5 1137/10 1157/10", 6)
+    else:
+        scenario = request.getfixturevalue("tiny_scenario")
+        wts = request.getfixturevalue("tiny_wts")
+        expected = _golden("A B A B A B B", "0 36/5 72/5 108/5 144/5 36 37", 6)
+    plan = synthesize(wts, scenario.formula())
+    assert (plan.states, plan.stamps, plan.prefix_len) == expected

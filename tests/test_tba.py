@@ -3,9 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tubeplan.errors import UnsupportedFragment
+from tubeplan.errors import InternalError, UnsupportedFragment
 from tubeplan.mitl import Interval, Not, TimedWord, Until, monitor, parse
-from tubeplan.tba import Guard, accepts_word, build_tba, stutter_loop_weight
+from tubeplan.tba import (
+    Edge,
+    TimedAutomaton,
+    accepts_word,
+    build_tba,
+    stutter_loop_weight,
+)
 
 F = Fraction
 
@@ -13,13 +19,6 @@ F = Fraction
 def word(letters, times):
     return TimedWord(tuple(frozenset(s) for s in letters),
                      tuple(F(t) for t in times))
-
-
-def test_guard_ops():
-    g = Guard("<=", F(5))
-    assert g.holds(F(5)) and g.holds(F(0)) and not g.holds(F(6))
-    assert Guard(">", F(2)).holds(F(3))
-    assert not Guard("<", F(2)).holds(F(2))
 
 
 def test_eventually_block_shape():
@@ -70,16 +69,44 @@ def test_negation_pushed_by_duality():
 
 
 def test_determinism_and_completeness():
-    # every block product must have exactly one enabled edge per input
+    # every location and letter has exactly one successor at, between and
+    # around every guard constant
     rng = np.random.default_rng(5)
     tba = build_tba(parse("G[0,inf] !o & F[3,5] m & (a U[1,4] b)"))
+    assert tba.constants == (0, 1, 3, 4, 5)
     letters = [frozenset(s for s in ("o", "m", "a", "b") if rng.random() < 0.5)
                for _ in range(40)]
-    elapsed_values = [F(k, 2) for k in range(0, 14)]
+    eps = F(1, 1000)
+    elapsed_values = sorted({v for c in tba.constants
+                             for v in (c - eps, c, c + eps, c + F(1, 2))
+                             if v >= 0} | {tba.cmax + 1})
     for loc in tba.locations:
         for letter in letters:
             for v in elapsed_values:
-                assert len(tba.successors(loc, letter, v)) == 1
+                assert tba.successors(loc, letter, v) in tba.locations
+
+
+def _hand_built(edges):
+    return TimedAutomaton(locations=("p", "q"), initial="p",
+                          accepting=frozenset({"q"}), edges=tuple(edges),
+                          constants=(F(2),))
+
+
+def test_nondeterministic_or_incomplete_automaton_is_rejected():
+    # regions over the constant 2: 0 is [0, 2), 1 is {2}, 2 is (2, inf)
+    complete = [Edge("p", "p", None, (0, 1)), Edge("p", "q", None, (2, 2))]
+    assert _hand_built(complete).successors("p", frozenset(), F(3)) == "q"
+    overlapping = [Edge("p", "p", None, (0, 1)), Edge("p", "q", None, (1, 2))]
+    with pytest.raises(InternalError, match="2 edges"):
+        _hand_built(overlapping).successors("p", frozenset(), F(3))
+    gap = [Edge("p", "p", None, (0, 0)), Edge("p", "q", None, (2, 2))]
+    with pytest.raises(InternalError, match="0 edges"):
+        _hand_built(gap).successors("p", frozenset(), F(0))
+    # label overlap: both edges read a letter holding ``a``
+    labelled = [Edge("p", "p", parse("a"), (0, 2)), Edge("p", "q", None, (0, 2))]
+    assert _hand_built(labelled).successors("p", frozenset(), F(0)) == "q"
+    with pytest.raises(InternalError, match="2 edges"):
+        _hand_built(labelled).successors("p", frozenset({"a"}), F(0))
 
 
 def test_stutter_loop_weight_halves_gcd():
@@ -103,6 +130,10 @@ def test_accepts_matches_monitor_on_boundaries():
         ("a U[0,2] b", [{"b"}], [0]),                  # immediate witness
         ("G[0,inf] a", [{"a"}, {"a"}], [0, 7]),
         ("G[0,inf] a", [{"a"}, set()], [0, 7]),
+        ("G[0,0] a", [{"a"}, set()], [0, 1]),          # window is one instant
+        ("G[0,0] a", [set(), {"a"}], [0, 1]),
+        ("F[0,0] a", [{"a"}, set()], [0, 1]),
+        ("F[0,0] a", [set(), {"a"}], [0, 1]),
     ]
     for text, letters, times in cases:
         f = parse(text)
