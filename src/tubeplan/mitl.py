@@ -336,6 +336,16 @@ def _wrap(f) -> str:
 # timed words
 # ---------------------------------------------------------------------------
 
+# One shared frozenset per distinct letter: letters are subsets of a
+# scenario's few atoms, and words are many.
+_LETTERS: dict = {}
+
+
+def _letter(props) -> frozenset:
+    letter = frozenset(props)
+    return _LETTERS.setdefault(letter, letter)
+
+
 @dataclass(frozen=True)
 class TimedWord:
     """Finite sequence of (proposition set, rational stamp) pairs."""
@@ -344,7 +354,7 @@ class TimedWord:
     times: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        letters = tuple(frozenset(s) for s in self.letters)
+        letters = tuple(map(_letter, self.letters))
         times = tuple(Fraction(t) for t in self.times)
         if len(letters) != len(times) or not letters:
             raise InvalidParam("word needs equally many letters and stamps, >= 1")

@@ -2,14 +2,20 @@
 
 The automaton's one clock measures time since the start of the run (no
 resets), so a product node carries one scalar: elapsed time, saturated at
-one unit past the largest guard constant.  The automaton is deterministic
-and complete, so a product node has exactly one successor per transition of
-the system.  Saturation makes the product graph finite, so the search is a
-breadth-first exploration followed by lasso detection: an accepting product
-node that can reach itself.
+the saturation slack past the largest guard constant.  The automaton is
+deterministic and complete, so a product node has exactly one successor per
+transition of the system.  Saturation makes the product graph finite, so
+the search is a breadth-first exploration followed by lasso detection: an
+accepting product node that can reach itself.
 
-All arithmetic on stamps and weights is exact (fractions), and every
-tie is broken lexicographically, so results are bit-reproducible.
+The search clock counts integer ticks of 1/L, where L is the lcm of the
+denominators of every weight, guard constant and the slack.  Each of them
+is a whole number of ticks, so every stamp the search can reach is one too,
+and counting ticks decides every guard exactly as the rationals would
+(Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992).
+The nodes of a returned run carry exact ``Fraction`` clocks, and the stamps
+of its plan are exact sums of the ``Fraction`` weights.  Every tie is
+broken lexicographically, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .abstraction import Wts
-from .errors import InternalError, InvalidParam, SearchBudgetExceeded, Unrealizable
+from .errors import (InternalError, InvalidParam, SearchBudgetExceeded,
+                     UnknownTransition, Unrealizable)
 from .scenario import rational_str
 from .tba import TimedAutomaton
 
@@ -47,53 +55,43 @@ class TimedRun:
     cycle: tuple        # ProductNode sequence, len >= 1, last == prefix[-1]
 
 
-class _Product:
-    def __init__(self, wts: Wts, tba: TimedAutomaton, saturation_slack):
-        slack = Fraction(saturation_slack)
-        if slack <= 0:
-            raise InvalidParam(f"saturation slack must be > 0, got {slack}")
-        self.wts = wts
-        self.tba = tba
-        self.cap = tba.cmax + slack
-
-    def initial_node(self, initial_state: str) -> ProductNode:
-        zero = Fraction(0)
-        letter = self.wts.label_of(initial_state)
-        return ProductNode(initial_state,
-                           self.tba.successors(self.tba.initial, letter, zero), zero)
-
-    def successors(self, node: ProductNode):
-        """One child per transition, in the transition system's target order."""
-        out = []
-        for dst, weight in self.wts.successors(node.state):
-            clock = min(node.clock + weight, self.cap)
-            location = self.tba.successors(node.location, self.wts.label_of(dst), clock)
-            out.append((ProductNode(dst, location, clock), weight))
-        return out
+def _tick_size(wts: Wts, tba: TimedAutomaton, slack: Fraction) -> int:
+    """L, the number of ticks per time unit: the lcm of the denominators of
+    every weight, guard constant and the slack, so each is whole in ticks."""
+    values = [*wts.transitions.values(), *tba.constants, slack]
+    return lcm(*(v.denominator for v in values))
 
 
-def _bfs(product: _Product, root: ProductNode, budget: int):
-    """Deterministic BFS; returns parent map, per-node (depth, duration, idx),
-    and adjacency for the fully explored reachable graph."""
-    parent = {root: None}
-    meta = {root: (0, Fraction(0), 0)}
-    adjacency = {}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        if len(meta) > budget:
+def _bfs(step, edges, cap: int, root: tuple, budget: int):
+    """Deterministic BFS over ``(state, location, tick)`` nodes, numbered in
+    the order found.  Returns the nodes, then per node number its parent's
+    number, its (depth, duration, number) rank and its children's numbers,
+    over the fully explored reachable graph."""
+    nodes = [root]
+    number = {root: 0}
+    parent = [None]
+    rank = [(0, 0, 0)]
+    children = []
+    for idx, (state, location, clock) in enumerate(nodes):  # nodes is the queue
+        if len(nodes) > budget:
             raise SearchBudgetExceeded(
                 f"product exploration exceeded {budget} nodes"
             )
-        succs = product.successors(node)
-        adjacency[node] = succs
-        depth, duration, _ = meta[node]
-        for child, weight in succs:
-            if child not in meta:
-                meta[child] = (depth + 1, duration + weight, len(meta))
-                parent[child] = node
-                queue.append(child)
-    return parent, meta, adjacency
+        depth, duration, _ = rank[idx]
+        out = []
+        # one child per transition, in the transition system's target order
+        for dst, weight, letter in edges[state]:
+            tick = min(clock + weight, cap)
+            child = (dst, step(location, letter, tick), tick)
+            n = number.get(child)
+            if n is None:
+                n = number[child] = len(nodes)
+                nodes.append(child)
+                parent.append(idx)
+                rank.append((depth + 1, duration + weight, n))
+            out.append(n)
+        children.append(out)
+    return nodes, parent, rank, children
 
 
 def _path_to(parent, node):
@@ -108,7 +106,7 @@ def _shortest_cycle(adjacency, anchor):
     """Shortest (by edges, then successor order) path anchor -> anchor."""
     parent = {}
     queue = deque()
-    for child, _ in adjacency[anchor]:
+    for child in adjacency[anchor]:
         if child == anchor:
             return [anchor]
         if child not in parent:
@@ -116,7 +114,7 @@ def _shortest_cycle(adjacency, anchor):
             queue.append(child)
     while queue:
         node = queue.popleft()
-        for child, _ in adjacency.get(node, ()):
+        for child in adjacency[node]:
             if child == anchor:
                 return _path_to(parent, node) + [anchor]
             if child not in parent:
@@ -135,22 +133,35 @@ def find_accepting_run(
     """Search the product for a reachable accepting node lying on a cycle."""
     if initial_state is None:
         initial_state = wts.initial
-    product = _Product(wts, tba, saturation_slack)
-    parent, meta, adjacency = _bfs(product, product.initial_node(initial_state),
-                                   budget)
+    slack = Fraction(saturation_slack)
+    if slack <= 0:
+        raise InvalidParam(f"saturation slack must be > 0, got {slack}")
+    ticks = _tick_size(wts, tba, slack)
+    # regions do not depend on the unit, so the copy shares the tables
+    step = replace(tba, constants=tuple(int(c * ticks) for c in tba.constants)
+                   ).successors
+    cap = int((tba.cmax + slack) * ticks)
+    edges = {s: [(dst, int(w * ticks), wts.label_of(dst))
+                 for dst, w in wts.successors(s)] for s in wts.states}
+    if initial_state not in edges:
+        raise UnknownTransition(f"unknown state {initial_state!r}")
+    root = (initial_state,
+            step(tba.initial, wts.label_of(initial_state), 0), 0)
+    nodes, parent, rank, children = _bfs(step, edges, cap, root, budget)
 
     # Weights are strictly positive, so the clock rises until it saturates;
     # only saturated nodes can recur, hence only they can anchor a lasso.
-    accepting = [
-        n for n in meta
-        if n.location in tba.accepting and n.clock == product.cap
-    ]
-    accepting.sort(key=lambda n: meta[n])
-    for anchor in accepting:
-        cycle = _shortest_cycle(adjacency, anchor)
+    anchors = sorted((i for i, (_, location, tick) in enumerate(nodes)
+                      if location in tba.accepting and tick == cap),
+                     key=rank.__getitem__)
+    for anchor in anchors:
+        cycle = _shortest_cycle(children, anchor)
         if cycle is not None:
-            return TimedRun(tuple(_path_to(parent, anchor)), tuple(cycle))
-    reachable = sorted({n.location for n in meta})
+            def run_nodes(path):
+                return tuple(ProductNode(state, location, Fraction(tick, ticks))
+                             for state, location, tick in map(nodes.__getitem__, path))
+            return TimedRun(run_nodes(_path_to(parent, anchor)), run_nodes(cycle))
+    reachable = sorted({location for _, location, _ in nodes})
     raise Unrealizable(
         "no accepting cycle is reachable in the product", reachable
     )

@@ -75,9 +75,9 @@ class TimedAutomaton:
     def cmax(self) -> Fraction:
         return self.constants[-1] if self.constants else Fraction(0)
 
-    def successors(self, location: str, letter: frozenset, elapsed: Fraction) -> str:
+    def successors(self, location: str, letter: frozenset, elapsed) -> str:
         """The one location reached from ``location`` by reading ``letter``
-        at clock value ``elapsed``."""
+        at clock value ``elapsed``, in the unit of ``constants``."""
         table = self._tables.get((location, letter))
         if table is None:
             table = self._tables[(location, letter)] = self._table(location, letter)

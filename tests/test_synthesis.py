@@ -19,7 +19,7 @@ from tubeplan.synthesis import (
     save_plan,
     synthesize,
 )
-from tubeplan.tba import build_tba
+from tubeplan.tba import TimedAutomaton, build_tba
 
 F = Fraction
 
@@ -133,13 +133,69 @@ def test_saturation_slack_does_not_change_verdicts():
     for text in ("F[0,2] p", "F[0,1] p", "G[0,inf] !p", "p U[0,3] p"):
         tba = build_tba(parse(text))
         outcomes = []
-        for slack in (1, 10):
+        for slack in (1, 10, F(1, 3)):
             try:
                 find_accepting_run(wts, tba, saturation_slack=slack)
                 outcomes.append(True)
             except Unrealizable:
                 outcomes.append(False)
-        assert outcomes[0] == outcomes[1], text
+        assert len(set(outcomes)) == 1, text
+
+
+def _nodes(text):
+    return [(state, F(clock)) for state, clock in
+            (item.split("@") for item in text.split())]
+
+
+@pytest.mark.parametrize("slack, prefix, cycle", [
+    (1,
+     "a@0 a@1/2 a@1 a@3/2 b@11/6 c@89/42 a@103/42 a@62/21 b@23/7 c@7/2",
+     "a@7/2 b@7/2 c@7/2"),
+    (F(1, 3),
+     "a@0 a@1/2 a@1 a@3/2 b@11/6 c@89/42 a@103/42 b@39/14 c@17/6",
+     "a@17/6 b@17/6 c@17/6"),
+])
+def test_mixed_denominators(slack, prefix, cycle):
+    # weights in thirds, sevenths and halves, a guard constant of 5/2 and a
+    # slack in thirds: the search counts ticks of 1/42 and the run it
+    # returns carries the exact rational clocks
+    wts = wts_from_dict({
+        "states": ["a", "b", "c"],
+        "initial": "a",
+        "labels": {"b": ["p"], "c": ["q"]},
+        "transitions": [
+            {"source": "a", "target": "b", "weight": "1/3"},
+            {"source": "a", "target": "a", "weight": "1/2"},
+            {"source": "b", "target": "c", "weight": "2/7"},
+            {"source": "b", "target": "a", "weight": "1/2"},
+            {"source": "c", "target": "a", "weight": "1/3"},
+        ],
+    })
+    tba = build_tba(parse("F[1,5/2] q & G[0,inf] !(p & q) & F[5/2,inf] p"))
+    run = find_accepting_run(wts, tba, saturation_slack=slack)
+    assert [(n.state, n.clock) for n in run.prefix] == _nodes(prefix)
+    assert [(n.state, n.clock) for n in run.cycle] == _nodes(cycle)
+    anchor = run.prefix[-1]
+    assert type(anchor.clock) is F and anchor.clock == tba.cmax + slack
+
+
+def test_bundled_search_steps_the_automaton_once_per_product_edge(monkeypatch):
+    # the root plus the 106,499 edges of the bundled product; the benchmark
+    # counts these calls as synthesis.expansions
+    step = TimedAutomaton.successors
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(TimedAutomaton, "successors", counted)
+    scenario = default_scenario()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    wts = load_wts(os.path.join(root, "perfbench", "data", "nexus_wts.json"),
+                   expected_hash=scenario_hash(scenario))
+    find_accepting_run(wts, build_tba(scenario.formula()))
+    assert len(calls) == 106_500
 
 
 def _golden(states, stamps, prefix_len):
