@@ -135,9 +135,28 @@ def cmd_simulate(args) -> int:
     return EXIT_PASS
 
 
+def _check_plan_formula(args, plan, scenario):
+    """The plan must have been synthesized for the scenario's formula.
+
+    ``run`` stores the raw formula text and ``synthesize`` its canonical
+    form, so the two are compared after ``mitl.to_string``.
+    """
+    if not plan.formula_text or not isinstance(plan.formula_text, str):
+        raise ValidationError([f"{args.plan} names no formula"])
+    try:
+        text = mitl.to_string(mitl.parse(plan.formula_text))
+    except MitlSyntaxError as exc:
+        raise ValidationError([f"{args.plan}: formula does not parse: {exc}"]) from exc
+    expected = mitl.to_string(scenario.formula())
+    if text != expected:
+        raise ValidationError([f"{args.plan} was synthesized for formula {text!r}, "
+                               f"not the scenario's {expected!r}"])
+
+
 def cmd_verify(args) -> int:
     scenario = _load(args)
     plan = _load_plan(args, scenario)
+    _check_plan_formula(args, plan, scenario)
     trace = harness.import_trace(args.trace)
     report = harness.verify_trace(scenario, plan, trace)
     print(json.dumps(report, indent=2))

@@ -2,9 +2,12 @@
 
 The control law has two parts: a nominal input computed online by a finite
 horizon optimal control problem (solved by direct single shooting with
-projected gradient descent), and an ancillary feedback ``u = u_hat - sigma*q``
-that keeps the disturbed trajectory inside a tube of radius
-``delta_bound / sigma_margin`` around the nominal one.
+projected gradient descent), and an ancillary feedback ``u = u_hat -
+sigma*q`` that keeps the disturbed trajectory inside a tube of radius
+``delta_bound / sigma_margin`` around the nominal one.  The solver's
+gradient is exact for the pure integrator (one rollout and its adjoint, a
+reversed cumulative sum) and comes from central finite differences for
+other models.
 
 All navigation happens in the error frame of the current target: the target
 center is mapped to the origin, constraints are shifted and tightened by the
@@ -125,7 +128,7 @@ def project_input(u: np.ndarray, u_set) -> np.ndarray:
         return np.clip(u, u_set.lower, u_set.upper)
     if isinstance(u_set, Ball):
         v = u - u_set.center
-        nrm = np.linalg.norm(v, axis=-1, keepdims=True)
+        nrm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
         scale = np.where(nrm > u_set.radius, u_set.radius / np.maximum(nrm, 1e-300), 1.0)
         return u_set.center + scale * v
     raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
@@ -135,7 +138,8 @@ def input_violation(u: np.ndarray, u_set, tol: float = 1e-9) -> bool:
     if isinstance(u_set, Box):
         return bool(np.any(u < u_set.lower - tol) or np.any(u > u_set.upper + tol))
     if isinstance(u_set, Ball):
-        return float(np.linalg.norm(u - u_set.center)) > u_set.radius + tol
+        v = u - u_set.center
+        return float(np.sqrt(v.dot(v))) > u_set.radius + tol
     raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
 
 
@@ -193,7 +197,12 @@ def _rollout(model: DynamicsModel, e0: np.ndarray, controls: np.ndarray, h: floa
 
 
 class _FhocpObjective:
-    """Quadratic cost plus exact-penalty terms, batched over control sets."""
+    """Quadratic cost plus exact-penalty terms, batched over control sets.
+
+    The constraint set is stacked once: ``_depths`` measures every box side
+    and every exclusion ball in one broadcast, for both the penalty and its
+    subgradient.
+    """
 
     def __init__(self, model, params: FhocpParams, e_set: Optional[ConstraintSet]):
         self.model = model
@@ -201,34 +210,54 @@ class _FhocpObjective:
         self.e_set = e_set
         self.seg_h = params.horizon / params.segments
         self.pos = list(model.position_projection)
+        # d/de of e'We is (W + W') e; the stage and input terms carry h
+        h = self.seg_h
+        self.d_stage = h * (params.state_weight + params.state_weight.T)
+        self.d_input = h * (params.input_weight + params.input_weight.T)
+        self.d_terminal = params.terminal_weight + params.terminal_weight.T
+        if e_set is not None:
+            dim = len(self.pos)
+            self.centers = np.array([b.center for b in e_set.exclusions],
+                                    dtype=float).reshape(-1, dim)
+            self.radii = np.array([b.radius for b in e_set.exclusions], dtype=float)
+            # d(depth)/d(pos) of the box columns of ``_depths``
+            self.side_slopes = np.concatenate([-np.eye(dim), np.eye(dim)])
+
+    def _depths(self, pos):
+        """Signed depths past each constraint, shape (..., 2*dim + exclusions).
+
+        Columns: ``lower - pos`` per side, ``pos - upper`` per side, then
+        ``radius - |pos - center|`` per exclusion ball.  Returns the depths,
+        the offsets ``pos - center`` of shape (..., exclusions, dim) and
+        their lengths.
+        """
+        box = self.e_set.region
+        offsets = pos[..., None, :] - self.centers
+        dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))
+        depths = np.concatenate([box.lower - pos, pos - box.upper,
+                                 self.radii - dist], axis=-1)
+        return depths, offsets, dist
 
     def quadratic(self, states, controls):
         p = self.params
-        stage = np.einsum("...ki,ij,...kj->...k", states[..., :-1, :], p.state_weight,
-                          states[..., :-1, :])
-        stage = stage + np.einsum("...ki,ij,...kj->...k", controls, p.input_weight,
-                                  controls)
-        terminal = np.einsum("...i,ij,...j->...", states[..., -1, :],
-                             p.terminal_weight, states[..., -1, :])
-        return terminal + self.seg_h * np.sum(stage, axis=-1)
+        xs = states[..., :-1, :]
+        stage = np.add.reduce((xs @ p.state_weight) * xs, axis=-1)
+        stage = stage + np.add.reduce((controls @ p.input_weight) * controls, axis=-1)
+        e_n = states[..., -1, :]
+        terminal = np.add.reduce((e_n @ p.terminal_weight) * e_n, axis=-1)
+        return terminal + self.seg_h * np.add.reduce(stage, axis=-1)
 
     def penetration(self, states):
         """Per-sample constraint penetration depths, shape (..., m+1)."""
         if self.e_set is None:
             return np.zeros(states.shape[:-1])
-        pos = states[..., self.pos]
-        box = self.e_set.region
-        depth = np.maximum(np.max(box.lower - pos, axis=-1),
-                           np.max(pos - box.upper, axis=-1))
-        for b in self.e_set.exclusions:
-            d = b.radius - np.linalg.norm(pos - b.center, axis=-1)
-            depth = np.maximum(depth, d)
-        return np.maximum(depth, 0.0)
+        depths, _, _ = self._depths(states[..., self.pos])
+        return np.maximum(np.max(depths, axis=-1), 0.0)
 
     def terminal_excess(self, states):
         p = self.params
         e_n = states[..., -1, :]
-        norm_p = np.sqrt(np.einsum("...i,ij,...j->...", e_n, p.terminal_weight, e_n))
+        norm_p = np.sqrt(np.add.reduce((e_n @ p.terminal_weight) * e_n, axis=-1))
         return np.maximum(norm_p - p.terminal_level, 0.0)
 
     def penalty(self, states):
@@ -238,6 +267,43 @@ class _FhocpObjective:
     def total(self, e0, controls, weight):
         states = self._states(e0, controls)
         return self.quadratic(states, controls) + weight * self.penalty(states), states
+
+    def gradient(self, e0, controls, weight):
+        """Exact gradient of ``total`` in the controls, for a pure integrator.
+
+        ``e_k = e_0 + h * sum_{j<k} u_j``, so ``dJ/du_j = 2h R u_j +
+        h * sum_{k>j} dJ/de_k``.  ``dJ/de_k`` holds the stage term ``2h Q
+        e_k``, the terminal term ``2 P e_m`` with the terminal-excess
+        penalty, and the hinge penalty's subgradient at the active
+        constraint: -1 or +1 on a box side, ``-(pos - c)/|pos - c|`` on an
+        exclusion ball.
+        """
+        states = self._states(e0, controls)
+        d_e = states @ self.d_stage
+        e_n = states[-1]
+        d_e[-1] = e_n @ self.d_terminal
+        norm_p = np.sqrt(0.5 * d_e[-1].dot(e_n))
+        excess = norm_p - self.params.terminal_level
+        if excess > 0.0:
+            d_e[-1] *= 1.0 + weight * excess / norm_p
+        if self.e_set is not None:
+            self._add_penetration_gradient(d_e, states, weight)
+        tail = np.cumsum(d_e[:0:-1], axis=0)[::-1]   # sum_{k>j} dJ/de_k
+        return controls @ self.d_input + self.seg_h * tail
+
+    def _add_penetration_gradient(self, d_e, states, weight):
+        depths, offsets, dist = self._depths(states[:, self.pos])
+        rows = np.nonzero(np.max(depths, axis=-1) > 0.0)[0]
+        if rows.size == 0:
+            return
+        col = np.argmax(depths[rows], axis=-1)
+        sides = len(self.side_slopes)
+        slope = self.side_slopes[np.minimum(col, sides - 1)]   # ball rows: below
+        on_ball = col >= sides
+        k, ball = rows[on_ball], col[on_ball] - sides
+        slope[on_ball] = -offsets[k, ball] / np.maximum(dist[k, ball], 1e-300)[:, None]
+        depth = depths[rows, col]
+        d_e[np.ix_(rows, self.pos)] += (2.0 * weight * depth)[:, None] * slope
 
     def _states(self, e0, controls):
         return _rollout(self.model, e0, controls, self.seg_h)
@@ -253,9 +319,11 @@ def solve_fhocp(
 ) -> FhocpSolution:
     """Direct single shooting with projected gradient descent.
 
-    Controls are ``segments`` piecewise-constant vectors; gradients come from
-    central finite differences on the control parameters (batched rollouts);
-    path/terminal constraints enter as quadratic hinge penalties whose weight
+    Controls are ``segments`` piecewise-constant vectors.  For a pure
+    integrator the gradient is exact, from one rollout and its adjoint
+    (``_FhocpObjective.gradient``); other models use central finite
+    differences on the control parameters (one batched rollout).
+    Path/terminal constraints enter as quadratic hinge penalties whose weight
     is ramped when the measured violation stays above the feasibility
     tolerance.  Penalties are a solver device only: feasibility is declared
     from measured violations.
@@ -292,7 +360,10 @@ def solve_fhocp(
         prev_controls = prev_grad = None
         for _ in range(MAX_ITERS):
             iters_done += 1
-            grad = _fd_gradient(obj, e0, controls, weight, fd_step)
+            if model.pure_integrator:
+                grad = obj.gradient(e0, controls, weight)
+            else:
+                grad = _fd_gradient(obj, e0, controls, weight, fd_step)
             if float(np.max(np.abs(grad))) < TOL:
                 break
             # spectral (Barzilai-Borwein) initial step, then backtracking
@@ -440,7 +511,8 @@ def navigate(
 
     k = 0
     while k <= max_steps:
-        pos_err = float(np.linalg.norm(x[pos_idx] - target.center))
+        d = x[pos_idx] - target.center
+        pos_err = float(np.sqrt(d.dot(d)))
         if arrival_steps is None and pos_err <= arrival_radius:
             arrival_steps = k
         if (

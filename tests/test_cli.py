@@ -126,6 +126,57 @@ def test_run_end_to_end(workdir, wts_cache, tmp_path, capsys):
         assert (out / name).exists()
     report = json.loads((out / "report.json").read_text())
     assert report["pass"]
+    # run stores the scenario's raw formula text; verify compares it in
+    # canonical form, so the run's own artifacts still verify
+    code = cli.main(["verify", "--scenario", str(workdir / "tiny.json"),
+                     "--plan", str(out / "plan.json"),
+                     "--trace", str(out / "trace.tsv")])
+    assert code == cli.EXIT_PASS
+
+
+def test_plan_for_another_formula_is_rejected(workdir, wts_cache, tmp_path,
+                                              capsys):
+    # a plan synthesized for a weaker task, and its own honest trace: the
+    # verdict would check the scenario's formula against another task's plan
+    plan_path = tmp_path / "plan.json"
+    trace_path = tmp_path / "trace.tsv"
+    scn = str(workdir / "tiny.json")
+    assert cli.main(["synthesize", "--scenario", scn, "--wts", str(wts_cache),
+                     "--formula", "F[0,30] goal",
+                     "--out", str(plan_path)]) == cli.EXIT_PASS
+    assert cli.main(["simulate", "--scenario", scn, "--wts", str(wts_cache),
+                     "--plan", str(plan_path), "--seed", "3",
+                     "--out", str(trace_path)]) == cli.EXIT_PASS
+    capsys.readouterr()
+    code = cli.main(["verify", "--scenario", scn, "--plan", str(plan_path),
+                     "--trace", str(trace_path)])
+    assert code == cli.EXIT_INVALID
+    assert "not the scenario's" in capsys.readouterr().err
+
+
+def _drop_formula(plan):
+    del plan["formula"]
+
+
+def _garble_formula(plan):
+    plan["formula"] = "F[5,2 goal"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_formula, "names no formula"),
+    (_garble_formula, "formula does not parse"),
+], ids=["missing", "unparsable"])
+def test_plan_formula_must_parse(workdir, wts_cache, tmp_path, capsys,
+                                 corrupt, message):
+    plan = _tiny_plan(workdir, wts_cache)
+    corrupt(plan)
+    bad = tmp_path / "bad_plan.json"
+    bad.write_text(json.dumps(plan))
+    capsys.readouterr()
+    code = cli.main(["verify", "--scenario", str(workdir / "tiny.json"),
+                     "--plan", str(bad), "--trace", str(workdir / "trace.tsv")])
+    assert code == cli.EXIT_INVALID
+    assert message in capsys.readouterr().err
 
 
 def test_unrealizable_exit_code(workdir, wts_cache, capsys):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from tubeplan import controller
 from tubeplan.controller import (
     FhocpParams,
+    _FhocpObjective,
+    _fd_gradient,
     _rollout,
     ancillary_control,
     input_violation,
@@ -15,11 +18,13 @@ from tubeplan.controller import (
 from tubeplan.dynamics import (
     DisturbanceSpec,
     DynamicsModel,
+    demo_nonlinear,
     rk4_step,
     single_integrator,
 )
 from tubeplan.errors import InvalidParam
-from tubeplan.geometry import Ball, Box, ConstraintSet
+from tubeplan.geometry import Ball, Box, ConstraintSet, tighten_state_constraints
+from tubeplan.scenario import default_scenario
 
 
 def test_tube_params_arithmetic():
@@ -115,8 +120,6 @@ def test_solve_fhocp_beats_candidate_controls():
     level = params.terminal_level + 1e-4
     assert float(e_n @ params.terminal_weight @ e_n) <= level * level
 
-    from tubeplan.controller import _FhocpObjective
-
     obj = _FhocpObjective(m, params, None)
     rng = np.random.default_rng(0)
     cands = [np.zeros((12, 2)), np.tile(-e0 / 1.2, (12, 1))]
@@ -140,6 +143,79 @@ def test_solve_fhocp_respects_obstacle():
     assert sol.violation <= 1e-6
     for e in sol.nominal:
         assert np.linalg.norm(e - [0.5, 0.06]) >= 0.2 - 1e-5
+
+
+def _bundled_leg_objective(exclusions):
+    # the leg R1 -> R3 of the bundled scenario, in R3's error frame, as
+    # navigate sets it up: seven inflated third regions inside the box
+    scenario = default_scenario()
+    model = scenario.model()
+    target = scenario.regions["R3"].center
+    e_set = tighten_state_constraints(scenario.state_constraints_for("R1", "R3"),
+                                      target, scenario.tube_params().tube_radius)
+    assert len(e_set.exclusions) == 7
+    if exclusions == "none":
+        e_set = ConstraintSet(e_set.region, ())
+    elif exclusions == "no-set":
+        e_set = None
+    err_model = shift_to_error_frame(model, model.embed_position(target))
+    return _FhocpObjective(err_model, scenario.fhocp_params(), e_set)
+
+
+@pytest.mark.parametrize("exclusions", ["seven", "none", "no-set"])
+def test_adjoint_gradient_matches_finite_differences(exclusions):
+    obj = _bundled_leg_objective(exclusions)
+    free = _bundled_leg_objective("seven").e_set
+    rng = np.random.default_rng(11)
+    branches = set()
+    for i in range(60):
+        e0 = rng.uniform(-0.5, 0.5, size=3)
+        # starts outside the box, inside an inflated ball, or anywhere
+        e0[:2] += rng.uniform(free.region.lower - 0.4, free.region.upper + 0.4)
+        if i % 3 == 0:
+            ball = free.exclusions[i % 7]
+            e0[:2] = ball.center + rng.uniform(-0.6, 0.6, size=2) * ball.radius
+        controls = rng.normal(scale=0.4, size=(obj.params.segments, 3))
+        weight = 10.0 ** rng.uniform(3, 6)
+
+        grad = obj.gradient(e0, controls, weight)
+        oracle = _fd_gradient(obj, e0, controls, weight, 1e-6)
+        assert np.max(np.abs(grad - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+        states = obj._states(e0, controls)
+        if obj.terminal_excess(states) > 0:
+            branches.add("terminal")
+        if obj.e_set is not None:
+            depths, _, _ = obj._depths(states[:, obj.pos])
+            active = np.argmax(depths[np.max(depths, axis=-1) > 0], axis=-1)
+            branches.update(np.where(active < 2, "lower",
+                                     np.where(active < 4, "upper", "ball")).tolist())
+    # every penalty branch was active somewhere in the sample
+    want = {"terminal"} | ({"lower", "upper"} if obj.e_set is not None else set())
+    if exclusions == "seven":
+        want.add("ball")
+    assert branches == want
+
+
+def test_finite_differences_still_drive_other_models(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _fd_gradient(*args)
+
+    monkeypatch.setattr(controller, "_fd_gradient", counting)
+    params = _params()
+    u_set = Box([-1.0, -1.0], [1.0, 1.0])
+    e_set = ConstraintSet(Box([-3.0, -3.0], [3.0, 3.0]), [Ball([0.5, 0.06], 0.2)])
+    e0 = np.array([1.0, 0.0])
+    sol = solve_fhocp(e0, demo_nonlinear(2), params, e_set, u_set)
+    assert len(calls) == sol.iterations > 0
+    assert sol.feasible and sol.violation <= 1e-6
+    calls.clear()
+    sol = solve_fhocp(e0, single_integrator(2), params, e_set, u_set)
+    assert sol.feasible and sol.iterations > 0
+    assert calls == []
 
 
 def test_solve_fhocp_infeasible_start():
