@@ -20,7 +20,7 @@ import numpy as np
 
 from .controller import navigate
 from .dynamics import DisturbanceSpec
-from .errors import AbstractionError, NoTransition, UnknownTransition
+from .errors import AbstractionError, NoTransition, UnknownTransition, ValidationError
 from .scenario import Scenario, rational_str
 
 LEG_TIMEOUT = 90          # seconds
@@ -166,17 +166,33 @@ def wts_to_dict(wts: Wts) -> dict:
 
 def wts_from_dict(data: dict) -> Wts:
     """Inverse of ``wts_to_dict``; extra per-transition keys (older files
-    carry ``arrival_steps`` and ``weight_steps``) are ignored."""
-    transitions = {
-        (item["source"], item["target"]): Fraction(item["weight"])
-        for item in data["transitions"]
-    }
+    carry ``arrival_steps`` and ``weight_steps``) are ignored.  Data that is
+    not a transition system over its own states raises ``ValidationError``."""
+    try:
+        states = tuple(data["states"])
+        transitions = {
+            (item["source"], item["target"]): Fraction(item["weight"])
+            for item in data["transitions"]
+        }
+        labels = {s: frozenset(v) for s, v in data["labels"].items()}
+        initial = data["initial"]
+        digest = data.get("scenario_hash", "")
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError,
+            OverflowError) as exc:
+        raise ValidationError([f"not a transition system: {exc!r}"]) from exc
+    problems = [f"state {s!r} is not a string" for s in states if not isinstance(s, str)]
+    problems += [f"transition end {s!r} is not a state"
+                 for pair in transitions for s in pair if s not in states]
+    if initial not in states:
+        problems.append(f"initial state {initial!r} is not a state")
+    if problems:
+        raise ValidationError(problems)
     return Wts(
-        states=tuple(data["states"]),
-        initial=data["initial"],
-        labels={s: frozenset(v) for s, v in data["labels"].items()},
+        states=states,
+        initial=initial,
+        labels=labels,
         transitions=transitions,
-        scenario_hash=data.get("scenario_hash", ""),
+        scenario_hash=digest,
     )
 
 
@@ -186,10 +202,17 @@ def save_wts(wts: Wts, path) -> None:
         fh.write("\n")
 
 
-def load_wts(path, expected_hash: str = None) -> Wts:
+def load_wts(path, expected_hash: str) -> Wts:
+    """Read a transition system saved by ``save_wts`` for the scenario whose
+    ``scenario_hash`` is ``expected_hash``; another scenario's raises
+    ``AbstractionError``, a file that is not one ``ValidationError``."""
     with open(path) as fh:
-        wts = wts_from_dict(json.load(fh))
-    if expected_hash is not None and wts.scenario_hash != expected_hash:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError([f"{path} is not JSON: {exc}"]) from exc
+    wts = wts_from_dict(data)
+    if wts.scenario_hash != expected_hash:
         raise AbstractionError(
             "cached transition system was built from a different scenario "
             f"({wts.scenario_hash[:12]} != {expected_hash[:12]})"

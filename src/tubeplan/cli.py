@@ -171,7 +171,7 @@ def cmd_run(args) -> int:
                                 formula_text=scenario.formula_text)
     trace = harness.execute_plan(scenario, wts, plan,
                                  disturbance=args.disturbance, seed=args.seed)
-    report = harness.verify_trace(scenario, plan, trace, formula)
+    report = harness.verify_trace(scenario, plan, trace)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         abstraction.save_wts(wts, os.path.join(args.out, "wts.json"))

@@ -199,12 +199,11 @@ def _rollout(model: DynamicsModel, e0: np.ndarray, controls: np.ndarray, h: floa
 class _FhocpObjective:
     """Quadratic cost plus exact-penalty terms, batched over control sets.
 
-    The constraint set is stacked once: ``_depths`` measures every box side
-    and every exclusion ball in one broadcast, for both the penalty and its
-    subgradient.
+    ``e_set.depths`` measures every box side and every exclusion ball in one
+    broadcast, for both the penalty and its subgradient.
     """
 
-    def __init__(self, model, params: FhocpParams, e_set: Optional[ConstraintSet]):
+    def __init__(self, model, params: FhocpParams, e_set: ConstraintSet):
         self.model = model
         self.params = params
         self.e_set = e_set
@@ -215,28 +214,9 @@ class _FhocpObjective:
         self.d_stage = h * (params.state_weight + params.state_weight.T)
         self.d_input = h * (params.input_weight + params.input_weight.T)
         self.d_terminal = params.terminal_weight + params.terminal_weight.T
-        if e_set is not None:
-            dim = len(self.pos)
-            self.centers = np.array([b.center for b in e_set.exclusions],
-                                    dtype=float).reshape(-1, dim)
-            self.radii = np.array([b.radius for b in e_set.exclusions], dtype=float)
-            # d(depth)/d(pos) of the box columns of ``_depths``
-            self.side_slopes = np.concatenate([-np.eye(dim), np.eye(dim)])
-
-    def _depths(self, pos):
-        """Signed depths past each constraint, shape (..., 2*dim + exclusions).
-
-        Columns: ``lower - pos`` per side, ``pos - upper`` per side, then
-        ``radius - |pos - center|`` per exclusion ball.  Returns the depths,
-        the offsets ``pos - center`` of shape (..., exclusions, dim) and
-        their lengths.
-        """
-        box = self.e_set.region
-        offsets = pos[..., None, :] - self.centers
-        dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))
-        depths = np.concatenate([box.lower - pos, pos - box.upper,
-                                 self.radii - dist], axis=-1)
-        return depths, offsets, dist
+        # d(depth)/d(pos) of the box columns of ``ConstraintSet.depths``
+        dim = len(self.pos)
+        self.side_slopes = np.concatenate([-np.eye(dim), np.eye(dim)])
 
     def quadratic(self, states, controls):
         p = self.params
@@ -249,10 +229,7 @@ class _FhocpObjective:
 
     def penetration(self, states):
         """Per-sample constraint penetration depths, shape (..., m+1)."""
-        if self.e_set is None:
-            return np.zeros(states.shape[:-1])
-        depths, _, _ = self._depths(states[..., self.pos])
-        return np.maximum(np.max(depths, axis=-1), 0.0)
+        return self.e_set.violation(states[..., self.pos])
 
     def terminal_excess(self, states):
         p = self.params
@@ -286,13 +263,12 @@ class _FhocpObjective:
         excess = norm_p - self.params.terminal_level
         if excess > 0.0:
             d_e[-1] *= 1.0 + weight * excess / norm_p
-        if self.e_set is not None:
-            self._add_penetration_gradient(d_e, states, weight)
+        self._add_penetration_gradient(d_e, states, weight)
         tail = np.cumsum(d_e[:0:-1], axis=0)[::-1]   # sum_{k>j} dJ/de_k
         return controls @ self.d_input + self.seg_h * tail
 
     def _add_penetration_gradient(self, d_e, states, weight):
-        depths, offsets, dist = self._depths(states[:, self.pos])
+        depths, offsets, dist = self.e_set.depths(states[:, self.pos])
         rows = np.nonzero(np.max(depths, axis=-1) > 0.0)[0]
         if rows.size == 0:
             return
@@ -313,7 +289,7 @@ def solve_fhocp(
     e_now,
     model: DynamicsModel,
     params: FhocpParams,
-    e_set: Optional[ConstraintSet],
+    e_set: ConstraintSet,
     u_set,
     warm_start: Optional[np.ndarray] = None,
 ) -> FhocpSolution:
@@ -332,7 +308,7 @@ def solve_fhocp(
     m, n = params.segments, model.n
     obj = _FhocpObjective(model, params, e_set)
 
-    if e_set is not None and not e_set.contains(e0[obj.pos]):
+    if not e_set.contains(e0[obj.pos]):
         controls = np.zeros((m, n))
         states = obj._states(e0, controls)
         return FhocpSolution(controls, states, float(obj.quadratic(states, controls)),

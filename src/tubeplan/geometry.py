@@ -38,14 +38,6 @@ class Ball:
         if self.radius < 0:
             raise InvalidParam(f"ball radius must be >= 0, got {self.radius}")
 
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
-    def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
-        p = _as_vector(point)
-        return float(np.linalg.norm(p - self.center)) <= self.radius + tol
-
 
 @dataclass(frozen=True)
 class Box:
@@ -86,34 +78,53 @@ class ConstraintSet:
     """A kept-inside box minus a list of kept-outside balls.
 
     Membership is box containment plus *strict* exteriority with respect to
-    every exclusion ball (contact counts as violation).
+    every exclusion ball (contact counts as violation).  The balls are
+    stacked once into ``centers`` (k, dim) and ``radii`` (k,), so every
+    measure below is one broadcast over all constraints.
     """
 
     region: Box
     exclusions: tuple = field(default_factory=tuple)
+    centers: np.ndarray = field(init=False, compare=False, repr=False)
+    radii: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "exclusions", tuple(self.exclusions))
+        exclusions = tuple(self.exclusions)
+        dim = self.region.dim
+        if any(b.center.shape != (dim,) for b in exclusions):
+            raise InvalidParam(f"every exclusion ball must have the box's dimension {dim}")
+        object.__setattr__(self, "exclusions", exclusions)
+        object.__setattr__(self, "centers",
+                           np.array([b.center for b in exclusions]).reshape(-1, dim))
+        object.__setattr__(self, "radii", np.array([b.radius for b in exclusions]))
+
+    def depths(self, points):
+        """Signed depths past each constraint, shape (..., 2*dim + exclusions).
+
+        Columns: ``lower - p`` per side, ``p - upper`` per side, then
+        ``radius - |p - center|`` per exclusion ball.  Returns the depths,
+        the offsets ``p - center`` of shape (..., exclusions, dim) and
+        their lengths.
+        """
+        box = self.region
+        offsets = points[..., None, :] - self.centers
+        dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))
+        depths = np.concatenate([box.lower - points, points - box.upper,
+                                 self.radii - dist], axis=-1)
+        return depths, offsets, dist
 
     def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
         p = _as_vector(point)
         if not self.region.contains(p, tol):
             return False
-        for b in self.exclusions:
-            if float(np.linalg.norm(p - b.center)) <= b.radius - tol:
-                return False
-        return True
+        _, _, dist = self.depths(p)
+        return not np.any(dist <= self.radii - tol)
 
-    def violation(self, point) -> float:
-        """Worst-case penetration depth of ``point`` (0.0 when feasible)."""
-        p = _as_vector(point)
-        worst = max(
-            float(np.max(self.region.lower - p, initial=0.0)),
-            float(np.max(p - self.region.upper, initial=0.0)),
-        )
-        for b in self.exclusions:
-            worst = max(worst, b.radius - float(np.linalg.norm(p - b.center)))
-        return max(worst, 0.0)
+    def violation(self, points):
+        """Worst penetration depth of each point, shape (...,); 0.0 when
+        feasible."""
+        depths, _, _ = self.depths(np.asarray(points, dtype=float))
+        return np.maximum(np.max(depths, axis=-1), 0.0)
 
     def count_violations(self, points) -> tuple:
         """``(workspace_exits, exclusion_hits)`` over points of shape (k, dim).
@@ -126,9 +137,8 @@ class ConstraintSet:
         box = self.region
         inside = np.all((p >= box.lower - DEFAULT_TOL) & (p <= box.upper + DEFAULT_TOL),
                         axis=-1)
-        hit = np.zeros(inside.shape, dtype=bool)
-        for b in self.exclusions:
-            hit |= np.linalg.norm(p - b.center, axis=-1) <= b.radius
+        _, _, dist = self.depths(p)
+        hit = np.any(dist <= self.radii, axis=-1)
         return int(np.count_nonzero(~inside)), int(np.count_nonzero(hit))
 
 

@@ -159,13 +159,18 @@ def leg_rows(indices: list) -> list:
             for a, b in zip(indices, indices[1:])]
 
 
-def _check_digest(plan: Plan, trace: Trace) -> None:
+def _check_trace(scenario: Scenario, plan: Plan, trace: Trace) -> None:
+    """The trace must have been recorded for ``plan``, on the scenario's
+    model, else ``ValidationError``."""
     if trace.plan_digest != plan_digest(plan):
         raise ValidationError([f"trace was recorded for plan "
                                f"{trace.plan_digest[:12]!r}, not this one"])
+    if trace.states.shape[1] != scenario.state_dim:
+        raise ValidationError([f"trace has {trace.states.shape[1]} state columns, "
+                               f"the scenario's model {scenario.state_dim}"])
 
 
-def verify_trace(scenario: Scenario, plan: Plan, trace: Trace, formula=None) -> dict:
+def verify_trace(scenario: Scenario, plan: Plan, trace: Trace) -> dict:
     """Independent pass/fail report for an executed trace.
 
     Checks, in order: the robot body sits inside the scheduled region at
@@ -177,9 +182,8 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace, formula=None) -> 
     stamps, the word and the legs come from the plan, which must be the one
     the trace was recorded for (else ``ValidationError``).
     """
-    _check_digest(plan, trace)
-    if formula is None:
-        formula = scenario.formula()
+    _check_trace(scenario, plan, trace)
+    formula = scenario.formula()
     tube = scenario.tube_params()
     eta = scenario.robot_radius
     pos = scenario.model().position(trace.states)
@@ -253,11 +257,14 @@ def _meta_dict(trace: Trace) -> dict:
     }
 
 
+def _columns(n: int) -> list:
+    return (["t"] + [f"x{i}" for i in range(n)] + [f"xhat{i}" for i in range(n)]
+            + [f"u{i}" for i in range(n)] + [f"delta{i}" for i in range(n)])
+
+
 def export_trace(trace: Trace, path) -> None:
     """Tab-separated samples with a JSON metadata comment line on top."""
-    n = trace.states.shape[1]
-    cols = (["t"] + [f"x{i}" for i in range(n)] + [f"xhat{i}" for i in range(n)]
-            + [f"u{i}" for i in range(n)] + [f"delta{i}" for i in range(n)])
+    cols = _columns(trace.states.shape[1])
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(_meta_dict(trace), sort_keys=True,
                                    separators=(",", ":")) + "\n")
@@ -271,10 +278,10 @@ def export_trace(trace: Trace, path) -> None:
 
 def import_trace(path) -> Trace:
     """Read a trace written by ``export_trace``; a file that is not one, such
-    as a truncated copy, raises ``ValidationError``."""
+    as a truncated copy or one with other columns, raises ``ValidationError``."""
     with open(path) as fh:
         header = fh.readline()
-        width = len(fh.readline().split("\t"))  # column header
+        cols = fh.readline().rstrip("\n").split("\t")
         rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
     # headers written by older versions also carry per-leg schedules and
     # safety counters; the plan and the samples give those, so they are
@@ -286,6 +293,11 @@ def import_trace(path) -> Trace:
         seed, disturbance = meta["seed"], meta["disturbance"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError([f"{path}: bad trace header: {exc!r}"]) from exc
+    width = len(cols)
+    n = (width - 1) // 4
+    if n < 1 or cols != _columns(n):
+        raise ValidationError([f"{path}: column header {cols[:9]!r} is not that "
+                               "of a trace"])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValidationError([f"{path}: sample row {i} has {len(row)} "
@@ -294,7 +306,6 @@ def import_trace(path) -> Trace:
         data = np.array([[float(v) for v in row] for row in rows]).reshape(-1, width)
     except ValueError as exc:
         raise ValidationError([f"{path}: bad sample: {exc}"]) from exc
-    n = (width - 1) // 4
     return Trace(
         ts=data[:, 0],
         states=data[:, 1:1 + n],
@@ -318,7 +329,7 @@ def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
     The stamps and legs come from ``plan``, the one the trace ran."""
     import os
 
-    _check_digest(plan, trace)
+    _check_trace(scenario, plan, trace)
     os.makedirs(outdir, exist_ok=True)
     written = []
 

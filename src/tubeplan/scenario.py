@@ -34,11 +34,14 @@ ESTIMATE_SEED = 20260823
 
 
 def parse_rational(value) -> Fraction:
-    """Accept ints, floats, and ``"p/q"`` strings."""
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, Real):
-        return Fraction(value).limit_denominator(10**9)
+    """Accept ints, finite floats, and ``"p/q"`` strings with ``q != 0``."""
+    try:
+        if isinstance(value, str):
+            return Fraction(value)
+        if isinstance(value, Real):
+            return Fraction(value).limit_denominator(10**9)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
     raise ValidationError([f"cannot read {value!r} as a rational number"])
 
 
@@ -160,6 +163,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     name = get("name", str, "unnamed")
     model_name = get("model", str)
     state_dim = get("state_dim", int, 3)
+    if state_dim is not None and state_dim < 2:
+        problems.append(f"state_dim must be >= 2, got {state_dim}")
     if model_name is not None and model_name not in MODEL_FACTORIES:
         problems.append(
             f"unknown model {model_name!r}; known: {sorted(MODEL_FACTORIES)}"
@@ -172,6 +177,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             workspace = Box(ws.get("lower"), ws.get("upper"))
         except Exception as exc:  # reported, not raised
             problems.append(f"bad workspace: {exc}")
+        if workspace is not None and workspace.dim != 2:
+            problems.append(f"workspace bounds must be 2-d, got {workspace.dim}-d")
+            workspace = None
 
     robot_radius = get("robot_radius", Real, 0.0)
     if robot_radius is not None and robot_radius < 0:
@@ -180,15 +188,22 @@ def scenario_from_dict(data: dict) -> Scenario:
     regions = {}
     for rname, spec in (get("regions", dict) or {}).items():
         try:
-            regions[rname] = Ball(spec["center"], spec["radius"])
+            ball = Ball(spec["center"], spec["radius"])
         except Exception as exc:
             problems.append(f"bad region {rname!r}: {exc}")
+            continue
+        if _require(problems, ball.center.shape == (2,),
+                    f"region {rname!r} center must be 2-d, got {ball.center.shape[0]}-d"):
+            regions[rname] = ball
 
     labels = {}
     for rname, props in (get("labels", dict, {}) or {}).items():
         if rname not in regions:
             problems.append(f"labels refer to unknown region {rname!r}")
-        labels[rname] = frozenset(props)
+        if _require(problems, isinstance(props, list)
+                    and all(isinstance(p, str) for p in props),
+                    f"labels of {rname!r} must be a list of strings, got {props!r}"):
+            labels[rname] = frozenset(props)
 
     initial_region = get("initial_region", str)
     if initial_region is not None and regions and initial_region not in regions:
@@ -196,6 +211,10 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     disturbance_bound = get("disturbance_bound", Real, 0.0)
     sigma_margin = get("sigma_margin", Real, 1.0)
+    _require(problems, disturbance_bound is None or disturbance_bound >= 0,
+             f"disturbance_bound must be >= 0, got {disturbance_bound}")
+    _require(problems, sigma_margin is None or sigma_margin > 0,
+             f"sigma_margin must be > 0, got {sigma_margin}")
     # an explicit null means "estimate from the model", same as absent
     lipschitz = data.get("lipschitz")
     gain_floor = data.get("gain_floor")
@@ -236,8 +255,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     except ValidationError as exc:
         problems.extend(exc.problems)
         settle_time = Fraction(0)
+    _require(problems, settle_time >= 0, f"settle_time must be >= 0, got {settle_time}")
     sim_dt = get("sim_dt", Real, 0.01)
-    if sim_dt is not None and step > 0:
+    dt_ok = sim_dt is not None and _require(problems, sim_dt > 0,
+                                            f"sim_dt must be > 0, got {sim_dt}")
+    if dt_ok and step > 0:
         sub = float(step) / sim_dt
         _require(problems, abs(round(sub) * sim_dt - float(step)) < 1e-9,
                  f"sim_dt={sim_dt} must divide the sampling step {step}")

@@ -126,13 +126,11 @@ def _shortest_cycle(adjacency, anchor):
 def find_accepting_run(
     wts: Wts,
     tba: TimedAutomaton,
-    initial_state: str = None,
     saturation_slack=1,
     budget: int = DEFAULT_BUDGET,
 ) -> TimedRun:
-    """Search the product for a reachable accepting node lying on a cycle."""
-    if initial_state is None:
-        initial_state = wts.initial
+    """Search the product, from the system's initial state, for a reachable
+    accepting node lying on a cycle."""
     slack = Fraction(saturation_slack)
     if slack <= 0:
         raise InvalidParam(f"saturation slack must be > 0, got {slack}")
@@ -143,10 +141,9 @@ def find_accepting_run(
     cap = int((tba.cmax + slack) * ticks)
     edges = {s: [(dst, int(w * ticks), wts.label_of(dst))
                  for dst, w in wts.successors(s)] for s in wts.states}
-    if initial_state not in edges:
-        raise UnknownTransition(f"unknown state {initial_state!r}")
-    root = (initial_state,
-            step(tba.initial, wts.label_of(initial_state), 0), 0)
+    if wts.initial not in edges:
+        raise UnknownTransition(f"unknown state {wts.initial!r}")
+    root = (wts.initial, step(tba.initial, wts.label_of(wts.initial), 0), 0)
     nodes, parent, rank, children = _bfs(step, edges, cap, root, budget)
 
     # Weights are strictly positive, so the clock rises until it saturates;
@@ -216,8 +213,8 @@ def plan_word(plan: Plan, wts: Wts):
     )
 
 
-def synthesize(wts: Wts, formula, saturation_slack=1,
-               budget: int = DEFAULT_BUDGET, formula_text: str = "") -> Plan:
+def synthesize(wts: Wts, formula, budget: int = DEFAULT_BUDGET,
+               formula_text: str = "") -> Plan:
     """Compile the formula, search the product, and return a checked plan.
 
     The returned plan's induced timed word is re-checked against the formula
@@ -228,8 +225,7 @@ def synthesize(wts: Wts, formula, saturation_slack=1,
     from .tba import build_tba
 
     tba = build_tba(formula)
-    run = find_accepting_run(wts, tba, saturation_slack=saturation_slack,
-                             budget=budget)
+    run = find_accepting_run(wts, tba, budget=budget)
     plan = run_to_plan(run, wts, wts.scenario_hash, formula_text)
     if not monitor(formula, plan_word(plan, wts)):
         raise InternalError("synthesized plan fails the semantic monitor")

@@ -372,7 +372,7 @@ def accepts_word(tba: TimedAutomaton, word: TimedWord) -> bool:
     transitions[(states[-1], states[-1])] = stutter_loop_weight(tba, word.times[-1])
     wts = Wts(states=states, initial=states[0], labels=labels, transitions=transitions)
     try:
-        find_accepting_run(wts, tba, states[0])
+        find_accepting_run(wts, tba)
         return True
     except Unrealizable:
         return False

@@ -223,6 +223,124 @@ def test_stale_labels_in_cache_are_rejected(workdir, wts_cache, tmp_path):
     assert code == cli.EXIT_RUNTIME
 
 
+def _truncate(text):
+    return text[:-40]
+
+
+def _edit_wts(change):
+    def corrupt(text):
+        data = json.loads(text)
+        change(data)
+        return json.dumps(data)
+    return corrupt
+
+
+def _drop_labels(data):
+    del data["labels"]
+
+
+def _word_weight(data):
+    data["transitions"][0]["weight"] = "fast"
+
+
+def _unknown_target(data):
+    data["transitions"][0]["target"] = "Z"
+
+
+def _unknown_initial(data):
+    data["initial"] = "Z"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate, _edit_wts(_drop_labels), _edit_wts(_word_weight),
+    _edit_wts(_unknown_target), _edit_wts(_unknown_initial),
+], ids=["truncated", "missing-key", "non-rational-weight", "unknown-target",
+        "unknown-initial"])
+def test_malformed_wts_cache_is_rejected(workdir, wts_cache, tmp_path, capsys,
+                                         corrupt):
+    # unchecked, these crash synthesis (JSONDecodeError, KeyError,
+    # ValueError) or fail it as a runtime error (exit 4)
+    bad = tmp_path / "wts.json"
+    bad.write_text(corrupt(wts_cache.read_text()))
+    code = cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),
+                     "--wts", str(bad)])
+    assert code == cli.EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
+
+def _keep_columns(trace_text, names):
+    lines = trace_text.rstrip("\n").split("\n")
+    keep = [lines[1].split("\t").index(name) for name in names]
+    return "\n".join([lines[0]] + ["\t".join(line.split("\t")[i] for i in keep)
+                                   for line in lines[1:]]) + "\n"
+
+
+PLANAR = ["t", "x0", "x1", "xhat0", "xhat1", "u0", "u1", "delta0", "delta1"]
+
+
+@pytest.mark.parametrize("command", ["verify", "plot-data"])
+@pytest.mark.parametrize("columns, message", [
+    (["t", "x0", "x1"], "is not that of a trace"),
+    (PLANAR, "2 state columns, the scenario's model 3"),
+], ids=["t-x0-x1", "planar"])
+def test_trace_of_another_model_is_rejected(workdir, wts_cache, tmp_path, capsys,
+                                            command, columns, message):
+    # a trace of a planar model, with the plan's own digest, and one whose
+    # columns are no trace's: unchecked, both crash (IndexError, a
+    # broadcast error) or plot the wrong model
+    _tiny_plan(workdir, wts_cache)
+    trace = workdir / "trace.tsv"
+    if not trace.exists():
+        assert cli.main(["simulate", "--scenario", str(workdir / "tiny.json"),
+                         "--wts", str(wts_cache), "--plan", str(workdir / "plan.json"),
+                         "--out", str(trace), "--seed", "3"]) == cli.EXIT_PASS
+    bad = tmp_path / "trace.tsv"
+    bad.write_text(_keep_columns(trace.read_text(), columns))
+    argv = [command, "--scenario", str(workdir / "tiny.json"),
+            "--plan", str(workdir / "plan.json"), "--trace", str(bad)]
+    if command == "plot-data":
+        argv += ["--out", str(tmp_path / "p")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+def _scenario_edit(path, value):
+    def change(data):
+        *parents, key = path
+        for p in parents:
+            data = data[p]
+        data[key] = value
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (_scenario_edit(["regions", "A", "center"], [-0.9, 0.0, 0.0]),
+     "center must be 2-d"),
+    (_scenario_edit(["workspace"], {"lower": [-1.5] * 3, "upper": [1.5] * 3}),
+     "workspace bounds must be 2-d"),
+    (_scenario_edit(["state_dim"], 1), "state_dim must be >= 2"),
+    (_scenario_edit(["sim_dt"], 0.0), "sim_dt must be > 0"),
+    (_scenario_edit(["sim_dt"], -0.01), "sim_dt must be > 0"),
+    (_scenario_edit(["fhocp", "horizon"], "1/0"), "'1/0' as a rational"),
+    (_scenario_edit(["settle_time"], -1), "settle_time must be >= 0"),
+    (_scenario_edit(["disturbance_bound"], -0.02), "disturbance_bound must be >= 0"),
+    (_scenario_edit(["sigma_margin"], 0.0), "sigma_margin must be > 0"),
+    (_scenario_edit(["labels", "A"], "home"), "must be a list of strings"),
+], ids=["center-3d", "workspace-3d", "state-dim-1", "sim-dt-0",
+        "sim-dt-negative", "rational-1/0", "settle-negative",
+        "disturbance-negative", "sigma-margin-0", "label-string"])
+def test_out_of_range_scenario_is_rejected(tmp_path, capsys, change, message):
+    data = tiny_dict()
+    change(data)
+    scn = tmp_path / "bad.json"
+    scn.write_text(json.dumps(data))
+    code = cli.main(["synthesize", "--scenario", str(scn),
+                     "--wts", str(tmp_path / "wts.json")])
+    assert code == cli.EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
 def test_plan_of_another_scenario_is_rejected(workdir, wts_cache, tmp_path,
                                               capsys):
     plan_path = workdir / "plan.json"

@@ -105,6 +105,10 @@ def _params(**kw):
     return FhocpParams(**defaults)
 
 
+# a box no state of these problems reaches: only the terminal penalty acts
+UNBOUNDED = ConstraintSet(Box([-1e3, -1e3], [1e3, 1e3]))
+
+
 def test_solve_fhocp_beats_candidate_controls():
     # optimality sanity: the solver's cost is no worse than a family of
     # hand-picked feasible candidates evaluated with the same objective
@@ -112,15 +116,15 @@ def test_solve_fhocp_beats_candidate_controls():
     params = _params()
     u_set = Box([-1.0, -1.0], [1.0, 1.0])
     e0 = np.array([0.8, -0.5])
-    sol = solve_fhocp(e0, m, params, None, u_set)
+    sol = solve_fhocp(e0, m, params, UNBOUNDED, u_set)
     assert sol.feasible
     # the terminal set is a soft target; from a reachable start it is met
-    near = solve_fhocp(np.array([0.1, -0.05]), m, params, None, u_set)
+    near = solve_fhocp(np.array([0.1, -0.05]), m, params, UNBOUNDED, u_set)
     e_n = near.nominal[-1]
     level = params.terminal_level + 1e-4
     assert float(e_n @ params.terminal_weight @ e_n) <= level * level
 
-    obj = _FhocpObjective(m, params, None)
+    obj = _FhocpObjective(m, params, UNBOUNDED)
     rng = np.random.default_rng(0)
     cands = [np.zeros((12, 2)), np.tile(-e0 / 1.2, (12, 1))]
     cands += [np.clip(np.tile(-e0 / 1.2, (12, 1)) + 0.05 * rng.normal(size=(12, 2)),
@@ -156,13 +160,11 @@ def _bundled_leg_objective(exclusions):
     assert len(e_set.exclusions) == 7
     if exclusions == "none":
         e_set = ConstraintSet(e_set.region, ())
-    elif exclusions == "no-set":
-        e_set = None
     err_model = shift_to_error_frame(model, model.embed_position(target))
     return _FhocpObjective(err_model, scenario.fhocp_params(), e_set)
 
 
-@pytest.mark.parametrize("exclusions", ["seven", "none", "no-set"])
+@pytest.mark.parametrize("exclusions", ["seven", "none"])
 def test_adjoint_gradient_matches_finite_differences(exclusions):
     obj = _bundled_leg_objective(exclusions)
     free = _bundled_leg_objective("seven").e_set
@@ -185,13 +187,12 @@ def test_adjoint_gradient_matches_finite_differences(exclusions):
         states = obj._states(e0, controls)
         if obj.terminal_excess(states) > 0:
             branches.add("terminal")
-        if obj.e_set is not None:
-            depths, _, _ = obj._depths(states[:, obj.pos])
-            active = np.argmax(depths[np.max(depths, axis=-1) > 0], axis=-1)
-            branches.update(np.where(active < 2, "lower",
-                                     np.where(active < 4, "upper", "ball")).tolist())
+        depths, _, _ = obj.e_set.depths(states[:, obj.pos])
+        active = np.argmax(depths[np.max(depths, axis=-1) > 0], axis=-1)
+        branches.update(np.where(active < 2, "lower",
+                                 np.where(active < 4, "upper", "ball")).tolist())
     # every penalty branch was active somewhere in the sample
-    want = {"terminal"} | ({"lower", "upper"} if obj.e_set is not None else set())
+    want = {"terminal", "lower", "upper"}
     if exclusions == "seven":
         want.add("ball")
     assert branches == want

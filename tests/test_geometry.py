@@ -3,6 +3,7 @@ import pytest
 
 from tubeplan.errors import EmptySetError, InvalidParam
 from tubeplan.geometry import (
+    DEFAULT_TOL,
     Ball,
     Box,
     ConstraintSet,
@@ -58,8 +59,6 @@ def test_inflation_membership_property():
     offsets *= 0.3 * rng.uniform(size=(10_000, 1)) / np.linalg.norm(
         offsets, axis=1, keepdims=True
     )
-    for p in (inside + offsets)[:200]:
-        assert big.contains(p)
     dists = np.linalg.norm(inside + offsets - big.center, axis=1)
     assert np.all(dists <= big.radius + 1e-9)
 
@@ -75,6 +74,83 @@ def test_constraint_set_membership_and_violation():
     assert cs.violation([0.5, 0.5]) == 0.0
     assert cs.violation([0.0, 0.0]) == pytest.approx(0.25)
     assert cs.violation([1.3, 0.0]) == pytest.approx(0.3)
+
+
+def _loop_counts(cs, pts):
+    # the per-ball loop ConstraintSet.count_violations ran before it
+    # stacked its balls
+    box = cs.region
+    inside = np.all((pts >= box.lower - DEFAULT_TOL) & (pts <= box.upper + DEFAULT_TOL),
+                    axis=-1)
+    hit = np.zeros(inside.shape, dtype=bool)
+    for b in cs.exclusions:
+        hit |= np.linalg.norm(pts - b.center, axis=-1) <= b.radius
+    return int(np.count_nonzero(~inside)), int(np.count_nonzero(hit))
+
+
+def _loop_violation(cs, pts):
+    # the per-ball loop of ConstraintSet.violation, over many points at once
+    # with the row-wise norm that the solver's penalty always used; the norm
+    # of a single vector goes through BLAS ``dot`` and can differ in the
+    # last bit
+    box = cs.region
+    worst = np.maximum(np.max(box.lower - pts, axis=-1), np.max(pts - box.upper, axis=-1))
+    for b in cs.exclusions:
+        worst = np.maximum(worst, b.radius - np.linalg.norm(pts - b.center, axis=-1))
+    return np.maximum(worst, 0.0)
+
+
+def _loop_contains(cs, p):
+    return cs.region.contains(p) and all(
+        float(np.linalg.norm(p - b.center)) > b.radius - DEFAULT_TOL
+        for b in cs.exclusions)
+
+
+@pytest.mark.parametrize("balls", [0, 1, 7])
+def test_stacked_depths_match_the_per_ball_loops(balls):
+    # dyadic centres and radii 5k/8, so the 3-4-5 offsets below land
+    # exactly on a ball's boundary and a side's points exactly on the side
+    rng = np.random.default_rng(balls)
+    box = Box([-2.0, -1.5], [2.5, 3.0])
+    centers = rng.integers(-16, 20, size=(balls, 2)) / 8
+    radii = 5 * rng.integers(1, 4, size=balls) / 8
+    cs = ConstraintSet(box, [Ball(c, r) for c, r in zip(centers, radii)])
+    assert cs.centers.shape == (balls, 2) and cs.radii.shape == (balls,)
+
+    random = rng.uniform(box.lower - 0.5, box.upper + 0.5, size=(2000, 2))
+    edges = []
+    for c, r in zip(centers, radii):
+        k = r / 5
+        edges += [c + k * np.array(d) for d in
+                  [(5, 0), (-5, 0), (0, 5), (0, -5), (3, 4), (-3, 4), (4, -3)]]
+    out_lo = np.nextafter(box.lower - DEFAULT_TOL, -np.inf)   # first exits
+    out_up = np.nextafter(box.upper + DEFAULT_TOL, np.inf)
+    for side in (box.lower, box.upper, box.lower - DEFAULT_TOL, box.upper + DEFAULT_TOL,
+                 out_lo, out_up):
+        for axis in (0, 1):
+            p = rng.uniform(box.lower, box.upper, size=(20, 2))
+            p[:, axis] = side[axis]
+            edges += list(p)
+    edges = np.array(edges)
+    if balls:
+        depths, _, _ = cs.depths(edges[:7])
+        assert np.all(depths[:, 4] == 0.0)      # on the first ball's boundary
+
+    for pts in (random, edges):
+        assert cs.count_violations(pts) == _loop_counts(cs, pts)
+        assert np.array_equal(cs.violation(pts), _loop_violation(cs, pts))
+    for p in random:
+        assert cs.contains(p) == _loop_contains(cs, p)
+        assert cs.violation(p) == _loop_violation(cs, p[None])[0]
+    # every constraint is exercised: exits, hits and both verdicts
+    exits, hits = cs.count_violations(edges)
+    assert exits > 0 and (hits > 0) == (balls > 0)
+    assert 0 < sum(cs.contains(p) for p in random) < len(random)
+
+
+def test_ball_of_another_dimension_is_rejected():
+    with pytest.raises(InvalidParam):
+        ConstraintSet(Box([0.0, 0.0], [1.0, 1.0]), [Ball([0.5, 0.5, 0.0], 0.1)])
 
 
 def test_tighten_state_constraints_shift_and_margin():
