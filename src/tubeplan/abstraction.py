@@ -174,13 +174,16 @@ def wts_from_dict(data: dict) -> Wts:
             (item["source"], item["target"]): Fraction(item["weight"])
             for item in data["transitions"]
         }
-        labels = {s: frozenset(v) for s, v in data["labels"].items()}
+        label_items = list(data["labels"].items())
         initial = data["initial"]
         digest = data.get("scenario_hash", "")
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError,
             OverflowError) as exc:
         raise ValidationError([f"not a transition system: {exc!r}"]) from exc
     problems = [f"state {s!r} is not a string" for s in states if not isinstance(s, str)]
+    problems += [f"labels of {s!r} must be a list of strings, got {v!r}"
+                 for s, v in label_items
+                 if not (isinstance(v, list) and all(isinstance(a, str) for a in v))]
     problems += [f"transition end {s!r} is not a state"
                  for pair in transitions for s in pair if s not in states]
     if initial not in states:
@@ -190,7 +193,7 @@ def wts_from_dict(data: dict) -> Wts:
     return Wts(
         states=states,
         initial=initial,
-        labels=labels,
+        labels={s: frozenset(v) for s, v in label_items},
         transitions=transitions,
         scenario_hash=digest,
     )

@@ -17,6 +17,7 @@ sampling instant (so the tube deviation restarts from zero each interval).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -81,6 +82,7 @@ TOL = 1e-8
 PENALTY_WEIGHT = 1e3
 PENALTY_MAX = 1e6
 FEASIBILITY_TOL = 1e-6
+_HALVINGS = 0.5 ** np.arange(30)       # backtracking steps, tried at once
 
 
 @dataclass(frozen=True)
@@ -134,12 +136,48 @@ def project_input(u: np.ndarray, u_set) -> np.ndarray:
     raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
 
 
-def input_violation(u: np.ndarray, u_set, tol: float = 1e-9) -> bool:
+INPUT_TOL = 1e-9                       # slack of the saturation test
+
+
+def input_violation(u: np.ndarray, u_set, tol: float = INPUT_TOL) -> np.ndarray:
+    """Whether ``u`` leaves the input set by more than ``tol``, batched over
+    the leading axes of ``u``."""
     if isinstance(u_set, Box):
-        return bool(np.any(u < u_set.lower - tol) or np.any(u > u_set.upper + tol))
+        return np.any((u < u_set.lower - tol) | (u > u_set.upper + tol), axis=-1)
     if isinstance(u_set, Ball):
         v = u - u_set.center
-        return float(np.sqrt(v.dot(v))) > u_set.radius + tol
+        return np.sqrt(np.add.reduce(v * v, axis=-1)) > u_set.radius + tol
+    raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
+
+
+def _float_saturation(u_set):
+    """``input_violation`` then ``project_input`` for one input held as a
+    list of floats: a function that returns the projected list, or None when
+    the input is inside the set.  A box is tested and clipped on the floats
+    with the same comparisons; a ball goes through the array functions."""
+    if isinstance(u_set, Box):
+        lower, upper = u_set.lower.tolist(), u_set.upper.tolist()
+        low = (u_set.lower - INPUT_TOL).tolist()
+        high = (u_set.upper + INPUT_TOL).tolist()
+
+        def saturate(u):
+            if (any(a < b for a, b in zip(u, low))
+                    or any(a > b for a, b in zip(u, high))):
+                # np.clip: the bound when strictly past it, else the value
+                return [lo if a < lo else hi if a > hi else a
+                        for a, lo, hi in zip(u, lower, upper)]
+            return None
+
+        return saturate
+    if isinstance(u_set, Ball):
+
+        def saturate(u):
+            u = np.array(u)
+            if input_violation(u, u_set):
+                return project_input(u, u_set).tolist()
+            return None
+
+        return saturate
     raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
 
 
@@ -200,7 +238,7 @@ class _FhocpObjective:
     """Quadratic cost plus exact-penalty terms, batched over control sets.
 
     ``e_set.depths`` measures every box side and every exclusion ball in one
-    broadcast, for both the penalty and its subgradient.
+    broadcast, once per rollout, for both the penalty and its subgradient.
     """
 
     def __init__(self, model, params: FhocpParams, e_set: ConstraintSet):
@@ -227,27 +265,33 @@ class _FhocpObjective:
         terminal = np.add.reduce((e_n @ p.terminal_weight) * e_n, axis=-1)
         return terminal + self.seg_h * np.add.reduce(stage, axis=-1)
 
-    def penetration(self, states):
-        """Per-sample constraint penetration depths, shape (..., m+1)."""
-        return self.e_set.violation(states[..., self.pos])
-
     def terminal_excess(self, states):
         p = self.params
         e_n = states[..., -1, :]
         norm_p = np.sqrt(np.add.reduce((e_n @ p.terminal_weight) * e_n, axis=-1))
         return np.maximum(norm_p - p.terminal_level, 0.0)
 
-    def penalty(self, states):
-        pen = np.sum(self.penetration(states) ** 2, axis=-1)
+    def penalty(self, states, depths):
+        pen = np.sum(self.e_set.worst(depths) ** 2, axis=-1)
         return pen + self.terminal_excess(states) ** 2
 
     def total(self, e0, controls, weight):
+        """Cost of each control set, its rollout, and the rollout's
+        ``e_set.depths`` (depths, offsets, dist).  A row of a batch equals
+        the one-row result bit for bit."""
         states = self._states(e0, controls)
-        return self.quadratic(states, controls) + weight * self.penalty(states), states
+        measured = self.e_set.depths(states[..., self.pos])
+        return self.cost(states, measured, controls, weight), states, measured
 
-    def gradient(self, e0, controls, weight):
+    def cost(self, states, measured, controls, weight):
+        """``total``'s cost from a rollout and its depths already measured."""
+        return self.quadratic(states, controls) + weight * self.penalty(states, measured[0])
+
+    def gradient(self, states, measured, controls, weight):
         """Exact gradient of ``total`` in the controls, for a pure integrator.
 
+        ``states`` and ``measured`` are the rollout of ``controls`` and its
+        depths, as ``total`` returns them.
         ``e_k = e_0 + h * sum_{j<k} u_j``, so ``dJ/du_j = 2h R u_j +
         h * sum_{k>j} dJ/de_k``.  ``dJ/de_k`` holds the stage term ``2h Q
         e_k``, the terminal term ``2 P e_m`` with the terminal-excess
@@ -255,7 +299,6 @@ class _FhocpObjective:
         constraint: -1 or +1 on a box side, ``-(pos - c)/|pos - c|`` on an
         exclusion ball.
         """
-        states = self._states(e0, controls)
         d_e = states @ self.d_stage
         e_n = states[-1]
         d_e[-1] = e_n @ self.d_terminal
@@ -263,12 +306,12 @@ class _FhocpObjective:
         excess = norm_p - self.params.terminal_level
         if excess > 0.0:
             d_e[-1] *= 1.0 + weight * excess / norm_p
-        self._add_penetration_gradient(d_e, states, weight)
+        self._add_penetration_gradient(d_e, measured, weight)
         tail = np.cumsum(d_e[:0:-1], axis=0)[::-1]   # sum_{k>j} dJ/de_k
         return controls @ self.d_input + self.seg_h * tail
 
-    def _add_penetration_gradient(self, d_e, states, weight):
-        depths, offsets, dist = self.e_set.depths(states[:, self.pos])
+    def _add_penetration_gradient(self, d_e, measured, weight):
+        depths, offsets, dist = measured
         rows = np.nonzero(np.max(depths, axis=-1) > 0.0)[0]
         if rows.size == 0:
             return
@@ -296,9 +339,10 @@ def solve_fhocp(
     """Direct single shooting with projected gradient descent.
 
     Controls are ``segments`` piecewise-constant vectors.  For a pure
-    integrator the gradient is exact, from one rollout and its adjoint
-    (``_FhocpObjective.gradient``); other models use central finite
-    differences on the control parameters (one batched rollout).
+    integrator the gradient is exact, from the rollout the line search
+    already made and its adjoint (``_FhocpObjective.gradient``); other
+    models use central finite differences on the control parameters (one
+    batched rollout).
     Path/terminal constraints enter as quadratic hinge penalties whose weight
     is ramped when the measured violation stays above the feasibility
     tolerance.  Penalties are a solver device only: feasibility is declared
@@ -329,15 +373,18 @@ def solve_fhocp(
     weight = PENALTY_WEIGHT
     iters_done = 0
     step_size = 1.0
-    halvings = 0.5 ** np.arange(30)
+    # ``states`` and ``measured`` always belong to ``controls``: the line
+    # search's batch already holds them for the picked candidate, and a new
+    # penalty weight only changes the cost
+    states = obj._states(e0, controls)
+    measured = e_set.depths(states[..., obj.pos])
     while True:
-        cost, _ = obj.total(e0, controls, weight)
-        cost = float(cost)
+        cost = float(obj.cost(states, measured, controls, weight))
         prev_controls = prev_grad = None
         for _ in range(MAX_ITERS):
             iters_done += 1
             if model.pure_integrator:
-                grad = obj.gradient(e0, controls, weight)
+                grad = obj.gradient(states, measured, controls, weight)
             else:
                 grad = _fd_gradient(obj, e0, controls, weight, fd_step)
             if float(np.max(np.abs(grad))) < TOL:
@@ -355,11 +402,11 @@ def solve_fhocp(
             else:
                 step_size = min(step_size * 2.0, 1e3)
             prev_controls, prev_grad = controls, grad
-            steps = step_size * halvings
+            steps = step_size * _HALVINGS
             cands = project_input(
                 controls[None] - steps[:, None, None] * grad[None], u_set
             )
-            cand_costs, _ = obj.total(e0, cands, weight)
+            cand_costs, cand_states, cand_measured = obj.total(e0, cands, weight)
             if not np.all(np.isfinite(cand_costs)):
                 raise SolverDiverged("non-finite cost during line search")
             better = np.nonzero(cand_costs < cost - 1e-12)[0]
@@ -371,10 +418,11 @@ def solve_fhocp(
             moved = float(np.max(np.abs(cand - controls)))
             gained = cost - cand_cost
             controls, cost = cand, cand_cost
+            states = cand_states[pick]
+            measured = tuple(a[pick] for a in cand_measured)
             if moved < TOL or gained < TOL * (1.0 + abs(cost)):
                 break
-        _, states = obj.total(e0, controls, weight)
-        violation = float(np.max(obj.penetration(states)))
+        violation = float(np.max(e_set.worst(measured[0])))
         if violation <= FEASIBILITY_TOL or weight >= PENALTY_MAX:
             break
         weight *= 10.0
@@ -394,7 +442,7 @@ def _fd_gradient(obj, e0, controls, weight, fd_step):
     idx = np.arange(dim)
     batch[2 * idx, idx] += fd_step
     batch[2 * idx + 1, idx] -= fd_step
-    costs, _ = obj.total(e0, batch.reshape(2 * dim, m, n), weight)
+    costs = obj.total(e0, batch.reshape(2 * dim, m, n), weight)[0]
     grad = (costs[0::2] - costs[1::2]) / (2 * fd_step)
     return grad.reshape(m, n)
 
@@ -432,6 +480,44 @@ class NavigationOutcome:
 def max_deviation(states: np.ndarray, nominal: np.ndarray) -> float:
     """Largest row-wise ``|x - x_hat|``; 0.0 for no rows."""
     return float(np.max(np.linalg.norm(states - nominal, axis=-1), initial=0.0))
+
+
+def _integrator_interval(x, e_hat, u_hat, target, sigma, saturate, delta_fn,
+                         t0, dt, substeps, records):
+    """``navigate``'s substep loop over one sampling interval for a pure
+    integrator, on lists of Python floats.
+
+    Each line does the float operations of the array loop in the same order:
+    ``ancillary_control``, the saturation test and projection
+    (``_float_saturation``), and both ``rk4_step`` updates, ``x + dt/6*(k +
+    2k + 2k + k)`` with ``k = 0.0 + u (+ delta)``.  So every sample has the
+    bits the ``rk4_step`` loop gives.  Appends one row per substep to
+    ``records`` and returns the final state and the saturation count.
+    """
+    ts, xs, nominal, inputs, deltas = records
+    c = dt / 6
+    # the nominal input is held, so the nominal increment is one vector
+    nominal_step = [c * (k + 2 * k + 2 * k + k) for k in [0.0 + a for a in u_hat]]
+    saturations = 0
+    for j in range(substeps):
+        t = t0 + j * dt
+        delta = np.asarray(delta_fn(t, np.array(x)), dtype=float).tolist()
+        u = [a - sigma * ((b - r) - d) for a, b, r, d in zip(u_hat, x, target, e_hat)]
+        projected = saturate(u)
+        if projected is not None:
+            saturations += 1
+            u = projected
+        x = [a + c * (k + 2 * k + 2 * k + k)
+             for a, k in zip(x, [(0.0 + b) + d for b, d in zip(u, delta)])]
+        e_hat = [a + b for a, b in zip(e_hat, nominal_step)]
+        if not all(map(math.isfinite, x)):
+            raise NonFiniteError(f"state became non-finite at t={t + dt}")
+        ts.append(t + dt)
+        xs.append(x)
+        nominal.append([a + b for a, b in zip(e_hat, target)])
+        inputs.append(u)
+        deltas.append(delta)
+    return x, saturations
 
 
 def navigate(
@@ -473,11 +559,14 @@ def navigate(
     delta_fn = disturbance.generator(target_state, seed)
 
     x = np.asarray(x_start, dtype=float).copy()
+    # one list of floats per sample; the arrays are built once, at the end
     ts = [0.0]
-    xs = [x.copy()]
-    nominal = [x.copy()]
-    inputs = [np.zeros(model.n)]
-    deltas = [np.zeros(model.n)]
+    xs = [x.tolist()]
+    nominal = [x.tolist()]
+    inputs = [[0.0] * model.n]
+    deltas = [[0.0] * model.n]
+    records = (ts, xs, nominal, inputs, deltas)
+    saturate = _float_saturation(input_set) if model.pure_integrator else None
     costs = []
 
     warm = None
@@ -510,24 +599,31 @@ def navigate(
         u_hat = sol.controls[0]
 
         # propagate the coupled (real, nominal) pair over one sampling interval
-        e_hat = e.copy()
         t0 = k * h
-        for j in range(substeps):
-            t = t0 + j * sim_dt
-            delta = np.asarray(delta_fn(t, x), dtype=float)
-            u = ancillary_control(u_hat, e_hat, x - target_state, tube.sigma)
-            if input_violation(u, input_set):
-                saturations += 1
-                u = project_input(u, input_set)
-            x = rk4_step(model, x, u, sim_dt, delta)
-            e_hat = rk4_step(err_model, e_hat, u_hat, sim_dt)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteError(f"state became non-finite at t={t + sim_dt}")
-            ts.append(t + sim_dt)
-            xs.append(x.copy())
-            nominal.append(e_hat + target_state)
-            inputs.append(u.copy())
-            deltas.append(delta.copy())
+        if model.pure_integrator:
+            x_end, sats = _integrator_interval(
+                x.tolist(), e.tolist(), u_hat.tolist(), target_state.tolist(),
+                tube.sigma, saturate, delta_fn, t0, sim_dt, substeps, records)
+            x = np.array(x_end)
+            saturations += sats
+        else:
+            e_hat = e.copy()
+            for j in range(substeps):
+                t = t0 + j * sim_dt
+                delta = np.asarray(delta_fn(t, x), dtype=float)
+                u = ancillary_control(u_hat, e_hat, x - target_state, tube.sigma)
+                if input_violation(u, input_set):
+                    saturations += 1
+                    u = project_input(u, input_set)
+                x = rk4_step(model, x, u, sim_dt, delta)
+                e_hat = rk4_step(err_model, e_hat, u_hat, sim_dt)
+                if not np.all(np.isfinite(x)):
+                    raise NonFiniteError(f"state became non-finite at t={t + sim_dt}")
+                ts.append(t + sim_dt)
+                xs.append(x.tolist())
+                nominal.append((e_hat + target_state).tolist())
+                inputs.append(u.tolist())
+                deltas.append(delta.tolist())
 
         warm = np.vstack([sol.controls[1:], np.zeros((1, model.n))])
         k += 1

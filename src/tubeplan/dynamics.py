@@ -37,8 +37,9 @@ class DynamicsModel:
     ``g`` maps them to input gains of shape ``(..., n, n)``.
     ``position_projection`` selects the workspace coordinates (the ones the
     geometric constraints talk about).  ``pure_integrator`` declares that
-    ``f == 0`` and ``g == I`` (which the callables cannot show), so RK4 may
-    take its exact shortcut; only ``single_integrator`` sets it.
+    ``f == 0`` and ``g == I`` (which the callables cannot show), so the
+    controller may step with ``integrator_increment`` and the exact adjoint
+    gradient; only ``single_integrator`` sets it.
     """
 
     name: str
@@ -110,11 +111,9 @@ def rk4_step(model: DynamicsModel, x, u, dt: float, delta=None) -> np.ndarray:
 
     The input ``u`` and the disturbance ``delta`` are held constant through
     the four stages (piecewise-constant signals keep runs bit-reproducible).
-    For a pure integrator the four stages are equal, and the step is the
-    same float arithmetic done once (see ``integrator_increment``).
+    For a pure integrator the four stages are equal, and ``x +
+    integrator_increment(u, dt, delta)`` gives the same bits.
     """
-    if model.pure_integrator:
-        return x + integrator_increment(u, dt, delta)
     k1 = model.derivative(x, u, delta)
     k2 = model.derivative(x + dt / 2 * k1, u, delta)
     k3 = model.derivative(x + dt / 2 * k2, u, delta)

@@ -120,11 +120,16 @@ class ConstraintSet:
         _, _, dist = self.depths(p)
         return not np.any(dist <= self.radii - tol)
 
+    @staticmethod
+    def worst(depths):
+        """Worst penetration depth of each row of ``depths`` (as ``depths``
+        returns them), shape (...,); 0.0 when feasible."""
+        return np.maximum(np.max(depths, axis=-1), 0.0)
+
     def violation(self, points):
         """Worst penetration depth of each point, shape (...,); 0.0 when
         feasible."""
-        depths, _, _ = self.depths(np.asarray(points, dtype=float))
-        return np.maximum(np.max(depths, axis=-1), 0.0)
+        return self.worst(self.depths(np.asarray(points, dtype=float))[0])
 
     def count_violations(self, points) -> tuple:
         """``(workspace_exits, exclusion_hits)`` over points of shape (k, dim).

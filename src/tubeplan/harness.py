@@ -220,7 +220,7 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace) -> dict:
     saturations = int(sum(leg.saturations for leg in trace.legs))
 
     u_set = scenario.input_set()
-    input_bad = int(sum(1 for u in trace.inputs if input_violation(u, u_set)))
+    input_bad = int(np.count_nonzero(input_violation(trace.inputs, u_set)))
 
     tol = tube_tolerance(tube.tube_radius, scenario.sim_dt,
                          scenario.disturbance_bound)
@@ -265,15 +265,14 @@ def _columns(n: int) -> list:
 def export_trace(trace: Trace, path) -> None:
     """Tab-separated samples with a JSON metadata comment line on top."""
     cols = _columns(trace.states.shape[1])
+    rows = np.column_stack([trace.ts, trace.states, trace.nominal,
+                            trace.inputs, trace.deltas]).tolist()
+    line = "\t".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(_meta_dict(trace), sort_keys=True,
                                    separators=(",", ":")) + "\n")
         fh.write("\t".join(cols) + "\n")
-        for k in range(len(trace.ts)):
-            row = np.concatenate([[trace.ts[k]], trace.states[k],
-                                  trace.nominal[k], trace.inputs[k],
-                                  trace.deltas[k]])
-            fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def import_trace(path) -> Trace:

@@ -10,6 +10,7 @@ accept rationals written as ``"p/q"`` strings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -138,6 +139,21 @@ class Scenario:
         return self.labels.get(region, frozenset())
 
 
+def _non_finite(value, where: str = "") -> list:
+    """``(path, number)`` for every non-finite float under ``value``;
+    Python's ``json`` reads ``NaN``, ``Infinity`` and ``1e400`` as such."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [(where, value)]
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [found for key, item in items
+            for found in _non_finite(item, f"{where}.{key}" if where else str(key))]
+
+
 def _require(problems, cond: bool, message: str) -> bool:
     if not cond:
         problems.append(message)
@@ -146,7 +162,8 @@ def _require(problems, cond: bool, message: str) -> bool:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and cross-validate a scenario; collect *all* problems at once."""
-    problems = []
+    problems = [f"field {path!r} must be a finite number, got {value}"
+                for path, value in _non_finite(data)]
 
     def get(key, kind=None, default=KeyError):
         if key not in data:

@@ -251,11 +251,16 @@ def _unknown_initial(data):
     data["initial"] = "Z"
 
 
+def _label_string(data):
+    data["labels"]["A"] = "home"
+
+
 @pytest.mark.parametrize("corrupt", [
     _truncate, _edit_wts(_drop_labels), _edit_wts(_word_weight),
     _edit_wts(_unknown_target), _edit_wts(_unknown_initial),
+    _edit_wts(_label_string),
 ], ids=["truncated", "missing-key", "non-rational-weight", "unknown-target",
-        "unknown-initial"])
+        "unknown-initial", "label-string"])
 def test_malformed_wts_cache_is_rejected(workdir, wts_cache, tmp_path, capsys,
                                          corrupt):
     # unchecked, these crash synthesis (JSONDecodeError, KeyError,
@@ -327,9 +332,15 @@ def _scenario_edit(path, value):
     (_scenario_edit(["disturbance_bound"], -0.02), "disturbance_bound must be >= 0"),
     (_scenario_edit(["sigma_margin"], 0.0), "sigma_margin must be > 0"),
     (_scenario_edit(["labels", "A"], "home"), "must be a list of strings"),
+    # json writes these as NaN and Infinity, and reads them back as floats
+    (_scenario_edit(["lipschitz"], float("nan")),
+     "field 'lipschitz' must be a finite number, got nan"),
+    (_scenario_edit(["input"], {"type": "box", "bound": float("inf")}),
+     "field 'input.bound' must be a finite number, got inf"),
 ], ids=["center-3d", "workspace-3d", "state-dim-1", "sim-dt-0",
         "sim-dt-negative", "rational-1/0", "settle-negative",
-        "disturbance-negative", "sigma-margin-0", "label-string"])
+        "disturbance-negative", "sigma-margin-0", "label-string",
+        "lipschitz-nan", "input-bound-inf"])
 def test_out_of_range_scenario_is_rejected(tmp_path, capsys, change, message):
     data = tiny_dict()
     change(data)

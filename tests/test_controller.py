@@ -17,7 +17,6 @@ from tubeplan.controller import (
 )
 from tubeplan.dynamics import (
     DisturbanceSpec,
-    DynamicsModel,
     demo_nonlinear,
     rk4_step,
     single_integrator,
@@ -67,6 +66,60 @@ def test_project_input_box_and_ball():
     assert not input_violation(np.array([0.2, 0.2]), box)
 
 
+def _edge_inputs(u_set, tol, rng):
+    """Random inputs, plus inputs on the set's edge along each axis: on it,
+    ``tol`` inside and outside it, and one ulp either side of ``tol``
+    outside; with the verdict each edge input must get."""
+    rows = [(u, None) for u in rng.uniform(-0.5, 0.5, size=(200, 3))]
+    for i in range(3):
+        if isinstance(u_set, Box):
+            # the other coordinates sit in the middle of the box
+            base = 0.5 * (u_set.lower + u_set.upper)
+            edges = [(u_set.upper[i], 1.0, np.inf), (u_set.lower[i], -1.0, -np.inf)]
+        else:
+            base = np.zeros(3)
+            edges = [(u_set.radius, 1.0, np.inf), (-u_set.radius, -1.0, -np.inf)]
+        for bound, out, away in edges:
+            limit = bound + out * tol
+            for value, bad in ((bound, False), (bound - out * tol, False),
+                               (limit, False), (np.nextafter(limit, -away), False),
+                               (np.nextafter(limit, away), True)):
+                u = base.copy()
+                u[i] = value
+                rows.append((u, bad))
+    if isinstance(u_set, Ball):
+        # off the axes the norm rounds, so only the batching is checked
+        d = rng.normal(size=(60, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        for scale in (u_set.radius, u_set.radius + tol,
+                      np.nextafter(u_set.radius + tol, np.inf)):
+            rows += [(u, None) for u in d * scale]
+    return np.array([u for u, _ in rows]), [bad for _, bad in rows]
+
+
+@pytest.mark.parametrize("u_set", [
+    Box([-0.3, -0.2, -0.1], [0.3, 0.2, 0.4]), Ball(np.zeros(3), 0.3),
+], ids=["box", "ball"])
+def test_batched_input_violation_is_the_per_row_rule(u_set):
+    tol = 1e-9
+    u, expected = _edge_inputs(u_set, tol, np.random.default_rng(3))
+    batched = input_violation(u, u_set, tol)
+    assert batched.shape == (len(u),)
+    if isinstance(u_set, Box):
+        rule = [bool(np.any(row < u_set.lower - tol) or np.any(row > u_set.upper + tol))
+                for row in u]
+    else:
+        rule = [float(np.sqrt(np.add.reduce(row * row))) > u_set.radius + tol
+                for row in u]
+    assert batched.tolist() == rule
+    assert [bool(input_violation(row, u_set, tol)) for row in u] == rule
+    assert np.array_equal(input_violation(u.reshape(-1, 2, 3), u_set, tol),
+                          batched.reshape(-1, 2))
+    checked = [(got, bad) for got, bad in zip(rule, expected) if bad is not None]
+    assert len(checked) == 30
+    assert all(got == bad for got, bad in checked)
+
+
 def test_shift_to_error_frame():
     m = single_integrator(2)
     target = np.array([1.0, -1.0])
@@ -81,8 +134,7 @@ def test_pure_integrator_rollout_is_the_step_loop():
     # the exact path must add the same increments in the same order as
     # stepping the four-stage RK4 once per segment
     fast = shift_to_error_frame(single_integrator(3), np.array([1.0, -1.0, 0.0]))
-    base = single_integrator(3)
-    ref = DynamicsModel("four_stage", 3, base.f, base.g)
+    ref = single_integrator(3)
     rng = np.random.default_rng(5)
     for h in (0.1, 1.0):
         e0 = rng.normal(size=3)
@@ -130,7 +182,7 @@ def test_solve_fhocp_beats_candidate_controls():
     cands += [np.clip(np.tile(-e0 / 1.2, (12, 1)) + 0.05 * rng.normal(size=(12, 2)),
                       -1, 1) for _ in range(20)]
     for c in cands:
-        cost, states = obj.total(e0, c, 0.0)
+        cost, states, _ = obj.total(e0, c, 0.0)
         # candidates that satisfy the terminal constraint must not beat it
         if obj.terminal_excess(states) <= 1e-9:
             assert sol.cost <= float(cost) + 1e-6
@@ -180,14 +232,14 @@ def test_adjoint_gradient_matches_finite_differences(exclusions):
         controls = rng.normal(scale=0.4, size=(obj.params.segments, 3))
         weight = 10.0 ** rng.uniform(3, 6)
 
-        grad = obj.gradient(e0, controls, weight)
+        _, states, measured = obj.total(e0, controls, weight)
+        grad = obj.gradient(states, measured, controls, weight)
         oracle = _fd_gradient(obj, e0, controls, weight, 1e-6)
         assert np.max(np.abs(grad - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
-        states = obj._states(e0, controls)
         if obj.terminal_excess(states) > 0:
             branches.add("terminal")
-        depths, _, _ = obj.e_set.depths(states[:, obj.pos])
+        depths = measured[0]
         active = np.argmax(depths[np.max(depths, axis=-1) > 0], axis=-1)
         branches.update(np.where(active < 2, "lower",
                                  np.where(active < 4, "upper", "ball")).tolist())
@@ -288,3 +340,85 @@ def test_navigate_min_duration_holds_longer():
     assert held.arrived
     assert held.total_steps == scheduled
     assert held.arrival_steps == out.arrival_steps
+
+
+def _array_interval(input_set):
+    """The substep loop ``navigate`` ran on arrays before the float interval,
+    with ``_integrator_interval``'s signature: the reference.  Every step is
+    the four-stage ``rk4_step``."""
+    si = single_integrator(3)
+
+    def interval(x, e_hat, u_hat, target, sigma, saturate, delta_fn, t0, dt,
+                 substeps, records):
+        ts, xs, nominal, inputs, deltas = records
+        x, e_hat, u_hat, target = (np.array(v) for v in (x, e_hat, u_hat, target))
+        saturations = 0
+        for j in range(substeps):
+            t = t0 + j * dt
+            delta = np.asarray(delta_fn(t, x), dtype=float)
+            u = ancillary_control(u_hat, e_hat, x - target, sigma)
+            if input_violation(u, input_set):
+                saturations += 1
+                u = project_input(u, input_set)
+            x = rk4_step(si, x, u, dt, delta)
+            e_hat = rk4_step(si, e_hat, u_hat, dt)
+            ts.append(t + dt)
+            xs.append(x.tolist())
+            nominal.append((e_hat + target).tolist())
+            inputs.append(u.tolist())
+            deltas.append(delta.tolist())
+        return x.tolist(), saturations
+
+    return interval
+
+
+@pytest.mark.parametrize("input_set", [
+    Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), Ball(np.zeros(3), 0.3),
+], ids=["box", "ball"])
+@pytest.mark.parametrize("policy", ["zero", "random", "worst", "uniform"])
+def test_float_interval_is_the_rk4_step_loop(monkeypatch, input_set, policy):
+    # the tube is sized for disturbances of 0.001 but they reach 0.2, so the
+    # deviation outgrows it and the ancillary law saturates on the long
+    # first legs, where the nominal input sits on the tightened bound
+    m = single_integrator(3)
+    tube = make_tube_params(0.0, 1.0, 1.0, 0.001)
+    params = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),
+                         0.5 * np.eye(3), 0.1)
+    cs = ConstraintSet(Box([-3.0, -3.0], [3.0, 3.0]), [Ball([0.0, 1.2], 0.3)])
+
+    def run():
+        return navigate(m, m.embed_position([-2.0, 0.5]), Ball([2.0, 0.0], 0.3),
+                        cs, input_set, tube, params, DisturbanceSpec(0.2, policy),
+                        max_steps=40, seed=5)
+
+    fast = run()
+    monkeypatch.setattr(controller, "_integrator_interval", _array_interval(input_set))
+    slow = run()
+    assert fast.total_steps == slow.total_steps >= 20
+    for name in ("ts", "states", "nominal_states", "inputs", "disturbances"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+        assert np.array_equal(np.signbit(getattr(fast, name)),
+                              np.signbit(getattr(slow, name))), name
+    assert fast.saturation_count == slow.saturation_count
+    assert (fast.saturation_count > 0) == (policy != "zero")
+
+
+def test_navigate_steps_other_models_with_rk4():
+    # models other than the pure integrator keep the array loop: every
+    # sample is one four-stage rk4_step from the one before, under the
+    # recorded input and disturbance
+    m = demo_nonlinear(3)
+    tube = make_tube_params(0.0, 1.0, 1.0, 0.05)
+    params = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),
+                         0.5 * np.eye(3), 0.1)
+    cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
+    out = navigate(m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs,
+                   Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube, params,
+                   DisturbanceSpec(0.05, "random"), max_steps=3, seed=4)
+    assert out.total_steps == 3 and out.states.shape == (31, 3)
+    assert np.allclose(out.ts, np.arange(31) * 0.01)
+    for k in range(30):
+        step = rk4_step(m, out.states[k], out.inputs[k + 1], 0.01, out.disturbances[k + 1])
+        assert np.array_equal(step, out.states[k + 1])
+    assert np.all(np.linalg.norm(out.disturbances, axis=1) <= 0.05)
+    assert out.max_deviation <= 0.05 * 0.1

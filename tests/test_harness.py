@@ -10,6 +10,7 @@ from tubeplan import cli
 from tubeplan.abstraction import Wts
 from tubeplan.errors import ExecutionFailure, ValidationError
 from tubeplan.harness import (
+    Trace,
     execute_plan,
     export_plot_data,
     export_trace,
@@ -97,6 +98,26 @@ def test_trace_export_import_round_trip(tiny_scenario, tiny_plan, tiny_trace,
     again = tmp_path / "again.tsv"
     export_trace(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_trace_cells_are_17_significant_digits(tmp_path):
+    # signed zero, the smallest subnormal, a huge value, a value with no
+    # short binary form and whole numbers, in every column
+    special = [-0.0, 5e-324, 1e300, 0.1, 3.0, -2.0, 0.0, -1e-300, 12345678901234567.0]
+    rng = np.random.default_rng(5)
+    table = rng.permutation(np.resize(special, (9, 9)).ravel()).reshape(9, 9)
+    trace = Trace(table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5:7],
+                  table[:, 7:9], plan_digest="d" * 64)
+    path = tmp_path / "trace.tsv"
+    export_trace(trace, path)
+    lines = path.read_text().split("\n")
+    assert lines[-1] == ""
+    cells = [line.split("\t") for line in lines[2:-1]]
+    assert cells == [[format(v, ".17g") for v in row] for row in table.tolist()]
+    loaded = import_trace(path)
+    for name in ("ts", "states", "nominal", "inputs", "deltas"):
+        assert np.array_equal(getattr(loaded, name).view(np.int64),
+                              getattr(trace, name).view(np.int64)), name
 
 
 def test_forged_samples_between_stamps_fail(tiny_scenario, tiny_plan,
