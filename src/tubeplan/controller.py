@@ -82,7 +82,8 @@ TOL = 1e-8
 PENALTY_WEIGHT = 1e3
 PENALTY_MAX = 1e6
 FEASIBILITY_TOL = 1e-6
-_HALVINGS = 0.5 ** np.arange(30)       # backtracking steps, tried at once
+_HALVINGS = 0.5 ** np.arange(30)       # backtracking steps
+_CHUNKS = (1, 4, 30)                   # ends of the candidate rows rolled out together
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,12 @@ class FhocpParams:
     terminal_weight: np.ndarray
     input_weight: np.ndarray
     terminal_level: float
+    # the solver's segment length, and d/de of the cost terms e'We, (W + W') e,
+    # the stage and input ones times the segment length
+    seg_h: float = field(init=False, compare=False, repr=False)
+    d_stage: np.ndarray = field(init=False, compare=False, repr=False)
+    d_input: np.ndarray = field(init=False, compare=False, repr=False)
+    d_terminal: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.horizon > self.step > 0):
@@ -104,6 +111,11 @@ class FhocpParams:
         object.__setattr__(self, "state_weight", _check_spd("Q", self.state_weight))
         object.__setattr__(self, "terminal_weight", _check_spd("P", self.terminal_weight))
         object.__setattr__(self, "input_weight", _check_spd("R", self.input_weight))
+        h = self.horizon / self.segments
+        q, p, r = self.state_weight, self.terminal_weight, self.input_weight
+        for name, value in (("seg_h", h), ("d_stage", h * (q + q.T)),
+                            ("d_input", h * (r + r.T)), ("d_terminal", p + p.T)):
+            object.__setattr__(self, name, value)
 
     @property
     def segments(self) -> int:
@@ -245,16 +257,7 @@ class _FhocpObjective:
         self.model = model
         self.params = params
         self.e_set = e_set
-        self.seg_h = params.horizon / params.segments
         self.pos = list(model.position_projection)
-        # d/de of e'We is (W + W') e; the stage and input terms carry h
-        h = self.seg_h
-        self.d_stage = h * (params.state_weight + params.state_weight.T)
-        self.d_input = h * (params.input_weight + params.input_weight.T)
-        self.d_terminal = params.terminal_weight + params.terminal_weight.T
-        # d(depth)/d(pos) of the box columns of ``ConstraintSet.depths``
-        dim = len(self.pos)
-        self.side_slopes = np.concatenate([-np.eye(dim), np.eye(dim)])
 
     def quadratic(self, states, controls):
         p = self.params
@@ -263,7 +266,7 @@ class _FhocpObjective:
         stage = stage + np.add.reduce((controls @ p.input_weight) * controls, axis=-1)
         e_n = states[..., -1, :]
         terminal = np.add.reduce((e_n @ p.terminal_weight) * e_n, axis=-1)
-        return terminal + self.seg_h * np.add.reduce(stage, axis=-1)
+        return terminal + p.seg_h * np.add.reduce(stage, axis=-1)
 
     def terminal_excess(self, states):
         p = self.params
@@ -299,16 +302,17 @@ class _FhocpObjective:
         constraint: -1 or +1 on a box side, ``-(pos - c)/|pos - c|`` on an
         exclusion ball.
         """
-        d_e = states @ self.d_stage
+        p = self.params
+        d_e = states @ p.d_stage
         e_n = states[-1]
-        d_e[-1] = e_n @ self.d_terminal
+        d_e[-1] = e_n @ p.d_terminal
         norm_p = np.sqrt(0.5 * d_e[-1].dot(e_n))
-        excess = norm_p - self.params.terminal_level
+        excess = norm_p - p.terminal_level
         if excess > 0.0:
             d_e[-1] *= 1.0 + weight * excess / norm_p
         self._add_penetration_gradient(d_e, measured, weight)
         tail = np.cumsum(d_e[:0:-1], axis=0)[::-1]   # sum_{k>j} dJ/de_k
-        return controls @ self.d_input + self.seg_h * tail
+        return controls @ p.d_input + p.seg_h * tail
 
     def _add_penetration_gradient(self, d_e, measured, weight):
         depths, offsets, dist = measured
@@ -316,8 +320,9 @@ class _FhocpObjective:
         if rows.size == 0:
             return
         col = np.argmax(depths[rows], axis=-1)
-        sides = len(self.side_slopes)
-        slope = self.side_slopes[np.minimum(col, sides - 1)]   # ball rows: below
+        slopes = self.e_set.side_slopes
+        sides = len(slopes)
+        slope = slopes[np.minimum(col, sides - 1)]   # ball rows: below
         on_ball = col >= sides
         k, ball = rows[on_ball], col[on_ball] - sides
         slope[on_ball] = -offsets[k, ball] / np.maximum(dist[k, ball], 1e-300)[:, None]
@@ -325,7 +330,7 @@ class _FhocpObjective:
         d_e[np.ix_(rows, self.pos)] += (2.0 * weight * depth)[:, None] * slope
 
     def _states(self, e0, controls):
-        return _rollout(self.model, e0, controls, self.seg_h)
+        return _rollout(self.model, e0, controls, self.params.seg_h)
 
 
 def solve_fhocp(
@@ -387,10 +392,11 @@ def solve_fhocp(
                 grad = obj.gradient(states, measured, controls, weight)
             else:
                 grad = _fd_gradient(obj, e0, controls, weight, fd_step)
-            if float(np.max(np.abs(grad))) < TOL:
+            # projected-gradient stop: at a clamped optimum no step can move
+            moves = project_input(controls - grad, u_set) - controls
+            if float(np.max(np.abs(moves))) < TOL:
                 break
             # spectral (Barzilai-Borwein) initial step, then backtracking
-            # with all candidate steps evaluated in one batched rollout
             if prev_grad is not None:
                 dc = (controls - prev_controls).ravel()
                 dg = (grad - prev_grad).ravel()
@@ -406,20 +412,14 @@ def solve_fhocp(
             cands = project_input(
                 controls[None] - steps[:, None, None] * grad[None], u_set
             )
-            cand_costs, cand_states, cand_measured = obj.total(e0, cands, weight)
-            if not np.all(np.isfinite(cand_costs)):
-                raise SolverDiverged("non-finite cost during line search")
-            better = np.nonzero(cand_costs < cost - 1e-12)[0]
-            if better.size == 0:
+            found = _first_better(obj, e0, cands, cost, weight)
+            if found is None:
                 break
-            pick = int(better[0])
+            pick, cand_cost, states, measured = found
             step_size = float(steps[pick])
-            cand, cand_cost = cands[pick], float(cand_costs[pick])
-            moved = float(np.max(np.abs(cand - controls)))
+            moved = float(np.max(np.abs(cands[pick] - controls)))
             gained = cost - cand_cost
-            controls, cost = cand, cand_cost
-            states = cand_states[pick]
-            measured = tuple(a[pick] for a in cand_measured)
+            controls, cost = cands[pick], cand_cost
             if moved < TOL or gained < TOL * (1.0 + abs(cost)):
                 break
         violation = float(np.max(e_set.worst(measured[0])))
@@ -432,6 +432,30 @@ def solve_fhocp(
         raise SolverDiverged("non-finite cost at solution")
     feasible = violation <= FEASIBILITY_TOL
     return FhocpSolution(controls, states, quad, feasible, violation, iters_done)
+
+
+def _first_better(obj, e0, cands, cost, weight):
+    """Row, cost, rollout and depths of the first candidate that costs less
+    than ``cost``, or None.  Rows are rolled out in chunks that end at
+    ``_CHUNKS``, up to the first chunk that holds a better row; after row 0,
+    the leading rows that clip to its controls cost what it costs and are
+    skipped.  A rolled-out row with a non-finite cost raises ``SolverDiverged``."""
+    lo = 0
+    for hi in _CHUNKS:
+        if lo >= hi:
+            continue
+        costs, states, measured = obj.total(e0, cands[lo:hi], weight)
+        if not np.all(np.isfinite(costs)):
+            raise SolverDiverged("non-finite cost during line search")
+        better = np.nonzero(costs < cost - 1e-12)[0]
+        if better.size:
+            i = int(better[0])
+            return lo + i, float(costs[i]), states[i], tuple(a[i] for a in measured)
+        lo = hi
+        if hi == 1:
+            same = np.all(cands == cands[0], axis=(1, 2))
+            lo = len(cands) if same.all() else int(np.argmin(same))
+    return None
 
 
 def _fd_gradient(obj, e0, controls, weight, fd_step):

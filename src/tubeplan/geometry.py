@@ -87,6 +87,7 @@ class ConstraintSet:
     exclusions: tuple = field(default_factory=tuple)
     centers: np.ndarray = field(init=False, compare=False, repr=False)
     radii: np.ndarray = field(init=False, compare=False, repr=False)
+    side_slopes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         exclusions = tuple(self.exclusions)
@@ -97,6 +98,8 @@ class ConstraintSet:
         object.__setattr__(self, "centers",
                            np.array([b.center for b in exclusions]).reshape(-1, dim))
         object.__setattr__(self, "radii", np.array([b.radius for b in exclusions]))
+        # d(depth)/d(p) of the box columns of ``depths``: -1, then +1
+        object.__setattr__(self, "side_slopes", np.concatenate([-np.eye(dim), np.eye(dim)]))
 
     def depths(self, points):
         """Signed depths past each constraint, shape (..., 2*dim + exclusions).

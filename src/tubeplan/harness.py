@@ -14,8 +14,10 @@ the plan, the only copy of them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -281,7 +283,7 @@ def import_trace(path) -> Trace:
     with open(path) as fh:
         header = fh.readline()
         cols = fh.readline().rstrip("\n").split("\t")
-        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+        data = _parse_samples(fh)
     # headers written by older versions also carry per-leg schedules and
     # safety counters; the plan and the samples give those, so they are
     # dropped
@@ -297,14 +299,8 @@ def import_trace(path) -> Trace:
     if n < 1 or cols != _columns(n):
         raise ValidationError([f"{path}: column header {cols[:9]!r} is not that "
                                "of a trace"])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValidationError([f"{path}: sample row {i} has {len(row)} "
-                                   f"cells, the column header {width}"])
-    try:
-        data = np.array([[float(v) for v in row] for row in rows]).reshape(-1, width)
-    except ValueError as exc:
-        raise ValidationError([f"{path}: bad sample: {exc}"]) from exc
+    if data is None or data.shape[1] != width:
+        data = _parse_sample_rows(path, width)
     return Trace(
         ts=data[:, 0],
         states=data[:, 1:1 + n],
@@ -316,6 +312,35 @@ def import_trace(path) -> Trace:
         seed=seed,
         disturbance=disturbance,
     )
+
+
+def _parse_samples(fh):
+    """The sample rows left in ``fh`` as a 2-D array, read in one pass by
+    numpy's C parser, or None if it cannot read them.  An empty block reads
+    as one column."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # "input contained no data"
+        try:
+            return np.loadtxt(fh, delimiter="\t", comments=None, ndmin=2)
+        except ValueError:
+            return None
+
+
+def _parse_sample_rows(path, width: int) -> np.ndarray:
+    """The sample rows of the trace at ``path``, read cell by cell: the
+    reading for a block ``_parse_samples`` could not give ``width`` columns,
+    whose error names the row or cell at fault."""
+    with open(path) as fh:
+        rows = [line.rstrip("\n").split("\t")
+                for line in itertools.islice(fh, 2, None) if line.strip()]
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValidationError([f"{path}: sample row {i} has {len(row)} "
+                                   f"cells, the column header {width}"])
+    try:
+        return np.array([[float(v) for v in row] for row in rows]).reshape(-1, width)
+    except ValueError as exc:
+        raise ValidationError([f"{path}: bad sample: {exc}"]) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +357,16 @@ def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
     os.makedirs(outdir, exist_ok=True)
     written = []
 
-    def table(name, header, rows):
+    def table(name, header, cells, rows):
+        """One line per row, formatted with ``cells``, a %-format per column."""
         path = os.path.join(outdir, name)
+        line = "\t".join(cells) + "\n"
         with open(path, "w") as fh:
             fh.write("\t".join(header) + "\n")
-            for row in rows:
-                fh.write("\t".join(
-                    v if isinstance(v, str) else f"{v:.17g}" for v in row
-                ) + "\n")
+            fh.writelines(line % tuple(row) for row in rows)
         written.append(path)
+
+    g, s = "%.17g", "%s"
 
     model = scenario.model()
     pos = model.position(trace.states)
@@ -349,24 +375,22 @@ def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
     # a sample belongs to the leg it lies in or closes; the first to leg 0
     leg_of = np.searchsorted(np.array(indices[1:], dtype=float),
                              np.arange(len(pos)))
-    table("path.tsv", ["t", "px", "py", "nom_px", "nom_py", "leg"],
-          [(trace.ts[k], pos[k, 0], pos[k, 1], nom[k, 0], nom[k, 1],
-            str(int(leg_of[k]))) for k in range(len(trace.ts))])
-    table("regions.tsv", ["name", "cx", "cy", "radius", "labels"],
+    table("path.tsv", ["t", "px", "py", "nom_px", "nom_py", "leg"], [g] * 5 + ["%d"],
+          np.column_stack([trace.ts, pos[:, :2], nom[:, :2], leg_of]).tolist())
+    table("regions.tsv", ["name", "cx", "cy", "radius", "labels"], [s, g, g, g, s],
           [(name, ball.center[0], ball.center[1], ball.radius,
             ",".join(sorted(scenario.label_of(name))))
            for name, ball in sorted(scenario.regions.items())])
     dev = np.linalg.norm(trace.states - trace.nominal, axis=1)
-    table("deviation.tsv", ["t", "deviation"],
-          [(trace.ts[k], dev[k]) for k in range(len(trace.ts))])
-    table("inputs.tsv", ["t"] + [f"u{i}" for i in range(model.n)],
-          [tuple(np.concatenate([[trace.ts[k]], trace.inputs[k]]))
-           for k in range(len(trace.ts))])
-    table("stamps.tsv", ["stamp", "state", "labels"],
-          [(float(s), name, ",".join(sorted(scenario.label_of(name))))
-           for s, name in zip(plan.stamps, plan.states)])
+    table("deviation.tsv", ["t", "deviation"], [g, g],
+          np.column_stack([trace.ts, dev]).tolist())
+    table("inputs.tsv", ["t"] + [f"u{i}" for i in range(model.n)], [g] * (1 + model.n),
+          np.column_stack([trace.ts, trace.inputs]).tolist())
+    table("stamps.tsv", ["stamp", "state", "labels"], [g, s, s],
+          [(float(stamp), name, ",".join(sorted(scenario.label_of(name))))
+           for stamp, name in zip(plan.stamps, plan.states)])
     table("legs.tsv", ["index", "source", "target", "plan_steps",
-                       "physical_arrival_steps", "max_deviation"],
+                       "physical_arrival_steps", "max_deviation"], [s] * 5 + [g],
           [(str(i), src, dst, str(weight / scenario.step),
             str(leg.physical_arrival_steps),
             float(np.max(dev[rows], initial=0.0)))

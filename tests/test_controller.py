@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,19 @@ from tubeplan.controller import (
 )
 from tubeplan.dynamics import (
     DisturbanceSpec,
+    DynamicsModel,
     demo_nonlinear,
     rk4_step,
     single_integrator,
 )
-from tubeplan.errors import InvalidParam
-from tubeplan.geometry import Ball, Box, ConstraintSet, tighten_state_constraints
+from tubeplan.errors import InvalidParam, SolverDiverged
+from tubeplan.geometry import (
+    Ball,
+    Box,
+    ConstraintSet,
+    tighten_input_constraints,
+    tighten_state_constraints,
+)
 from tubeplan.scenario import default_scenario
 
 
@@ -269,6 +278,118 @@ def test_finite_differences_still_drive_other_models(monkeypatch):
     sol = solve_fhocp(e0, single_integrator(2), params, e_set, u_set)
     assert sol.feasible and sol.iterations > 0
     assert calls == []
+
+
+def _bundled_leg_input_set():
+    scenario = default_scenario()
+    tube = scenario.tube_params()
+    return tighten_input_constraints(scenario.input_set(), tube.sigma, tube.tube_radius)
+
+
+def test_line_search_chunks_are_rows_of_the_full_batch():
+    # the solver rolls out its candidates in chunks that end at
+    # controller._CHUNKS and, after row 0, may start past the rows that clip
+    # to row 0's controls: every row of every such chunk must have the bits
+    # of the same row of one rollout of all of them
+    obj = _bundled_leg_objective("seven")
+    u_set = _bundled_leg_input_set()
+    rng = np.random.default_rng(23)
+    m = obj.params.segments
+    clipped = 0
+    for _ in range(6):
+        e0 = np.array([*rng.uniform(-1.0, 1.0, size=2), 0.0])
+        controls = rng.uniform(-0.15, 0.15, size=(m, 3))
+        steps = 10.0 ** rng.uniform(-1, 2) * controller._HALVINGS
+        cands = project_input(controls[None] - steps[:, None, None]
+                              * rng.normal(size=(1, m, 3)), u_set)
+        clipped += int(np.array_equal(cands[1], cands[0]))
+        weight = 10.0 ** rng.uniform(3, 6)
+        cost, states, measured = obj.total(e0, cands, weight)
+        for lo in range(len(cands)):
+            for hi in controller._CHUNKS:
+                if lo >= hi:
+                    continue
+                part = obj.total(e0, cands[lo:hi], weight)
+                assert np.array_equal(part[0], cost[lo:hi])
+                assert np.array_equal(part[1], states[lo:hi])
+                for got, want in zip(part[2], measured):
+                    assert np.array_equal(got, want[lo:hi])
+    assert clipped > 0
+
+
+def _pinned_problem(name):
+    e_set = ConstraintSet(Box([-3.0, -3.0], [3.0, 3.0]), [Ball([0.5, 0.06], 0.2)])
+    e0 = np.array([1.0, 0.0])
+    if name == "box":
+        return e0, single_integrator(2), _params(), e_set, Box([-0.3, -0.3], [0.3, 0.3])
+    if name == "ball":
+        return e0, single_integrator(2), _params(), e_set, Ball(np.zeros(2), 1.0)
+    if name == "seven":
+        obj = _bundled_leg_objective("seven")
+        return (np.array([0.15, 0.5, 0.0]), obj.model, obj.params, obj.e_set,
+                _bundled_leg_input_set())
+    return e0, demo_nonlinear(2), _params(), e_set, Box([-1.0, -1.0], [1.0, 1.0])
+
+
+# sha256 of controls.tobytes() and nominal.tobytes(), and the iterations, of
+# solve_fhocp on four problems, as the solver gave them when it rolled out
+# all 30 line-search candidates at once and stopped on max|grad| < TOL
+PINNED_SOLVES = {
+    "box": ("a32e0c7c383035d91dedaf22dfa1fdf4630a18c24d579118f9c5024742de3611",
+            "97765998d798918c3708baadba8f19b1c076f171e59fd603196998413dac5e28", 19),
+    "ball": ("fb7ac7dcbc4d215565bd2b55e6ef9a430f9bec1c596dba128acee9bc4cceabb8",
+             "4811faa61152322d0497c1dabdd039ae195f2fc4da1575297497bdfdf8fd4295", 157),
+    "seven": ("1a73d8678d59b02114b419a77f29a3c7f82819c931c6292ecc4b065b247ad8c3",
+              "0762cf9d9af340997e7f8db1a7539c1e8fd92c4d1f30cb8e2055939e2068ba27", 20),
+    "demo_nonlinear": (
+        "fd5552fd099c27edd10ddae0bb29a2ac719296292ecc002f9bc000c8ae433fed",
+        "2269361ed282b630bc75620c43e6e025acfd398d1b7b4276e8b0e657df820fb4", 193),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SOLVES))
+def test_solver_bits_are_pinned(name):
+    sol = solve_fhocp(*_pinned_problem(name))
+    got = (hashlib.sha256(sol.controls.tobytes()).hexdigest(),
+           hashlib.sha256(sol.nominal.tobytes()).hexdigest(), sol.iterations)
+    assert got == PINNED_SOLVES[name]
+
+
+def test_non_finite_line_search_cost_raises():
+    # the drift is infinite past |e| = 2; from rest at |e| = 1 the terminal
+    # penalty's gradient is large, so the longest step, which is always
+    # rolled out, overshoots
+    si = single_integrator(2)
+
+    def f(e):
+        return np.where(np.linalg.norm(e, axis=-1, keepdims=True) > 2.0, np.inf,
+                        np.zeros_like(e))
+
+    model = DynamicsModel("blows_up", 2, f, si.g)
+    with pytest.raises(SolverDiverged, match="line search"), np.errstate(invalid="ignore"):
+        solve_fhocp(np.array([1.0, 0.0]), model, _params(), UNBOUNDED,
+                    Box([-100.0, -100.0], [100.0, 100.0]), warm_start=np.zeros((12, 2)))
+
+
+def test_clamped_optimum_stops_without_a_line_search(monkeypatch):
+    # the target is far away and every control sits on the input box,
+    # pushed outward by the gradient: no step can move, so the first
+    # iteration stops before it rolls out a candidate
+    calls = []
+    total = _FhocpObjective.total
+
+    def counting(self, *args):
+        calls.append(args)
+        return total(self, *args)
+
+    monkeypatch.setattr(_FhocpObjective, "total", counting)
+    clamped = np.full((12, 2), -0.3)
+    sol = solve_fhocp(np.array([50.0, 50.0]), single_integrator(2), _params(),
+                      UNBOUNDED, Box([-0.3, -0.3], [0.3, 0.3]), warm_start=clamped)
+    assert sol.iterations == 1
+    assert calls == []
+    assert np.array_equal(sol.controls, clamped)
+    assert sol.feasible
 
 
 def test_solve_fhocp_infeasible_start():

@@ -1,7 +1,9 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -264,6 +266,28 @@ def test_plot_data_files(tiny_scenario, tiny_plan, tiny_trace, tmp_path):
     assert path[:, -1].astype(int).tolist() == expected
     legs = (tmp_path / "plots" / "legs.tsv").read_text().splitlines()
     assert len(legs) == len(tiny_plan.states)   # header plus one per leg
+
+
+# sha256 of the plot-data files of the tiny trace, as a writer that
+# formatted each cell on its own wrote them
+PLOT_DATA_SHA256 = {
+    "deviation.tsv": "730696aa6c70da80a0029e6a1a7cff0e6702496e639ef1b3dacbe8c36ffc13d5",
+    "inputs.tsv": "4932cd167515954bb307f58933ded469931348e0cf7f90c405dcaa1e2c03dde9",
+    "legs.tsv": "28a11f8bb2fcdfc29c4805178e615f2a0ac4e2c3b5472ddc43c6d5dc180aa7b3",
+    "path.tsv": "de75adbb12b7e0ea2182375c7fbee8ff56d3304d2f17f54543a9fc0cc1bb6541",
+    "regions.tsv": "565ef6a7764090a93446d4caad1e49e4d1ca040d1103bea8199b8d17dde680e2",
+    "stamps.tsv": "9ae14fa5d8eef143f6edcb10e4dcc08b3c32b1de9fda82558e32adc0918185d0",
+}
+
+
+def test_plot_data_bytes_are_pinned(tiny_scenario, tiny_plan, tiny_trace, tmp_path):
+    written = export_plot_data(tiny_scenario, tiny_plan, tiny_trace,
+                               tmp_path / "plots")
+    digests = {}
+    for path in written:
+        with open(path, "rb") as fh:
+            digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == PLOT_DATA_SHA256
 
 
 def test_missing_transition_fails_with_partial_trace(tiny_scenario, tiny_wts):
