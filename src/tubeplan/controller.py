@@ -1,13 +1,13 @@
 """Tube-based MPC navigation between workspace regions.
 
 The control law has two parts: a nominal input computed online by a finite
-horizon optimal control problem (solved by direct single shooting with
-projected gradient descent), and an ancillary feedback ``u = u_hat -
+horizon optimal control problem (solved by direct single shooting with a
+projected descent method), and an ancillary feedback ``u = u_hat -
 sigma*q`` that keeps the disturbed trajectory inside a tube of radius
-``delta_bound / sigma_margin`` around the nominal one.  The solver's
-gradient is exact for the pure integrator (one rollout and its adjoint, a
-reversed cumulative sum) and comes from central finite differences for
-other models.
+``delta_bound / sigma_margin`` around the nominal one.  For the pure
+integrator the gradient is exact (one rollout and its adjoint) and, on a
+box input set, the solver takes projected Newton steps; other models take
+Barzilai-Borwein steps along central finite differences.
 
 All navigation happens in the error frame of the current target: the target
 center is mapped to the origin, constraints are shifted and tightened by the
@@ -84,6 +84,7 @@ PENALTY_MAX = 1e6
 FEASIBILITY_TOL = 1e-6
 _HALVINGS = 0.5 ** np.arange(30)       # backtracking steps
 _CHUNKS = (1, 4, 30)                   # ends of the candidate rows rolled out together
+_EPS0 = 1e-3                           # widest epsilon-active band of the Newton step
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,14 @@ class FhocpParams:
     terminal_weight: np.ndarray
     input_weight: np.ndarray
     terminal_level: float
-    # the solver's segment length, and d/de of the cost terms e'We, (W + W') e,
-    # the stage and input ones times the segment length
+    # the solver's segment length, d/de of the cost terms e'We, (W + W') e,
+    # the stage and input ones times the segment length, and the Hessian of
+    # the quadratic cost in the flattened controls of a pure integrator
     seg_h: float = field(init=False, compare=False, repr=False)
     d_stage: np.ndarray = field(init=False, compare=False, repr=False)
     d_input: np.ndarray = field(init=False, compare=False, repr=False)
     d_terminal: np.ndarray = field(init=False, compare=False, repr=False)
+    hessian: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.horizon > self.step > 0):
@@ -116,6 +119,12 @@ class FhocpParams:
         for name, value in (("seg_h", h), ("d_stage", h * (q + q.T)),
                             ("d_input", h * (r + r.T)), ("d_terminal", p + p.T)):
             object.__setattr__(self, name, value)
+        # block (j, l): h^2 (d_terminal + d_stage per k > max(j, l)), + d_input
+        m = self.segments
+        later = m - 1 - np.maximum.outer(np.arange(m), np.arange(m))
+        object.__setattr__(self, "hessian", np.kron(h * h * later, self.d_stage)
+                           + np.kron(np.full((m, m), h * h), self.d_terminal)
+                           + np.kron(np.eye(m), self.d_input))
 
     @property
     def segments(self) -> int:
@@ -139,7 +148,7 @@ def ancillary_control(u_hat, e_hat, e, sigma: float) -> np.ndarray:
 def project_input(u: np.ndarray, u_set) -> np.ndarray:
     """Closed-form projection onto a box (clamp) or ball (radial scaling)."""
     if isinstance(u_set, Box):
-        return np.clip(u, u_set.lower, u_set.upper)
+        return np.minimum(np.maximum(u, u_set.lower), u_set.upper)
     if isinstance(u_set, Ball):
         v = u - u_set.center
         nrm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
@@ -259,24 +268,21 @@ class _FhocpObjective:
         self.e_set = e_set
         self.pos = list(model.position_projection)
 
-    def quadratic(self, states, controls):
+    def quadratic(self, states, controls, terminal=None):
         p = self.params
         xs = states[..., :-1, :]
         stage = np.add.reduce((xs @ p.state_weight) * xs, axis=-1)
         stage = stage + np.add.reduce((controls @ p.input_weight) * controls, axis=-1)
-        e_n = states[..., -1, :]
-        terminal = np.add.reduce((e_n @ p.terminal_weight) * e_n, axis=-1)
+        terminal = self._terminal(states) if terminal is None else terminal
         return terminal + p.seg_h * np.add.reduce(stage, axis=-1)
 
-    def terminal_excess(self, states):
-        p = self.params
+    def _terminal(self, states):
         e_n = states[..., -1, :]
-        norm_p = np.sqrt(np.add.reduce((e_n @ p.terminal_weight) * e_n, axis=-1))
-        return np.maximum(norm_p - p.terminal_level, 0.0)
+        return np.add.reduce((e_n @ self.params.terminal_weight) * e_n, axis=-1)
 
-    def penalty(self, states, depths):
-        pen = np.sum(self.e_set.worst(depths) ** 2, axis=-1)
-        return pen + self.terminal_excess(states) ** 2
+    def terminal_excess(self, states, terminal=None):
+        terminal = self._terminal(states) if terminal is None else terminal
+        return np.maximum(np.sqrt(terminal) - self.params.terminal_level, 0.0)
 
     def total(self, e0, controls, weight):
         """Cost of each control set, its rollout, and the rollout's
@@ -288,7 +294,10 @@ class _FhocpObjective:
 
     def cost(self, states, measured, controls, weight):
         """``total``'s cost from a rollout and its depths already measured."""
-        return self.quadratic(states, controls) + weight * self.penalty(states, measured[0])
+        terminal = self._terminal(states)       # e_m' P e_m, shared by two terms
+        pen = np.sum(self.e_set.worst(measured[0]) ** 2, axis=-1)
+        pen = pen + self.terminal_excess(states, terminal) ** 2
+        return self.quadratic(states, controls, terminal) + weight * pen
 
     def gradient(self, states, measured, controls, weight):
         """Exact gradient of ``total`` in the controls, for a pure integrator.
@@ -310,15 +319,40 @@ class _FhocpObjective:
         excess = norm_p - p.terminal_level
         if excess > 0.0:
             d_e[-1] *= 1.0 + weight * excess / norm_p
-        self._add_penetration_gradient(d_e, measured, weight)
+        rows, depth, slope = self._active_slopes(measured)
+        if rows.size:
+            d_e[np.ix_(rows, self.pos)] += (2.0 * weight * depth)[:, None] * slope
         tail = np.cumsum(d_e[:0:-1], axis=0)[::-1]   # sum_{k>j} dJ/de_k
         return controls @ p.d_input + p.seg_h * tail
 
-    def _add_penetration_gradient(self, d_e, measured, weight):
+    def hessian(self, states, measured, weight):
+        """Hessian of ``total`` in the flattened controls of a pure integrator:
+        ``params.hessian``, the exact one of the terminal-excess penalty, and
+        the Gauss-Newton term of each active hinge along ``gradient``'s slope."""
+        p, hess = self.params, self.params.hessian
+        m, n = states.shape[0] - 1, states.shape[1]
+        pe = 0.5 * (states[-1] @ p.d_terminal)
+        norm_p = math.sqrt(pe.dot(states[-1]))
+        if norm_p > p.terminal_level:
+            # e_m moves by h with every control, so every block gains h^2 A
+            ratio = p.terminal_level / norm_p
+            a = (2.0 * weight * p.seg_h ** 2) * ((ratio / norm_p ** 2) * pe[:, None] * pe
+                                                 + (1.0 - ratio) * 0.5 * p.d_terminal)
+            hess = (hess.reshape(m, n, m, n) + a[:, None, :]).reshape(m * n, m * n)
+        rows, _, slope = self._active_slopes(measured)
+        if rows.size:       # row k's slope v, through e_k's controls j < k
+            v = np.zeros((rows.size, 1, n))
+            v[..., self.pos] = slope[:, None]
+            jv = ((np.arange(m)[:, None] < rows[:, None, None]) * v).reshape(-1, m * n)
+            hess = hess + (2.0 * weight * p.seg_h ** 2) * (jv.T @ jv)
+        return hess
+
+    def _active_slopes(self, measured):
+        """Rows with a positive worst depth, that depth, and its slope."""
         depths, offsets, dist = measured
         rows = np.nonzero(np.max(depths, axis=-1) > 0.0)[0]
         if rows.size == 0:
-            return
+            return rows, None, None
         col = np.argmax(depths[rows], axis=-1)
         slopes = self.e_set.side_slopes
         sides = len(slopes)
@@ -326,8 +360,7 @@ class _FhocpObjective:
         on_ball = col >= sides
         k, ball = rows[on_ball], col[on_ball] - sides
         slope[on_ball] = -offsets[k, ball] / np.maximum(dist[k, ball], 1e-300)[:, None]
-        depth = depths[rows, col]
-        d_e[np.ix_(rows, self.pos)] += (2.0 * weight * depth)[:, None] * slope
+        return rows, depths[rows, col], slope
 
     def _states(self, e0, controls):
         return _rollout(self.model, e0, controls, self.params.seg_h)
@@ -341,13 +374,15 @@ def solve_fhocp(
     u_set,
     warm_start: Optional[np.ndarray] = None,
 ) -> FhocpSolution:
-    """Direct single shooting with projected gradient descent.
+    """Direct single shooting with a projected descent method.
 
     Controls are ``segments`` piecewise-constant vectors.  For a pure
     integrator the gradient is exact, from the rollout the line search
     already made and its adjoint (``_FhocpObjective.gradient``); other
     models use central finite differences on the control parameters (one
-    batched rollout).
+    batched rollout).  A pure integrator on a box input set steps along the
+    projected Newton direction, other problems along the spectral
+    (Barzilai-Borwein) gradient step; both backtrack over ``P(u + a d)``.
     Path/terminal constraints enter as quadratic hinge penalties whose weight
     is ramped when the measured violation stays above the feasibility
     tolerance.  Penalties are a solver device only: feasibility is declared
@@ -375,6 +410,7 @@ def solve_fhocp(
     controls = project_input(controls, u_set)
 
     fd_step = 1e-6
+    newton = model.pure_integrator and isinstance(u_set, Box)
     weight = PENALTY_WEIGHT
     iters_done = 0
     step_size = 1.0
@@ -396,21 +432,21 @@ def solve_fhocp(
             moves = project_input(controls - grad, u_set) - controls
             if float(np.max(np.abs(moves))) < TOL:
                 break
-            # spectral (Barzilai-Borwein) initial step, then backtracking
-            if prev_grad is not None:
-                dc = (controls - prev_controls).ravel()
-                dg = (grad - prev_grad).ravel()
-                curv = float(dc @ dg)
-                if curv > 1e-30:
-                    step_size = min(max(float(dc @ dc) / curv, 1e-8), 1e3)
-                else:
-                    step_size = min(step_size * 2.0, 1e3)
+            if newton:
+                steps, direction = _HALVINGS, _newton_direction(
+                    obj.hessian(states, measured, weight), grad, controls, moves, u_set)
             else:
-                step_size = min(step_size * 2.0, 1e3)
-            prev_controls, prev_grad = controls, grad
-            steps = step_size * _HALVINGS
+                # spectral (Barzilai-Borwein) initial step along -grad
+                curv = 0.0
+                if prev_grad is not None:
+                    dc, dg = (controls - prev_controls).ravel(), (grad - prev_grad).ravel()
+                    curv = float(dc @ dg)
+                step_size = (min(max(float(dc @ dc) / curv, 1e-8), 1e3) if curv > 1e-30
+                             else min(step_size * 2.0, 1e3))
+                prev_controls, prev_grad = controls, grad
+                steps, direction = step_size * _HALVINGS, -grad
             cands = project_input(
-                controls[None] - steps[:, None, None] * grad[None], u_set
+                controls[None] + steps[:, None, None] * direction[None], u_set
             )
             found = _first_better(obj, e0, cands, cost, weight)
             if found is None:
@@ -432,6 +468,20 @@ def solve_fhocp(
         raise SolverDiverged("non-finite cost at solution")
     feasible = violation <= FEASIBILITY_TOL
     return FhocpSolution(controls, states, quad, feasible, violation, iters_done)
+
+
+def _newton_direction(hess, grad, controls, moves, u_set):
+    """Projected Newton direction (Bertsekas 1982) on a box input set: a
+    control within ``min(_EPS0, |moves|)`` of a bound the gradient pushes it
+    against takes ``-g_i / H_ii``, the free ones ``solve(H_FF, -g_F)``."""
+    g = grad.ravel()
+    eps = min(_EPS0, math.sqrt(float(moves.ravel() @ moves.ravel())))
+    bound = (((controls <= u_set.lower + eps) & (grad > 0.0))
+             | ((controls >= u_set.upper - eps) & (grad < 0.0))).ravel()
+    direction = -g / np.diagonal(hess)
+    free = np.flatnonzero(~bound)
+    direction[free] = np.linalg.solve(hess[free[:, None], free], -g[free])
+    return direction.reshape(controls.shape)
 
 
 def _first_better(obj, e0, cands, cost, weight):

@@ -280,6 +280,83 @@ def test_finite_differences_still_drive_other_models(monkeypatch):
     assert calls == []
 
 
+# central differences of the exact gradient along random directions must be
+# the Hessian's products: in the box side case the hinge is linear, so its
+# Gauss-Newton term is exact too
+HESSIAN_CASES = {
+    "no_penalty": ([0.03, 0.02, 0.0], [-0.025, -0.017, 0.0]),
+    "terminal": ([0.6, 0.3, 0.1], [0.0, 0.0, 0.0]),
+    "box_side": ([2.15, 0.5, 0.0], [0.5, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(HESSIAN_CASES))
+def test_hessian_matches_differences_of_the_gradient(case):
+    obj = _bundled_leg_objective("seven")
+    m, weight, fd_step = obj.params.segments, 1e4, 1e-6
+    rng = np.random.default_rng(17)
+    start, rate = HESSIAN_CASES[case]
+    e0 = np.array(start)
+    controls = np.tile(rate, (m, 1)) + rng.normal(scale=1e-3, size=(m, 3))
+
+    def at(c):
+        _, states, measured = obj.total(e0, c, weight)
+        depths = measured[0]
+        # which penalty is active, and on which constraint
+        active = (obj.terminal_excess(states) > 0.0,
+                  [(k, int(np.argmax(row))) for k, row in enumerate(depths) if row.max() > 0.0])
+        return obj.gradient(states, measured, c, weight), states, measured, active
+
+    _, states, measured, active = at(controls)
+    hess = obj.hessian(states, measured, weight)
+    assert active[0] == (case != "no_penalty")
+    sides = 2 * len(obj.pos)
+    assert bool(active[1]) == (case == "box_side")
+    assert all(col < sides for _, col in active[1])
+    assert (hess is obj.params.hessian) == (case == "no_penalty")
+    for _ in range(4):
+        v = rng.normal(size=(m, 3))
+        plus, minus = at(controls + fd_step * v), at(controls - fd_step * v)
+        # the step crosses no kink of the hinges
+        assert plus[3] == minus[3] == active
+        diff = ((plus[0] - minus[0]) / (2 * fd_step)).ravel()
+        hv = hess @ v.ravel()
+        assert np.max(np.abs(hv - diff)) <= 1e-6 * np.max(np.abs(hv))
+
+
+# A convex box-constrained problem: a far-away box and no balls, so only the
+# terminal excess can add to the quadratic cost.  The objective the solver
+# minimises at its solution, as the spectral projected gradient solver left
+# it, with its iterations: the Newton step must do no worse, and where the
+# excess stays zero the problem is quadratic and two iterations solve it
+CONVEX_PARENT = {
+    (0.15, (0.1, 0.05, 0.0)): (0.006540528687720113, 7),
+    (1.0, (0.1, 0.05, 0.0)): (0.006540528687720113, 7),
+    (1.0, (0.3, 0.2, 0.1)): (0.07325391474809304, 8),
+    (0.15, (0.3, 0.2, 0.1)): (0.07694233846724437, 46),
+}
+
+
+@pytest.mark.parametrize("bound, start", list(CONVEX_PARENT))
+def test_newton_step_solves_the_convex_case(bound, start):
+    model, params = single_integrator(3), default_scenario().fhocp_params()
+    e_set = ConstraintSet(Box([-1e3, -1e3], [1e3, 1e3]))
+    u_set = Box(-bound * np.ones(3), bound * np.ones(3))
+    e0 = np.array(start)
+    sol = solve_fhocp(e0, model, params, e_set, u_set)
+    obj = _FhocpObjective(model, params, e_set)
+    cost, states, measured = obj.total(e0, sol.controls, controller.PENALTY_WEIGHT)
+    grad = obj.gradient(states, measured, sol.controls, controller.PENALTY_WEIGHT)
+    assert sol.feasible
+    assert np.max(np.abs(project_input(sol.controls - grad, u_set) - sol.controls)) < controller.TOL
+    parent_cost, parent_iterations = CONVEX_PARENT[bound, start]
+    assert float(cost) <= parent_cost
+    if obj.terminal_excess(states) == 0.0:
+        assert sol.iterations <= 2
+    else:       # the box holds e_m outside the terminal set
+        assert bound == 0.15 and sol.iterations < parent_iterations
+
+
 def _bundled_leg_input_set():
     scenario = default_scenario()
     tube = scenario.tube_params()
@@ -332,15 +409,18 @@ def _pinned_problem(name):
 
 
 # sha256 of controls.tobytes() and nominal.tobytes(), and the iterations, of
-# solve_fhocp on four problems, as the solver gave them when it rolled out
-# all 30 line-search candidates at once and stopped on max|grad| < TOL
+# solve_fhocp on four problems.  "ball" and "demo_nonlinear" take the spectral
+# projected gradient step and are pinned as that solver gave them when it
+# rolled out all 30 line-search candidates at once and stopped on
+# max|grad| < TOL; "box" and "seven", a pure integrator on a box input set,
+# are pinned as the projected Newton step gives them
 PINNED_SOLVES = {
-    "box": ("a32e0c7c383035d91dedaf22dfa1fdf4630a18c24d579118f9c5024742de3611",
-            "97765998d798918c3708baadba8f19b1c076f171e59fd603196998413dac5e28", 19),
+    "box": ("d19af03aa71c7db5652f3cf4fa26fd38bc48fd868c49fdaee74d251d6dcb1bff",
+            "943db464c41b590e079d6a7c2108d93dbba8511d2071c7a3ff22bf43996b1739", 10),
     "ball": ("fb7ac7dcbc4d215565bd2b55e6ef9a430f9bec1c596dba128acee9bc4cceabb8",
              "4811faa61152322d0497c1dabdd039ae195f2fc4da1575297497bdfdf8fd4295", 157),
-    "seven": ("1a73d8678d59b02114b419a77f29a3c7f82819c931c6292ecc4b065b247ad8c3",
-              "0762cf9d9af340997e7f8db1a7539c1e8fd92c4d1f30cb8e2055939e2068ba27", 20),
+    "seven": ("defcbca9d7fbf9cb5853286209b6568bbb14df9f9cfbbde2c414ad9a144f283c",
+              "bd55a1d241dc99569fee29d0a1a04e5e9f4bcfc8f0832f08d5a3fea87adb9ce5", 7),
     "demo_nonlinear": (
         "fd5552fd099c27edd10ddae0bb29a2ac719296292ecc002f9bc000c8ae433fed",
         "2269361ed282b630bc75620c43e6e025acfd398d1b7b4276e8b0e657df820fb4", 193),

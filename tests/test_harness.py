@@ -269,12 +269,13 @@ def test_plot_data_files(tiny_scenario, tiny_plan, tiny_trace, tmp_path):
 
 
 # sha256 of the plot-data files of the tiny trace, as a writer that
-# formatted each cell on its own wrote them
+# formatted each cell on its own wrote them, on the trace of the projected
+# Newton solver
 PLOT_DATA_SHA256 = {
-    "deviation.tsv": "730696aa6c70da80a0029e6a1a7cff0e6702496e639ef1b3dacbe8c36ffc13d5",
-    "inputs.tsv": "4932cd167515954bb307f58933ded469931348e0cf7f90c405dcaa1e2c03dde9",
-    "legs.tsv": "28a11f8bb2fcdfc29c4805178e615f2a0ac4e2c3b5472ddc43c6d5dc180aa7b3",
-    "path.tsv": "de75adbb12b7e0ea2182375c7fbee8ff56d3304d2f17f54543a9fc0cc1bb6541",
+    "deviation.tsv": "6d195fe4c054f3fac388b8e2d4530d4749a45d2dd3a782a6dd9ef3c59307ea8a",
+    "inputs.tsv": "b959e9983e67685e62dd864ca8f0a851486953dcf3462905bcc1b3e618712cd5",
+    "legs.tsv": "4a593fc51fba1eb518dfa5e689351fd71945649c9f94ed3a4cf5cc5ce499d9c5",
+    "path.tsv": "7047e50dba58c371fafd06d98f4b4806c77ee69eba483907b135a300de0ce1da",
     "regions.tsv": "565ef6a7764090a93446d4caad1e49e4d1ca040d1103bea8199b8d17dde680e2",
     "stamps.tsv": "9ae14fa5d8eef143f6edcb10e4dcc08b3c32b1de9fda82558e32adc0918185d0",
 }
