@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .controller import navigate
+from .controller import lockstep, navigate
 from .dynamics import DisturbanceSpec
 from .errors import AbstractionError, NoTransition, UnknownTransition, ValidationError
 from .scenario import Scenario, rational_str
@@ -95,7 +95,9 @@ def scenario_hash(scenario: Scenario) -> str:
 
 def build_wts(scenario: Scenario) -> Wts:
     """Run every center-to-region leg on the nominal system and keep the
-    ones that arrive with no sample outside the leg's free space.
+    ones that arrive with no sample outside the leg's free space.  The legs
+    run side by side (``lockstep``), one batch of shooting problems per
+    sampling step.
 
     Self-loops are included (arrive immediately, hold for the settle time),
     so plans can wait at a region in settle-time quanta.
@@ -109,35 +111,37 @@ def build_wts(scenario: Scenario) -> Wts:
     no_disturbance = DisturbanceSpec(0.0, "zero")
 
     names = tuple(sorted(scenario.regions))
+    pairs = [(src, dst, scenario.state_constraints_for(src, dst))
+             for src in names for dst in names]
+    outcomes = lockstep(
+        navigate(
+            model,
+            model.embed_position(scenario.regions[src].center),
+            scenario.regions[dst],
+            free,
+            input_set,
+            tube,
+            fhocp,
+            no_disturbance,
+            max_steps,
+            seed=0,
+            settle_steps=settle,
+            sim_dt=scenario.sim_dt,
+        )
+        for src, dst, free in pairs
+    )
     transitions = {}
-    for src in names:
-        start = model.embed_position(scenario.regions[src].center)
-        for dst in names:
-            free = scenario.state_constraints_for(src, dst)
-            outcome = navigate(
-                model,
-                start,
-                scenario.regions[dst],
-                free,
-                input_set,
-                tube,
-                fhocp,
-                no_disturbance,
-                max_steps,
-                seed=0,
-                settle_steps=settle,
-                sim_dt=scenario.sim_dt,
-            )
-            if not outcome.arrived:
-                if src == dst:
-                    raise AbstractionError(
-                        f"self-loop at {src!r} failed ({outcome.status}); "
-                        "the settle hold cannot be realised"
-                    )
-                continue
-            if any(free.count_violations(model.position(outcome.states))):
-                continue
-            transitions[(src, dst)] = (outcome.arrival_steps + settle) * scenario.step
+    for (src, dst, free), outcome in zip(pairs, outcomes):
+        if not outcome.arrived:
+            if src == dst:
+                raise AbstractionError(
+                    f"self-loop at {src!r} failed ({outcome.status}); "
+                    "the settle hold cannot be realised"
+                )
+            continue
+        if any(free.count_violations(model.position(outcome.states))):
+            continue
+        transitions[(src, dst)] = (outcome.arrival_steps + settle) * scenario.step
 
     labels = {name: scenario.label_of(name) for name in names}
     return Wts(

@@ -13,13 +13,18 @@ All navigation happens in the error frame of the current target: the target
 center is mapped to the origin, constraints are shifted and tightened by the
 tube radius, and the nominal state is reset to the measured state at every
 sampling instant (so the tube deviation restarts from zero each interval).
+
+``navigate`` is a generator that yields its shooting problem at each
+sampling instant; ``lockstep`` runs any number of them side by side and
+solves all pending problems in one batch (``solve_fhocps``), stacked on a
+leading row axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from .geometry import (
     Ball,
     Box,
     ConstraintSet,
+    ConstraintStack,
     tighten_input_constraints,
     tighten_state_constraints,
 )
@@ -182,11 +188,11 @@ def _float_saturation(u_set):
         high = (u_set.upper + INPUT_TOL).tolist()
 
         def saturate(u):
-            if (any(a < b for a, b in zip(u, low))
-                    or any(a > b for a, b in zip(u, high))):
-                # np.clip: the bound when strictly past it, else the value
-                return [lo if a < lo else hi if a > hi else a
-                        for a, lo, hi in zip(u, lower, upper)]
+            for a, lo, hi in zip(u, low, high):
+                if a < lo or a > hi:
+                    # np.clip: the bound when strictly past it, else the value
+                    return [lo if a < lo else hi if a > hi else a
+                            for a, lo, hi in zip(u, lower, upper)]
             return None
 
         return saturate
@@ -258,15 +264,28 @@ def _rollout(model: DynamicsModel, e0: np.ndarray, controls: np.ndarray, h: floa
 class _FhocpObjective:
     """Quadratic cost plus exact-penalty terms, batched over control sets.
 
-    ``e_set.depths`` measures every box side and every exclusion ball in one
-    broadcast, once per rollout, for both the penalty and its subgradient.
+    ``e_set`` is one ``ConstraintSet``, or a ``ConstraintStack`` whose leg
+    axis lines up with the leading axis of the controls.  Its ``depths``
+    measures every box side and every exclusion ball in one broadcast, once
+    per rollout, for both the penalty and its subgradient.  Every method
+    takes any leading axes, and a row of a batch equals the one-row result
+    bit for bit.
     """
 
-    def __init__(self, model, params: FhocpParams, e_set: ConstraintSet):
+    def __init__(self, model, params: FhocpParams, e_set):
         self.model = model
         self.params = params
         self.e_set = e_set
         self.pos = list(model.position_projection)
+        # the position columns as a slice where they are contiguous: a view
+        # costs less than a gather and holds the same numbers
+        first = self.pos[0]
+        self.cols = (slice(first, first + len(self.pos))
+                     if self.pos == list(range(first, first + len(self.pos))) else self.pos)
+
+    def take(self, rows):
+        """The objective of the legs at ``rows`` of a stacked ``e_set``."""
+        return _FhocpObjective(self.model, self.params, self.e_set.take(rows))
 
     def quadratic(self, states, controls, terminal=None):
         p = self.params
@@ -286,24 +305,26 @@ class _FhocpObjective:
 
     def total(self, e0, controls, weight):
         """Cost of each control set, its rollout, and the rollout's
-        ``e_set.depths`` (depths, offsets, dist).  A row of a batch equals
-        the one-row result bit for bit."""
+        ``e_set.depths`` (depths, offsets, dist)."""
         states = self._states(e0, controls)
-        measured = self.e_set.depths(states[..., self.pos])
+        measured = self.e_set.depths(states[..., self.cols])
         return self.cost(states, measured, controls, weight), states, measured
 
     def cost(self, states, measured, controls, weight):
         """``total``'s cost from a rollout and its depths already measured."""
         terminal = self._terminal(states)       # e_m' P e_m, shared by two terms
-        pen = np.sum(self.e_set.worst(measured[0]) ** 2, axis=-1)
+        pen = np.add.reduce(self.e_set.worst(measured[0]) ** 2, axis=-1)
         pen = pen + self.terminal_excess(states, terminal) ** 2
         return self.quadratic(states, controls, terminal) + weight * pen
 
-    def gradient(self, states, measured, controls, weight):
-        """Exact gradient of ``total`` in the controls, for a pure integrator.
+    def gradient(self, states, measured, controls, weight, active=None):
+        """Exact gradient of ``total`` in the controls, for a pure integrator,
+        over any leading axes.
 
         ``states`` and ``measured`` are the rollout of ``controls`` and its
-        depths, as ``total`` returns them.
+        depths, as ``total`` returns them, and ``active`` their
+        ``_active_slopes`` (taken here when not given); ``weight`` is one
+        number, or one per row.
         ``e_k = e_0 + h * sum_{j<k} u_j``, so ``dJ/du_j = 2h R u_j +
         h * sum_{k>j} dJ/de_k``.  ``dJ/de_k`` holds the stage term ``2h Q
         e_k``, the terminal term ``2 P e_m`` with the terminal-excess
@@ -313,57 +334,104 @@ class _FhocpObjective:
         """
         p = self.params
         d_e = states @ p.d_stage
-        e_n = states[-1]
-        d_e[-1] = e_n @ p.d_terminal
-        norm_p = np.sqrt(0.5 * d_e[-1].dot(e_n))
-        excess = norm_p - p.terminal_level
-        if excess > 0.0:
-            d_e[-1] *= 1.0 + weight * excess / norm_p
-        rows, depth, slope = self._active_slopes(measured)
-        if rows.size:
-            d_e[np.ix_(rows, self.pos)] += (2.0 * weight * depth)[:, None] * slope
-        tail = np.cumsum(d_e[:0:-1], axis=0)[::-1]   # sum_{k>j} dJ/de_k
+        e_n = states[..., -1:, :]
+        d_e[..., -1:, :] = e_n @ p.d_terminal
+        norm_p = [math.sqrt(0.5 * x) for x in
+                  (d_e[..., -1:, :] @ np.swapaxes(e_n, -1, -2)).ravel().tolist()]
+        # the terminal-excess factor of each row, on floats; times 1.0, which
+        # keeps the bits, where there is no excess
+        factor = [1.0 + w * (v - p.terminal_level) / v if v - p.terminal_level > 0.0 else 1.0
+                  for w, v in zip(_per_row(weight, len(norm_p)), norm_p)]
+        if factor.count(1.0) < len(factor):
+            d_e[..., -1, :] *= np.array(factor).reshape(states.shape[:-2] + (1,))
+        at, depth, slope = self._active_slopes(measured) if active is None else active
+        if depth is not None:
+            w = weight[at[0]] if len(at) > 1 else weight
+            d_e[(*(i[:, None] for i in at), self.pos)] += (2.0 * w * depth)[:, None] * slope
+        tail = d_e[..., :0:-1, :].cumsum(axis=-2)[..., ::-1, :]   # sum_{k>j} dJ/de_k
         return controls @ p.d_input + p.seg_h * tail
 
-    def hessian(self, states, measured, weight):
-        """Hessian of ``total`` in the flattened controls of a pure integrator:
-        ``params.hessian``, the exact one of the terminal-excess penalty, and
-        the Gauss-Newton term of each active hinge along ``gradient``'s slope."""
-        p, hess = self.params, self.params.hessian
-        m, n = states.shape[0] - 1, states.shape[1]
-        pe = 0.5 * (states[-1] @ p.d_terminal)
-        norm_p = math.sqrt(pe.dot(states[-1]))
-        if norm_p > p.terminal_level:
+    def hessian(self, states, measured, weight, active=None):
+        """Hessian of ``total`` in the flattened controls of a pure integrator,
+        over any leading axes: ``params.hessian``, the exact one of the
+        terminal-excess penalty, and the Gauss-Newton term of each active
+        hinge along ``gradient``'s slope.  ``params.hessian`` itself when no
+        row has a penalty term."""
+        p = self.params
+        at, _, slope = self._active_slopes(measured) if active is None else active
+        lead, (m1, n) = states.shape[:-2], states.shape[-2:]
+        m = m1 - 1
+        e_n = states[..., -1:, :]
+        pe = 0.5 * (e_n @ p.d_terminal)
+        norm_p = [math.sqrt(x) for x in (pe @ np.swapaxes(e_n, -1, -2)).ravel().tolist()]
+        over = [r for r, v in enumerate(norm_p) if v > p.terminal_level]
+        if not over and slope is None:
+            return p.hessian
+        # 2 w h^2 of each row, and ratio / |e_m|_P^2 and (1 - ratio) / 2 of
+        # each row past the terminal level, on floats as a row alone has them
+        count, hh = len(norm_p), p.seg_h ** 2
+        scale = [2.0 * w * hh for w in _per_row(weight, count)]
+        hess = None if len(over) == count else np.repeat(p.hessian[None], count, axis=0)
+        if over:
             # e_m moves by h with every control, so every block gains h^2 A
-            ratio = p.terminal_level / norm_p
-            a = (2.0 * weight * p.seg_h ** 2) * ((ratio / norm_p ** 2) * pe[:, None] * pe
-                                                 + (1.0 - ratio) * 0.5 * p.d_terminal)
-            hess = (hess.reshape(m, n, m, n) + a[:, None, :]).reshape(m * n, m * n)
-        rows, _, slope = self._active_slopes(measured)
-        if rows.size:       # row k's slope v, through e_k's controls j < k
-            v = np.zeros((rows.size, 1, n))
-            v[..., self.pos] = slope[:, None]
-            jv = ((np.arange(m)[:, None] < rows[:, None, None]) * v).reshape(-1, m * n)
-            hess = hess + (2.0 * weight * p.seg_h ** 2) * (jv.T @ jv)
-        return hess
+            f = np.array([(scale[r], p.terminal_level / norm_p[r] / norm_p[r] ** 2,
+                           (1.0 - p.terminal_level / norm_p[r]) * 0.5)
+                          for r in over])[:, :, None, None]
+            pe = pe.reshape(count, 1, n)[slice(None) if hess is None else over]
+            a = f[:, 0] * ((f[:, 1] * pe.transpose(0, 2, 1)) * pe + f[:, 2] * p.d_terminal)
+            blocks = (p.hessian.reshape(m, n, m, n)
+                      + a[:, None, :, None, :]).reshape(-1, m * n, m * n)
+            if hess is None:
+                hess = blocks
+            else:
+                hess[over] = blocks
+        if slope is not None:
+            rows = at[0] if len(at) > 1 else np.zeros(len(slope), dtype=int)
+            for r in sorted(set(rows.tolist())):
+                # row k's slope v, through e_k's controls j < k
+                here = rows == r
+                v = np.zeros((np.count_nonzero(here), 1, n))
+                v[..., self.pos] = slope[here][:, None]
+                jv = ((np.arange(m)[:, None] < at[-1][here][:, None, None]) * v).reshape(-1, m * n)
+                hess[r] = hess[r] + scale[r] * (jv.T @ jv)
+        return hess.reshape(lead + hess.shape[1:])
 
     def _active_slopes(self, measured):
-        """Rows with a positive worst depth, that depth, and its slope."""
+        """Where the worst depth is positive, over any leading axes: the
+        index arrays of those rows and steps, that depth, and its slope."""
         depths, offsets, dist = measured
-        rows = np.nonzero(np.max(depths, axis=-1) > 0.0)[0]
-        if rows.size == 0:
-            return rows, None, None
-        col = np.argmax(depths[rows], axis=-1)
+        at = (np.maximum.reduce(depths, axis=-1) > 0.0).nonzero()
+        if at[-1].size == 0:
+            return at, None, None
+        col = depths[at].argmax(axis=-1)
         slopes = self.e_set.side_slopes
         sides = len(slopes)
         slope = slopes[np.minimum(col, sides - 1)]   # ball rows: below
         on_ball = col >= sides
-        k, ball = rows[on_ball], col[on_ball] - sides
-        slope[on_ball] = -offsets[k, ball] / np.maximum(dist[k, ball], 1e-300)[:, None]
-        return rows, depths[rows, col], slope
+        ball = (*(i[on_ball] for i in at), col[on_ball] - sides)
+        slope[on_ball] = -offsets[ball] / np.maximum(dist[ball], 1e-300)[:, None]
+        return at, depths[(*at, col)], slope
 
     def _states(self, e0, controls):
         return _rollout(self.model, e0, controls, self.params.seg_h)
+
+
+def _per_row(weight, rows):
+    """The penalty weight of each of ``rows`` rows, as floats."""
+    weights = np.ravel(weight).tolist()
+    return weights * rows if len(weights) == 1 else weights
+
+
+def _rows_at(active, keep, rows):
+    """``_active_slopes`` of a batch of ``rows`` rows, cut to the rows at
+    ``keep`` (ascending) and numbered as ``keep`` numbers them."""
+    (at, steps), depth, slope = active
+    if depth is None:
+        return active
+    number = np.full(rows, -1)
+    number[keep] = np.arange(len(keep))
+    sel = number[at] >= 0
+    return (number[at[sel]], steps[sel]), depth[sel], slope[sel]
 
 
 def solve_fhocp(
@@ -387,125 +455,302 @@ def solve_fhocp(
     is ramped when the measured violation stays above the feasibility
     tolerance.  Penalties are a solver device only: feasibility is declared
     from measured violations.
+
+    This is the one-problem entry of ``solve_fhocps``.
     """
-    e0 = np.asarray(e_now, dtype=float)
-    m, n = params.segments, model.n
-    obj = _FhocpObjective(model, params, e_set)
+    return solve_fhocps([(e_now, model, params, e_set, u_set, warm_start)])[0]
 
-    if not e_set.contains(e0[obj.pos]):
-        controls = np.zeros((m, n))
-        states = obj._states(e0, controls)
-        return FhocpSolution(controls, states, float(obj.quadratic(states, controls)),
-                             False, float(e_set.violation(e0[obj.pos])))
 
-    if warm_start is None:
-        # drive the error to zero over the horizon at constant rate; a crude
-        # but dimensionally sensible start that costs the solver far fewer
-        # iterations than all-zeros
-        controls = np.tile(-e0 / params.horizon, (m, 1))
-    else:
-        controls = np.asarray(warm_start, float).copy()
-    if controls.shape != (m, n):
-        raise InvalidParam(f"warm start must have shape {(m, n)}")
-    controls = project_input(controls, u_set)
+def solve_fhocps(problems) -> list:
+    """``solve_fhocp`` of each problem, given as its argument tuple ``(e_now,
+    model, params, e_set, u_set, warm_start)``, in one batch.
 
+    Problems that share ``params``, the input set's bounds and the model
+    (any pure integrator of one width, or one other model object) are
+    solved together by ``_solve_rows``, stacked on a leading row axis; a
+    lone one keeps its own arrays.  A start outside its free space is
+    answered at once.  Each solution is bit for bit the one its problem gets
+    alone.
+    """
+    sols = [None] * len(problems)
+    groups = {}
+    for i, (_, model, params, _, u_set, _) in enumerate(problems):
+        key = len(problems) > 1 and (
+            id(params), type(u_set), *(np.asarray(v).tobytes() for v in vars(u_set).values()),
+            model.position_projection, model.n if model.pure_integrator else model)
+        groups.setdefault(key, []).append(i)
+    for rows in groups.values():
+        _, model, params, _, u_set, _ = problems[rows[0]]
+        m, n, pos = params.segments, model.n, list(model.position_projection)
+        e0 = np.array([problems[i][0] for i in rows], dtype=float)
+        stack = ConstraintStack.of([problems[i][3] for i in rows])
+        inside = stack.contains(e0[:, pos])
+        starts = []
+        for i, e, ok in zip(rows, e0, inside.tolist()):
+            warm_start = problems[i][5]
+            if not ok:
+                e_set = problems[i][3]
+                obj = _FhocpObjective(model, params, e_set)
+                controls = np.zeros((m, n))
+                states = obj._states(e, controls)
+                sols[i] = FhocpSolution(controls, states, float(obj.quadratic(states, controls)),
+                                        False, float(e_set.violation(e[pos])))
+            elif warm_start is None:
+                # drive the error to zero over the horizon at constant rate; a
+                # crude but dimensionally sensible start that costs the solver
+                # far fewer iterations than all-zeros
+                starts.append(np.tile(-e / params.horizon, (m, 1)))
+            else:
+                starts.append(np.asarray(warm_start, dtype=float))
+                if starts[-1].shape != (m, n):
+                    raise InvalidParam(f"warm start must have shape {(m, n)}")
+        if not starts:
+            continue
+        feasible = inside.nonzero()[0]
+        controls = project_input(np.array(starts), u_set)
+        if len(feasible) == 1:
+            stack, e0, controls = problems[rows[feasible[0]]][3], e0[feasible[0]], controls[0]
+        elif len(feasible) < len(rows):
+            stack, e0 = stack.take(feasible), e0[feasible]
+        solved = _solve_rows(model, params, u_set, stack, e0, controls)
+        for i, sol in zip((rows[k] for k in feasible.tolist()), solved):
+            sols[i] = sol
+    return sols
+
+
+def _solve_rows(model, params, u_set, free, e0, controls):
+    """The descent of ``solve_fhocp`` on one problem, or on several stacked
+    on a leading row axis: starts ``e0``, projected first controls, and the
+    free space, a ``ConstraintSet`` or a ``ConstraintStack`` of them, on a
+    shared model, ``params`` and input set.  Every row keeps its own penalty
+    weight, step size, stop tests and line search, and leaves the batch
+    when it stops.  Returns the ``FhocpSolution`` of each row.
+
+    The per-row numbers (weight, cost, stop flags) always have a row axis;
+    the arrays of a lone problem do not, and a step that takes every row
+    indexes the arrays with ``...``, so that it costs no gather either."""
+    obj = _FhocpObjective(model, params, free)
     fd_step = 1e-6
     newton = model.pure_integrator and isinstance(u_set, Box)
-    weight = PENALTY_WEIGHT
-    iters_done = 0
-    step_size = 1.0
+    lone = e0.ndim == 1
+    ids = [0] if lone else list(range(len(e0)))     # each row's problem
+    sols = [None] * len(ids)
+    weight = np.full(len(ids), PENALTY_WEIGHT)
+    ramped = np.zeros(len(ids), dtype=int)   # the iteration each row's weight was set at
+    if not newton:
+        step_size = np.ones(len(ids))
+        prev_controls, prev_grad = np.zeros(controls.shape), np.zeros(controls.shape)
+        has_prev = np.zeros(len(ids), dtype=bool)
     # ``states`` and ``measured`` always belong to ``controls``: the line
     # search's batch already holds them for the picked candidate, and a new
     # penalty weight only changes the cost
     states = obj._states(e0, controls)
-    measured = e_set.depths(states[..., obj.pos])
+    measured = obj.e_set.depths(states[..., obj.cols])
+    cost = obj.cost(states, measured, controls, weight)
+    it = 0
     while True:
-        cost = float(obj.cost(states, measured, controls, weight))
-        prev_controls = prev_grad = None
-        for _ in range(MAX_ITERS):
-            iters_done += 1
-            if model.pure_integrator:
-                grad = obj.gradient(states, measured, controls, weight)
-            else:
-                grad = _fd_gradient(obj, e0, controls, weight, fd_step)
-            # projected-gradient stop: at a clamped optimum no step can move
-            moves = project_input(controls - grad, u_set) - controls
-            if float(np.max(np.abs(moves))) < TOL:
-                break
+        it += 1
+        count = len(ids)
+        if model.pure_integrator:
+            active = obj._active_slopes(measured)
+            grad = obj.gradient(states, measured, controls, weight, active)
+        elif lone:
+            grad = _fd_gradient(obj, e0, controls, weight[0], fd_step)
+        else:
+            grad = np.array([_fd_gradient(obj.take([r]), e0[r], controls[r], weight[r], fd_step)
+                             for r in range(count)])
+        # projected-gradient stop: at a clamped optimum no step can move
+        moves = project_input(controls - grad, u_set) - controls
+        stop = np.maximum.reduce(np.abs(moves).reshape(count, -1), axis=-1) < TOL
+        go = (~stop).nonzero()[0]
+        if go.size:
+            every = go.size == count
+            sel = ... if every else go
             if newton:
-                steps, direction = _HALVINGS, _newton_direction(
-                    obj.hessian(states, measured, weight), grad, controls, moves, u_set)
+                hess = (obj.hessian(states, measured, weight, active) if every else
+                        obj.hessian(states[go], tuple(a[go] for a in measured), weight[go],
+                                    _rows_at(active, go, count)))
+                direction = _newton_direction(hess, grad[sel], controls[sel], moves[sel], u_set)
+                steps = _HALVINGS[:, None, None]
             else:
                 # spectral (Barzilai-Borwein) initial step along -grad
-                curv = 0.0
-                if prev_grad is not None:
-                    dc, dg = (controls - prev_controls).ravel(), (grad - prev_grad).ravel()
-                    curv = float(dc @ dg)
-                step_size = (min(max(float(dc @ dc) / curv, 1e-8), 1e3) if curv > 1e-30
-                             else min(step_size * 2.0, 1e3))
-                prev_controls, prev_grad = controls, grad
-                steps, direction = step_size * _HALVINGS, -grad
-            cands = project_input(
-                controls[None] + steps[:, None, None] * direction[None], u_set
-            )
-            found = _first_better(obj, e0, cands, cost, weight)
-            if found is None:
-                break
-            pick, cand_cost, states, measured = found
-            step_size = float(steps[pick])
-            moved = float(np.max(np.abs(cands[pick] - controls)))
-            gained = cost - cand_cost
-            controls, cost = cands[pick], cand_cost
-            if moved < TOL or gained < TOL * (1.0 + abs(cost)):
-                break
-        violation = float(np.max(e_set.worst(measured[0])))
-        if violation <= FEASIBILITY_TOL or weight >= PENALTY_MAX:
-            break
-        weight *= 10.0
-
-    quad = float(obj.quadratic(states, controls))
-    if not np.isfinite(quad):
-        raise SolverDiverged("non-finite cost at solution")
-    feasible = violation <= FEASIBILITY_TOL
-    return FhocpSolution(controls, states, quad, feasible, violation, iters_done)
+                dc = (controls[sel] - prev_controls[sel]).reshape(go.size, 1, -1)
+                dg = (grad[sel] - prev_grad[sel]).reshape(go.size, -1, 1)
+                curv = np.where(has_prev[go], (dc @ dg)[:, 0, 0], 0.0)
+                spectral = (dc @ dc.transpose(0, 2, 1))[:, 0, 0] / np.where(curv > 1e-30, curv, 1.0)
+                step_size[go] = np.where(curv > 1e-30, np.minimum(np.maximum(spectral, 1e-8), 1e3),
+                                         np.minimum(step_size[go] * 2.0, 1e3))
+                prev_controls[sel], prev_grad[sel] = controls[sel], grad[sel]
+                has_prev[go] = True
+                direction = -grad[sel]
+                steps = (step_size[go, None] * _HALVINGS).reshape(direction.shape[:-2] + (-1, 1, 1))
+            found = _first_better(obj if every else obj.take(go), e0[sel], controls[sel],
+                                  steps, direction, u_set, cost[sel], weight[sel])
+            stop[sel] = True
+            if found is not None:
+                at, pick, picked, new_cost, new_states, new_measured = found
+                moved = ... if at.size == count else go.take(at)
+                shift = np.maximum.reduce(np.abs(picked - controls[moved]).reshape(at.size, -1),
+                                          axis=-1)
+                stop[moved] = [d < TOL or old - c < TOL * (1.0 + abs(c)) for d, old, c in
+                               zip(shift.tolist(), cost[moved].tolist(), new_cost.tolist())]
+                if not newton:
+                    step_size[moved] = steps[..., 0, 0].reshape(-1, len(_HALVINGS))[at, pick]
+                if at.size == count:
+                    controls, cost, states, measured = picked, new_cost, new_states, new_measured
+                else:
+                    controls[moved], cost[moved], states[moved] = picked, new_cost, new_states
+                    for a, b in zip(measured, new_measured):
+                        a[moved] = b
+        # a row whose descent stopped, or ran MAX_ITERS iterations, is done
+        # with its penalty weight
+        if it >= MAX_ITERS:
+            stop |= it - ramped >= MAX_ITERS
+        ending = np.count_nonzero(stop)
+        if ending == 0:
+            continue
+        end = ... if ending == count else stop.nonzero()[0]
+        worst = ConstraintStack.worst(measured[0][end])
+        violation = np.maximum.reduce(worst.reshape(-1, worst.shape[-1]), axis=-1).tolist()
+        done = [v <= FEASIBILITY_TOL or w >= PENALTY_MAX
+                for v, w in zip(violation, weight[end].tolist())]
+        finishing = done.count(True)
+        if finishing < ending:
+            end = stop.nonzero()[0]
+            ramp = end[[not d for d in done]]
+            at = ... if ramp.size == count else ramp
+            weight[ramp] *= 10.0
+            cost[ramp] = obj.cost(states[at], tuple(a[at] for a in measured), controls[at],
+                                  weight[ramp])
+            ramped[ramp] = it
+            if not newton:
+                has_prev[ramp] = False
+            if finishing == 0:
+                continue
+            end = end[done]
+            violation = [v for v, d in zip(violation, done) if d]
+        quad = obj.quadratic(states[end], controls[end])
+        if np.count_nonzero(np.isfinite(quad)) < finishing:
+            raise SolverDiverged("non-finite cost at solution")
+        if lone:
+            return [FhocpSolution(controls, states, float(quad), violation[0] <= FEASIBILITY_TOL,
+                                  violation[0], it)]
+        rows = range(count) if finishing == count else end.tolist()
+        for r, q, v in zip(rows, quad.tolist(), violation):
+            sols[ids[r]] = FhocpSolution(controls[r], states[r], q, v <= FEASIBILITY_TOL, v, it)
+        if finishing == count:
+            return sols
+        keep = np.ones(count, dtype=bool)
+        keep[end] = False
+        keep = keep.nonzero()[0]
+        ids = [ids[r] for r in keep.tolist()]
+        e0, controls, states, cost, weight, ramped = (
+            a.take(keep, axis=0) for a in (e0, controls, states, cost, weight, ramped))
+        measured = tuple(a.take(keep, axis=0) for a in measured)
+        obj = obj.take(keep)
+        if not newton:
+            step_size, prev_controls, prev_grad, has_prev = (
+                a.take(keep, axis=0) for a in (step_size, prev_controls, prev_grad, has_prev))
 
 
 def _newton_direction(hess, grad, controls, moves, u_set):
-    """Projected Newton direction (Bertsekas 1982) on a box input set: a
-    control within ``min(_EPS0, |moves|)`` of a bound the gradient pushes it
-    against takes ``-g_i / H_ii``, the free ones ``solve(H_FF, -g_F)``."""
-    g = grad.ravel()
-    eps = min(_EPS0, math.sqrt(float(moves.ravel() @ moves.ravel())))
-    bound = (((controls <= u_set.lower + eps) & (grad > 0.0))
-             | ((controls >= u_set.upper - eps) & (grad < 0.0))).ravel()
-    direction = -g / np.diagonal(hess)
-    free = np.flatnonzero(~bound)
-    direction[free] = np.linalg.solve(hess[free[:, None], free], -g[free])
+    """Projected Newton direction (Bertsekas 1982) on a box input set, per
+    row of a batch or for one problem: a control within ``min(_EPS0,
+    |moves|)`` of a bound the gradient pushes it against takes ``-g_i /
+    H_ii``, the free ones ``solve(H_FF, -g_F)``.  ``hess`` is one Hessian
+    per row, or one for all.  The free blocks of the rows with the same
+    number of free controls are solved in one stacked call, which gives each
+    row the bits of its own."""
+    lead = grad.shape[:-2]
+    rows = math.prod(lead)
+    g = grad.reshape(rows, -1)
+    eps = [min(_EPS0, math.sqrt(float(v @ v))) for v in moves.reshape(rows, -1)]
+    eps = np.array(eps).reshape(lead + (1, 1)) if lead else eps[0]
+    free = ~(((controls <= u_set.lower + eps) & (grad > 0.0))
+             | ((controls >= u_set.upper - eps) & (grad < 0.0))).reshape(rows, -1)
+    sizes = np.add.reduce(free, axis=-1).tolist() if lead else [np.count_nonzero(free)]
+    if sizes.count(g.shape[1]) == rows:
+        return np.linalg.solve(hess, -g[..., None]).reshape(controls.shape)
+    direction = -g / hess.diagonal(0, -2, -1)
+    for k in set(sizes) - {0}:
+        at = [r for r, size in enumerate(sizes) if size == k]
+        if len(at) == 1:        # one row: plain indexing costs less
+            r = at[0]
+            f = free[r].nonzero()[0]
+            h = hess if hess.ndim == 2 else hess[r]
+            direction[r][f] = np.linalg.solve(h[f[:, None], f], -g[r][f])
+            continue
+        at = np.array(at)[:, None]
+        f = free[at[:, 0]].nonzero()[1].reshape(len(at), k)
+        block = (hess[f[:, :, None], f[:, None, :]] if hess.ndim == 2
+                 else hess[at[:, :, None], f[:, :, None], f[:, None, :]])
+        direction[at, f] = np.linalg.solve(block, -g[at, f][..., None])[..., 0]
     return direction.reshape(controls.shape)
 
 
-def _first_better(obj, e0, cands, cost, weight):
-    """Row, cost, rollout and depths of the first candidate that costs less
-    than ``cost``, or None.  Rows are rolled out in chunks that end at
-    ``_CHUNKS``, up to the first chunk that holds a better row; after row 0,
-    the leading rows that clip to its controls cost what it costs and are
-    skipped.  A rolled-out row with a non-finite cost raises ``SolverDiverged``."""
-    lo = 0
-    for hi in _CHUNKS:
-        if lo >= hi:
+def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
+    """The first candidate ``P(u + a d)`` of each row, over the steps ``a``
+    in ``steps`` (candidates, 1, 1), or (rows, candidates, 1, 1), that costs
+    less than the row's ``cost``; the arrays of a lone problem have no row
+    axis.
+
+    Candidate 0 of every row is built and rolled out first; the other
+    candidates are built only for the rows it does not serve.  Each of
+    those rolls out its candidates in chunks that end at ``_CHUNKS``, up to
+    the first chunk that holds a better one; the leading candidates that
+    clip to candidate 0's controls cost what it costs and are skipped.  A
+    chunk of every row that searches is rolled out in one batch.  Returns
+    the rows that found one, in order, with the candidate's index, its
+    controls, cost, rollout and depths, or None.  A rolled-out candidate
+    with a non-finite cost raises ``SolverDiverged``."""
+    rows = len(cost)
+    first = project_input(controls + steps[..., 0, :, :] * direction, u_set)
+    costs, states, measured = obj.total(e0, first, weight)
+    if not np.logical_and.reduce(np.isfinite(costs)):
+        raise SolverDiverged("non-finite cost during line search")
+    better = costs < cost - 1e-12
+    if np.count_nonzero(better) == rows:
+        return np.arange(rows), np.zeros(rows, dtype=int), first, costs, states, measured
+    lone = controls.ndim == 2
+    if lone:    # the search below indexes rows
+        e0, controls, direction, first, states = (
+            a[None] for a in (e0, controls, direction, first, states))
+        measured = tuple(a[None] for a in measured)
+    hit = better.nonzero()[0]
+    found = [(hit, np.zeros(hit.size, dtype=int), first[hit], costs[hit], states[hit],
+              *(a[hit] for a in measured))]
+    rest = (~better).nonzero()[0]
+    cands = project_input(controls[rest, None] + (steps if steps.ndim == 3 else steps[rest])
+                          * direction[rest, None], u_set)
+    width = cands.shape[1]
+    same = np.logical_and.reduce((cands == cands[:, :1]).reshape(len(rest), width, -1), axis=-1)
+    lo = np.where(np.logical_and.reduce(same, axis=-1), width, same.argmin(axis=-1))
+    for hi in _CHUNKS[1:]:
+        sel = (lo < hi).nonzero()[0]
+        if sel.size == 0:
             continue
-        costs, states, measured = obj.total(e0, cands[lo:hi], weight)
-        if not np.all(np.isfinite(costs)):
+        span = hi - lo[sel]
+        at = np.repeat(sel, span)            # position in ``rest`` of each candidate
+        col = np.arange(len(at)) + np.repeat(lo[sel] - (span.cumsum() - span), span)
+        each = rest[at]
+        costs, states, measured = (obj if lone else obj.take(each)).total(
+            e0[each], cands[at, col], weight[each])
+        if not np.logical_and.reduce(np.isfinite(costs)):
             raise SolverDiverged("non-finite cost during line search")
-        better = np.nonzero(costs < cost - 1e-12)[0]
-        if better.size:
-            i = int(better[0])
-            return lo + i, float(costs[i]), states[i], tuple(a[i] for a in measured)
-        lo = hi
-        if hi == 1:
-            same = np.all(cands == cands[0], axis=(1, 2))
-            lo = len(cands) if same.all() else int(np.argmin(same))
-    return None
+        lo[sel] = hi
+        hit = (costs < cost[each] - 1e-12).nonzero()[0]
+        if hit.size:
+            first = hit[np.concatenate(([True], at[hit[1:]] != at[hit[:-1]]))]
+            found.append((each[first], col[first], cands[at[first], col[first]], costs[first],
+                          states[first], *(a[first] for a in measured)))
+            lo[at[first]] = width            # found: searches no further
+    order = np.argsort(np.concatenate([part[0] for part in found]))   # by row
+    parts = [np.concatenate(p)[order] for p in zip(*found)]
+    if parts[0].size == 0:
+        return None
+    if lone:
+        parts[2:] = [parts[2][0], parts[3], *(p[0] for p in parts[4:])]
+    return (*parts[:5], tuple(parts[5:]))
 
 
 def _fd_gradient(obj, e0, controls, weight, fd_step):
@@ -553,7 +798,8 @@ class NavigationOutcome:
 
 def max_deviation(states: np.ndarray, nominal: np.ndarray) -> float:
     """Largest row-wise ``|x - x_hat|``; 0.0 for no rows."""
-    return float(np.max(np.linalg.norm(states - nominal, axis=-1), initial=0.0))
+    d = states - nominal
+    return float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, axis=-1)), initial=0.0))
 
 
 def _integrator_interval(x, e_hat, u_hat, target, sigma, saturate, delta_fn,
@@ -608,7 +854,7 @@ def navigate(
     settle_steps: int = 0,
     min_duration_steps: int = 0,
     sim_dt: float = 0.01,
-) -> NavigationOutcome:
+) -> Generator[tuple, FhocpSolution, NavigationOutcome]:
     """Receding-horizon navigation of the disturbed system towards a region.
 
     At each sampling instant the nominal error state is reset to the measured
@@ -618,6 +864,10 @@ def navigate(
     ``|pos(x) - target.center| <= arrival_radius`` first passes, but never
     before ``min_duration_steps`` steps have elapsed, and gives up after
     ``max_steps``.  Safety of the samples is left to the caller.
+
+    A generator: at each sampling instant it yields its shooting problem, the
+    argument tuple of ``solve_fhocp``, and takes that problem's solution
+    back; it returns the ``NavigationOutcome``.  ``lockstep`` drives it.
     """
     h = fhocp.step
     substeps = round(h / sim_dt)
@@ -665,7 +915,7 @@ def navigate(
             break
 
         e = x - target_state
-        sol = solve_fhocp(e, err_model, fhocp, e_set, u_tight, warm)
+        sol = yield (e, err_model, fhocp, e_set, u_tight, warm)
         if not sol.feasible:
             status = INFEASIBLE
             break
@@ -699,7 +949,7 @@ def navigate(
                 inputs.append(u.tolist())
                 deltas.append(delta.tolist())
 
-        warm = np.vstack([sol.controls[1:], np.zeros((1, model.n))])
+        warm = np.concatenate((sol.controls[1:], np.zeros((1, model.n))))
         k += 1
 
     return NavigationOutcome(
@@ -714,3 +964,34 @@ def navigate(
         saturation_count=saturations,
         costs=costs,
     )
+
+
+def lockstep(legs) -> list:
+    """Run ``navigate`` generators side by side and return their outcomes,
+    in order.
+
+    At each sampling step every leg still running yields its shooting
+    problem, and all of them are solved in one ``solve_fhocps`` batch; each
+    leg's run is bit for bit the one it has alone.  A lone problem goes
+    through ``solve_fhocp``, its one-problem entry, so that a profiler that
+    wraps that name still sees each solve of a one-leg run.
+    """
+    legs = list(legs)
+    outcomes = [None] * len(legs)
+    pending = {}
+
+    def advance(i, sol):
+        try:
+            pending[i] = legs[i].send(sol)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+
+    for i in range(len(legs)):
+        advance(i, None)
+    while pending:
+        running = list(pending)
+        problems = [pending.pop(i) for i in running]
+        sols = [solve_fhocp(*problems[0])] if len(problems) == 1 else solve_fhocps(problems)
+        for i, sol in zip(running, sols):
+            advance(i, sol)
+    return outcomes

@@ -88,6 +88,7 @@ class ConstraintSet:
     centers: np.ndarray = field(init=False, compare=False, repr=False)
     radii: np.ndarray = field(init=False, compare=False, repr=False)
     side_slopes: np.ndarray = field(init=False, compare=False, repr=False)
+    stacked: "ConstraintStack" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         exclusions = tuple(self.exclusions)
@@ -100,6 +101,10 @@ class ConstraintSet:
         object.__setattr__(self, "radii", np.array([b.radius for b in exclusions]))
         # d(depth)/d(p) of the box columns of ``depths``: -1, then +1
         object.__setattr__(self, "side_slopes", np.concatenate([-np.eye(dim), np.eye(dim)]))
+        # this set alone as a ``ConstraintStack``, for the stacked solver
+        object.__setattr__(self, "stacked", ConstraintStack(
+            self.region.lower[None, None], self.region.upper[None, None],
+            self.centers[None, None], self.radii[None, None], self.side_slopes))
 
     def depths(self, points):
         """Signed depths past each constraint, shape (..., 2*dim + exclusions).
@@ -109,25 +114,17 @@ class ConstraintSet:
         the offsets ``p - center`` of shape (..., exclusions, dim) and
         their lengths.
         """
-        box = self.region
-        offsets = points[..., None, :] - self.centers
-        dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))
-        depths = np.concatenate([box.lower - points, points - box.upper,
-                                 self.radii - dist], axis=-1)
-        return depths, offsets, dist
+        return _depths(points, self.region.lower, self.region.upper,
+                       self.centers, self.radii)
 
     def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
-        p = _as_vector(point)
-        if not self.region.contains(p, tol):
-            return False
-        _, _, dist = self.depths(p)
-        return not np.any(dist <= self.radii - tol)
+        return bool(self.stacked.contains(_as_vector(point)[None], tol)[0])
 
     @staticmethod
     def worst(depths):
         """Worst penetration depth of each row of ``depths`` (as ``depths``
         returns them), shape (...,); 0.0 when feasible."""
-        return np.maximum(np.max(depths, axis=-1), 0.0)
+        return np.maximum(np.maximum.reduce(depths, axis=-1), 0.0)
 
     def violation(self, points):
         """Worst penetration depth of each point, shape (...,); 0.0 when
@@ -148,6 +145,70 @@ class ConstraintSet:
         _, _, dist = self.depths(p)
         hit = np.any(dist <= self.radii, axis=-1)
         return int(np.count_nonzero(~inside)), int(np.count_nonzero(hit))
+
+
+def _depths(points, lower, upper, centers, radii):
+    """``ConstraintSet.depths`` on the arrays of one set or of a stack."""
+    offsets = points[..., None, :] - centers
+    dist = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))
+    depths = np.concatenate([lower - points, points - upper, radii - dist], axis=-1)
+    return depths, offsets, dist
+
+
+@dataclass(frozen=True)
+class ConstraintStack:
+    """Constraint sets of one dimension on a leading leg axis.
+
+    ``lower`` and ``upper`` have shape (legs, 1, dim), ``centers`` (legs, 1,
+    balls, dim) and ``radii`` (legs, 1, balls), where ``balls`` is the most
+    exclusions any set has; a set with fewer is padded with balls of radius
+    ``-inf``, which no point is inside.  ``depths`` of points (legs, k, dim)
+    are each set's ``ConstraintSet.depths`` followed by the padded columns,
+    whose depth is ``-inf``, so each row has the same worst depth and the
+    same deepest column, bit for bit.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
+    side_slopes: np.ndarray
+
+    @classmethod
+    def of(cls, sets) -> "ConstraintStack":
+        if len(sets) == 1:
+            return sets[0].stacked
+        balls = max(len(s.exclusions) for s in sets)
+        dim = sets[0].region.dim
+        centers = np.zeros((len(sets), 1, balls, dim))
+        radii = np.full((len(sets), 1, balls), -np.inf)
+        for i, s in enumerate(sets):
+            centers[i, 0, :len(s.exclusions)] = s.centers
+            radii[i, 0, :len(s.exclusions)] = s.radii
+        return cls(np.array([s.region.lower for s in sets])[:, None],
+                   np.array([s.region.upper for s in sets])[:, None],
+                   centers, radii, sets[0].side_slopes)
+
+    def take(self, legs) -> "ConstraintStack":
+        """The stack of the sets at ``legs``, in that order."""
+        return ConstraintStack(*(a.take(legs, axis=0) for a in (
+            self.lower, self.upper, self.centers, self.radii)), self.side_slopes)
+
+    def depths(self, points):
+        return _depths(points, self.lower, self.upper, self.centers, self.radii)
+
+    def contains(self, points, tol: float = DEFAULT_TOL):
+        """Whether each leg's point, of shape (legs, dim), lies in its set:
+        inside the box within ``tol`` and more than ``tol`` outside every
+        exclusion ball."""
+        p = points[:, None]
+        _, _, dist = self.depths(p)
+        box = (p >= self.lower - tol) & (p <= self.upper + tol)
+        hit = dist <= self.radii - tol
+        return (np.logical_and.reduce(box.reshape(len(p), -1), axis=-1)
+                & ~np.logical_or.reduce(hit.reshape(len(p), -1), axis=-1))
+
+    worst = staticmethod(ConstraintSet.worst)
 
 
 def erode_box_by_ball(box: Box, r: float) -> Box:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .abstraction import Wts
-from .controller import input_violation, max_deviation, navigate
+from .controller import input_violation, lockstep, max_deviation, navigate
 from .dynamics import DisturbanceSpec, derive_seed
 from .errors import ExecutionFailure, ValidationError
 from .mitl import TimedWord, monitor
@@ -114,7 +114,7 @@ def execute_plan(
             )
         steps = int(steps)
         spec = DisturbanceSpec(scenario.disturbance_bound, disturbance)
-        outcome = navigate(
+        (outcome,) = lockstep([navigate(
             model,
             x,
             scenario.regions[dst],
@@ -128,7 +128,7 @@ def execute_plan(
             settle_steps=0,
             min_duration_steps=steps,
             sim_dt=scenario.sim_dt,
-        )
+        )])
         if not outcome.arrived:
             legs.append(LegRecord(outcome.arrival_steps or -1,
                                   outcome.saturation_count))
@@ -381,7 +381,8 @@ def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
           [(name, ball.center[0], ball.center[1], ball.radius,
             ",".join(sorted(scenario.label_of(name))))
            for name, ball in sorted(scenario.regions.items())])
-    dev = np.linalg.norm(trace.states - trace.nominal, axis=1)
+    d = trace.states - trace.nominal
+    dev = np.sqrt(np.add.reduce(d * d, axis=-1))
     table("deviation.tsv", ["t", "deviation"], [g, g],
           np.column_stack([trace.ts, dev]).tolist())
     table("inputs.tsv", ["t"] + [f"u{i}" for i in range(model.n)], [g] * (1 + model.n),

@@ -7,12 +7,14 @@ under ``pytest -s``); the assertions carry the exact bounds being enforced.
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tubeplan import cli
-from tubeplan.controller import FhocpParams, make_tube_params, navigate
+from tubeplan.abstraction import load_wts, scenario_hash
+from tubeplan.controller import FhocpParams, lockstep, make_tube_params, navigate
 from tubeplan.dynamics import DisturbanceSpec, derive_seed, single_integrator
 from tubeplan.errors import Unrealizable
 from tubeplan.geometry import (
@@ -89,8 +91,9 @@ def disturbed_batch():
     for i in range(BATCH_RUNS):
         start = model.embed_position(feasible_start())
         spec = DisturbanceSpec(DELTA_BOUND, policies[i % len(policies)])
-        out = navigate(model, start, target, constraints, u_set, tube, fhocp,
-                       spec, max_steps=6, seed=derive_seed(7, i), sim_dt=SIM_DT)
+        (out,) = lockstep([navigate(model, start, target, constraints, u_set, tube,
+                                    fhocp, spec, max_steps=6, seed=derive_seed(7, i),
+                                    sim_dt=SIM_DT)])
         max_dev = max(max_dev, out.max_deviation)
         exits, hits = constraints.count_violations(model.position(out.states))
         obstacle_hits += hits
@@ -156,11 +159,11 @@ def test_criterion_2_arrival_bound():
     for i in range(20):
         start_pos, target_pos = clear_point(), clear_point()
         target = Ball(target_pos, 0.3)
-        out = navigate(model, model.embed_position(start_pos), target,
-                       constraints, u_set, tube, fhocp,
-                       DisturbanceSpec(DELTA_BOUND, "random"),
-                       max_steps=120, seed=derive_seed(3, i), settle_steps=10,
-                       sim_dt=SIM_DT)
+        (out,) = lockstep([navigate(model, model.embed_position(start_pos), target,
+                                    constraints, u_set, tube, fhocp,
+                                    DisturbanceSpec(DELTA_BOUND, "random"),
+                                    max_steps=120, seed=derive_seed(3, i),
+                                    settle_steps=10, sim_dt=SIM_DT)])
         if not out.arrived:
             continue
         arrived += 1
@@ -178,6 +181,9 @@ def test_criterion_2_arrival_bound():
 # ---------------------------------------------------------------------------
 # criterion 4: bundled nine-region mission end to end
 # ---------------------------------------------------------------------------
+
+FROZEN_WTS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nexus_wts.json"
+
 
 def test_criterion_4_default_mission(tmp_path):
     from tubeplan.scenario import default_scenario
@@ -201,6 +207,11 @@ def test_criterion_4_default_mission(tmp_path):
 
     assert visits("mission2", 30, 50), "no mission2 visit inside [30,50]"
     assert visits("mission1", 80, 110), "no mission1 visit inside [80,110]"
+    # the same 59 transitions with the same weights as the frozen transition
+    # system the benchmark synthesizes on (the file carries older
+    # per-transition keys, so the loaded systems are compared, not bytes)
+    digest = scenario_hash(scenario)
+    assert load_wts(out / "wts.json", digest) == load_wts(FROZEN_WTS, digest)
     print(f"criterion 4 (bundled mission): PASS  in {elapsed:.0f}s, "
           f"mission2 at {[float(t) for t in visits('mission2', 30, 50)]}, "
           f"mission1 at {[float(t) for t in visits('mission1', 80, 110)]}")

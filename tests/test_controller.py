@@ -11,6 +11,7 @@ from tubeplan.controller import (
     _rollout,
     ancillary_control,
     input_violation,
+    lockstep,
     make_tube_params,
     navigate,
     project_input,
@@ -32,7 +33,9 @@ from tubeplan.geometry import (
     tighten_input_constraints,
     tighten_state_constraints,
 )
-from tubeplan.scenario import default_scenario
+from tubeplan.scenario import default_scenario, scenario_from_dict
+
+from conftest import tiny_dict
 
 
 def test_tube_params_arithmetic():
@@ -489,12 +492,13 @@ def _simple_navigation(delta_bound, policy="zero", seed=0, settle=0):
     params = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),
                          0.5 * np.eye(3), 0.1)
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
-    return navigate(
+    (out,) = lockstep([navigate(
         m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs,
         Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube, params,
         DisturbanceSpec(delta_bound, policy), max_steps=300, seed=seed,
         settle_steps=settle,
-    )
+    )])
+    return out
 
 
 def test_navigate_reaches_target_without_disturbance():
@@ -532,12 +536,12 @@ def test_navigate_min_duration_holds_longer():
                          0.5 * np.eye(3), 0.1)
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
     scheduled = out.arrival_steps + 15
-    held = navigate(
+    (held,) = lockstep([navigate(
         m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs,
         Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube, params,
         DisturbanceSpec(0.0, "zero"), max_steps=scheduled,
         min_duration_steps=scheduled,
-    )
+    )])
     assert held.arrived
     assert held.total_steps == scheduled
     assert held.arrival_steps == out.arrival_steps
@@ -588,9 +592,10 @@ def test_float_interval_is_the_rk4_step_loop(monkeypatch, input_set, policy):
     cs = ConstraintSet(Box([-3.0, -3.0], [3.0, 3.0]), [Ball([0.0, 1.2], 0.3)])
 
     def run():
-        return navigate(m, m.embed_position([-2.0, 0.5]), Ball([2.0, 0.0], 0.3),
-                        cs, input_set, tube, params, DisturbanceSpec(0.2, policy),
-                        max_steps=40, seed=5)
+        (out,) = lockstep([navigate(m, m.embed_position([-2.0, 0.5]), Ball([2.0, 0.0], 0.3),
+                                    cs, input_set, tube, params,
+                                    DisturbanceSpec(0.2, policy), max_steps=40, seed=5)])
+        return out
 
     fast = run()
     monkeypatch.setattr(controller, "_integrator_interval", _array_interval(input_set))
@@ -613,9 +618,10 @@ def test_navigate_steps_other_models_with_rk4():
     params = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),
                          0.5 * np.eye(3), 0.1)
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
-    out = navigate(m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs,
-                   Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube, params,
-                   DisturbanceSpec(0.05, "random"), max_steps=3, seed=4)
+    (out,) = lockstep([navigate(m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3),
+                                cs, Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube,
+                                params, DisturbanceSpec(0.05, "random"), max_steps=3,
+                                seed=4)])
     assert out.total_steps == 3 and out.states.shape == (31, 3)
     assert np.allclose(out.ts, np.arange(31) * 0.01)
     for k in range(30):
@@ -623,3 +629,66 @@ def test_navigate_steps_other_models_with_rk4():
         assert np.array_equal(step, out.states[k + 1])
     assert np.all(np.linalg.norm(out.disturbances, axis=1) <= 0.05)
     assert out.max_deviation <= 0.05 * 0.1
+
+
+def _tiny_legs(kind):
+    """Leg factories of the tiny scenario: every center-to-region leg
+    (self-loops included) and A -> B behind an extra ball, which ends
+    InfeasibleFhocp midway; under disturbances past the tube, so the
+    ancillary law saturates.  ``demo_nonlinear``: two short legs of that
+    model, which take finite differences and the spectral step."""
+    data = tiny_dict()
+    if kind == "demo_nonlinear":
+        data["model"] = "demo_nonlinear"
+    else:
+        data["input"]["type"] = kind
+    scenario = scenario_from_dict(data)
+    model, tube, fhocp = scenario.model(), scenario.tube_params(), scenario.fhocp_params()
+    names = sorted(scenario.regions)
+    legs = [(src, dst, scenario.state_constraints_for(src, dst))
+            for src in names for dst in names]
+    free = scenario.state_constraints_for("A", "B")
+    legs.append(("A", "B", ConstraintSet(free.region, free.exclusions + (Ball([0.0, 0.0], 0.2),))))
+    max_steps = 300
+    if kind == "demo_nonlinear":
+        legs, max_steps = legs[1:3], 4
+
+    def make():
+        return [navigate(model, model.embed_position(scenario.regions[src].center),
+                         scenario.regions[dst], free, scenario.input_set(), tube, fhocp,
+                         DisturbanceSpec(0.3, "random"), max_steps, seed=i,
+                         settle_steps=scenario.settle_steps, sim_dt=scenario.sim_dt)
+                for i, (src, dst, free) in enumerate(legs)]
+
+    return make
+
+
+@pytest.mark.parametrize("kind", ["box", "ball", "demo_nonlinear"])
+def test_lockstep_legs_run_as_they_do_alone(monkeypatch, kind):
+    # one batch of shooting problems per sampling step must give every leg
+    # the run it has alone, bit for bit, while legs leave the batch at
+    # different steps and rows stop, ramp and search at different times
+    make = _tiny_legs(kind)
+    iterations = []
+    solve_all = controller.solve_fhocps
+
+    def counting(problems):
+        sols = solve_all(problems)
+        iterations.append(sum(sol.iterations for sol in sols))
+        return sols
+
+    monkeypatch.setattr(controller, "solve_fhocps", counting)
+    together = lockstep(make())
+    batched = sum(iterations)
+    iterations.clear()
+    alone = [lockstep([leg])[0] for leg in make()]
+    assert sum(iterations) == batched > 0
+    for a, b in zip(alone, together):
+        for name in ("ts", "states", "nominal_states", "inputs", "disturbances"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        for name in ("status", "arrival_steps", "total_steps", "saturation_count", "costs"):
+            assert getattr(a, name) == getattr(b, name), name
+    if kind != "demo_nonlinear":
+        assert {out.status for out in alone} == {controller.ARRIVED, controller.INFEASIBLE}
+        assert len({out.total_steps for out in alone}) > 2
+        assert any(out.saturation_count for out in alone)
