@@ -4,7 +4,8 @@ Subcommands mirror the pipeline stages: parse a formula, abstract a scenario
 into a weighted transition system, synthesize a plan, simulate it, verify a
 trace, or do the whole chain with ``run``.  Exit codes: 0 verified pass,
 1 verification failure, 2 unrealizable task, 3 invalid input (including a
-plan or trace that does not match the scenario or plan it is used with),
+file that cannot be read, and a plan or trace that does not match the
+scenario or plan it is used with),
 4 runtime failure during abstraction or execution, 5 search budget exceeded
 (realizability unknown).
 """
@@ -66,10 +67,7 @@ def _load_plan(args, scenario):
     Its states must be regions of the scenario, with one stamp each, starting
     at 0 and strictly increasing, and its prefix must be 1..len(states) long.
     """
-    try:
-        plan = synthesis.load_plan(args.plan)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError([f"{args.plan} is not a plan: {exc!r}"]) from exc
+    plan = synthesis.load_plan(args.plan)
     if plan.scenario_hash != abstraction.scenario_hash(scenario):
         raise ValidationError([f"{args.plan} was synthesized for another scenario"])
     problems = [f"state {s!r} is not a region of the scenario"
@@ -264,7 +262,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, MitlSyntaxError, UnsupportedFragment) as exc:
+    except (ValidationError, MitlSyntaxError, UnsupportedFragment, OSError) as exc:
+        # OSError: an input file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Unrealizable as exc:

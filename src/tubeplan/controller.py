@@ -16,8 +16,9 @@ sampling instant (so the tube deviation restarts from zero each interval).
 
 ``navigate`` is a generator that yields its shooting problem at each
 sampling instant; ``lockstep`` runs any number of them side by side and
-solves all pending problems in one batch (``solve_fhocps``), stacked on a
-leading row axis.
+solves all pending problems in one batch (``solve_fhocps``).  The solver
+holds every problem on a leading row axis, and a single problem is a batch
+of one row.
 """
 
 from __future__ import annotations
@@ -262,17 +263,17 @@ def _rollout(model: DynamicsModel, e0: np.ndarray, controls: np.ndarray, h: floa
 
 
 class _FhocpObjective:
-    """Quadratic cost plus exact-penalty terms, batched over control sets.
+    """Quadratic cost plus exact-penalty terms of control sets on a leading
+    row axis.
 
-    ``e_set`` is one ``ConstraintSet``, or a ``ConstraintStack`` whose leg
-    axis lines up with the leading axis of the controls.  Its ``depths``
-    measures every box side and every exclusion ball in one broadcast, once
-    per rollout, for both the penalty and its subgradient.  Every method
-    takes any leading axes, and a row of a batch equals the one-row result
-    bit for bit.
+    ``e_set`` is a ``ConstraintStack`` whose leg axis lines up with the row
+    axis, or one leg, which serves every row.  Its ``depths`` measures every
+    box side and every exclusion ball in one broadcast, once per rollout,
+    for both the penalty and its subgradient.  A row of a batch equals the
+    one-row result bit for bit.
     """
 
-    def __init__(self, model, params: FhocpParams, e_set):
+    def __init__(self, model, params: FhocpParams, e_set: ConstraintStack):
         self.model = model
         self.params = params
         self.e_set = e_set
@@ -284,8 +285,10 @@ class _FhocpObjective:
                      if self.pos == list(range(first, first + len(self.pos))) else self.pos)
 
     def take(self, rows):
-        """The objective of the legs at ``rows`` of a stacked ``e_set``."""
-        return _FhocpObjective(self.model, self.params, self.e_set.take(rows))
+        """The objective of the legs at ``rows`` of ``e_set``; itself when
+        ``e_set`` has one leg."""
+        e_set = self.e_set.take(rows)
+        return self if e_set is self.e_set else _FhocpObjective(self.model, self.params, e_set)
 
     def quadratic(self, states, controls, terminal=None):
         p = self.params
@@ -318,13 +321,13 @@ class _FhocpObjective:
         return self.quadratic(states, controls, terminal) + weight * pen
 
     def gradient(self, states, measured, controls, weight, active=None):
-        """Exact gradient of ``total`` in the controls, for a pure integrator,
-        over any leading axes.
+        """Exact gradient of ``total`` in the controls of each row, for a pure
+        integrator.
 
         ``states`` and ``measured`` are the rollout of ``controls`` and its
         depths, as ``total`` returns them, and ``active`` their
-        ``_active_slopes`` (taken here when not given); ``weight`` is one
-        number, or one per row.
+        ``_active_slopes`` (taken here when not given); ``weight`` holds one
+        penalty weight per row.
         ``e_k = e_0 + h * sum_{j<k} u_j``, so ``dJ/du_j = 2h R u_j +
         h * sum_{k>j} dJ/de_k``.  ``dJ/de_k`` holds the stage term ``2h Q
         e_k``, the terminal term ``2 P e_m`` with the terminal-excess
@@ -341,43 +344,43 @@ class _FhocpObjective:
         # the terminal-excess factor of each row, on floats; times 1.0, which
         # keeps the bits, where there is no excess
         factor = [1.0 + w * (v - p.terminal_level) / v if v - p.terminal_level > 0.0 else 1.0
-                  for w, v in zip(_per_row(weight, len(norm_p)), norm_p)]
+                  for w, v in zip(weight.tolist(), norm_p)]
         if factor.count(1.0) < len(factor):
-            d_e[..., -1, :] *= np.array(factor).reshape(states.shape[:-2] + (1,))
-        at, depth, slope = self._active_slopes(measured) if active is None else active
+            d_e[:, -1, :] *= np.array(factor)[:, None]
+        (rows, steps), depth, slope = self._active_slopes(measured) if active is None else active
         if depth is not None:
-            w = weight[at[0]] if len(at) > 1 else weight
-            d_e[(*(i[:, None] for i in at), self.pos)] += (2.0 * w * depth)[:, None] * slope
+            d_e[rows[:, None], steps[:, None], self.pos] += (
+                (2.0 * weight[rows] * depth)[:, None] * slope)
         tail = d_e[..., :0:-1, :].cumsum(axis=-2)[..., ::-1, :]   # sum_{k>j} dJ/de_k
         return controls @ p.d_input + p.seg_h * tail
 
     def hessian(self, states, measured, weight, active=None):
-        """Hessian of ``total`` in the flattened controls of a pure integrator,
-        over any leading axes: ``params.hessian``, the exact one of the
+        """Hessian of ``total`` in the flattened controls of each row, for a
+        pure integrator: ``params.hessian``, the exact one of the
         terminal-excess penalty, and the Gauss-Newton term of each active
-        hinge along ``gradient``'s slope.  ``params.hessian`` itself when no
-        row has a penalty term."""
+        hinge along ``gradient``'s slope.  ``params.hessian`` itself, one
+        for all rows, when no row has a penalty term."""
         p = self.params
-        at, _, slope = self._active_slopes(measured) if active is None else active
-        lead, (m1, n) = states.shape[:-2], states.shape[-2:]
+        (rows, steps), _, slope = self._active_slopes(measured) if active is None else active
+        count, m1, n = states.shape
         m = m1 - 1
-        e_n = states[..., -1:, :]
+        e_n = states[:, -1:, :]
         pe = 0.5 * (e_n @ p.d_terminal)
         norm_p = [math.sqrt(x) for x in (pe @ np.swapaxes(e_n, -1, -2)).ravel().tolist()]
         over = [r for r, v in enumerate(norm_p) if v > p.terminal_level]
         if not over and slope is None:
             return p.hessian
         # 2 w h^2 of each row, and ratio / |e_m|_P^2 and (1 - ratio) / 2 of
-        # each row past the terminal level, on floats as a row alone has them
-        count, hh = len(norm_p), p.seg_h ** 2
-        scale = [2.0 * w * hh for w in _per_row(weight, count)]
+        # each row past the terminal level, on floats as a batch of one has them
+        hh = p.seg_h ** 2
+        scale = [2.0 * w * hh for w in weight.tolist()]
         hess = None if len(over) == count else np.repeat(p.hessian[None], count, axis=0)
         if over:
             # e_m moves by h with every control, so every block gains h^2 A
             f = np.array([(scale[r], p.terminal_level / norm_p[r] / norm_p[r] ** 2,
                            (1.0 - p.terminal_level / norm_p[r]) * 0.5)
                           for r in over])[:, :, None, None]
-            pe = pe.reshape(count, 1, n)[slice(None) if hess is None else over]
+            pe = pe[slice(None) if hess is None else over]
             a = f[:, 0] * ((f[:, 1] * pe.transpose(0, 2, 1)) * pe + f[:, 2] * p.d_terminal)
             blocks = (p.hessian.reshape(m, n, m, n)
                       + a[:, None, :, None, :]).reshape(-1, m * n, m * n)
@@ -386,19 +389,18 @@ class _FhocpObjective:
             else:
                 hess[over] = blocks
         if slope is not None:
-            rows = at[0] if len(at) > 1 else np.zeros(len(slope), dtype=int)
             for r in sorted(set(rows.tolist())):
                 # row k's slope v, through e_k's controls j < k
                 here = rows == r
                 v = np.zeros((np.count_nonzero(here), 1, n))
                 v[..., self.pos] = slope[here][:, None]
-                jv = ((np.arange(m)[:, None] < at[-1][here][:, None, None]) * v).reshape(-1, m * n)
+                jv = ((np.arange(m)[:, None] < steps[here][:, None, None]) * v).reshape(-1, m * n)
                 hess[r] = hess[r] + scale[r] * (jv.T @ jv)
-        return hess.reshape(lead + hess.shape[1:])
+        return hess
 
     def _active_slopes(self, measured):
-        """Where the worst depth is positive, over any leading axes: the
-        index arrays of those rows and steps, that depth, and its slope."""
+        """Where the worst depth is positive: the index arrays of those rows
+        and steps, that depth, and its slope."""
         depths, offsets, dist = measured
         at = (np.maximum.reduce(depths, axis=-1) > 0.0).nonzero()
         if at[-1].size == 0:
@@ -414,12 +416,6 @@ class _FhocpObjective:
 
     def _states(self, e0, controls):
         return _rollout(self.model, e0, controls, self.params.seg_h)
-
-
-def _per_row(weight, rows):
-    """The penalty weight of each of ``rows`` rows, as floats."""
-    weights = np.ravel(weight).tolist()
-    return weights * rows if len(weights) == 1 else weights
 
 
 def _rows_at(active, keep, rows):
@@ -468,9 +464,9 @@ def solve_fhocps(problems) -> list:
     Problems that share ``params``, the input set's bounds and the model
     (any pure integrator of one width, or one other model object) are
     solved together by ``_solve_rows``, stacked on a leading row axis; a
-    lone one keeps its own arrays.  A start outside its free space is
+    single problem is a batch of one.  A start outside its free space is
     answered at once.  Each solution is bit for bit the one its problem gets
-    alone.
+    in a batch of its own.
     """
     sols = [None] * len(problems)
     groups = {}
@@ -490,7 +486,7 @@ def solve_fhocps(problems) -> list:
             warm_start = problems[i][5]
             if not ok:
                 e_set = problems[i][3]
-                obj = _FhocpObjective(model, params, e_set)
+                obj = _FhocpObjective(model, params, e_set.stacked)
                 controls = np.zeros((m, n))
                 states = obj._states(e, controls)
                 sols[i] = FhocpSolution(controls, states, float(obj.quadratic(states, controls)),
@@ -508,9 +504,7 @@ def solve_fhocps(problems) -> list:
             continue
         feasible = inside.nonzero()[0]
         controls = project_input(np.array(starts), u_set)
-        if len(feasible) == 1:
-            stack, e0, controls = problems[rows[feasible[0]]][3], e0[feasible[0]], controls[0]
-        elif len(feasible) < len(rows):
+        if len(feasible) < len(rows):
             stack, e0 = stack.take(feasible), e0[feasible]
         solved = _solve_rows(model, params, u_set, stack, e0, controls)
         for i, sol in zip((rows[k] for k in feasible.tolist()), solved):
@@ -519,21 +513,20 @@ def solve_fhocps(problems) -> list:
 
 
 def _solve_rows(model, params, u_set, free, e0, controls):
-    """The descent of ``solve_fhocp`` on one problem, or on several stacked
-    on a leading row axis: starts ``e0``, projected first controls, and the
-    free space, a ``ConstraintSet`` or a ``ConstraintStack`` of them, on a
-    shared model, ``params`` and input set.  Every row keeps its own penalty
-    weight, step size, stop tests and line search, and leaves the batch
-    when it stops.  Returns the ``FhocpSolution`` of each row.
+    """The descent of ``solve_fhocp`` on problems stacked on a leading row
+    axis, one or more: starts ``e0`` (rows, n), projected first controls
+    (rows, m, n), and their free spaces, a ``ConstraintStack`` with one leg
+    per row or one for all, on a shared model, ``params`` and input set.
+    Every row keeps its own penalty weight, step size, stop tests and line
+    search, and leaves the batch when it stops.  Returns the
+    ``FhocpSolution`` of each row.
 
-    The per-row numbers (weight, cost, stop flags) always have a row axis;
-    the arrays of a lone problem do not, and a step that takes every row
-    indexes the arrays with ``...``, so that it costs no gather either."""
+    A step that takes every row indexes the arrays with ``...``, so that it
+    costs no gather."""
     obj = _FhocpObjective(model, params, free)
     fd_step = 1e-6
     newton = model.pure_integrator and isinstance(u_set, Box)
-    lone = e0.ndim == 1
-    ids = [0] if lone else list(range(len(e0)))     # each row's problem
+    ids = list(range(len(e0)))   # each row's problem
     sols = [None] * len(ids)
     weight = np.full(len(ids), PENALTY_WEIGHT)
     ramped = np.zeros(len(ids), dtype=int)   # the iteration each row's weight was set at
@@ -554,8 +547,6 @@ def _solve_rows(model, params, u_set, free, e0, controls):
         if model.pure_integrator:
             active = obj._active_slopes(measured)
             grad = obj.gradient(states, measured, controls, weight, active)
-        elif lone:
-            grad = _fd_gradient(obj, e0, controls, weight[0], fd_step)
         else:
             grad = np.array([_fd_gradient(obj.take([r]), e0[r], controls[r], weight[r], fd_step)
                              for r in range(count)])
@@ -583,7 +574,7 @@ def _solve_rows(model, params, u_set, free, e0, controls):
                 prev_controls[sel], prev_grad[sel] = controls[sel], grad[sel]
                 has_prev[go] = True
                 direction = -grad[sel]
-                steps = (step_size[go, None] * _HALVINGS).reshape(direction.shape[:-2] + (-1, 1, 1))
+                steps = (step_size[go, None] * _HALVINGS)[:, :, None, None]
             found = _first_better(obj if every else obj.take(go), e0[sel], controls[sel],
                                   steps, direction, u_set, cost[sel], weight[sel])
             stop[sel] = True
@@ -595,7 +586,7 @@ def _solve_rows(model, params, u_set, free, e0, controls):
                 stop[moved] = [d < TOL or old - c < TOL * (1.0 + abs(c)) for d, old, c in
                                zip(shift.tolist(), cost[moved].tolist(), new_cost.tolist())]
                 if not newton:
-                    step_size[moved] = steps[..., 0, 0].reshape(-1, len(_HALVINGS))[at, pick]
+                    step_size[moved] = steps[at, pick, 0, 0]
                 if at.size == count:
                     controls, cost, states, measured = picked, new_cost, new_states, new_measured
                 else:
@@ -611,7 +602,7 @@ def _solve_rows(model, params, u_set, free, e0, controls):
             continue
         end = ... if ending == count else stop.nonzero()[0]
         worst = ConstraintStack.worst(measured[0][end])
-        violation = np.maximum.reduce(worst.reshape(-1, worst.shape[-1]), axis=-1).tolist()
+        violation = np.maximum.reduce(worst, axis=-1).tolist()
         done = [v <= FEASIBILITY_TOL or w >= PENALTY_MAX
                 for v, w in zip(violation, weight[end].tolist())]
         finishing = done.count(True)
@@ -632,9 +623,6 @@ def _solve_rows(model, params, u_set, free, e0, controls):
         quad = obj.quadratic(states[end], controls[end])
         if np.count_nonzero(np.isfinite(quad)) < finishing:
             raise SolverDiverged("non-finite cost at solution")
-        if lone:
-            return [FhocpSolution(controls, states, float(quad), violation[0] <= FEASIBILITY_TOL,
-                                  violation[0], it)]
         rows = range(count) if finishing == count else end.tolist()
         for r, q, v in zip(rows, quad.tolist(), violation):
             sols[ids[r]] = FhocpSolution(controls[r], states[r], q, v <= FEASIBILITY_TOL, v, it)
@@ -655,20 +643,19 @@ def _solve_rows(model, params, u_set, free, e0, controls):
 
 def _newton_direction(hess, grad, controls, moves, u_set):
     """Projected Newton direction (Bertsekas 1982) on a box input set, per
-    row of a batch or for one problem: a control within ``min(_EPS0,
-    |moves|)`` of a bound the gradient pushes it against takes ``-g_i /
-    H_ii``, the free ones ``solve(H_FF, -g_F)``.  ``hess`` is one Hessian
-    per row, or one for all.  The free blocks of the rows with the same
-    number of free controls are solved in one stacked call, which gives each
-    row the bits of its own."""
-    lead = grad.shape[:-2]
-    rows = math.prod(lead)
+    row: a control within ``min(_EPS0, |moves|)`` of a bound the gradient
+    pushes it against takes ``-g_i / H_ii``, the free ones ``solve(H_FF,
+    -g_F)``.  ``grad``, ``controls`` and ``moves`` have shape (rows, m, n);
+    ``hess`` is one Hessian per row, or one for all.  The free blocks of the
+    rows with the same number of free controls are solved in one stacked
+    call, which gives each row the bits of its own."""
+    rows = len(grad)
     g = grad.reshape(rows, -1)
-    eps = [min(_EPS0, math.sqrt(float(v @ v))) for v in moves.reshape(rows, -1)]
-    eps = np.array(eps).reshape(lead + (1, 1)) if lead else eps[0]
+    eps = np.array([min(_EPS0, math.sqrt(float(v @ v)))
+                    for v in moves.reshape(rows, -1)])[:, None, None]
     free = ~(((controls <= u_set.lower + eps) & (grad > 0.0))
              | ((controls >= u_set.upper - eps) & (grad < 0.0))).reshape(rows, -1)
-    sizes = np.add.reduce(free, axis=-1).tolist() if lead else [np.count_nonzero(free)]
+    sizes = np.add.reduce(free, axis=-1).tolist()
     if sizes.count(g.shape[1]) == rows:
         return np.linalg.solve(hess, -g[..., None]).reshape(controls.shape)
     direction = -g / hess.diagonal(0, -2, -1)
@@ -690,9 +677,9 @@ def _newton_direction(hess, grad, controls, moves, u_set):
 
 def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
     """The first candidate ``P(u + a d)`` of each row, over the steps ``a``
-    in ``steps`` (candidates, 1, 1), or (rows, candidates, 1, 1), that costs
-    less than the row's ``cost``; the arrays of a lone problem have no row
-    axis.
+    in ``steps`` (candidates, 1, 1), shared, or (rows, candidates, 1, 1),
+    that costs less than the row's ``cost``; ``e0``, ``controls`` and
+    ``direction`` have a leading row axis.
 
     Candidate 0 of every row is built and rolled out first; the other
     candidates are built only for the rows it does not serve.  Each of
@@ -711,11 +698,6 @@ def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
     better = costs < cost - 1e-12
     if np.count_nonzero(better) == rows:
         return np.arange(rows), np.zeros(rows, dtype=int), first, costs, states, measured
-    lone = controls.ndim == 2
-    if lone:    # the search below indexes rows
-        e0, controls, direction, first, states = (
-            a[None] for a in (e0, controls, direction, first, states))
-        measured = tuple(a[None] for a in measured)
     hit = better.nonzero()[0]
     found = [(hit, np.zeros(hit.size, dtype=int), first[hit], costs[hit], states[hit],
               *(a[hit] for a in measured))]
@@ -733,8 +715,7 @@ def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
         at = np.repeat(sel, span)            # position in ``rest`` of each candidate
         col = np.arange(len(at)) + np.repeat(lo[sel] - (span.cumsum() - span), span)
         each = rest[at]
-        costs, states, measured = (obj if lone else obj.take(each)).total(
-            e0[each], cands[at, col], weight[each])
+        costs, states, measured = obj.take(each).total(e0[each], cands[at, col], weight[each])
         if not np.logical_and.reduce(np.isfinite(costs)):
             raise SolverDiverged("non-finite cost during line search")
         lo[sel] = hi
@@ -748,8 +729,6 @@ def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
     parts = [np.concatenate(p)[order] for p in zip(*found)]
     if parts[0].size == 0:
         return None
-    if lone:
-        parts[2:] = [parts[2][0], parts[3], *(p[0] for p in parts[4:])]
     return (*parts[:5], tuple(parts[5:]))
 
 
@@ -972,9 +951,9 @@ def lockstep(legs) -> list:
 
     At each sampling step every leg still running yields its shooting
     problem, and all of them are solved in one ``solve_fhocps`` batch; each
-    leg's run is bit for bit the one it has alone.  A lone problem goes
-    through ``solve_fhocp``, its one-problem entry, so that a profiler that
-    wraps that name still sees each solve of a one-leg run.
+    leg's run is bit for bit the one it has on its own.  A single pending
+    problem goes through ``solve_fhocp``, its one-problem entry, so that a
+    profiler that wraps that name still sees each solve of a one-leg run.
     """
     legs = list(legs)
     outcomes = [None] * len(legs)

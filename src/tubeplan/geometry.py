@@ -165,7 +165,8 @@ class ConstraintStack:
     ``-inf``, which no point is inside.  ``depths`` of points (legs, k, dim)
     are each set's ``ConstraintSet.depths`` followed by the padded columns,
     whose depth is ``-inf``, so each row has the same worst depth and the
-    same deepest column, bit for bit.
+    same deepest column, bit for bit.  A stack of one leg broadcasts over
+    any number of rows.
     """
 
     lower: np.ndarray
@@ -190,7 +191,10 @@ class ConstraintStack:
                    centers, radii, sets[0].side_slopes)
 
     def take(self, legs) -> "ConstraintStack":
-        """The stack of the sets at ``legs``, in that order."""
+        """The stack of the sets at ``legs``, in that order; the stack itself
+        when it has one leg."""
+        if len(self.lower) == 1:
+            return self
         return ConstraintStack(*(a.take(legs, axis=0) for a in (
             self.lower, self.upper, self.centers, self.radii)), self.side_slopes)
 

@@ -279,11 +279,15 @@ def export_trace(trace: Trace, path) -> None:
 
 def import_trace(path) -> Trace:
     """Read a trace written by ``export_trace``; a file that is not one, such
-    as a truncated copy or one with other columns, raises ``ValidationError``."""
-    with open(path) as fh:
-        header = fh.readline()
-        cols = fh.readline().rstrip("\n").split("\t")
-        data = _parse_samples(fh)
+    as a truncated copy, one with other columns or one that is not UTF-8
+    text, raises ``ValidationError``."""
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            cols = fh.readline().rstrip("\n").split("\t")
+            data = _parse_samples(fh)
+    except UnicodeDecodeError as exc:
+        raise ValidationError([f"{path} is not UTF-8 text: {exc}"]) from exc
     # headers written by older versions also carry per-leg schedules and
     # safety counters; the plan and the samples give those, so they are
     # dropped
@@ -317,11 +321,13 @@ def import_trace(path) -> Trace:
 def _parse_samples(fh):
     """The sample rows left in ``fh`` as a 2-D array, read in one pass by
     numpy's C parser, or None if it cannot read them.  An empty block reads
-    as one column."""
+    as one column.  A decoding error is raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")          # "input contained no data"
         try:
             return np.loadtxt(fh, delimiter="\t", comments=None, ndmin=2)
+        except UnicodeDecodeError:
+            raise
         except ValueError:
             return None
 

@@ -371,8 +371,8 @@ def load_scenario(path) -> Scenario:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError([f"invalid JSON in {path}: {exc}"])
+        except ValueError as exc:      # not JSON, or not UTF-8 text
+            raise ValidationError([f"invalid JSON in {path}: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ValidationError([f"scenario file {path} must hold a JSON object"])
     return scenario_from_dict(data)

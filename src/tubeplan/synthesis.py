@@ -29,7 +29,7 @@ from math import lcm
 
 from .abstraction import Wts
 from .errors import (InternalError, InvalidParam, SearchBudgetExceeded,
-                     UnknownTransition, Unrealizable)
+                     UnknownTransition, Unrealizable, ValidationError)
 from .scenario import rational_str
 from .tba import TimedAutomaton
 
@@ -243,13 +243,20 @@ def plan_to_dict(plan: Plan) -> dict:
 
 
 def plan_from_dict(data: dict) -> Plan:
-    return Plan(
-        states=tuple(data["states"]),
-        stamps=tuple(Fraction(t) for t in data["stamps"]),
-        prefix_len=int(data["prefix_len"]),
-        scenario_hash=data.get("scenario_hash", ""),
-        formula_text=data.get("formula", ""),
-    )
+    """Inverse of ``plan_to_dict``.  Data that is not a plan, such as a
+    missing key or a stamp that is not a finite rational, raises
+    ``ValidationError``."""
+    try:
+        return Plan(
+            states=tuple(data["states"]),
+            stamps=tuple(Fraction(t) for t in data["stamps"]),
+            prefix_len=int(data["prefix_len"]),
+            scenario_hash=data.get("scenario_hash", ""),
+            formula_text=data.get("formula", ""),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError,
+            OverflowError) as exc:
+        raise ValidationError([f"data is not a plan: {exc!r}"]) from exc
 
 
 def plan_digest(plan: Plan) -> str:
@@ -265,5 +272,14 @@ def save_plan(plan: Plan, path) -> None:
 
 
 def load_plan(path) -> Plan:
+    """Read a plan saved by ``save_plan``; a file that is not UTF-8 JSON or
+    not a plan raises ``ValidationError``, which names the file."""
     with open(path) as fh:
-        return plan_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError([f"{path} is not JSON: {exc}"]) from exc
+    try:
+        return plan_from_dict(data)
+    except ValidationError as exc:
+        raise ValidationError([f"{path}: {p}" for p in exc.problems]) from exc

@@ -115,6 +115,28 @@ def test_truncated_trace_is_rejected(workdir, tmp_path, capsys):
     assert "cells, the column header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "not-utf8"])
+@pytest.mark.parametrize("flag", ["--scenario", "--plan", "--trace"])
+def test_unreadable_input_file_is_rejected(workdir, wts_cache, tmp_path, capsys,
+                                           flag, kind):
+    # a file that cannot be read is bad input (exit 3, one error line), not
+    # a failed verdict (exit 1) with a traceback
+    _tiny_plan(workdir, wts_cache)
+    files = {"--scenario": workdir / "tiny.json", "--plan": workdir / "plan.json",
+             "--trace": workdir / "trace.tsv"}
+    assert files["--trace"].exists()
+    bad = tmp_path / files[flag].name
+    if kind == "not-utf8":
+        # the file's own bytes, then one that no UTF-8 text holds
+        bad.write_bytes(files[flag].read_bytes() + b"\xff")
+    files[flag] = bad
+    capsys.readouterr()
+    code = cli.main(["verify", *(str(a) for pair in files.items() for a in pair)])
+    assert code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_run_end_to_end(workdir, wts_cache, tmp_path, capsys):
     out = tmp_path / "artifacts"
     code = cli.main(["run", "--scenario", str(workdir / "tiny.json"),
@@ -396,6 +418,14 @@ def _drop_prefix_len(plan):
     del plan["prefix_len"]
 
 
+def _divide_a_stamp_by_zero(plan):
+    plan["stamps"][1] = "1/0"
+
+
+def _overflow_a_stamp(plan):
+    plan["stamps"][1] = 1e400       # written out as 1e400 below
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_set_state_z, "state 'Z' is not a region"),
     (_drop_two_stamps, "stamps for"),
@@ -403,8 +433,10 @@ def _drop_prefix_len(plan):
     (_repeat_a_stamp, "do not strictly increase"),
     (_prefix_too_long, "prefix_len"),
     (_drop_prefix_len, "is not a plan"),
+    (_divide_a_stamp_by_zero, "is not a plan"),
+    (_overflow_a_stamp, "is not a plan"),
 ], ids=["unknown-state", "missing-stamps", "nonzero-start", "repeated-stamp",
-        "prefix-too-long", "missing-key"])
+        "prefix-too-long", "missing-key", "zero-denominator", "infinite-stamp"])
 def test_malformed_plan_is_rejected(workdir, wts_cache, tmp_path, capsys,
                                     corrupt, message):
     # unchecked, these crash execution (KeyError, IndexError) or run a
@@ -412,12 +444,15 @@ def test_malformed_plan_is_rejected(workdir, wts_cache, tmp_path, capsys,
     plan = _tiny_plan(workdir, wts_cache)
     corrupt(plan)
     bad = tmp_path / "bad_plan.json"
-    bad.write_text(json.dumps(plan))
+    # json writes an infinite float as Infinity; both read back as inf
+    bad.write_text(json.dumps(plan).replace("Infinity", "1e400"))
     capsys.readouterr()
     code = cli.main(["simulate", "--scenario", str(workdir / "tiny.json"),
                      "--wts", str(wts_cache), "--plan", str(bad)])
     assert code == cli.EXIT_INVALID
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_unrealizable_prints_reachable_locations(workdir, wts_cache, capsys):

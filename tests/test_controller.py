@@ -188,16 +188,16 @@ def test_solve_fhocp_beats_candidate_controls():
     level = params.terminal_level + 1e-4
     assert float(e_n @ params.terminal_weight @ e_n) <= level * level
 
-    obj = _FhocpObjective(m, params, UNBOUNDED)
+    obj = _FhocpObjective(m, params, UNBOUNDED.stacked)
     rng = np.random.default_rng(0)
     cands = [np.zeros((12, 2)), np.tile(-e0 / 1.2, (12, 1))]
     cands += [np.clip(np.tile(-e0 / 1.2, (12, 1)) + 0.05 * rng.normal(size=(12, 2)),
                       -1, 1) for _ in range(20)]
     for c in cands:
-        cost, states, _ = obj.total(e0, c, 0.0)
+        cost, states, _ = obj.total(e0[None], c[None], 0.0)
         # candidates that satisfy the terminal constraint must not beat it
-        if obj.terminal_excess(states) <= 1e-9:
-            assert sol.cost <= float(cost) + 1e-6
+        if obj.terminal_excess(states)[0] <= 1e-9:
+            assert sol.cost <= float(cost[0]) + 1e-6
 
 
 def test_solve_fhocp_respects_obstacle():
@@ -213,9 +213,10 @@ def test_solve_fhocp_respects_obstacle():
         assert np.linalg.norm(e - [0.5, 0.06]) >= 0.2 - 1e-5
 
 
-def _bundled_leg_objective(exclusions):
+def _bundled_leg_problem(exclusions):
     # the leg R1 -> R3 of the bundled scenario, in R3's error frame, as
-    # navigate sets it up: seven inflated third regions inside the box
+    # navigate sets it up: seven inflated third regions inside the box;
+    # the model, the FHOCP parameters and the free space
     scenario = default_scenario()
     model = scenario.model()
     target = scenario.regions["R3"].center
@@ -225,13 +226,18 @@ def _bundled_leg_objective(exclusions):
     if exclusions == "none":
         e_set = ConstraintSet(e_set.region, ())
     err_model = shift_to_error_frame(model, model.embed_position(target))
-    return _FhocpObjective(err_model, scenario.fhocp_params(), e_set)
+    return err_model, scenario.fhocp_params(), e_set
+
+
+def _bundled_leg_objective(exclusions):
+    model, params, e_set = _bundled_leg_problem(exclusions)
+    return _FhocpObjective(model, params, e_set.stacked)
 
 
 @pytest.mark.parametrize("exclusions", ["seven", "none"])
 def test_adjoint_gradient_matches_finite_differences(exclusions):
     obj = _bundled_leg_objective(exclusions)
-    free = _bundled_leg_objective("seven").e_set
+    free = _bundled_leg_problem("seven")[2]
     rng = np.random.default_rng(11)
     branches = set()
     for i in range(60):
@@ -244,14 +250,14 @@ def test_adjoint_gradient_matches_finite_differences(exclusions):
         controls = rng.normal(scale=0.4, size=(obj.params.segments, 3))
         weight = 10.0 ** rng.uniform(3, 6)
 
-        _, states, measured = obj.total(e0, controls, weight)
-        grad = obj.gradient(states, measured, controls, weight)
+        _, states, measured = obj.total(e0[None], controls[None], weight)
+        grad = obj.gradient(states, measured, controls[None], np.array([weight]))[0]
         oracle = _fd_gradient(obj, e0, controls, weight, 1e-6)
         assert np.max(np.abs(grad - oracle)) <= 1e-6 * np.max(np.abs(oracle))
 
-        if obj.terminal_excess(states) > 0:
+        if obj.terminal_excess(states)[0] > 0:
             branches.add("terminal")
-        depths = measured[0]
+        depths = measured[0][0]
         active = np.argmax(depths[np.max(depths, axis=-1) > 0], axis=-1)
         branches.update(np.where(active < 2, "lower",
                                  np.where(active < 4, "upper", "ball")).tolist())
@@ -303,15 +309,16 @@ def test_hessian_matches_differences_of_the_gradient(case):
     controls = np.tile(rate, (m, 1)) + rng.normal(scale=1e-3, size=(m, 3))
 
     def at(c):
-        _, states, measured = obj.total(e0, c, weight)
-        depths = measured[0]
+        _, states, measured = obj.total(e0[None], c[None], weight)
+        depths = measured[0][0]
         # which penalty is active, and on which constraint
-        active = (obj.terminal_excess(states) > 0.0,
+        active = (obj.terminal_excess(states)[0] > 0.0,
                   [(k, int(np.argmax(row))) for k, row in enumerate(depths) if row.max() > 0.0])
-        return obj.gradient(states, measured, c, weight), states, measured, active
+        return (obj.gradient(states, measured, c[None], np.array([weight]))[0], states, measured,
+                active)
 
     _, states, measured, active = at(controls)
-    hess = obj.hessian(states, measured, weight)
+    hess = obj.hessian(states, measured, np.array([weight]))
     assert active[0] == (case != "no_penalty")
     sides = 2 * len(obj.pos)
     assert bool(active[1]) == (case == "box_side")
@@ -323,7 +330,7 @@ def test_hessian_matches_differences_of_the_gradient(case):
         # the step crosses no kink of the hinges
         assert plus[3] == minus[3] == active
         diff = ((plus[0] - minus[0]) / (2 * fd_step)).ravel()
-        hv = hess @ v.ravel()
+        hv = (hess @ v.ravel()).ravel()
         assert np.max(np.abs(hv - diff)) <= 1e-6 * np.max(np.abs(hv))
 
 
@@ -347,14 +354,15 @@ def test_newton_step_solves_the_convex_case(bound, start):
     u_set = Box(-bound * np.ones(3), bound * np.ones(3))
     e0 = np.array(start)
     sol = solve_fhocp(e0, model, params, e_set, u_set)
-    obj = _FhocpObjective(model, params, e_set)
-    cost, states, measured = obj.total(e0, sol.controls, controller.PENALTY_WEIGHT)
-    grad = obj.gradient(states, measured, sol.controls, controller.PENALTY_WEIGHT)
+    obj = _FhocpObjective(model, params, e_set.stacked)
+    weight = np.array([controller.PENALTY_WEIGHT])
+    cost, states, measured = obj.total(e0[None], sol.controls[None], weight)
+    grad = obj.gradient(states, measured, sol.controls[None], weight)[0]
     assert sol.feasible
     assert np.max(np.abs(project_input(sol.controls - grad, u_set) - sol.controls)) < controller.TOL
     parent_cost, parent_iterations = CONVEX_PARENT[bound, start]
-    assert float(cost) <= parent_cost
-    if obj.terminal_excess(states) == 0.0:
+    assert float(cost[0]) <= parent_cost
+    if obj.terminal_excess(states)[0] == 0.0:
         assert sol.iterations <= 2
     else:       # the box holds e_m outside the terminal set
         assert bound == 0.15 and sol.iterations < parent_iterations
@@ -405,8 +413,7 @@ def _pinned_problem(name):
     if name == "ball":
         return e0, single_integrator(2), _params(), e_set, Ball(np.zeros(2), 1.0)
     if name == "seven":
-        obj = _bundled_leg_objective("seven")
-        return (np.array([0.15, 0.5, 0.0]), obj.model, obj.params, obj.e_set,
+        return (np.array([0.15, 0.5, 0.0]), *_bundled_leg_problem("seven"),
                 _bundled_leg_input_set())
     return e0, demo_nonlinear(2), _params(), e_set, Box([-1.0, -1.0], [1.0, 1.0])
 

@@ -148,6 +148,23 @@ def test_stacked_depths_match_the_per_ball_loops(balls):
     assert 0 < sum(cs.contains(p) for p in random) < len(random)
 
 
+@pytest.mark.parametrize("balls", [0, 1, 7])
+def test_one_leg_stack_broadcasts_over_rows(balls):
+    # the solver holds one set's stack for any number of rows: taking rows
+    # of it gives it back, and each row's depths are the set's own
+    rng = np.random.default_rng(balls)
+    box = Box([-2.0, -1.5], [2.5, 3.0])
+    cs = ConstraintSet(box, [Ball(c, r) for c, r in
+                             zip(rng.uniform(-1.0, 1.0, size=(balls, 2)),
+                                 rng.uniform(0.2, 0.8, size=balls))])
+    assert cs.stacked.take([0, 0, 0]) is cs.stacked
+    points = rng.uniform(box.lower - 0.5, box.upper + 0.5, size=(3, 13, 2))
+    stacked = cs.stacked.depths(points)
+    for row in range(3):
+        for got, want in zip(stacked, cs.depths(points[row])):
+            assert np.array_equal(got[row], want)
+
+
 def test_ball_of_another_dimension_is_rejected():
     with pytest.raises(InvalidParam):
         ConstraintSet(Box([0.0, 0.0], [1.0, 1.0]), [Ball([0.5, 0.5, 0.0], 0.1)])
