@@ -62,27 +62,16 @@ def _get_wts(args, scenario):
 
 
 def _load_plan(args, scenario):
-    """Load ``--plan``, which must have been synthesized for ``scenario``.
-
-    Its states must be regions of the scenario, with one stamp each, starting
-    at 0 and strictly increasing, and its prefix must be 1..len(states) long.
-    """
+    """Load ``--plan``, which must have been synthesized for ``scenario``;
+    ``synthesis.load_plan`` checks its structure, and its states must be
+    regions of the scenario."""
     plan = synthesis.load_plan(args.plan)
     if plan.scenario_hash != abstraction.scenario_hash(scenario):
         raise ValidationError([f"{args.plan} was synthesized for another scenario"])
-    problems = [f"state {s!r} is not a region of the scenario"
+    problems = [f"{args.plan}: state {s!r} is not a region of the scenario"
                 for s in plan.states if s not in scenario.regions]
-    if len(plan.stamps) != len(plan.states):
-        problems.append(f"{len(plan.stamps)} stamps for {len(plan.states)} states")
-    if plan.stamps and plan.stamps[0] != 0:
-        problems.append(f"first stamp is {plan.stamps[0]}, not 0")
-    if any(b <= a for a, b in zip(plan.stamps, plan.stamps[1:])):
-        problems.append("stamps do not strictly increase")
-    if not 1 <= plan.prefix_len <= len(plan.states):
-        problems.append(f"prefix_len {plan.prefix_len} is outside "
-                        f"1..{len(plan.states)}")
     if problems:
-        raise ValidationError([f"{args.plan}: {p}" for p in problems])
+        raise ValidationError(problems)
     return plan
 
 

@@ -14,6 +14,12 @@ center is mapped to the origin, constraints are shifted and tightened by the
 tube radius, and the nominal state is reset to the measured state at every
 sampling instant (so the tube deviation restarts from zero each interval).
 
+Between sampling instants one substep loop serves every model
+(``_interval``), on lists of floats: the ancillary law, its saturation and
+the records are shared, and only the real and the nominal step depend on the
+model (``integrator_increment`` for the pure integrator, ``rk4_step``
+otherwise).
+
 ``navigate`` is a generator that yields its shooting problem at each
 sampling instant; ``lockstep`` runs any number of them side by side and
 solves all pending problems in one batch (``solve_fhocps``).  The solver
@@ -145,13 +151,6 @@ class FhocpParams:
         return self.terminal_level / np.sqrt(lam)
 
 
-def ancillary_control(u_hat, e_hat, e, sigma: float) -> np.ndarray:
-    """Feedback law ``u = u_hat - sigma * (e - e_hat)``."""
-    return np.asarray(u_hat, dtype=float) - sigma * (
-        np.asarray(e, dtype=float) - np.asarray(e_hat, dtype=float)
-    )
-
-
 def project_input(u: np.ndarray, u_set) -> np.ndarray:
     """Closed-form projection onto a box (clamp) or ball (radial scaling)."""
     if isinstance(u_set, Box):
@@ -251,7 +250,7 @@ def _rollout(model: DynamicsModel, e0: np.ndarray, controls: np.ndarray, h: floa
     if model.pure_integrator:
         parts = np.empty(batch + (m + 1, controls.shape[-1]))
         parts[..., 0, :] = e0
-        parts[..., 1:, :] = integrator_increment(controls, h)
+        parts[..., 1:, :] = integrator_increment(0.0 + controls, h)
         return np.add.accumulate(parts, axis=-2)
     states = np.empty(batch + (m + 1, controls.shape[-1]))
     e = np.broadcast_to(e0, batch + (e0.shape[-1],)).copy()
@@ -781,34 +780,30 @@ def max_deviation(states: np.ndarray, nominal: np.ndarray) -> float:
     return float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, axis=-1)), initial=0.0))
 
 
-def _integrator_interval(x, e_hat, u_hat, target, sigma, saturate, delta_fn,
-                         t0, dt, substeps, records):
-    """``navigate``'s substep loop over one sampling interval for a pure
-    integrator, on lists of Python floats.
+def _interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delta_fn,
+              t0, dt, substeps, records):
+    """``navigate``'s substep loop over one sampling interval, on lists of
+    Python floats.
 
-    Each line does the float operations of the array loop in the same order:
-    ``ancillary_control``, the saturation test and projection
-    (``_float_saturation``), and both ``rk4_step`` updates, ``x + dt/6*(k +
-    2k + 2k + k)`` with ``k = 0.0 + u (+ delta)``.  So every sample has the
-    bits the ``rk4_step`` loop gives.  Appends one row per substep to
-    ``records`` and returns the final state and the saturation count.
+    Each substep applies the ancillary law ``u = u_hat - sigma * ((x -
+    target) - e_hat)``, saturates it (``_float_saturation``), and moves the
+    real state by ``step(x, u, delta)`` and the nominal one by
+    ``nominal_step(e_hat)``; ``navigate`` picks the two steps for the model.
+    Appends one row per substep to ``records`` and returns the final state
+    and the saturation count.
     """
     ts, xs, nominal, inputs, deltas = records
-    c = dt / 6
-    # the nominal input is held, so the nominal increment is one vector
-    nominal_step = [c * (k + 2 * k + 2 * k + k) for k in [0.0 + a for a in u_hat]]
     saturations = 0
     for j in range(substeps):
         t = t0 + j * dt
-        delta = np.asarray(delta_fn(t, np.array(x)), dtype=float).tolist()
+        delta = delta_fn(t, x)
         u = [a - sigma * ((b - r) - d) for a, b, r, d in zip(u_hat, x, target, e_hat)]
         projected = saturate(u)
         if projected is not None:
             saturations += 1
             u = projected
-        x = [a + c * (k + 2 * k + 2 * k + k)
-             for a, k in zip(x, [(0.0 + b) + d for b, d in zip(u, delta)])]
-        e_hat = [a + b for a, b in zip(e_hat, nominal_step)]
+        x = step(x, u, delta)
+        e_hat = nominal_step(e_hat)
         if not all(map(math.isfinite, x)):
             raise NonFiniteError(f"state became non-finite at t={t + dt}")
         ts.append(t + dt)
@@ -869,8 +864,27 @@ def navigate(
     inputs = [[0.0] * model.n]
     deltas = [[0.0] * model.n]
     records = (ts, xs, nominal, inputs, deltas)
-    saturate = _float_saturation(input_set) if model.pure_integrator else None
+    saturate = _float_saturation(input_set)
+    target_list = target_state.tolist()
     costs = []
+
+    # the real and the nominal step of one substep, on floats; the nominal
+    # input is held over an interval, so ``nominal_step`` makes the nominal
+    # step of each one
+    if model.pure_integrator:
+        def step(x, u, delta):
+            return [a + integrator_increment((0.0 + b) + d, sim_dt)
+                    for a, b, d in zip(x, u, delta)]
+
+        def nominal_step(u_hat):
+            held = [integrator_increment(0.0 + a, sim_dt) for a in u_hat]
+            return lambda e_hat: [a + b for a, b in zip(e_hat, held)]
+    else:
+        def step(x, u, delta):
+            return rk4_step(model, np.array(x), u, sim_dt, delta).tolist()
+
+        def nominal_step(u_hat):
+            return lambda e_hat: rk4_step(err_model, np.array(e_hat), u_hat, sim_dt).tolist()
 
     warm = None
     arrival_steps = None
@@ -899,34 +913,14 @@ def navigate(
             status = INFEASIBLE
             break
         costs.append(sol.cost)
-        u_hat = sol.controls[0]
+        u_hat = sol.controls[0].tolist()
 
         # propagate the coupled (real, nominal) pair over one sampling interval
-        t0 = k * h
-        if model.pure_integrator:
-            x_end, sats = _integrator_interval(
-                x.tolist(), e.tolist(), u_hat.tolist(), target_state.tolist(),
-                tube.sigma, saturate, delta_fn, t0, sim_dt, substeps, records)
-            x = np.array(x_end)
-            saturations += sats
-        else:
-            e_hat = e.copy()
-            for j in range(substeps):
-                t = t0 + j * sim_dt
-                delta = np.asarray(delta_fn(t, x), dtype=float)
-                u = ancillary_control(u_hat, e_hat, x - target_state, tube.sigma)
-                if input_violation(u, input_set):
-                    saturations += 1
-                    u = project_input(u, input_set)
-                x = rk4_step(model, x, u, sim_dt, delta)
-                e_hat = rk4_step(err_model, e_hat, u_hat, sim_dt)
-                if not np.all(np.isfinite(x)):
-                    raise NonFiniteError(f"state became non-finite at t={t + sim_dt}")
-                ts.append(t + sim_dt)
-                xs.append(x.tolist())
-                nominal.append((e_hat + target_state).tolist())
-                inputs.append(u.tolist())
-                deltas.append(delta.tolist())
+        x_end, sats = _interval(
+            x.tolist(), e.tolist(), u_hat, target_list, tube.sigma, saturate,
+            step, nominal_step(u_hat), delta_fn, k * h, sim_dt, substeps, records)
+        x = np.array(x_end)
+        saturations += sats
 
         warm = np.concatenate((sol.controls[1:], np.zeros((1, model.n))))
         k += 1

@@ -38,8 +38,9 @@ class DynamicsModel:
     ``position_projection`` selects the workspace coordinates (the ones the
     geometric constraints talk about).  ``pure_integrator`` declares that
     ``f == 0`` and ``g == I`` (which the callables cannot show), so the
-    controller may step with ``integrator_increment`` and the exact adjoint
-    gradient; only ``single_integrator`` sets it.
+    controller may step with ``integrator_increment``, on arrays in the
+    solver's rollout and on floats in the closed loop, and take the exact
+    adjoint gradient; only ``single_integrator`` sets it.
     """
 
     name: str
@@ -112,7 +113,7 @@ def rk4_step(model: DynamicsModel, x, u, dt: float, delta=None) -> np.ndarray:
     The input ``u`` and the disturbance ``delta`` are held constant through
     the four stages (piecewise-constant signals keep runs bit-reproducible).
     For a pure integrator the four stages are equal, and ``x +
-    integrator_increment(u, dt, delta)`` gives the same bits.
+    integrator_increment((0.0 + u) + delta, dt)`` gives the same bits.
     """
     k1 = model.derivative(x, u, delta)
     k2 = model.derivative(x + dt / 2 * k1, u, delta)
@@ -121,15 +122,13 @@ def rk4_step(model: DynamicsModel, x, u, dt: float, delta=None) -> np.ndarray:
     return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def integrator_increment(u, dt: float, delta=None) -> np.ndarray:
-    """RK4's increment ``dt/6 * (k1 + 2 k2 + 2 k3 + k4)`` for ``xdot = u + delta``.
+def integrator_increment(k, dt: float):
+    """RK4's increment ``dt/6 * (k1 + 2 k2 + 2 k3 + k4)`` when the four
+    stages are one ``k``, as for ``xdot = u + delta``; on a float or an array.
 
-    Every stage is ``k = 0 + u (+ delta)``; adding the zero drift first, as
-    ``DynamicsModel.derivative`` does, keeps its signed zeros.
+    Every stage is ``k = (0 + u) + delta``: callers add the zero drift first,
+    as ``DynamicsModel.derivative`` does, which keeps its signed zeros.
     """
-    k = 0.0 + np.asarray(u, dtype=float)
-    if delta is not None:
-        k = k + delta
     return dt / 6 * (k + 2 * k + 2 * k + k)
 
 
@@ -204,8 +203,9 @@ class DisturbanceSpec:
                 f"unknown policy {self.policy!r}; choose from {DISTURBANCE_POLICIES}"
             )
 
-    def generator(self, target, seed) -> Callable[[float, np.ndarray], np.ndarray]:
-        """Deterministic ``delta(t, x)`` whose norm never exceeds the bound.
+    def generator(self, target, seed) -> Callable[[float, list], list]:
+        """Deterministic ``delta(t, x)`` whose norm never exceeds the bound,
+        as a list of floats; ``x`` is a sequence of floats.
 
         ``target`` is the full state the robot is steered to; the ``worst``
         policy pushes away from it, and its size sets the state dimension.
@@ -214,23 +214,21 @@ class DisturbanceSpec:
         n = target.shape[0]
         bound = self.bound
         if self.policy == "zero" or bound == 0.0:
-            zero = np.zeros(n)
+            zero = [0.0] * n
             return lambda t, x: zero
         if self.policy == "worst":
             def radial(t, x):
                 v = np.asarray(x, dtype=float) - target
                 nrm = np.linalg.norm(v)
                 if nrm < 1e-12:
-                    d = np.zeros(n)
-                    d[0] = bound
-                    return d
-                return bound / nrm * v
+                    return [float(bound)] + [0.0] * (n - 1)
+                return (bound / nrm * v).tolist()
 
             return radial
 
         rng = np.random.default_rng(seed)
         hold = RANDOM_HOLD if self.policy == "random" else None
-        state = {"next_t": -np.inf, "value": np.zeros(n)}
+        state = {"next_t": -np.inf, "value": [0.0] * n}
 
         def draw():
             v = rng.normal(size=n)
@@ -241,7 +239,7 @@ class DisturbanceSpec:
                 raise InternalError(
                     f"disturbance draw {d} exceeds the bound {bound}"
                 )
-            return d
+            return d.tolist()
 
         def gen(t, x):
             if hold is None:

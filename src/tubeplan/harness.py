@@ -26,9 +26,9 @@ from .abstraction import Wts
 from .controller import input_violation, lockstep, max_deviation, navigate
 from .dynamics import DisturbanceSpec, derive_seed
 from .errors import ExecutionFailure, ValidationError
-from .mitl import TimedWord, monitor
+from .mitl import monitor
 from .scenario import Scenario, rational_str
-from .synthesis import Plan, plan_digest
+from .synthesis import Plan, plan_digest, plan_word
 
 # Loop-closure slack on the tube radius: the controller resets the nominal
 # state every sampling step, so the deviation it must absorb per interval is
@@ -208,10 +208,7 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace) -> dict:
     containment_ok = all(c["ok"] for c in containment)
 
     complete = len(pos) == indices[-1] + 1
-    word = TimedWord(
-        tuple(scenario.label_of(s) for s in plan.states), plan.stamps
-    )
-    monitor_ok = complete and monitor(formula, word)
+    monitor_ok = complete and monitor(formula, plan_word(plan, scenario))
 
     offpath = exits = 0
     for (src, dst, _), rows in zip(plan.legs(), leg_rows(indices)):

@@ -203,8 +203,9 @@ def run_to_plan(run: TimedRun, wts: Wts, scenario_hash: str = "",
                 formula_text)
 
 
-def plan_word(plan: Plan, wts: Wts):
-    """The timed word a faithful execution of the plan produces."""
+def plan_word(plan: Plan, wts):
+    """The timed word a faithful execution of the plan produces.  ``wts``
+    is anything with ``label_of``: a ``Wts`` or a ``Scenario``."""
     from .mitl import TimedWord
 
     return TimedWord(
@@ -243,11 +244,13 @@ def plan_to_dict(plan: Plan) -> dict:
 
 
 def plan_from_dict(data: dict) -> Plan:
-    """Inverse of ``plan_to_dict``.  Data that is not a plan, such as a
-    missing key or a stamp that is not a finite rational, raises
-    ``ValidationError``."""
+    """Inverse of ``plan_to_dict``.  Data that is not a plan raises
+    ``ValidationError``: a missing key, a stamp that is not a finite
+    rational, a stamp count other than the state count, a first stamp other
+    than 0, stamps that do not strictly increase, or a ``prefix_len``
+    outside 1..len(states)."""
     try:
-        return Plan(
+        plan = Plan(
             states=tuple(data["states"]),
             stamps=tuple(Fraction(t) for t in data["stamps"]),
             prefix_len=int(data["prefix_len"]),
@@ -257,6 +260,19 @@ def plan_from_dict(data: dict) -> Plan:
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError,
             OverflowError) as exc:
         raise ValidationError([f"data is not a plan: {exc!r}"]) from exc
+    stamps, count = plan.stamps, len(plan.states)
+    problems = []
+    if len(stamps) != count:
+        problems.append(f"{len(stamps)} stamps for {count} states")
+    if stamps and stamps[0] != 0:
+        problems.append(f"first stamp is {stamps[0]}, not 0")
+    if any(b <= a for a, b in zip(stamps, stamps[1:])):
+        problems.append("stamps do not strictly increase")
+    if not 1 <= plan.prefix_len <= count:
+        problems.append(f"prefix_len {plan.prefix_len} is outside 1..{count}")
+    if problems:
+        raise ValidationError(problems)
+    return plan
 
 
 def plan_digest(plan: Plan) -> str:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import tubeplan
 from tubeplan import cli
+from tubeplan.errors import ValidationError
 
 from conftest import tiny_dict
 
@@ -446,6 +448,14 @@ def test_malformed_plan_is_rejected(workdir, wts_cache, tmp_path, capsys,
     bad = tmp_path / "bad_plan.json"
     # json writes an infinite float as Infinity; both read back as inf
     bad.write_text(json.dumps(plan).replace("Infinity", "1e400"))
+    # the library loader rejects every plan that is malformed on its own;
+    # only the scenario knows whether a state is one of its regions
+    if corrupt is _set_state_z:
+        assert "Z" in tubeplan.load_plan(bad).states
+    else:
+        with pytest.raises(ValidationError) as err:
+            tubeplan.load_plan(bad)
+        assert message in str(err.value)
     capsys.readouterr()
     code = cli.main(["simulate", "--scenario", str(workdir / "tiny.json"),
                      "--wts", str(wts_cache), "--plan", str(bad)])

@@ -9,7 +9,6 @@ from tubeplan.controller import (
     _FhocpObjective,
     _fd_gradient,
     _rollout,
-    ancillary_control,
     input_violation,
     lockstep,
     make_tube_params,
@@ -53,11 +52,6 @@ def test_tube_params_validation():
         make_tube_params(1.0, 0.0, 1.0, 0.1)
     with pytest.raises(InvalidParam):
         make_tube_params(1.0, 1.0, -1.0, 0.1)
-
-
-def test_ancillary_law_algebra():
-    u = ancillary_control([1.0, 0.0], [0.2, 0.2], [0.5, 0.1], sigma=2.0)
-    assert np.allclose(u, [1.0 - 2.0 * 0.3, -2.0 * -0.1])
 
 
 def test_arrival_radius():
@@ -554,26 +548,28 @@ def test_navigate_min_duration_holds_longer():
     assert held.arrival_steps == out.arrival_steps
 
 
-def _array_interval(input_set):
-    """The substep loop ``navigate`` ran on arrays before the float interval,
-    with ``_integrator_interval``'s signature: the reference.  Every step is
-    the four-stage ``rk4_step``."""
-    si = single_integrator(3)
+def _array_interval(model, input_set):
+    """The substep loop ``navigate`` ran on arrays before the float loop,
+    with ``_interval``'s signature: the reference.  It writes out the
+    ancillary law ``u = u_hat - sigma * (e - e_hat)`` on arrays, and every
+    step is the four-stage ``rk4_step``, of ``model`` for the real state and
+    of its error-frame model for the nominal one."""
 
-    def interval(x, e_hat, u_hat, target, sigma, saturate, delta_fn, t0, dt,
-                 substeps, records):
+    def interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delta_fn,
+                 t0, dt, substeps, records):
         ts, xs, nominal, inputs, deltas = records
         x, e_hat, u_hat, target = (np.array(v) for v in (x, e_hat, u_hat, target))
+        err_model = shift_to_error_frame(model, target)
         saturations = 0
         for j in range(substeps):
             t = t0 + j * dt
             delta = np.asarray(delta_fn(t, x), dtype=float)
-            u = ancillary_control(u_hat, e_hat, x - target, sigma)
+            u = u_hat - sigma * ((x - target) - e_hat)
             if input_violation(u, input_set):
                 saturations += 1
                 u = project_input(u, input_set)
-            x = rk4_step(si, x, u, dt, delta)
-            e_hat = rk4_step(si, e_hat, u_hat, dt)
+            x = rk4_step(model, x, u, dt, delta)
+            e_hat = rk4_step(err_model, e_hat, u_hat, dt)
             ts.append(t + dt)
             xs.append(x.tolist())
             nominal.append((e_hat + target).tolist())
@@ -591,35 +587,38 @@ def _array_interval(input_set):
 def test_float_interval_is_the_rk4_step_loop(monkeypatch, input_set, policy):
     # the tube is sized for disturbances of 0.001 but they reach 0.2, so the
     # deviation outgrows it and the ancillary law saturates on the long
-    # first legs, where the nominal input sits on the tightened bound
-    m = single_integrator(3)
+    # first legs, where the nominal input sits on the tightened bound; the
+    # one float loop must give the array reference's bits for every model
     tube = make_tube_params(0.0, 1.0, 1.0, 0.001)
     params = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),
                          0.5 * np.eye(3), 0.1)
     cs = ConstraintSet(Box([-3.0, -3.0], [3.0, 3.0]), [Ball([0.0, 1.2], 0.3)])
+    for m, max_steps in ((single_integrator(3), 40), (demo_nonlinear(3), 6)):
 
-    def run():
-        (out,) = lockstep([navigate(m, m.embed_position([-2.0, 0.5]), Ball([2.0, 0.0], 0.3),
-                                    cs, input_set, tube, params,
-                                    DisturbanceSpec(0.2, policy), max_steps=40, seed=5)])
-        return out
+        def run():
+            (out,) = lockstep([navigate(m, m.embed_position([-2.0, 0.5]), Ball([2.0, 0.0], 0.3),
+                                        cs, input_set, tube, params,
+                                        DisturbanceSpec(0.2, policy), max_steps=max_steps,
+                                        seed=5)])
+            return out
 
-    fast = run()
-    monkeypatch.setattr(controller, "_integrator_interval", _array_interval(input_set))
-    slow = run()
-    assert fast.total_steps == slow.total_steps >= 20
-    for name in ("ts", "states", "nominal_states", "inputs", "disturbances"):
-        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
-        assert np.array_equal(np.signbit(getattr(fast, name)),
-                              np.signbit(getattr(slow, name))), name
-    assert fast.saturation_count == slow.saturation_count
-    assert (fast.saturation_count > 0) == (policy != "zero")
+        fast = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(controller, "_interval", _array_interval(m, input_set))
+            slow = run()
+        assert fast.total_steps == slow.total_steps >= min(20, max_steps), m.name
+        for name in ("ts", "states", "nominal_states", "inputs", "disturbances"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+            assert np.array_equal(np.signbit(getattr(fast, name)),
+                                  np.signbit(getattr(slow, name))), name
+        assert fast.saturation_count == slow.saturation_count
+        assert (fast.saturation_count > 0) == (policy != "zero"), m.name
 
 
 def test_navigate_steps_other_models_with_rk4():
-    # models other than the pure integrator keep the array loop: every
-    # sample is one four-stage rk4_step from the one before, under the
-    # recorded input and disturbance
+    # models other than the pure integrator step with rk4_step in the float
+    # loop: every sample is one four-stage rk4_step from the one before,
+    # under the recorded input and disturbance
     m = demo_nonlinear(3)
     tube = make_tube_params(0.0, 1.0, 1.0, 0.05)
     params = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),

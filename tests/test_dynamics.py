@@ -68,8 +68,9 @@ def test_rk4_step_batch_matches_rows():
 
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
 def test_pure_integrator_step_is_bit_identical(dt):
-    # the pure-integrator paths add integrator_increment to the state; it
-    # must give the four-stage rk4_step's bits
+    # the pure-integrator paths add integrator_increment of the stage
+    # ``(0 + u) + delta`` to the state, on arrays and on floats; both must
+    # give the four-stage rk4_step's bits
     m = single_integrator(3)
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -78,13 +79,19 @@ def test_pure_integrator_step_is_bit_identical(dt):
         d = 0.05 * rng.normal(size=(7, 3))
         x[0] = u[0] = -0.0  # the four stages add the zero drift: +0.0
         for delta in (None, d):
-            got = x + integrator_increment(u, dt, delta)
+            k = 0.0 + u if delta is None else (0.0 + u) + delta
+            got = x + integrator_increment(k, dt)
             want = rk4_step(m, x, u, dt, delta)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
             row = None if delta is None else delta[3]
-            assert np.array_equal(x[3] + integrator_increment(u[3], dt, row),
+            assert np.array_equal(x[3] + integrator_increment(k[3], dt),
                                   rk4_step(m, x[3], u[3], dt, row))
+            for i in (0, 3):
+                floats = [a + integrator_increment(b, dt) for a, b in zip(x[i].tolist(),
+                                                                          k[i].tolist())]
+                assert np.array_equal(floats, want[i])
+                assert np.array_equal(np.signbit(floats), np.signbit(want[i]))
 
 
 def test_lipschitz_single_integrator_is_zero():
