@@ -51,9 +51,12 @@ def _get_wts(args, scenario):
     path = getattr(args, "wts", None)
     if path and os.path.exists(path):
         wts = abstraction.load_wts(path, expected_hash=expected)
-        # the scenario hash leaves the labels out
+        # the scenario hash leaves the labels and the initial region out
         if wts.labels != {s: scenario.label_of(s) for s in wts.states}:
             raise AbstractionError("cached transition system has stale labels")
+        if wts.initial != scenario.initial_region:
+            raise AbstractionError(f"cached transition system starts at {wts.initial!r}, "
+                                   f"not at the initial region {scenario.initial_region!r}")
         return wts
     wts = abstraction.build_wts(scenario)
     if path:
@@ -63,13 +66,17 @@ def _get_wts(args, scenario):
 
 def _load_plan(args, scenario):
     """Load ``--plan``, which must have been synthesized for ``scenario``;
-    ``synthesis.load_plan`` checks its structure, and its states must be
-    regions of the scenario."""
+    ``synthesis.load_plan`` checks its structure, its states must be
+    regions of the scenario, and the first one its initial region (which
+    the scenario hash leaves out)."""
     plan = synthesis.load_plan(args.plan)
     if plan.scenario_hash != abstraction.scenario_hash(scenario):
         raise ValidationError([f"{args.plan} was synthesized for another scenario"])
     problems = [f"{args.plan}: state {s!r} is not a region of the scenario"
                 for s in plan.states if s not in scenario.regions]
+    if not problems and plan.states[0] != scenario.initial_region:
+        problems.append(f"{args.plan} starts at {plan.states[0]!r}, not at the initial "
+                        f"region {scenario.initial_region!r}")
     if problems:
         raise ValidationError(problems)
     return plan

@@ -78,17 +78,6 @@ def make_tube_params(
     )
 
 
-def _check_spd(name: str, m: np.ndarray):
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidParam(f"{name} must be a square matrix")
-    if not np.allclose(m, m.T):
-        raise InvalidParam(f"{name} must be symmetric")
-    if np.min(np.linalg.eigvalsh(m)) <= 0:
-        raise InvalidParam(f"{name} must be positive definite")
-    return m
-
-
 # shooting-solver settings
 MAX_ITERS = 60
 TOL = 1e-8
@@ -102,21 +91,26 @@ _EPS0 = 1e-3                           # widest epsilon-active band of the Newto
 
 @dataclass(frozen=True)
 class FhocpParams:
-    """Horizon, sampling step and cost matrices."""
+    """Horizon, sampling step, and the weights of the quadratic cost ``h
+    sum_k (q |e_k|^2 + r |u_k|^2) + p |e_m|^2`` on a ``dim``-dimensional
+    state: ``state_weight`` q, ``terminal_weight`` p and ``input_weight`` r,
+    each a positive number."""
 
     horizon: float
     step: float
-    state_weight: np.ndarray
-    terminal_weight: np.ndarray
-    input_weight: np.ndarray
+    state_weight: float
+    terminal_weight: float
+    input_weight: float
     terminal_level: float
-    # the solver's segment length, d/de of the cost terms e'We, (W + W') e,
-    # the stage and input ones times the segment length, and the Hessian of
-    # the quadratic cost in the flattened controls of a pure integrator
+    dim: int
+    # the solver's segment length, the slope factor 2 w of each cost term w
+    # |e|^2 (the stage and input ones times the segment length), and the
+    # Hessian of the quadratic cost in the flattened controls of a pure
+    # integrator
     seg_h: float = field(init=False, compare=False, repr=False)
-    d_stage: np.ndarray = field(init=False, compare=False, repr=False)
-    d_input: np.ndarray = field(init=False, compare=False, repr=False)
-    d_terminal: np.ndarray = field(init=False, compare=False, repr=False)
+    d_stage: float = field(init=False, compare=False, repr=False)
+    d_input: float = field(init=False, compare=False, repr=False)
+    d_terminal: float = field(init=False, compare=False, repr=False)
     hessian: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -124,20 +118,19 @@ class FhocpParams:
             raise InvalidParam("need horizon > step > 0")
         if self.terminal_level <= 0:
             raise InvalidParam("terminal level must be > 0")
-        object.__setattr__(self, "state_weight", _check_spd("Q", self.state_weight))
-        object.__setattr__(self, "terminal_weight", _check_spd("P", self.terminal_weight))
-        object.__setattr__(self, "input_weight", _check_spd("R", self.input_weight))
+        for name in ("state_weight", "terminal_weight", "input_weight"):
+            if not getattr(self, name) > 0:
+                raise InvalidParam(f"{name} must be > 0, got {getattr(self, name)}")
         h = self.horizon / self.segments
         q, p, r = self.state_weight, self.terminal_weight, self.input_weight
-        for name, value in (("seg_h", h), ("d_stage", h * (q + q.T)),
-                            ("d_input", h * (r + r.T)), ("d_terminal", p + p.T)):
+        for name, value in (("seg_h", h), ("d_stage", h * (q + q)),
+                            ("d_input", h * (r + r)), ("d_terminal", p + p)):
             object.__setattr__(self, name, value)
         # block (j, l): h^2 (d_terminal + d_stage per k > max(j, l)), + d_input
         m = self.segments
         later = m - 1 - np.maximum.outer(np.arange(m), np.arange(m))
-        object.__setattr__(self, "hessian", np.kron(h * h * later, self.d_stage)
-                           + np.kron(np.full((m, m), h * h), self.d_terminal)
-                           + np.kron(np.eye(m), self.d_input))
+        block = h * h * later * self.d_stage + h * h * self.d_terminal + np.eye(m) * self.d_input
+        object.__setattr__(self, "hessian", np.kron(block, np.eye(self.dim)))
 
     @property
     def segments(self) -> int:
@@ -146,9 +139,9 @@ class FhocpParams:
 
     @property
     def arrival_radius(self) -> float:
-        """Stop-test radius: terminal level over sqrt of min eigenvalue of P."""
-        lam = float(np.min(np.linalg.eigvalsh(self.terminal_weight)))
-        return self.terminal_level / np.sqrt(lam)
+        """Stop-test radius: where the terminal cost ``p |e|^2`` reaches the
+        terminal level squared."""
+        return self.terminal_level / math.sqrt(self.terminal_weight)
 
 
 def project_input(u: np.ndarray, u_set) -> np.ndarray:
@@ -221,10 +214,7 @@ def shift_to_error_frame(model: DynamicsModel, target_state: np.ndarray) -> Dyna
     def g(e):
         return model.g(np.asarray(e) + target)
 
-    return DynamicsModel(
-        f"{model.name}@error", model.n, f, g, model.position_projection,
-        model.pure_integrator,
-    )
+    return DynamicsModel(f"{model.name}@error", model.n, f, g, model.pure_integrator)
 
 
 @dataclass
@@ -276,12 +266,6 @@ class _FhocpObjective:
         self.model = model
         self.params = params
         self.e_set = e_set
-        self.pos = list(model.position_projection)
-        # the position columns as a slice where they are contiguous: a view
-        # costs less than a gather and holds the same numbers
-        first = self.pos[0]
-        self.cols = (slice(first, first + len(self.pos))
-                     if self.pos == list(range(first, first + len(self.pos))) else self.pos)
 
     def take(self, rows):
         """The objective of the legs at ``rows`` of ``e_set``; itself when
@@ -292,14 +276,14 @@ class _FhocpObjective:
     def quadratic(self, states, controls, terminal=None):
         p = self.params
         xs = states[..., :-1, :]
-        stage = np.add.reduce((xs @ p.state_weight) * xs, axis=-1)
-        stage = stage + np.add.reduce((controls @ p.input_weight) * controls, axis=-1)
+        stage = np.add.reduce((xs * p.state_weight) * xs, axis=-1)
+        stage = stage + np.add.reduce((controls * p.input_weight) * controls, axis=-1)
         terminal = self._terminal(states) if terminal is None else terminal
         return terminal + p.seg_h * np.add.reduce(stage, axis=-1)
 
     def _terminal(self, states):
         e_n = states[..., -1, :]
-        return np.add.reduce((e_n @ self.params.terminal_weight) * e_n, axis=-1)
+        return np.add.reduce((e_n * self.params.terminal_weight) * e_n, axis=-1)
 
     def terminal_excess(self, states, terminal=None):
         terminal = self._terminal(states) if terminal is None else terminal
@@ -309,12 +293,12 @@ class _FhocpObjective:
         """Cost of each control set, its rollout, and the rollout's
         ``e_set.depths`` (depths, offsets, dist)."""
         states = self._states(e0, controls)
-        measured = self.e_set.depths(states[..., self.cols])
+        measured = self.e_set.depths(states[..., :2])
         return self.cost(states, measured, controls, weight), states, measured
 
     def cost(self, states, measured, controls, weight):
         """``total``'s cost from a rollout and its depths already measured."""
-        terminal = self._terminal(states)       # e_m' P e_m, shared by two terms
+        terminal = self._terminal(states)       # p |e_m|^2, shared by two terms
         pen = np.add.reduce(self.e_set.worst(measured[0]) ** 2, axis=-1)
         pen = pen + self.terminal_excess(states, terminal) ** 2
         return self.quadratic(states, controls, terminal) + weight * pen
@@ -327,17 +311,17 @@ class _FhocpObjective:
         depths, as ``total`` returns them, and ``active`` their
         ``_active_slopes`` (taken here when not given); ``weight`` holds one
         penalty weight per row.
-        ``e_k = e_0 + h * sum_{j<k} u_j``, so ``dJ/du_j = 2h R u_j +
-        h * sum_{k>j} dJ/de_k``.  ``dJ/de_k`` holds the stage term ``2h Q
-        e_k``, the terminal term ``2 P e_m`` with the terminal-excess
+        ``e_k = e_0 + h * sum_{j<k} u_j``, so ``dJ/du_j = 2h r u_j +
+        h * sum_{k>j} dJ/de_k``.  ``dJ/de_k`` holds the stage term ``2h q
+        e_k``, the terminal term ``2 p e_m`` with the terminal-excess
         penalty, and the hinge penalty's subgradient at the active
         constraint: -1 or +1 on a box side, ``-(pos - c)/|pos - c|`` on an
         exclusion ball.
         """
         p = self.params
-        d_e = states @ p.d_stage
+        d_e = states * p.d_stage
         e_n = states[..., -1:, :]
-        d_e[..., -1:, :] = e_n @ p.d_terminal
+        d_e[..., -1:, :] = e_n * p.d_terminal
         norm_p = [math.sqrt(0.5 * x) for x in
                   (d_e[..., -1:, :] @ np.swapaxes(e_n, -1, -2)).ravel().tolist()]
         # the terminal-excess factor of each row, on floats; times 1.0, which
@@ -348,10 +332,10 @@ class _FhocpObjective:
             d_e[:, -1, :] *= np.array(factor)[:, None]
         (rows, steps), depth, slope = self._active_slopes(measured) if active is None else active
         if depth is not None:
-            d_e[rows[:, None], steps[:, None], self.pos] += (
+            d_e[rows, steps, :2] += (
                 (2.0 * weight[rows] * depth)[:, None] * slope)
         tail = d_e[..., :0:-1, :].cumsum(axis=-2)[..., ::-1, :]   # sum_{k>j} dJ/de_k
-        return controls @ p.d_input + p.seg_h * tail
+        return controls * p.d_input + p.seg_h * tail
 
     def hessian(self, states, measured, weight, active=None):
         """Hessian of ``total`` in the flattened controls of each row, for a
@@ -364,12 +348,12 @@ class _FhocpObjective:
         count, m1, n = states.shape
         m = m1 - 1
         e_n = states[:, -1:, :]
-        pe = 0.5 * (e_n @ p.d_terminal)
+        pe = 0.5 * (e_n * p.d_terminal)
         norm_p = [math.sqrt(x) for x in (pe @ np.swapaxes(e_n, -1, -2)).ravel().tolist()]
         over = [r for r, v in enumerate(norm_p) if v > p.terminal_level]
         if not over and slope is None:
             return p.hessian
-        # 2 w h^2 of each row, and ratio / |e_m|_P^2 and (1 - ratio) / 2 of
+        # 2 w h^2 of each row, and ratio / (p |e_m|^2) and (1 - ratio) / 2 of
         # each row past the terminal level, on floats as a batch of one has them
         hh = p.seg_h ** 2
         scale = [2.0 * w * hh for w in weight.tolist()]
@@ -380,7 +364,8 @@ class _FhocpObjective:
                            (1.0 - p.terminal_level / norm_p[r]) * 0.5)
                           for r in over])[:, :, None, None]
             pe = pe[slice(None) if hess is None else over]
-            a = f[:, 0] * ((f[:, 1] * pe.transpose(0, 2, 1)) * pe + f[:, 2] * p.d_terminal)
+            a = f[:, 0] * ((f[:, 1] * pe.transpose(0, 2, 1)) * pe
+                           + f[:, 2] * (p.d_terminal * np.eye(n)))
             blocks = (p.hessian.reshape(m, n, m, n)
                       + a[:, None, :, None, :]).reshape(-1, m * n, m * n)
             if hess is None:
@@ -392,7 +377,7 @@ class _FhocpObjective:
                 # row k's slope v, through e_k's controls j < k
                 here = rows == r
                 v = np.zeros((np.count_nonzero(here), 1, n))
-                v[..., self.pos] = slope[here][:, None]
+                v[..., :2] = slope[here][:, None]
                 jv = ((np.arange(m)[:, None] < steps[here][:, None, None]) * v).reshape(-1, m * n)
                 hess[r] = hess[r] + scale[r] * (jv.T @ jv)
         return hess
@@ -472,14 +457,14 @@ def solve_fhocps(problems) -> list:
     for i, (_, model, params, _, u_set, _) in enumerate(problems):
         key = len(problems) > 1 and (
             id(params), type(u_set), *(np.asarray(v).tobytes() for v in vars(u_set).values()),
-            model.position_projection, model.n if model.pure_integrator else model)
+            model.n if model.pure_integrator else model)
         groups.setdefault(key, []).append(i)
     for rows in groups.values():
         _, model, params, _, u_set, _ = problems[rows[0]]
-        m, n, pos = params.segments, model.n, list(model.position_projection)
+        m, n = params.segments, model.n
         e0 = np.array([problems[i][0] for i in rows], dtype=float)
         stack = ConstraintStack.of([problems[i][3] for i in rows])
-        inside = stack.contains(e0[:, pos])
+        inside = stack.contains(e0[:, :2])
         starts = []
         for i, e, ok in zip(rows, e0, inside.tolist()):
             warm_start = problems[i][5]
@@ -489,7 +474,7 @@ def solve_fhocps(problems) -> list:
                 controls = np.zeros((m, n))
                 states = obj._states(e, controls)
                 sols[i] = FhocpSolution(controls, states, float(obj.quadratic(states, controls)),
-                                        False, float(e_set.violation(e[pos])))
+                                        False, float(e_set.violation(e[:2])))
             elif warm_start is None:
                 # drive the error to zero over the horizon at constant rate; a
                 # crude but dimensionally sensible start that costs the solver
@@ -537,7 +522,7 @@ def _solve_rows(model, params, u_set, free, e0, controls):
     # search's batch already holds them for the picked candidate, and a new
     # penalty weight only changes the cost
     states = obj._states(e0, controls)
-    measured = obj.e_set.depths(states[..., obj.cols])
+    measured = obj.e_set.depths(states[..., :2])
     cost = obj.cost(states, measured, controls, weight)
     it = 0
     while True:
@@ -853,7 +838,6 @@ def navigate(
     e_set = tighten_state_constraints(state_constraints, target.center, tube.tube_radius)
     u_tight = tighten_input_constraints(input_set, tube.sigma, tube.tube_radius)
     arrival_radius = fhocp.arrival_radius
-    pos_idx = list(model.position_projection)
     delta_fn = disturbance.generator(target_state, seed)
 
     x = np.asarray(x_start, dtype=float).copy()
@@ -893,7 +877,7 @@ def navigate(
 
     k = 0
     while k <= max_steps:
-        d = x[pos_idx] - target.center
+        d = x[:2] - target.center
         pos_err = float(np.sqrt(d.dot(d)))
         if arrival_steps is None and pos_err <= arrival_radius:
             arrival_steps = k

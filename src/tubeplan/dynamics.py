@@ -34,9 +34,9 @@ class DynamicsModel:
     """Control-affine model.
 
     ``f`` maps states of shape ``(..., n)`` to drifts of the same shape;
-    ``g`` maps them to input gains of shape ``(..., n, n)``.
-    ``position_projection`` selects the workspace coordinates (the ones the
-    geometric constraints talk about).  ``pure_integrator`` declares that
+    ``g`` maps them to input gains of shape ``(..., n, n)``.  The first two
+    state coordinates are the workspace position (the ones the geometric
+    constraints talk about).  ``pure_integrator`` declares that
     ``f == 0`` and ``g == I`` (which the callables cannot show), so the
     controller may step with ``integrator_increment``, on arrays in the
     solver's rollout and on floats in the closed loop, and take the exact
@@ -47,16 +47,15 @@ class DynamicsModel:
     n: int
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-    position_projection: tuple = (0, 1)
     pure_integrator: bool = False
 
     def position(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x)[..., list(self.position_projection)]
+        return np.asarray(x)[..., :2]
 
     def embed_position(self, pos) -> np.ndarray:
         """Full state whose workspace coordinates equal ``pos``, zeros elsewhere."""
         x = np.zeros(self.n)
-        x[list(self.position_projection)] = np.asarray(pos, dtype=float)
+        x[:2] = np.asarray(pos, dtype=float)
         return x
 
     def derivative(self, x: np.ndarray, u: np.ndarray, delta=None) -> np.ndarray:

@@ -276,8 +276,8 @@ def export_trace(trace: Trace, path) -> None:
 
 def import_trace(path) -> Trace:
     """Read a trace written by ``export_trace``; a file that is not one, such
-    as a truncated copy, one with other columns or one that is not UTF-8
-    text, raises ``ValidationError``."""
+    as a truncated copy, one with other columns, a non-finite cell or one
+    that is not UTF-8 text, raises ``ValidationError``."""
     try:
         with open(path) as fh:
             header = fh.readline()
@@ -302,6 +302,12 @@ def import_trace(path) -> Trace:
                                "of a trace"])
     if data is None or data.shape[1] != width:
         data = _parse_sample_rows(path, width)
+    # the verifier's bound tests read a NaN as inside every bound
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise ValidationError([f"{path}: sample row {row}: {cols[col]} is "
+                               f"{float(data[row, col])}, not a finite number"])
     return Trace(
         ts=data[:, 0],
         states=data[:, 1:1 + n],

@@ -101,14 +101,14 @@ class Scenario:
         return make_tube_params(lip, floor, self.sigma_margin, self.disturbance_bound)
 
     def fhocp_params(self) -> FhocpParams:
-        n = self.state_dim
         return FhocpParams(
             horizon=float(self.horizon),
             step=float(self.step),
-            state_weight=self.state_weight * np.eye(n),
-            terminal_weight=self.terminal_weight * np.eye(n),
-            input_weight=self.input_weight * np.eye(n),
+            state_weight=self.state_weight,
+            terminal_weight=self.terminal_weight,
+            input_weight=self.input_weight,
             terminal_level=self.terminal_level,
+            dim=self.state_dim,
         )
 
     def formula(self):

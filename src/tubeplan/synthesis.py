@@ -245,10 +245,10 @@ def plan_to_dict(plan: Plan) -> dict:
 
 def plan_from_dict(data: dict) -> Plan:
     """Inverse of ``plan_to_dict``.  Data that is not a plan raises
-    ``ValidationError``: a missing key, a stamp that is not a finite
-    rational, a stamp count other than the state count, a first stamp other
-    than 0, stamps that do not strictly increase, or a ``prefix_len``
-    outside 1..len(states)."""
+    ``ValidationError``: a missing key, a state that is not a string, a
+    stamp that is not a finite rational, a stamp count other than the state
+    count, a first stamp other than 0, stamps that do not strictly
+    increase, or a ``prefix_len`` outside 1..len(states)."""
     try:
         plan = Plan(
             states=tuple(data["states"]),
@@ -261,7 +261,7 @@ def plan_from_dict(data: dict) -> Plan:
             OverflowError) as exc:
         raise ValidationError([f"data is not a plan: {exc!r}"]) from exc
     stamps, count = plan.stamps, len(plan.states)
-    problems = []
+    problems = [f"state {s!r} is not a string" for s in plan.states if not isinstance(s, str)]
     if len(stamps) != count:
         problems.append(f"{len(stamps)} stamps for {count} states")
     if stamps and stamps[0] != 0:

@@ -4,6 +4,7 @@ Each test prints a single ``criterion N: PASS`` line on success (visible
 under ``pytest -s``); the assertions carry the exact bounds being enforced.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -64,11 +65,8 @@ def disturbed_batch():
     through all three nonzero disturbance policies."""
     model = single_integrator(3)
     tube = make_tube_params(0.0, 1.0, 1.0, DELTA_BOUND)
-    fhocp = FhocpParams(horizon=0.6, step=0.1,
-                        state_weight=0.5 * np.eye(3),
-                        terminal_weight=0.5 * np.eye(3),
-                        input_weight=0.5 * np.eye(3),
-                        terminal_level=0.1)
+    fhocp = FhocpParams(horizon=0.6, step=0.1, state_weight=0.5, terminal_weight=0.5,
+                        input_weight=0.5, terminal_level=0.1, dim=3)
     workspace = Box([-2.0, -2.0], [2.0, 2.0])
     obstacles = (Ball([0.8, 0.8], 0.3), Ball([-0.7, -0.5], 0.25),
                  Ball([0.1, -1.1], 0.2))
@@ -134,11 +132,8 @@ def test_criterion_3_constraint_transfer(disturbed_batch):
 def test_criterion_2_arrival_bound():
     model = single_integrator(3)
     tube = make_tube_params(0.0, 1.0, 1.0, DELTA_BOUND)
-    fhocp = FhocpParams(horizon=0.6, step=0.1,
-                        state_weight=0.5 * np.eye(3),
-                        terminal_weight=0.5 * np.eye(3),
-                        input_weight=0.5 * np.eye(3),
-                        terminal_level=0.1)
+    fhocp = FhocpParams(horizon=0.6, step=0.1, state_weight=0.5, terminal_weight=0.5,
+                        input_weight=0.5, terminal_level=0.1, dim=3)
     workspace = Box([-2.0, -2.0], [2.0, 2.0])
     obstacles = (Ball([0.0, 0.9], 0.3), Ball([-0.2, -0.8], 0.25))
     constraints = ConstraintSet(workspace, obstacles)
@@ -183,6 +178,13 @@ def test_criterion_2_arrival_bound():
 # ---------------------------------------------------------------------------
 
 FROZEN_WTS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nexus_wts.json"
+# sha256 of the run's other artifacts (seed 0, ``random`` disturbance), pinned
+# on x86-64 with numpy 2.4: a change that keeps behaviour keeps these bytes
+MISSION_DIGESTS = {
+    "plan.json": "678b7bbf2570a93d628fbc79b124e7f493d29431c79c6f6d89ea6e7a1524dec8",
+    "trace.tsv": "0ee13cd59fbf615172fba01fc466a2bd3a5297158b8dab63016b4e24ddf65d81",
+    "report.json": "2c75337c82694e58eb188ea723354771db64be3c3a4a6a6d36b790aee3fded74",
+}
 
 
 def test_criterion_4_default_mission(tmp_path):
@@ -212,6 +214,8 @@ def test_criterion_4_default_mission(tmp_path):
     # per-transition keys, so the loaded systems are compared, not bytes)
     digest = scenario_hash(scenario)
     assert load_wts(out / "wts.json", digest) == load_wts(FROZEN_WTS, digest)
+    for name, want in MISSION_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
     print(f"criterion 4 (bundled mission): PASS  in {elapsed:.0f}s, "
           f"mission2 at {[float(t) for t in visits('mission2', 30, 50)]}, "
           f"mission1 at {[float(t) for t in visits('mission1', 80, 110)]}")

@@ -237,14 +237,21 @@ def test_stale_cache_is_rejected(workdir, wts_cache, tmp_path):
     assert code == cli.EXIT_RUNTIME
 
 
-def test_stale_labels_in_cache_are_rejected(workdir, wts_cache, tmp_path):
-    # the scenario hash leaves labels out, so only the label check sees this
-    relabelled = tiny_dict()
-    relabelled["labels"] = {"A": ["home"], "B": ["hazard"], "H": ["goal"]}
-    scn = tmp_path / "relabelled.json"
-    scn.write_text(json.dumps(relabelled))
-    code = cli.main(["run", "--scenario", str(scn), "--wts", str(wts_cache)])
-    assert code == cli.EXIT_RUNTIME
+def test_stale_labels_in_cache_are_rejected(workdir, wts_cache, tmp_path, capsys):
+    # the scenario hash leaves labels and the initial region out, so only
+    # their own checks see these
+    for key, value, message in (
+        ("labels", {"A": ["home"], "B": ["hazard"], "H": ["goal"]}, "stale labels"),
+        ("initial_region", "B", "starts at 'A', not at the initial region 'B'"),
+    ):
+        changed = tiny_dict()
+        changed[key] = value
+        scn = tmp_path / "changed.json"
+        scn.write_text(json.dumps(changed))
+        capsys.readouterr()
+        code = cli.main(["run", "--scenario", str(scn), "--wts", str(wts_cache)])
+        assert code == cli.EXIT_RUNTIME, key
+        assert message in capsys.readouterr().err, key
 
 
 def _truncate(text):
@@ -381,23 +388,32 @@ def test_plan_of_another_scenario_is_rejected(workdir, wts_cache, tmp_path,
     plan_path = workdir / "plan.json"
     trace_path = workdir / "trace.tsv"
     assert plan_path.exists() and trace_path.exists()
-    changed = tiny_dict()
-    changed["disturbance_bound"] = 0.01
-    scn = tmp_path / "changed.json"
-    scn.write_text(json.dumps(changed))
-    for argv in (
-        ["simulate", "--plan", str(plan_path)],
-        ["verify", "--plan", str(plan_path), "--trace", str(trace_path)],
-        ["plot-data", "--plan", str(plan_path), "--trace", str(trace_path),
-         "--out", str(tmp_path / "p")],
+    for key, value, message in (
+        ("disturbance_bound", 0.01, "another scenario"),
+        # left out of the scenario hash, so only the plan's first state shows it
+        ("initial_region", "B", "starts at 'A', not at the initial region 'B'"),
     ):
-        code = cli.main(argv + ["--scenario", str(scn)])
-        assert code == cli.EXIT_INVALID, argv[0]
-        assert "another scenario" in capsys.readouterr().err
+        changed = tiny_dict()
+        changed[key] = value
+        scn = tmp_path / "changed.json"
+        scn.write_text(json.dumps(changed))
+        for argv in (
+            ["simulate", "--plan", str(plan_path)],
+            ["verify", "--plan", str(plan_path), "--trace", str(trace_path)],
+            ["plot-data", "--plan", str(plan_path), "--trace", str(trace_path),
+             "--out", str(tmp_path / "p")],
+        ):
+            code = cli.main(argv + ["--scenario", str(scn)])
+            assert code == cli.EXIT_INVALID, (key, argv[0])
+            assert message in capsys.readouterr().err, (key, argv[0])
 
 
 def _set_state_z(plan):
     plan["states"][0] = "Z"
+
+
+def _list_state(plan):
+    plan["states"][0] = ["A"]
 
 
 def _drop_two_stamps(plan):
@@ -430,6 +446,7 @@ def _overflow_a_stamp(plan):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_set_state_z, "state 'Z' is not a region"),
+    (_list_state, "state ['A'] is not a string"),
     (_drop_two_stamps, "stamps for"),
     (_start_at_one, "first stamp is 1, not 0"),
     (_repeat_a_stamp, "do not strictly increase"),
@@ -437,7 +454,7 @@ def _overflow_a_stamp(plan):
     (_drop_prefix_len, "is not a plan"),
     (_divide_a_stamp_by_zero, "is not a plan"),
     (_overflow_a_stamp, "is not a plan"),
-], ids=["unknown-state", "missing-stamps", "nonzero-start", "repeated-stamp",
+], ids=["unknown-state", "list-state", "missing-stamps", "nonzero-start", "repeated-stamp",
         "prefix-too-long", "missing-key", "zero-denominator", "infinite-stamp"])
 def test_malformed_plan_is_rejected(workdir, wts_cache, tmp_path, capsys,
                                     corrupt, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -55,10 +56,14 @@ def test_tube_params_validation():
 
 
 def test_arrival_radius():
-    p = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),
-                    0.5 * np.eye(3), 0.1)
+    p = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
     assert p.arrival_radius == pytest.approx(0.1 / np.sqrt(0.5))
     assert p.segments == 12
+    # every weight must be positive
+    for name in ("state_weight", "terminal_weight", "input_weight"):
+        for bad in (0.0, -0.5):
+            with pytest.raises(InvalidParam, match=name):
+                dataclasses.replace(p, **{name: bad})
 
 
 def test_project_input_box_and_ball():
@@ -156,8 +161,7 @@ def test_pure_integrator_rollout_is_the_step_loop():
 def _params(**kw):
     defaults = dict(
         horizon=1.2, step=0.1,
-        state_weight=0.5 * np.eye(2), terminal_weight=0.5 * np.eye(2),
-        input_weight=0.5 * np.eye(2), terminal_level=0.1,
+        state_weight=0.5, terminal_weight=0.5, input_weight=0.5, terminal_level=0.1, dim=2,
     )
     defaults.update(kw)
     return FhocpParams(**defaults)
@@ -180,7 +184,7 @@ def test_solve_fhocp_beats_candidate_controls():
     near = solve_fhocp(np.array([0.1, -0.05]), m, params, UNBOUNDED, u_set)
     e_n = near.nominal[-1]
     level = params.terminal_level + 1e-4
-    assert float(e_n @ params.terminal_weight @ e_n) <= level * level
+    assert float(params.terminal_weight * (e_n @ e_n)) <= level * level
 
     obj = _FhocpObjective(m, params, UNBOUNDED.stacked)
     rng = np.random.default_rng(0)
@@ -314,7 +318,7 @@ def test_hessian_matches_differences_of_the_gradient(case):
     _, states, measured, active = at(controls)
     hess = obj.hessian(states, measured, np.array([weight]))
     assert active[0] == (case != "no_penalty")
-    sides = 2 * len(obj.pos)
+    sides = 4     # two per position coordinate
     assert bool(active[1]) == (case == "box_side")
     assert all(col < sides for _, col in active[1])
     assert (hess is obj.params.hessian) == (case == "no_penalty")
@@ -490,8 +494,7 @@ def test_solve_fhocp_infeasible_start():
 def _simple_navigation(delta_bound, policy="zero", seed=0, settle=0):
     m = single_integrator(3)
     tube = make_tube_params(0.0, 1.0, 1.0, delta_bound)
-    params = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),
-                         0.5 * np.eye(3), 0.1)
+    params = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
     (out,) = lockstep([navigate(
         m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs,
@@ -533,8 +536,7 @@ def test_navigate_min_duration_holds_longer():
     out = _simple_navigation(0.0)
     m = single_integrator(3)
     tube = make_tube_params(0.0, 1.0, 1.0, 0.0)
-    params = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),
-                         0.5 * np.eye(3), 0.1)
+    params = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
     scheduled = out.arrival_steps + 15
     (held,) = lockstep([navigate(
@@ -590,8 +592,7 @@ def test_float_interval_is_the_rk4_step_loop(monkeypatch, input_set, policy):
     # first legs, where the nominal input sits on the tightened bound; the
     # one float loop must give the array reference's bits for every model
     tube = make_tube_params(0.0, 1.0, 1.0, 0.001)
-    params = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),
-                         0.5 * np.eye(3), 0.1)
+    params = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
     cs = ConstraintSet(Box([-3.0, -3.0], [3.0, 3.0]), [Ball([0.0, 1.2], 0.3)])
     for m, max_steps in ((single_integrator(3), 40), (demo_nonlinear(3), 6)):
 
@@ -621,8 +622,7 @@ def test_navigate_steps_other_models_with_rk4():
     # under the recorded input and disturbance
     m = demo_nonlinear(3)
     tube = make_tube_params(0.0, 1.0, 1.0, 0.05)
-    params = FhocpParams(1.2, 0.1, 0.5 * np.eye(3), 0.5 * np.eye(3),
-                         0.5 * np.eye(3), 0.1)
+    params = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
     (out,) = lockstep([navigate(m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3),
                                 cs, Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube,

@@ -228,6 +228,15 @@ def _word_cell(lines):
     lines[5] = lines[5].replace("\t", "\tx", 1)
 
 
+def _nan_input(lines):
+    # read as inside every bound, a NaN input would pass the verifier
+    for i in range(5, len(lines) - 1):
+        cells = lines[i].split("\t")
+        n = (len(cells) - 1) // 4
+        cells[1 + 2 * n:1 + 3 * n] = ["nan"] * n
+        lines[i] = "\t".join(cells)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_header_not_json, "bad trace header"),
     (_drop_header_key("legs"), "'legs'"),
@@ -235,8 +244,9 @@ def _word_cell(lines):
     (_drop_header_key("disturbance"), "'disturbance'"),
     (_extra_cell, "sample row 3 has"),
     (_word_cell, "bad sample"),
+    (_nan_input, "sample row 3: u0 is nan, not a finite number"),
 ], ids=["header-not-json", "no-legs", "no-seed", "no-disturbance",
-        "row-width", "non-numeric"])
+        "row-width", "non-numeric", "non-finite"])
 def test_malformed_trace_is_rejected(tiny_trace, tmp_path, corrupt, message):
     path = tmp_path / "trace.tsv"
     export_trace(tiny_trace, path)
