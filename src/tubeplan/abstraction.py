@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .controller import lockstep, navigate
 from .dynamics import DisturbanceSpec
 from .errors import AbstractionError, NoTransition, UnknownTransition, ValidationError

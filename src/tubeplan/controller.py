@@ -170,11 +170,19 @@ def input_violation(u: np.ndarray, u_set, tol: float = INPUT_TOL) -> np.ndarray:
     raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
 
 
+def saturation_count(inputs: np.ndarray, u_set) -> int:
+    """Number of rows of ``inputs`` on the input set's boundary or past it,
+    within ``INPUT_TOL``: the samples whose applied input is saturated,
+    clipped by the ancillary law or held there by the nominal input."""
+    return int(np.count_nonzero(input_violation(inputs, u_set, -INPUT_TOL)))
+
+
 def _float_saturation(u_set):
     """``input_violation`` then ``project_input`` for one input held as a
-    list of floats: a function that returns the projected list, or None when
-    the input is inside the set.  A box is tested and clipped on the floats
-    with the same comparisons; a ball goes through the array functions."""
+    list of floats: a function that returns the projected list, or the
+    input itself when it is inside the set.  A box is tested and clipped on
+    the floats with the same comparisons; a ball goes through the array
+    functions."""
     if isinstance(u_set, Box):
         lower, upper = u_set.lower.tolist(), u_set.upper.tolist()
         low = (u_set.lower - INPUT_TOL).tolist()
@@ -186,16 +194,16 @@ def _float_saturation(u_set):
                     # np.clip: the bound when strictly past it, else the value
                     return [lo if a < lo else hi if a > hi else a
                             for a, lo, hi in zip(u, lower, upper)]
-            return None
+            return u
 
         return saturate
     if isinstance(u_set, Ball):
 
         def saturate(u):
-            u = np.array(u)
-            if input_violation(u, u_set):
-                return project_input(u, u_set).tolist()
-            return None
+            v = np.array(u)
+            if input_violation(v, u_set):
+                return project_input(v, u_set).tolist()
+            return u
 
         return saturate
     raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
@@ -746,7 +754,6 @@ class NavigationOutcome:
     disturbances: np.ndarray
     arrival_steps: Optional[int]        # sampling steps until the stop test
     total_steps: int                    # sampling steps actually simulated
-    saturation_count: int
     costs: list = field(default_factory=list)
 
     @property
@@ -757,6 +764,12 @@ class NavigationOutcome:
     def max_deviation(self) -> float:
         """Largest ``|x - x_hat|`` over all samples."""
         return max_deviation(self.states, self.nominal_states)
+
+
+def reached(pos: np.ndarray, center: np.ndarray, radius: float) -> bool:
+    """``navigate``'s stop test ``|pos - center| <= radius``."""
+    d = pos - center
+    return float(np.sqrt(d.dot(d))) <= radius
 
 
 def max_deviation(states: np.ndarray, nominal: np.ndarray) -> float:
@@ -774,19 +787,13 @@ def _interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delt
     target) - e_hat)``, saturates it (``_float_saturation``), and moves the
     real state by ``step(x, u, delta)`` and the nominal one by
     ``nominal_step(e_hat)``; ``navigate`` picks the two steps for the model.
-    Appends one row per substep to ``records`` and returns the final state
-    and the saturation count.
+    Appends one row per substep to ``records`` and returns the final state.
     """
     ts, xs, nominal, inputs, deltas = records
-    saturations = 0
     for j in range(substeps):
         t = t0 + j * dt
         delta = delta_fn(t, x)
-        u = [a - sigma * ((b - r) - d) for a, b, r, d in zip(u_hat, x, target, e_hat)]
-        projected = saturate(u)
-        if projected is not None:
-            saturations += 1
-            u = projected
+        u = saturate([a - sigma * ((b - r) - d) for a, b, r, d in zip(u_hat, x, target, e_hat)])
         x = step(x, u, delta)
         e_hat = nominal_step(e_hat)
         if not all(map(math.isfinite, x)):
@@ -796,7 +803,7 @@ def _interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delt
         nominal.append([a + b for a, b in zip(e_hat, target)])
         inputs.append(u)
         deltas.append(delta)
-    return x, saturations
+    return x
 
 
 def navigate(
@@ -873,13 +880,10 @@ def navigate(
     warm = None
     arrival_steps = None
     status = TIMED_OUT
-    saturations = 0
 
     k = 0
     while k <= max_steps:
-        d = x[:2] - target.center
-        pos_err = float(np.sqrt(d.dot(d)))
-        if arrival_steps is None and pos_err <= arrival_radius:
+        if arrival_steps is None and reached(x[:2], target.center, arrival_radius):
             arrival_steps = k
         if (
             arrival_steps is not None
@@ -900,11 +904,9 @@ def navigate(
         u_hat = sol.controls[0].tolist()
 
         # propagate the coupled (real, nominal) pair over one sampling interval
-        x_end, sats = _interval(
+        x = np.array(_interval(
             x.tolist(), e.tolist(), u_hat, target_list, tube.sigma, saturate,
-            step, nominal_step(u_hat), delta_fn, k * h, sim_dt, substeps, records)
-        x = np.array(x_end)
-        saturations += sats
+            step, nominal_step(u_hat), delta_fn, k * h, sim_dt, substeps, records))
 
         warm = np.concatenate((sol.controls[1:], np.zeros((1, model.n))))
         k += 1
@@ -918,7 +920,6 @@ def navigate(
         disturbances=np.asarray(deltas),
         arrival_steps=arrival_steps,
         total_steps=k,
-        saturation_count=saturations,
         costs=costs,
     )
 

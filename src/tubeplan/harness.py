@@ -7,9 +7,10 @@ arrival later than the schedule is a failure.  The stamps of the produced
 timed word are therefore the plan's stamps; what execution actually has to
 earn is the containment check at each stamp, and that is what the verifier
 tests, together with the semantic monitor and safety checks it recomputes
-from the recorded samples alone.  A trace holds the samples and the digest
-of its plan; the stamps, the word and the leg of each sample are read from
-the plan, the only copy of them.
+from the recorded samples alone.  A trace holds the samples, the digest of
+its plan, and the seed and disturbance policy of the run; the stamps, the
+word and the leg of each sample are read from the plan, the only copy of
+them, and each leg's arrival and each saturation from the samples.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .abstraction import Wts
-from .controller import input_violation, lockstep, max_deviation, navigate
-from .dynamics import DisturbanceSpec, derive_seed
+from .controller import (input_violation, lockstep, max_deviation, navigate, reached,
+                          saturation_count)
+from .dynamics import DISTURBANCE_POLICIES, DisturbanceSpec, derive_seed
 from .errors import ExecutionFailure, ValidationError
 from .mitl import monitor
 from .scenario import Scenario, rational_str
@@ -42,12 +44,6 @@ def tube_tolerance(tube_radius: float, sim_dt: float, delta_bound: float) -> flo
 
 
 @dataclass
-class LegRecord:
-    physical_arrival_steps: int     # when the stop test first passed
-    saturations: int                # diagnostic only; the verdict ignores it
-
-
-@dataclass
 class Trace:
     """Concatenated closed-loop record of a full plan execution."""
 
@@ -57,7 +53,6 @@ class Trace:
     inputs: np.ndarray
     deltas: np.ndarray
     plan_digest: str                # ``synthesis.plan_digest`` of the plan run
-    legs: list = field(default_factory=list)
     seed: int = 0
     disturbance: str = "zero"
 
@@ -79,6 +74,7 @@ def execute_plan(
     ``disturbance`` is one of ``DISTURBANCE_POLICIES``.  Per-leg disturbance
     streams are derived from ``seed`` and the leg's position in the plan, so
     the whole run is reproducible and independent of how other legs unfolded.
+    A failure's partial trace ends with the samples of the leg that failed.
     """
     model = scenario.model()
     tube = scenario.tube_params()
@@ -92,13 +88,11 @@ def execute_plan(
     nom = [x[None, :]]
     us = [np.zeros((1, model.n))]
     ds = [np.zeros((1, model.n))]
-    legs = []
 
     def recorded() -> Trace:
         return Trace(np.concatenate(ts), np.concatenate(xs),
                      np.concatenate(nom), np.concatenate(us),
-                     np.concatenate(ds), plan_digest(plan), list(legs),
-                     seed, disturbance)
+                     np.concatenate(ds), plan_digest(plan), seed, disturbance)
 
     t_offset = 0.0
     for i, (src, dst, weight) in enumerate(plan.legs()):
@@ -129,20 +123,17 @@ def execute_plan(
             min_duration_steps=steps,
             sim_dt=scenario.sim_dt,
         )])
-        if not outcome.arrived:
-            legs.append(LegRecord(outcome.arrival_steps or -1,
-                                  outcome.saturation_count))
-            raise ExecutionFailure(
-                f"leg {i} ({src!r} -> {dst!r}) ended {outcome.status} after "
-                f"{outcome.total_steps} of {steps} scheduled steps",
-                recorded(),
-            )
-        legs.append(LegRecord(outcome.arrival_steps, outcome.saturation_count))
         ts.append(outcome.ts[1:] + t_offset)
         xs.append(outcome.states[1:])
         nom.append(outcome.nominal_states[1:])
         us.append(outcome.inputs[1:])
         ds.append(outcome.disturbances[1:])
+        if not outcome.arrived:
+            raise ExecutionFailure(
+                f"leg {i} ({src!r} -> {dst!r}) ended {outcome.status} after "
+                f"{outcome.total_steps} of {steps} scheduled steps",
+                recorded(),
+            )
         x = outcome.states[-1].copy()
         t_offset += steps * h
 
@@ -180,9 +171,9 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace) -> dict:
     timed word; no recorded sample of a leg lies in a third region or
     outside the workspace; the applied inputs respect their bounds; and the
     deviation from the nominal trajectory stays within the tube tolerance.
-    Everything but the saturation count is computed from the samples; the
-    stamps, the word and the legs come from the plan, which must be the one
-    the trace was recorded for (else ``ValidationError``).
+    Every count, the saturations included, is computed from the samples;
+    the stamps, the word and the legs come from the plan, which must be the
+    one the trace was recorded for (else ``ValidationError``).
     """
     _check_trace(scenario, plan, trace)
     formula = scenario.formula()
@@ -216,7 +207,6 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace) -> dict:
         leg_exits, leg_hits = free.count_violations(pos[rows])
         exits += leg_exits
         offpath += leg_hits
-    saturations = int(sum(leg.saturations for leg in trace.legs))
 
     u_set = scenario.input_set()
     input_bad = int(np.count_nonzero(input_violation(trace.inputs, u_set)))
@@ -235,7 +225,7 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace) -> dict:
         "offpath_entries": offpath,
         "workspace_exits": exits,
         "input_violations": input_bad,
-        "saturations": saturations,
+        "saturations": saturation_count(trace.inputs, u_set),
         "max_deviation": trace.max_deviation,
         "tube_tolerance": tol,
         "tube_ok": bool(tube_ok),
@@ -252,7 +242,6 @@ def _meta_dict(trace: Trace) -> dict:
         "plan_digest": trace.plan_digest,
         "seed": trace.seed,
         "disturbance": trace.disturbance,
-        "legs": [asdict(leg) for leg in trace.legs],
     }
 
 
@@ -285,16 +274,15 @@ def import_trace(path) -> Trace:
             data = _parse_samples(fh)
     except UnicodeDecodeError as exc:
         raise ValidationError([f"{path} is not UTF-8 text: {exc}"]) from exc
-    # headers written by older versions also carry per-leg schedules and
-    # safety counters; the plan and the samples give those, so they are
-    # dropped
-    keys = [f.name for f in fields(LegRecord)]
     try:
         meta = json.loads(header.lstrip("# "))
-        legs = [LegRecord(**{k: d[k] for k in keys}) for d in meta["legs"]]
-        seed, disturbance = meta["seed"], meta["disturbance"]
+        digest, seed, disturbance = meta["plan_digest"], meta["seed"], meta["disturbance"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError([f"{path}: bad trace header: {exc!r}"]) from exc
+    if not (isinstance(digest, str) and type(seed) is int
+            and disturbance in DISTURBANCE_POLICIES):
+        raise ValidationError([f"{path}: bad trace header: plan_digest {digest!r}, "
+                               f"seed {seed!r}, disturbance {disturbance!r}"])
     width = len(cols)
     n = (width - 1) // 4
     if n < 1 or cols != _columns(n):
@@ -314,8 +302,7 @@ def import_trace(path) -> Trace:
         nominal=data[:, 1 + n:1 + 2 * n],
         inputs=data[:, 1 + 2 * n:1 + 3 * n],
         deltas=data[:, 1 + 3 * n:1 + 4 * n],
-        plan_digest=meta.get("plan_digest", ""),
-        legs=legs,
+        plan_digest=digest,
         seed=seed,
         disturbance=disturbance,
     )
@@ -399,11 +386,20 @@ def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
     table("stamps.tsv", ["stamp", "state", "labels"], [g, s, s],
           [(float(stamp), name, ",".join(sorted(scenario.label_of(name))))
            for stamp, name in zip(plan.stamps, plan.states)])
+    # a leg's arrival: the first of its sampling instants that passes
+    # ``navigate``'s stop test, or -1
+    substeps = round(float(scenario.step) / scenario.sim_dt)
+    radius = scenario.fhocp_params().arrival_radius
+
+    def arrival(dst, rows):
+        center = scenario.regions[dst].center
+        return next((k for k, p in enumerate(pos[rows][::substeps])
+                     if reached(p, center, radius)), -1)
+
     table("legs.tsv", ["index", "source", "target", "plan_steps",
                        "physical_arrival_steps", "max_deviation"], [s] * 5 + [g],
-          [(str(i), src, dst, str(weight / scenario.step),
-            str(leg.physical_arrival_steps),
+          [(str(i), src, dst, str(weight / scenario.step), str(arrival(dst, rows)),
             float(np.max(dev[rows], initial=0.0)))
-           for i, ((src, dst, weight), leg, rows)
-           in enumerate(zip(plan.legs(), trace.legs, leg_rows(indices)))])
+           for i, ((src, dst, weight), rows)
+           in enumerate(zip(plan.legs(), leg_rows(indices)))])
     return written

@@ -93,8 +93,8 @@ def test_trace_export_import_round_trip(tiny_scenario, tiny_plan, tiny_trace,
     loaded = import_trace(path)
     assert np.array_equal(loaded.states, tiny_trace.states)
     assert np.array_equal(loaded.ts, tiny_trace.ts)
-    assert loaded.plan_digest == tiny_trace.plan_digest
-    assert loaded.legs == tiny_trace.legs
+    assert (loaded.plan_digest, loaded.seed, loaded.disturbance) == (
+        tiny_trace.plan_digest, 7, "random")
     # the verifier derives the timed word from the scenario's labels
     assert verify_trace(tiny_scenario, tiny_plan, loaded)["monitor_ok"]
     again = tmp_path / "again.tsv"
@@ -192,20 +192,45 @@ def test_samples_after_the_last_stamp_are_incomplete(tiny_scenario, tiny_plan,
     assert not report["pass"]
 
 
-def test_import_drops_old_header_counters(tiny_trace, tmp_path):
-    # traces written before the verifier recomputed safety from the samples
-    # carry per-leg counters in their header; they still load
-    path = tmp_path / "trace.tsv"
-    export_trace(tiny_trace, path)
+def _with_legacy_legs(path, saturations):
+    """Rewrite the header of the trace at ``path`` as older versions wrote
+    it, with per-leg records that claim ``saturations`` each."""
     header, rest = path.read_text().split("\n", 1)
     meta = json.loads(header[2:])
-    for leg in meta["legs"]:
-        leg.update(max_deviation=0.0, offpath_entries=0, workspace_exits=0)
-    old = tmp_path / "old.tsv"
-    old.write_text("# " + json.dumps(meta) + "\n" + rest)
-    loaded = import_trace(old)
-    assert loaded.legs == tiny_trace.legs
+    meta["legs"] = [{"physical_arrival_steps": 0, "saturations": saturations,
+                     "max_deviation": 0.0, "offpath_entries": 0,
+                     "workspace_exits": 0}]
+    path.write_text("# " + json.dumps(meta) + "\n" + rest)
+
+
+def test_import_drops_old_header_counters(tiny_trace, tmp_path):
+    # traces written by older versions carry per-leg records in their
+    # header; they still load, and the records are ignored
+    path = tmp_path / "trace.tsv"
+    export_trace(tiny_trace, path)
+    _with_legacy_legs(path, "x")
+    loaded = import_trace(path)
     assert np.array_equal(loaded.states, tiny_trace.states)
+    again = tmp_path / "again.tsv"
+    export_trace(loaded, again)
+    export_trace(tiny_trace, path)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_saturations_are_counted_from_the_samples(tiny_scenario, tiny_plan,
+                                                  tiny_trace, tmp_path):
+    # three inputs moved onto the box bound under a header that claims 99
+    # saturations per leg: the report counts the three the samples show
+    bound = tiny_scenario.input_set().upper[0]
+    inputs = tiny_trace.inputs.copy()
+    assert verify_trace(tiny_scenario, tiny_plan, tiny_trace)["saturations"] == 0
+    inputs[[40, 400, 2000], 0] = [bound, -bound, bound]
+    path = tmp_path / "trace.tsv"
+    export_trace(replace(tiny_trace, inputs=inputs), path)
+    _with_legacy_legs(path, 99)
+    report = verify_trace(tiny_scenario, tiny_plan, import_trace(path))
+    assert report["saturations"] == 3
+    assert report["input_violations"] == 0 and report["pass"]
 
 
 def _header_not_json(lines):
@@ -216,6 +241,14 @@ def _drop_header_key(key):
     def corrupt(lines):
         meta = json.loads(lines[0][2:])
         del meta[key]
+        lines[0] = "# " + json.dumps(meta)
+    return corrupt
+
+
+def _set_header_key(key, value):
+    def corrupt(lines):
+        meta = json.loads(lines[0][2:])
+        meta[key] = value
         lines[0] = "# " + json.dumps(meta)
     return corrupt
 
@@ -239,14 +272,19 @@ def _nan_input(lines):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_header_not_json, "bad trace header"),
-    (_drop_header_key("legs"), "'legs'"),
+    (_drop_header_key("plan_digest"), "'plan_digest'"),
     (_drop_header_key("seed"), "'seed'"),
     (_drop_header_key("disturbance"), "'disturbance'"),
+    (_set_header_key("plan_digest", 5), "plan_digest 5,"),
+    (_set_header_key("seed", "x"), "seed 'x',"),
+    (_set_header_key("seed", 1.0), "seed 1.0,"),
+    (_set_header_key("disturbance", 7), "disturbance 7$"),
     (_extra_cell, "sample row 3 has"),
     (_word_cell, "bad sample"),
     (_nan_input, "sample row 3: u0 is nan, not a finite number"),
-], ids=["header-not-json", "no-legs", "no-seed", "no-disturbance",
-        "row-width", "non-numeric", "non-finite"])
+], ids=["header-not-json", "no-plan-digest", "no-seed", "no-disturbance",
+        "digest-not-string", "seed-not-integer", "seed-float",
+        "unknown-disturbance", "row-width", "non-numeric", "non-finite"])
 def test_malformed_trace_is_rejected(tiny_trace, tmp_path, corrupt, message):
     path = tmp_path / "trace.tsv"
     export_trace(tiny_trace, path)
@@ -307,7 +345,6 @@ def test_missing_transition_fails_with_partial_trace(tiny_scenario, tiny_wts):
         execute_plan(tiny_scenario, tiny_wts, plan, disturbance="zero")
     partial = err.value.partial_trace
     assert partial is not None
-    assert len(partial.legs) == 0
     assert len(partial.ts) == 1
 
 
@@ -320,10 +357,14 @@ def test_impossible_schedule_fails_with_partial_trace(tiny_scenario, tiny_wts):
     plan = Plan(states=("A", "B"), stamps=(F(0), F(1, 10)), prefix_len=2)
     with pytest.raises(ExecutionFailure) as err:
         execute_plan(tiny_scenario, wts, plan, disturbance="zero")
+    # the partial trace ends with the failed leg's samples, one sampling
+    # step of them, and neither of its sampling instants passes the stop test
     partial = err.value.partial_trace
     assert partial is not None
-    assert len(partial.legs) == 1
-    assert partial.legs[0].physical_arrival_steps == -1
+    assert len(partial.ts) == 11 and partial.ts[-1] == pytest.approx(0.1)
+    dist = np.linalg.norm(partial.states[[0, 10], :2]
+                          - tiny_scenario.regions["B"].center, axis=1)
+    assert np.all(dist > tiny_scenario.fhocp_params().arrival_radius)
 
 
 def test_tube_tolerance_formula():

@@ -8,13 +8,37 @@ import tubeplan
 PACKAGE = pathlib.Path(tubeplan.__file__).parent
 
 
+def _modules(root):
+    for path in sorted(root.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def assert_statements(root):
     """``file:line`` of every ``assert`` statement under ``root``."""
     found = []
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _modules(root):
         found += [f"{path.relative_to(root)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    return found
+
+
+def unused_imports(root):
+    """``file:line name`` of every name a module under ``root`` imports at
+    module level and never reads; ``__init__.py`` files, which import to
+    re-export, and ``__future__`` imports are left out."""
+    found = []
+    for path, tree in _modules(root):
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.relative_to(root)}:{node.lineno} {name}"
+                          for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                          if name not in read]
     return found
 
 
@@ -27,3 +51,18 @@ def test_no_assert_statements_in_package():
 def test_assert_scan_finds_asserts(tmp_path):
     (tmp_path / "mod.py").write_text("x = 1\nif x:\n    assert x > 0, 'x'\n")
     assert assert_statements(tmp_path) == ["mod.py:3"]
+
+
+def test_no_unused_imports_in_package():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_unused_import_scan_finds_unused_names(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy as np\n"
+        "from dataclasses import asdict, dataclass, fields\n"
+        "\n@dataclass\nclass A:\n    x: np.ndarray\n\n"
+        "def f(a):\n    import json\n    return asdict(a)\n")
+    (tmp_path / "__init__.py").write_text("from .mod import A\n")
+    assert unused_imports(tmp_path) == ["mod.py:2 os", "mod.py:4 fields"]
