@@ -7,7 +7,8 @@ trace, or do the whole chain with ``run``.  Exit codes: 0 verified pass,
 file that cannot be read, and a plan or trace that does not match the
 scenario or plan it is used with),
 4 runtime failure during abstraction or execution, 5 search budget exceeded
-(realizability unknown).
+(realizability unknown).  A failed execution still writes its partial
+trace where ``--out`` asks for the trace, so ``verify`` can check it.
 """
 
 from __future__ import annotations
@@ -117,12 +118,24 @@ def cmd_synthesize(args) -> int:
     return EXIT_PASS
 
 
+def _execute(args, scenario, wts, plan, trace_path):
+    """Run the plan.  A failed execution writes its partial trace to
+    ``trace_path``, when one is given, before the failure propagates, so
+    that ``verify`` can report on it."""
+    try:
+        return harness.execute_plan(scenario, wts, plan,
+                                    disturbance=args.disturbance, seed=args.seed)
+    except ExecutionFailure as exc:
+        if trace_path:
+            harness.export_trace(exc.partial_trace, trace_path)
+        raise
+
+
 def cmd_simulate(args) -> int:
     scenario = _load(args)
     plan = _load_plan(args, scenario)
     wts = _get_wts(args, scenario)
-    trace = harness.execute_plan(scenario, wts, plan,
-                                 disturbance=args.disturbance, seed=args.seed)
+    trace = _execute(args, scenario, wts, plan, args.out)
     if args.out:
         harness.export_trace(trace, args.out)
     print(f"samples: {len(trace.ts)}  max deviation: {trace.max_deviation:.4g}")
@@ -163,14 +176,16 @@ def cmd_run(args) -> int:
     formula = scenario.formula()
     plan = synthesis.synthesize(wts, formula, budget=args.budget,
                                 formula_text=scenario.formula_text)
-    trace = harness.execute_plan(scenario, wts, plan,
-                                 disturbance=args.disturbance, seed=args.seed)
-    report = harness.verify_trace(scenario, plan, trace)
+    trace_path = None
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         abstraction.save_wts(wts, os.path.join(args.out, "wts.json"))
         synthesis.save_plan(plan, os.path.join(args.out, "plan.json"))
-        harness.export_trace(trace, os.path.join(args.out, "trace.tsv"))
+        trace_path = os.path.join(args.out, "trace.tsv")
+    trace = _execute(args, scenario, wts, plan, trace_path)
+    report = harness.verify_trace(scenario, plan, trace)
+    if args.out:
+        harness.export_trace(trace, trace_path)
         with open(os.path.join(args.out, "report.json"), "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")

@@ -13,6 +13,10 @@ denominators of every weight, guard constant and the slack.  Each of them
 is a whole number of ticks, so every stamp the search can reach is one too,
 and counting ticks decides every guard exactly as the rationals would
 (Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992).
+A tick's clock region is then one bisect over integer bounds, and each
+(state, location) pair fetches its arcs, with the automaton's per-region
+target tables, once per search: an edge is a table lookup, not a call
+into the automaton.
 The nodes of a returned run carry exact ``Fraction`` clocks, and the stamps
 of its plan are exact sums of the ``Fraction`` weights.  Every tie is
 broken lexicographically, so results are bit-reproducible.
@@ -22,8 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -62,16 +67,28 @@ def _tick_size(wts: Wts, tba: TimedAutomaton, slack: Fraction) -> int:
     return lcm(*(v.denominator for v in values))
 
 
-def _bfs(step, edges, cap: int, root: tuple, budget: int):
+def _region_bounds(constants, ticks: int) -> list:
+    """Bounds that find a whole tick's clock region with one bisect:
+    ``bisect_right(bounds, tick)`` counts ``c`` and ``c + 1`` for every
+    constant ``c`` (in ticks) at or below the tick, so it is ``2i`` in the
+    gap below constant ``i`` and ``2i + 1`` on it."""
+    return [b for c in constants for b in (int(c * ticks), int(c * ticks) + 1)]
+
+
+def _bfs(table, bounds, edges, cap: int, root: tuple, budget: int):
     """Deterministic BFS over ``(state, location, tick)`` nodes, numbered in
     the order found.  Returns the nodes, then per node number its parent's
     number, its (depth, duration, number) rank and its children's numbers,
-    over the fully explored reachable graph."""
+    over the fully explored reachable graph.
+
+    Each (state, location) pair's arcs ``(dst, weight, region table)`` are
+    fetched once, so an edge costs a capped add, a bisect and an index."""
     nodes = [root]
     number = {root: 0}
     parent = [None]
     rank = [(0, 0, 0)]
     children = []
+    arcs = {}
     for idx, (state, location, clock) in enumerate(nodes):  # nodes is the queue
         if len(nodes) > budget:
             raise SearchBudgetExceeded(
@@ -79,10 +96,17 @@ def _bfs(step, edges, cap: int, root: tuple, budget: int):
             )
         depth, duration, _ = rank[idx]
         out = []
-        # one child per transition, in the transition system's target order
-        for dst, weight, letter in edges[state]:
-            tick = min(clock + weight, cap)
-            child = (dst, step(location, letter, tick), tick)
+        here = arcs.get((state, location))
+        if here is None:
+            # one arc per transition, in the transition system's target order
+            here = arcs[state, location] = [
+                (dst, weight, table(location, letter))
+                for dst, weight, letter in edges[state]]
+        for dst, weight, targets in here:
+            tick = clock + weight
+            if tick > cap:
+                tick = cap
+            child = (dst, targets[bisect_right(bounds, tick)], tick)
             n = number.get(child)
             if n is None:
                 n = number[child] = len(nodes)
@@ -135,16 +159,16 @@ def find_accepting_run(
     if slack <= 0:
         raise InvalidParam(f"saturation slack must be > 0, got {slack}")
     ticks = _tick_size(wts, tba, slack)
-    # regions do not depend on the unit, so the copy shares the tables
-    step = replace(tba, constants=tuple(int(c * ticks) for c in tba.constants)
-                   ).successors
+    bounds = _region_bounds(tba.constants, ticks)
     cap = int((tba.cmax + slack) * ticks)
     edges = {s: [(dst, int(w * ticks), wts.label_of(dst))
                  for dst, w in wts.successors(s)] for s in wts.states}
     if wts.initial not in edges:
         raise UnknownTransition(f"unknown state {wts.initial!r}")
-    root = (wts.initial, step(tba.initial, wts.label_of(wts.initial), 0), 0)
-    nodes, parent, rank, children = _bfs(step, edges, cap, root, budget)
+    start = tba.table(tba.initial, wts.label_of(wts.initial))
+    root = (wts.initial, start[bisect_right(bounds, 0)], 0)
+    nodes, parent, rank, children = _bfs(tba.table, bounds, edges, cap, root,
+                                         budget)
 
     # Weights are strictly positive, so the clock rises until it saturates;
     # only saturated nodes can recur, hence only they can anchor a lasso.

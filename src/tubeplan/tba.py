@@ -10,10 +10,12 @@ Each block automaton is deterministic and complete, with trap locations for
 settled verdicts, and so is the exported automaton, the synchronous product
 of the blocks.  A guard compares the clock only with guard constants, so it
 is a range of clock regions; each (location, letter) pair compiles once
-into a table with one target per region, and each step is a lookup that
-yields one location.  A product location is Büchi-accepting when the
-Boolean combination evaluates to true on the per-block verdicts (co-safety
-blocks: reached their DONE trap; safety blocks: not in their REJECT trap).
+into a table with one target per region (``TimedAutomaton.table``), and
+each step is a lookup that yields one location.  ``successors`` and the
+product search read the same tables.  A product location is
+Büchi-accepting when the Boolean combination evaluates to true on the
+per-block verdicts (co-safety blocks: reached their DONE trap; safety
+blocks: not in their REJECT trap).
 Along any infinite word with diverging time the verdict vector is
 eventually constant, so "accepting location visited infinitely often"
 coincides with the formula's verdict.
@@ -78,12 +80,17 @@ class TimedAutomaton:
     def successors(self, location: str, letter: frozenset, elapsed) -> str:
         """The one location reached from ``location`` by reading ``letter``
         at clock value ``elapsed``, in the unit of ``constants``."""
+        i = bisect_left(self.constants, elapsed)
+        at_constant = i < len(self.constants) and self.constants[i] == elapsed
+        return self.table(location, letter)[2 * i + at_constant]
+
+    def table(self, location: str, letter: frozenset) -> tuple:
+        """The location reached from ``location`` by reading ``letter``, per
+        clock region; built on first use and kept."""
         table = self._tables.get((location, letter))
         if table is None:
             table = self._tables[(location, letter)] = self._table(location, letter)
-        i = bisect_left(self.constants, elapsed)
-        at_constant = i < len(self.constants) and self.constants[i] == elapsed
-        return table[2 * i + at_constant]
+        return table
 
     def _table(self, location: str, letter: frozenset) -> tuple:
         """Target per region; exactly one edge must cover each region."""

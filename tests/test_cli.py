@@ -1,6 +1,8 @@
 import json
 import re
 import shlex
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -137,6 +139,58 @@ def test_unreadable_input_file_is_rejected(workdir, wts_cache, tmp_path, capsys,
     assert code == cli.EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _rush_first_leg(stamps):
+    """The stamps with the first leg cut to 1 s, too short to cross the
+    tiny world, and every later stamp moved earlier with it."""
+    cut = stamps[1] - 1
+    return [stamps[0]] + [t - cut for t in stamps[1:]]
+
+
+def _verify_report(workdir, plan_path, trace_path, capsys):
+    capsys.readouterr()
+    code = cli.main(["verify", "--scenario", str(workdir / "tiny.json"),
+                     "--plan", str(plan_path), "--trace", str(trace_path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_failed_simulation_writes_its_partial_trace(workdir, wts_cache, tmp_path,
+                                                    capsys):
+    plan = _tiny_plan(workdir, wts_cache)
+    plan["stamps"] = [str(t) for t in _rush_first_leg(
+        [Fraction(t) for t in plan["stamps"]])]
+    plan_path, trace_path = tmp_path / "plan.json", tmp_path / "trace.tsv"
+    plan_path.write_text(json.dumps(plan))
+    code = cli.main(["simulate", "--scenario", str(workdir / "tiny.json"),
+                     "--wts", str(wts_cache), "--plan", str(plan_path),
+                     "--out", str(trace_path)])
+    assert code == cli.EXIT_RUNTIME
+    assert "failure: leg 0" in capsys.readouterr().err
+    code, report = _verify_report(workdir, plan_path, trace_path, capsys)
+    assert code == cli.EXIT_FAIL
+    assert not report["complete"] and not report["pass"]
+
+
+def test_failed_run_writes_its_artifacts(workdir, wts_cache, tmp_path, capsys,
+                                         monkeypatch):
+    synthesize = cli.synthesis.synthesize
+
+    def rushed(*args, **kwargs):
+        plan = synthesize(*args, **kwargs)
+        return replace(plan, stamps=tuple(_rush_first_leg(plan.stamps)))
+
+    monkeypatch.setattr(cli.synthesis, "synthesize", rushed)
+    out = tmp_path / "artifacts"
+    code = cli.main(["run", "--scenario", str(workdir / "tiny.json"),
+                     "--wts", str(wts_cache), "--out", str(out)])
+    assert code == cli.EXIT_RUNTIME
+    assert sorted(p.name for p in out.iterdir()) == ["plan.json", "trace.tsv",
+                                                     "wts.json"]
+    code, report = _verify_report(workdir, out / "plan.json", out / "trace.tsv",
+                                  capsys)
+    assert code == cli.EXIT_FAIL
+    assert not report["complete"] and not report["pass"]
 
 
 def test_run_end_to_end(workdir, wts_cache, tmp_path, capsys):

@@ -1,9 +1,12 @@
 import os
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from tubeplan import synthesis
 from tubeplan.abstraction import load_wts, scenario_hash, wts_from_dict
 from tubeplan.errors import InternalError, SearchBudgetExceeded, Unrealizable
 from tubeplan.mitl import monitor, parse
@@ -179,23 +182,71 @@ def test_mixed_denominators(slack, prefix, cycle):
     assert type(anchor.clock) is F and anchor.clock == tba.cmax + slack
 
 
-def test_bundled_search_steps_the_automaton_once_per_product_edge(monkeypatch):
-    # the root plus the 106,499 edges of the bundled product; the benchmark
-    # counts these calls as synthesis.expansions
-    step = TimedAutomaton.successors
-    calls = []
-
-    def counted(*args):
-        calls.append(None)
-        return step(*args)
-
-    monkeypatch.setattr(TimedAutomaton, "successors", counted)
-    scenario = default_scenario()
+def _bundled_wts(scenario):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    wts = load_wts(os.path.join(root, "perfbench", "data", "nexus_wts.json"),
-                   expected_hash=scenario_hash(scenario))
-    find_accepting_run(wts, build_tba(scenario.formula()))
-    assert len(calls) == 106_500
+    return load_wts(os.path.join(root, "perfbench", "data", "nexus_wts.json"),
+                    expected_hash=scenario_hash(scenario))
+
+
+def test_bundled_search_builds_each_region_table_once(monkeypatch):
+    # the bundled product is the root plus 106,499 edges; the search reads
+    # each edge's target from a region table that the automaton builds once
+    # per (location, letter) pair, and never steps it one call per edge
+    bfs, build = synthesis._bfs, TimedAutomaton._table
+    found, built = [], []
+
+    def counted_bfs(*args):
+        found.append(bfs(*args))
+        return found[-1]
+
+    def counted_build(self, location, letter):
+        built.append((location, letter))
+        return build(self, location, letter)
+
+    monkeypatch.setattr(synthesis, "_bfs", counted_bfs)
+    monkeypatch.setattr(TimedAutomaton, "_table", counted_build)
+    scenario = default_scenario()
+    find_accepting_run(_bundled_wts(scenario), build_tba(scenario.formula()))
+    (_, _, _, children), = found
+    assert 1 + sum(map(len, children)) == 106_500
+    assert len(built) == len(set(built)) == 56
+
+
+def _reachable_pairs(tba, letters):
+    """Every (location, letter) pair the automaton can meet on ``letters``."""
+    pairs, frontier, seen = [], [tba.initial], {tba.initial}
+    while frontier:
+        location = frontier.pop()
+        for letter in letters:
+            pairs.append((location, letter))
+            for target in tba.table(location, letter):
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+    return pairs
+
+
+@pytest.mark.parametrize("which", ["bundled", "rational"])
+def test_region_bounds_agree_with_successors(which):
+    # a tick's region found by one bisect over the integer bounds picks the
+    # target successors picks for the same clock value as a Fraction
+    if which == "bundled":
+        scenario = default_scenario()
+        tba = build_tba(scenario.formula())
+        letters = sorted({scenario.label_of(s) for s in scenario.regions}, key=sorted)
+    else:
+        tba = build_tba(parse("F[1,5/2] q & G[0,inf] !(p & q) & F[5/2,inf] p"))
+        letters = [frozenset(), frozenset("p"), frozenset("q"), frozenset("pq")]
+    assert tba.constants[0] == 0
+    pairs = _reachable_pairs(tba, letters)
+    base = lcm(*(c.denominator for c in tba.constants))
+    for ticks in (base, 2 * base, 6 * base, 10 * base):
+        bounds = synthesis._region_bounds(tba.constants, ticks)
+        cap = int((tba.cmax + 1) * ticks)
+        for location, letter in pairs:
+            table = tba.table(location, letter)
+            assert [table[bisect_right(bounds, t)] for t in range(cap + 1)] == [
+                tba.successors(location, letter, F(t, ticks)) for t in range(cap + 1)]
 
 
 def _golden(states, stamps, prefix_len):
@@ -203,19 +254,24 @@ def _golden(states, stamps, prefix_len):
             prefix_len)
 
 
-@pytest.mark.parametrize("which", ["bundled", "tiny"])
+@pytest.mark.parametrize("which", ["bundled", "tiny", "widened"])
 def test_golden_plans(which, request):
     # pinned plans: a search change that alters them alters the artifacts
-    if which == "bundled":
+    if which in ("bundled", "widened"):
         scenario = default_scenario()
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        wts = load_wts(os.path.join(root, "perfbench", "data", "nexus_wts.json"),
-                       expected_hash=scenario_hash(scenario))
+        wts = _bundled_wts(scenario)
+        formula = scenario.formula()
         expected = _golden("R1 R5 R3 R5 R1 R5 R5",
                            "0 281/10 214/5 115/2 428/5 1137/10 1157/10", 6)
+        if which == "widened":
+            # both windows opened earlier, as the benchmark's variants are:
+            # other guards, other regions, and still the fewest legs first
+            formula = parse("G[0,inf] (!obs1 & !obs2 & !obs3 & !obs4) & "
+                            "F[21,50] mission2 & F[70,110] mission1")
     else:
         scenario = request.getfixturevalue("tiny_scenario")
         wts = request.getfixturevalue("tiny_wts")
+        formula = scenario.formula()
         expected = _golden("A B A B A B B", "0 36/5 72/5 108/5 144/5 36 37", 6)
-    plan = synthesize(wts, scenario.formula())
+    plan = synthesize(wts, formula)
     assert (plan.states, plan.stamps, plan.prefix_len) == expected
