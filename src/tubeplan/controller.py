@@ -410,18 +410,6 @@ class _FhocpObjective:
         return _rollout(self.model, e0, controls, self.params.seg_h)
 
 
-def _rows_at(active, keep, rows):
-    """``_active_slopes`` of a batch of ``rows`` rows, cut to the rows at
-    ``keep`` (ascending) and numbered as ``keep`` numbers them."""
-    (at, steps), depth, slope = active
-    if depth is None:
-        return active
-    number = np.full(rows, -1)
-    number[keep] = np.arange(len(keep))
-    sel = number[at] >= 0
-    return (number[at[sel]], steps[sel]), depth[sel], slope[sel]
-
-
 def solve_fhocp(
     e_now,
     model: DynamicsModel,
@@ -551,8 +539,7 @@ def _solve_rows(model, params, u_set, free, e0, controls):
             sel = ... if every else go
             if newton:
                 hess = (obj.hessian(states, measured, weight, active) if every else
-                        obj.hessian(states[go], tuple(a[go] for a in measured), weight[go],
-                                    _rows_at(active, go, count)))
+                        obj.hessian(states[go], tuple(a[go] for a in measured), weight[go]))
                 direction = _newton_direction(hess, grad[sel], controls[sel], moves[sel], u_set)
                 steps = _HALVINGS[:, None, None]
             else:
@@ -754,7 +741,6 @@ class NavigationOutcome:
     disturbances: np.ndarray
     arrival_steps: Optional[int]        # sampling steps until the stop test
     total_steps: int                    # sampling steps actually simulated
-    costs: list = field(default_factory=list)
 
     @property
     def arrived(self) -> bool:
@@ -857,7 +843,6 @@ def navigate(
     records = (ts, xs, nominal, inputs, deltas)
     saturate = _float_saturation(input_set)
     target_list = target_state.tolist()
-    costs = []
 
     # the real and the nominal step of one substep, on floats; the nominal
     # input is held over an interval, so ``nominal_step`` makes the nominal
@@ -900,7 +885,6 @@ def navigate(
         if not sol.feasible:
             status = INFEASIBLE
             break
-        costs.append(sol.cost)
         u_hat = sol.controls[0].tolist()
 
         # propagate the coupled (real, nominal) pair over one sampling interval
@@ -920,7 +904,6 @@ def navigate(
         disturbances=np.asarray(deltas),
         arrival_steps=arrival_steps,
         total_steps=k,
-        costs=costs,
     )
 
 

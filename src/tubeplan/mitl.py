@@ -5,12 +5,19 @@ clock values are ``fractions.Fraction``.  The monitor implements full MITL
 (any nesting) over point-based timed words and is the verification oracle
 the automaton construction is cross-checked against.
 
+Formula text is split by one token pattern, ``_TOKEN``: optional space,
+then a number (``\\d+`` and an optional ``.\\d*`` or ``/\\d+``), a word
+(``[^\\W\\d]\\w*``, which must start with a letter or ``_``) or one of
+``!&|()[],``.  Anything else, and a number ``Fraction`` cannot take (``p/0``),
+is a ``MitlSyntaxError`` at its position.
+
 Finite words are evaluated under a stuttering extension: the final letter is
 held at every time strictly after the final stamp.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -163,55 +170,47 @@ def eval_propositional(f, letter: frozenset) -> bool:
 _RESERVED = {"X", "F", "G", "U", "inf"}
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.index = 0
+_TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:\.\d*|/\d+)?)"
+                    r"|(?P<word>[^\W\d]\w*)|(?P<op>[!&|()\[\],]))?")
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "!&|()[],":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            if c.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                if j < len(text) and text[j] == ".":
-                    j += 1
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-                # optional exact-rational suffix: p/q
-                if j < len(text) and text[j] == "/" and "." not in text[i:j]:
-                    k = j + 1
-                    while k < len(text) and text[k].isdigit():
-                        k += 1
-                    if k > j + 1:
-                        j = k
-                self.tokens.append(("number", text[i:j], i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                kind = word if word in _RESERVED else "ident"
-                self.tokens.append((kind, word, i))
-                i = j
-                continue
-            raise MitlSyntaxError(f"unexpected character {c!r}", i)
-        self.tokens.append(("eof", "", len(text)))
+
+def _tokens(text: str) -> list:
+    """``(kind, text, position)`` of each token of ``text``, then ``eof``."""
+    tokens = []
+    pos = 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        if kind is None:
+            if pos == len(text):
+                tokens.append(("eof", "", pos))
+                return tokens
+            raise MitlSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        start, word = m.start(kind), m[kind]
+        if kind == "word":
+            # ``[^\W\d]`` also takes digits that are not decimal, like ``²``
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise MitlSyntaxError(f"unexpected character {word[0]!r}", start)
+            kind = word if word in _RESERVED else "ident"
+        elif kind == "op":
+            kind = word
+        tokens.append((kind, word, start))
+
+
+def _parse_number(tok) -> Fraction:
+    try:
+        return Fraction(tok[1])
+    except (ValueError, ZeroDivisionError) as exc:
+        # ``p/0``, or more digits than ``int`` converts
+        raise MitlSyntaxError(f"invalid number {tok[1]!r}", tok[2]) from exc
+
+
+class _Parser:
+    """Recursive descent over: unary > U > & > |  (U right-associative)."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokens(text)
+        self.index = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -227,77 +226,66 @@ class _Tokenizer:
             raise MitlSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-
-def _parse_number(tok) -> Fraction:
-    return Fraction(tok[1])
-
-
-class _Parser:
-    """Recursive descent over: unary > U > & > |  (U right-associative)."""
-
-    def __init__(self, text: str):
-        self.tz = _Tokenizer(text)
-
     def parse(self):
         f = self._or()
-        tok = self.tz.peek()
+        tok = self.peek()
         if tok[0] != "eof":
             raise MitlSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return f
 
     def _or(self):
         f = self._and()
-        while self.tz.peek()[0] == "|":
-            self.tz.next()
+        while self.peek()[0] == "|":
+            self.next()
             f = Or(f, self._and())
         return f
 
     def _and(self):
         f = self._until()
-        while self.tz.peek()[0] == "&":
-            self.tz.next()
+        while self.peek()[0] == "&":
+            self.next()
             f = And(f, self._until())
         return f
 
     def _until(self):
         f = self._unary()
-        if self.tz.peek()[0] == "U":
-            self.tz.next()
+        if self.peek()[0] == "U":
+            self.next()
             interval = self._interval()
             return Until(f, self._until(), interval)
         return f
 
     def _unary(self):
-        tok = self.tz.peek()
+        tok = self.peek()
         if tok[0] == "!":
-            self.tz.next()
+            self.next()
             return Not(self._unary())
         if tok[0] in TEMPORAL_UNARY:
-            self.tz.next()
+            self.next()
             interval = self._interval()
             return TEMPORAL_UNARY[tok[0]](self._unary(), interval)
         if tok[0] == "(":
-            self.tz.next()
+            self.next()
             f = self._or()
-            self.tz.expect(")")
+            self.expect(")")
             return f
         if tok[0] == "ident":
-            self.tz.next()
+            self.next()
             return Atom(tok[1])
         raise MitlSyntaxError(f"expected a formula, found {tok[1]!r}", tok[2])
 
     def _interval(self) -> Interval:
-        self.tz.expect("[")
-        lo = _parse_number(self.tz.expect("number"))
-        self.tz.expect(",")
-        tok = self.tz.next()
+        self.expect("[")
+        lo = _parse_number(self.expect("number"))
+        self.expect(",")
+        tok = self.next()
         if tok[0] == "inf":
             hi = None
         elif tok[0] == "number":
             hi = _parse_number(tok)
         else:
             raise MitlSyntaxError(f"expected a number or 'inf', found {tok[1]!r}", tok[2])
-        self.tz.expect("]")
+        self.expect("]")
         try:
             return Interval(lo, hi)
         except InvalidParam as exc:

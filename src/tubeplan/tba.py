@@ -28,7 +28,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Tuple
 
 from .errors import InternalError, InvalidParam, UnsupportedFragment
@@ -335,11 +335,6 @@ def build_tba(formula) -> TimedAutomaton:
 # acceptance of (stutter-extended) finite timed words
 # ---------------------------------------------------------------------------
 
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-                    a.denominator * b.denominator)
-
-
 def stutter_loop_weight(tba: TimedAutomaton, final_time: Fraction) -> Fraction:
     """Delay for the virtual stutter self-loop appended after a finite word.
 
@@ -353,10 +348,9 @@ def stutter_loop_weight(tba: TimedAutomaton, final_time: Fraction) -> Fraction:
     diffs = [c - final_time for c in tba.constants if c > final_time]
     if not diffs:
         return Fraction(1)
-    g = diffs[0]
-    for d in diffs[1:]:
-        g = _fraction_gcd(g, d)
-    return g / 2
+    common = lcm(*(d.denominator for d in diffs))   # each distance is a multiple of 1/common
+    scaled = (d.numerator * (common // d.denominator) for d in diffs)
+    return Fraction(gcd(*scaled), common) / 2
 
 
 def accepts_word(tba: TimedAutomaton, word: TimedWord) -> bool:

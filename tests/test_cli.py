@@ -257,6 +257,31 @@ def test_plan_formula_must_parse(workdir, wts_cache, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["parse", "synthesize", "verify"])
+def test_zero_denominator_is_invalid_input(workdir, wts_cache, tmp_path, capsys,
+                                           command):
+    # a formula with a number ``Fraction`` cannot take is bad input (exit 3,
+    # one error line), not a ZeroDivisionError traceback (exit 1)
+    text = "F[1/0,3] goal"
+    scn = str(workdir / "tiny.json")
+    if command == "parse":
+        argv = ["parse", "--formula", text]
+    elif command == "synthesize":
+        argv = ["synthesize", "--scenario", scn, "--wts", str(wts_cache), "--formula", text]
+    else:
+        plan = _tiny_plan(workdir, wts_cache)
+        plan["formula"] = text
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(json.dumps(plan))
+        argv = ["verify", "--scenario", scn, "--plan", str(bad),
+                "--trace", str(workdir / "trace.tsv")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "invalid number '1/0' (at position 2)" in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_unrealizable_exit_code(workdir, wts_cache, capsys):
     # every leg is longer than one second, so this deadline cannot be met
     code = cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),

@@ -708,7 +708,7 @@ def test_lockstep_legs_run_as_they_do_alone(monkeypatch, kind):
     for a, b in zip(alone, together):
         for name in ("ts", "states", "nominal_states", "inputs", "disturbances"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        for name in ("status", "arrival_steps", "total_steps", "costs"):
+        for name in ("status", "arrival_steps", "total_steps"):
             assert getattr(a, name) == getattr(b, name), name
     if kind != "demo_nonlinear":
         assert {out.status for out in alone} == {controller.ARRIVED, controller.INFEASIBLE}

@@ -103,6 +103,30 @@ def test_parse_errors_carry_position():
         parse("a ? b")
 
 
+@pytest.mark.parametrize("text, expected", [
+    # a zero denominator, or a digit that is not a decimal one, is a syntax
+    # error at its position; ``Fraction`` never sees it
+    ("F[1/0,3] a", 2),
+    ("F[0,2/0] a", 4),
+    ("F[\u00b2,3] a", 2),
+    ("F[1\u00b2,3] a", 3),
+    ("F[1.,21/4] a", Interval(F(1), F(21, 4))),
+    ("F[\u0663/\u0664,2] a", Interval(F(3, 4), F(2))),
+    ("F[1/3,inf] a", Interval(F(1, 3), None)),
+    ("a\u00b2", Atom("a\u00b2")),
+], ids=["zero-lo", "zero-hi", "superscript", "digit-superscript", "trailing-dot",
+        "arabic-indic", "inf", "superscript-in-atom"])
+def test_number_tokens(text, expected):
+    if isinstance(expected, int):
+        with pytest.raises(MitlSyntaxError) as err:
+            parse(text)
+        assert err.value.position == expected
+    elif isinstance(expected, Interval):
+        assert parse(text) == Eventually(Atom("a"), expected)
+    else:
+        assert parse(text) == expected
+
+
 def _random_formula(rng, depth):
     atoms = ["p", "q", "r"]
     if depth == 0 or rng.random() < 0.25:
@@ -137,7 +161,7 @@ def test_print_parse_round_trip_200():
 def test_parser_totality_fuzz():
     # arbitrary text either parses or raises the parser's own error type
     rng = np.random.default_rng(99)
-    alphabet = string.ascii_lowercase + "[](),&|!0123456789. UFGX"
+    alphabet = string.ascii_lowercase + "[](),&|!0123456789./ UFGX"
     for _ in range(500):
         n = int(rng.integers(1, 30))
         text = "".join(alphabet[i] for i in rng.integers(len(alphabet), size=n))
