@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=int,
                            default=synthesis.DEFAULT_BUDGET,
-                           help="product-node search budget")
+                           help="most product nodes the search may find "
+                                "before it stops (exit 5 past it)")
         if disturbance:
             p.add_argument("--disturbance", default="random",
                            choices=DISTURBANCE_POLICIES)

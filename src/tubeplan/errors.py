@@ -70,7 +70,10 @@ class Unrealizable(TubeplanError):
 
 
 class SearchBudgetExceeded(TubeplanError):
-    """Product exploration exceeded the configured node cap."""
+    """The product search found more nodes than the configured cap before
+    it could stop.  A realizable search stops at the first level holding
+    an anchor, so it can return a plan whose whole product exceeds the cap;
+    an unrealizable one stops only after finding every reachable node."""
 
 
 class ValidationError(TubeplanError):

@@ -169,6 +169,8 @@ def eval_propositional(f, letter: frozenset) -> bool:
 
 _RESERVED = {"X", "F", "G", "U", "inf"}
 
+MAX_NESTING = 100   # nesting levels a formula may open, see ``_Parser``
+
 
 _TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:\.\d*|/\d+)?)"
                     r"|(?P<word>[^\W\d]\w*)|(?P<op>[!&|()\[\],]))?")
@@ -206,7 +208,12 @@ def _parse_number(tok) -> Fraction:
 
 
 class _Parser:
-    """Recursive descent over: unary > U > & > |  (U right-associative)."""
+    """Recursive descent over: unary > U > & > |  (U right-associative).
+
+    Each ``(``, ``!``, ``X``, ``F``, ``G`` and ``U`` opens one nesting
+    level; a formula nested deeper than ``MAX_NESTING`` levels is a syntax
+    error at the token that opens the level past it, not a
+    ``RecursionError``."""
 
     def __init__(self, text: str):
         self.tokens = _tokens(text)
@@ -226,47 +233,53 @@ class _Parser:
             raise MitlSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def nest(self, depth):
+        """Consume the token that opens nesting level ``depth + 1``."""
+        tok = self.next()
+        if depth >= MAX_NESTING:
+            raise MitlSyntaxError(
+                f"formula nested deeper than {MAX_NESTING} levels", tok[2])
+        return depth + 1
+
     def parse(self):
-        f = self._or()
+        f = self._or(0)
         tok = self.peek()
         if tok[0] != "eof":
             raise MitlSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return f
 
-    def _or(self):
-        f = self._and()
+    def _or(self, depth):
+        f = self._and(depth)
         while self.peek()[0] == "|":
             self.next()
-            f = Or(f, self._and())
+            f = Or(f, self._and(depth))
         return f
 
-    def _and(self):
-        f = self._until()
+    def _and(self, depth):
+        f = self._until(depth)
         while self.peek()[0] == "&":
             self.next()
-            f = And(f, self._until())
+            f = And(f, self._until(depth))
         return f
 
-    def _until(self):
-        f = self._unary()
+    def _until(self, depth):
+        f = self._unary(depth)
         if self.peek()[0] == "U":
-            self.next()
+            inner = self.nest(depth)
             interval = self._interval()
-            return Until(f, self._until(), interval)
+            return Until(f, self._until(inner), interval)
         return f
 
-    def _unary(self):
+    def _unary(self, depth):
         tok = self.peek()
         if tok[0] == "!":
-            self.next()
-            return Not(self._unary())
+            return Not(self._unary(self.nest(depth)))
         if tok[0] in TEMPORAL_UNARY:
-            self.next()
+            inner = self.nest(depth)
             interval = self._interval()
-            return TEMPORAL_UNARY[tok[0]](self._unary(), interval)
+            return TEMPORAL_UNARY[tok[0]](self._unary(inner), interval)
         if tok[0] == "(":
-            self.next()
-            f = self._or()
+            f = self._or(self.nest(depth))
             self.expect(")")
             return f
         if tok[0] == "ident":

@@ -4,9 +4,10 @@ The automaton's one clock measures time since the start of the run (no
 resets), so a product node carries one scalar: elapsed time, saturated at
 the saturation slack past the largest guard constant.  The automaton is
 deterministic and complete, so a product node has exactly one successor per
-transition of the system.  Saturation makes the product graph finite, so
-the search is a breadth-first exploration followed by lasso detection: an
-accepting product node that can reach itself.
+transition of the system.  Saturation makes the product graph finite.  The
+search is breadth-first and stops at the first level holding an anchor, an
+accepting saturated node that can reach itself; it looks for that cycle in
+the saturated subgraph, which every successor of a saturated node is in.
 
 The search clock counts integer ticks of 1/L, where L is the lcm of the
 denominators of every weight, guard constant and the slack.  Each of them
@@ -75,47 +76,64 @@ def _region_bounds(constants, ticks: int) -> list:
     return [b for c in constants for b in (int(c * ticks), int(c * ticks) + 1)]
 
 
-def _bfs(table, bounds, edges, cap: int, root: tuple, budget: int):
-    """Deterministic BFS over ``(state, location, tick)`` nodes, numbered in
-    the order found.  Returns the nodes, then per node number its parent's
-    number, its (depth, duration, number) rank and its children's numbers,
-    over the fully explored reachable graph.
+def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, budget: int):
+    """Deterministic BFS over ``(state, location, tick)`` nodes that stops at
+    the first level holding an anchor, an accepting saturated node on a
+    cycle.  Returns the nodes found, then the anchor's path from the root
+    and its cycle, or ``None, None`` after finding every reachable node.
 
-    Each (state, location) pair's arcs ``(dst, weight, region table)`` are
-    fetched once, so an edge costs a capped add, a bisect and an index."""
+    Nodes are numbered level by level, so when a level's first node is
+    about to be expanded, that level's nodes and their (duration, number)
+    ranks are final; trying its candidates in that order keeps the (depth,
+    duration, number) order of a full exploration.  Each (state, location)
+    pair's arcs ``(dst, weight, region table)`` are fetched once, so an
+    edge costs a capped add, a bisect and an index."""
     nodes = [root]
-    number = {root: 0}
+    seen = {root}
     parent = [None]
-    rank = [(0, 0, 0)]
-    children = []
+    duration = [0]
+    found = []          # accepting saturated nodes of the level being found
+    level_end = 1       # number of the first node of the level being found
     arcs = {}
+    top = bisect_right(bounds, cap)  # the region of every saturated tick
+
+    def arcs_of(state, location):
+        # one arc per transition, in the transition system's target order;
+        # callers try ``arcs`` first, so only a dead end's [] is rebuilt
+        here = arcs[state, location] = [
+            (dst, weight, table(location, letter))
+            for dst, weight, letter in edges[state]]
+        return here
+
+    def saturated_successors(node):  # a saturated node's successors are too
+        here = arcs.get(node[:2]) or arcs_of(*node[:2])
+        return [(dst, targets[top], cap) for dst, _, targets in here]
+
     for idx, (state, location, clock) in enumerate(nodes):  # nodes is the queue
         if len(nodes) > budget:
-            raise SearchBudgetExceeded(
-                f"product exploration exceeded {budget} nodes"
-            )
-        depth, duration, _ = rank[idx]
-        out = []
-        here = arcs.get((state, location))
-        if here is None:
-            # one arc per transition, in the transition system's target order
-            here = arcs[state, location] = [
-                (dst, weight, table(location, letter))
-                for dst, weight, letter in edges[state]]
-        for dst, weight, targets in here:
+            raise SearchBudgetExceeded(f"product exploration exceeded {budget} nodes")
+        if idx == level_end:
+            if found:
+                for n in sorted(found, key=duration.__getitem__):
+                    cycle = _shortest_cycle(saturated_successors, nodes[n])
+                    if cycle is not None:
+                        return nodes, [nodes[i] for i in _path_to(parent, n)], cycle
+                found.clear()
+            level_end = len(nodes)
+        for dst, weight, targets in arcs.get((state, location)) or arcs_of(state, location):
             tick = clock + weight
             if tick > cap:
                 tick = cap
             child = (dst, targets[bisect_right(bounds, tick)], tick)
-            n = number.get(child)
-            if n is None:
-                n = number[child] = len(nodes)
+            if child not in seen:
+                seen.add(child)
+                # weights are positive, so only saturated nodes can recur
+                if tick == cap and child[1] in accepting:
+                    found.append(len(nodes))
                 nodes.append(child)
                 parent.append(idx)
-                rank.append((depth + 1, duration + weight, n))
-            out.append(n)
-        children.append(out)
-    return nodes, parent, rank, children
+                duration.append(duration[idx] + weight)
+    return nodes, None, None
 
 
 def _path_to(parent, node):
@@ -126,11 +144,11 @@ def _path_to(parent, node):
     return list(reversed(path))
 
 
-def _shortest_cycle(adjacency, anchor):
+def _shortest_cycle(successors, anchor):
     """Shortest (by edges, then successor order) path anchor -> anchor."""
     parent = {}
     queue = deque()
-    for child in adjacency[anchor]:
+    for child in successors(anchor):
         if child == anchor:
             return [anchor]
         if child not in parent:
@@ -138,7 +156,7 @@ def _shortest_cycle(adjacency, anchor):
             queue.append(child)
     while queue:
         node = queue.popleft()
-        for child in adjacency[node]:
+        for child in successors(node):
             if child == anchor:
                 return _path_to(parent, node) + [anchor]
             if child not in parent:
@@ -167,21 +185,13 @@ def find_accepting_run(
         raise UnknownTransition(f"unknown state {wts.initial!r}")
     start = tba.table(tba.initial, wts.label_of(wts.initial))
     root = (wts.initial, start[bisect_right(bounds, 0)], 0)
-    nodes, parent, rank, children = _bfs(tba.table, bounds, edges, cap, root,
-                                         budget)
-
-    # Weights are strictly positive, so the clock rises until it saturates;
-    # only saturated nodes can recur, hence only they can anchor a lasso.
-    anchors = sorted((i for i, (_, location, tick) in enumerate(nodes)
-                      if location in tba.accepting and tick == cap),
-                     key=rank.__getitem__)
-    for anchor in anchors:
-        cycle = _shortest_cycle(children, anchor)
-        if cycle is not None:
-            def run_nodes(path):
-                return tuple(ProductNode(state, location, Fraction(tick, ticks))
-                             for state, location, tick in map(nodes.__getitem__, path))
-            return TimedRun(run_nodes(_path_to(parent, anchor)), run_nodes(cycle))
+    nodes, prefix, cycle = _bfs(tba.table, bounds, edges, cap, root,
+                                tba.accepting, budget)
+    if cycle is not None:
+        def run_nodes(path):
+            return tuple(ProductNode(state, location, Fraction(tick, ticks))
+                         for state, location, tick in path)
+        return TimedRun(run_nodes(prefix), run_nodes(cycle))
     reachable = sorted({location for _, location, _ in nodes})
     raise Unrealizable(
         "no accepting cycle is reachable in the product", reachable

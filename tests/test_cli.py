@@ -10,6 +10,7 @@ import pytest
 import tubeplan
 from tubeplan import cli
 from tubeplan.errors import ValidationError
+from tubeplan.mitl import MAX_NESTING
 
 from conftest import tiny_dict
 
@@ -42,6 +43,27 @@ def test_parse_echoes_formula(capsys):
 def test_parse_rejects_bad_formula(capsys):
     assert cli.main(["parse", "--formula", "F[5,2 goal"]) == cli.EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+
+
+def test_parse_accepts_nesting_up_to_the_limit(capsys):
+    # 50 parentheses, 49 negations and an F: exactly MAX_NESTING levels
+    text = "(" * 50 + "!" * 49 + "F[0,1] a" + ")" * 50
+    assert cli.main(["parse", "--formula", text]) == cli.EXIT_PASS
+    assert "atoms: a" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(" * 50 + "!" * 50 + "F[0,1] a" + ")" * 50, 100),
+    ("(" * 400 + "a" + ")" * 400, 100),
+    ("!" * 3000 + "a", 100),
+], ids=["F-past-limit", "parentheses-400", "negations-3000"])
+def test_parse_rejects_deep_nesting(capsys, text, position):
+    # nesting past the limit is bad input at the token that crosses it
+    # (exit 3, one error line), not a RecursionError traceback (exit 1)
+    assert cli.main(["parse", "--formula", text]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == (f"error: formula nested deeper than {MAX_NESTING} levels "
+                   f"(at position {position})\n")
 
 
 def test_invalid_scenario_file(capsys, tmp_path):

@@ -1,9 +1,11 @@
 import os
 from bisect import bisect_right
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from tubeplan import synthesis
@@ -182,16 +184,126 @@ def test_mixed_denominators(slack, prefix, cycle):
     assert type(anchor.clock) is F and anchor.clock == tba.cmax + slack
 
 
+def _full_search(wts, tba):
+    """The search as it was before it stopped early, kept as a reference:
+    explore the whole reachable product with ``Fraction`` clocks, rank its
+    accepting saturated nodes by (depth, duration, number), and return the
+    first that lies on a cycle as ``(prefix, cycle)`` node lists, or raise
+    ``Unrealizable`` with every reachable location."""
+    cap = tba.cmax + 1  # the default saturation slack
+
+    def successors(node):
+        state, location, clock = node
+        for dst, weight in wts.successors(state):
+            tick = min(clock + weight, cap)
+            yield (dst, tba.successors(location, wts.label_of(dst), tick),
+                   tick), weight
+
+    root = (wts.initial,
+            tba.successors(tba.initial, wts.label_of(wts.initial), F(0)), F(0))
+    nodes, parent, rank = [root], {root: None}, {root: (0, 0, 0)}
+    for node in nodes:
+        depth, duration, _ = rank[node]
+        for child, weight in successors(node):
+            if child not in parent:
+                parent[child] = node
+                rank[child] = (depth + 1, duration + weight, len(nodes))
+                nodes.append(child)
+
+    def back_to(back, node, stop):
+        path = [node]
+        while path[-1] != stop:
+            path.append(back[path[-1]])
+        return path[::-1]
+
+    anchors = [n for n in nodes if n[2] == cap and n[1] in tba.accepting]
+    for anchor in sorted(anchors, key=rank.get):
+        back, queue = {}, deque([anchor])
+        while queue:
+            node = queue.popleft()
+            for child, _ in successors(node):
+                if child == anchor:
+                    cycle = back_to(back, node, anchor)[1:] + [anchor]
+                    return back_to(parent, anchor, root), cycle
+                if child not in back:
+                    back[child] = node
+                    queue.append(child)
+    raise Unrealizable("no accepting cycle", {n[1] for n in nodes})
+
+
+def _random_system(rng):
+    """1-4 states, some of them dead ends, weights in halves and thirds."""
+    states = [f"s{i}" for i in range(int(rng.integers(1, 5)))]
+    transitions = [
+        {"source": src, "target": dst,
+         "weight": f"{rng.integers(1, 7)}/{rng.choice([2, 3])}"}
+        for src in states if rng.random() < 0.85
+        for dst in states if rng.random() < 0.5]
+    labels = {s: [a for a in "ab" if rng.random() < 0.5] for s in states}
+    return wts_from_dict({"states": states, "initial": "s0",
+                          "labels": labels, "transitions": transitions})
+
+
+def _random_formula(rng):
+    """And/Or of 1-3 G/F/U blocks over literals, half-integer constants."""
+    def literal():
+        return rng.choice(["a", "b", "!a", "!b"])
+
+    def interval():
+        lo = int(rng.integers(0, 7))
+        hi = "inf" if rng.random() < 0.2 else F(lo + int(rng.integers(0, 5)), 2)
+        return f"[{F(lo, 2)},{hi}]"
+
+    def block():
+        kind = rng.choice(["F", "G", "U"])
+        if kind == "U":
+            return f"({literal()} U{interval()} {literal()})"
+        return f"{kind}{interval()} {literal()}"
+
+    text = block()
+    for _ in range(int(rng.integers(0, 3))):
+        text += rng.choice([" & ", " | "]) + block()
+    return text
+
+
+def _outcome(search, wts, tba):
+    try:
+        prefix, cycle = search(wts, tba)
+    except Unrealizable as exc:
+        return "unrealizable", exc.reachable_locations
+    return "run", prefix, cycle
+
+
+def _early_stop(wts, tba):
+    run = find_accepting_run(wts, tba)
+    return ([(n.state, n.location, n.clock) for n in run.prefix],
+            [(n.state, n.location, n.clock) for n in run.cycle])
+
+
+def test_early_stop_matches_full_exploration():
+    # stopping at the first level with an anchor returns the run, or the
+    # reachable locations, that exploring the whole product returns
+    rng = np.random.default_rng(20)
+    outcomes = []
+    for _ in range(300):
+        wts, text = _random_system(rng), _random_formula(rng)
+        tba = build_tba(parse(text))
+        expected = _outcome(_full_search, wts, tba)
+        assert _outcome(_early_stop, wts, tba) == expected, text
+        outcomes.append(expected[0])
+    assert 50 < outcomes.count("run") < 250
+
+
 def _bundled_wts(scenario):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return load_wts(os.path.join(root, "perfbench", "data", "nexus_wts.json"),
                     expected_hash=scenario_hash(scenario))
 
 
-def test_bundled_search_builds_each_region_table_once(monkeypatch):
-    # the bundled product is the root plus 106,499 edges; the search reads
-    # each edge's target from a region table that the automaton builds once
-    # per (location, letter) pair, and never steps it one call per edge
+def _counted_search(monkeypatch, formula):
+    """Run the search on the bundled system; return its outcome, the number
+    of product nodes it found and the (location, letter) pairs whose region
+    tables the automaton built."""
     bfs, build = synthesis._bfs, TimedAutomaton._table
     found, built = [], []
 
@@ -205,10 +317,39 @@ def test_bundled_search_builds_each_region_table_once(monkeypatch):
 
     monkeypatch.setattr(synthesis, "_bfs", counted_bfs)
     monkeypatch.setattr(TimedAutomaton, "_table", counted_build)
-    scenario = default_scenario()
-    find_accepting_run(_bundled_wts(scenario), build_tba(scenario.formula()))
-    (_, _, _, children), = found
-    assert 1 + sum(map(len, children)) == 106_500
+    wts = _bundled_wts(default_scenario())
+    outcome = _outcome(_early_stop, wts, build_tba(formula))
+    (nodes, _, _), = found
+    return outcome, len(nodes), built
+
+
+def test_bundled_search_builds_each_region_table_once(monkeypatch):
+    # the bundled plan anchors at depth 5: the search stops once the 4,799
+    # nodes through that level are found, of the 16,055 reachable.  It reads
+    # each edge's target from a region table that the automaton builds once
+    # per (location, letter) pair, and never steps it one call per edge
+    outcome, found, built = _counted_search(monkeypatch,
+                                            default_scenario().formula())
+    assert outcome[0] == "run" and len(outcome[1]) == 6
+    assert found == 4_799
+    assert len(built) == len(set(built)) == 45
+
+
+# the bundled formula, and R3 (mission2) within 10 s of the start, which no
+# path from R1 reaches
+UNREALIZABLE_BUNDLED = ("G[0,inf](!obs1 & !obs2 & !obs3 & !obs4) & F[30,50] mission2 & "
+                        "F[80,110] mission1 & F[0,10] mission2")
+
+
+def test_bundled_unrealizable_search_explores_every_node(monkeypatch):
+    # no anchor, no early stop: the search finds every reachable node and
+    # reports the locations that exploring the whole product reported
+    outcome, found, built = _counted_search(monkeypatch,
+                                            parse(UNREALIZABLE_BUNDLED))
+    assert outcome == ("unrealizable", {
+        f"0:{a}|1:{b}|2:{c}|3:wait" for a in ("active", "reject")
+        for b in ("done", "wait") for c in ("done", "wait")})
+    assert found == 16_055
     assert len(built) == len(set(built)) == 56
 
 
@@ -249,6 +390,10 @@ def test_region_bounds_agree_with_successors(which):
                 tba.successors(location, letter, F(t, ticks)) for t in range(cap + 1)]
 
 
+BUNDLED_PLAN = ("R1 R5 R3 R5 R1 R5 R5",
+                "0 281/10 214/5 115/2 428/5 1137/10 1157/10", 6)
+
+
 def _golden(states, stamps, prefix_len):
     return (tuple(states.split()), tuple(F(t) for t in stamps.split()),
             prefix_len)
@@ -261,8 +406,7 @@ def test_golden_plans(which, request):
         scenario = default_scenario()
         wts = _bundled_wts(scenario)
         formula = scenario.formula()
-        expected = _golden("R1 R5 R3 R5 R1 R5 R5",
-                           "0 281/10 214/5 115/2 428/5 1137/10 1157/10", 6)
+        expected = _golden(*BUNDLED_PLAN)
         if which == "widened":
             # both windows opened earlier, as the benchmark's variants are:
             # other guards, other regions, and still the fewest legs first
@@ -275,3 +419,20 @@ def test_golden_plans(which, request):
         expected = _golden("A B A B A B B", "0 36/5 72/5 108/5 144/5 36 37", 6)
     plan = synthesize(wts, formula)
     assert (plan.states, plan.stamps, plan.prefix_len) == expected
+
+
+def test_budget_caps_the_nodes_found_before_the_search_stops():
+    # the bundled plan is found among 4,799 nodes, so a budget of 4,799,
+    # below the 16,055 reachable nodes, still returns it, and one less does not
+    scenario = default_scenario()
+    wts, formula = _bundled_wts(scenario), scenario.formula()
+    plan = synthesize(wts, formula, budget=4_799)
+    assert (plan.states, plan.stamps, plan.prefix_len) == _golden(*BUNDLED_PLAN)
+    with pytest.raises(SearchBudgetExceeded):
+        synthesize(wts, formula, budget=4_798)
+    # an unrealizable search finds every reachable node before it stops
+    formula = parse(UNREALIZABLE_BUNDLED)
+    with pytest.raises(Unrealizable):
+        synthesize(wts, formula, budget=16_055)
+    with pytest.raises(SearchBudgetExceeded):
+        synthesize(wts, formula, budget=16_054)
