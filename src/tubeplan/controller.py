@@ -24,7 +24,10 @@ otherwise).
 sampling instant; ``lockstep`` runs any number of them side by side and
 solves all pending problems in one batch (``solve_fhocps``).  The solver
 holds every problem on a leading row axis, and a single problem is a batch
-of one row.
+of one row.  A broad phase sets apart the problems whose start is farther
+from every constraint than the inputs can move a pure integrator within the
+horizon (``horizon * max|u|``): their solves measure no constraint, and the
+hinge terms they skip would all be 0.
 """
 
 from __future__ import annotations
@@ -229,7 +232,6 @@ def shift_to_error_frame(model: DynamicsModel, target_state: np.ndarray) -> Dyna
 class FhocpSolution:
     controls: np.ndarray          # (segments, n) piecewise-constant inputs
     nominal: np.ndarray           # (segments + 1, n) error states on the grid
-    cost: float                   # quadratic cost without penalty terms
     feasible: bool
     violation: float              # worst measured constraint penetration
     iterations: int = 0
@@ -266,19 +268,20 @@ class _FhocpObjective:
     ``e_set`` is a ``ConstraintStack`` whose leg axis lines up with the row
     axis, or one leg, which serves every row.  Its ``depths`` measures every
     box side and every exclusion ball in one broadcast, once per rollout,
-    for both the penalty and its subgradient.  A row of a batch equals the
-    one-row result bit for bit.
+    for both the penalty and its subgradient; without it (None: no row can
+    reach a constraint) every hinge term is 0 and the depths are ``()``.  A
+    row of a batch equals the one-row result bit for bit.
     """
 
-    def __init__(self, model, params: FhocpParams, e_set: ConstraintStack):
+    def __init__(self, model, params: FhocpParams, e_set: Optional[ConstraintStack]):
         self.model = model
         self.params = params
         self.e_set = e_set
 
     def take(self, rows):
         """The objective of the legs at ``rows`` of ``e_set``; itself when
-        ``e_set`` has one leg."""
-        e_set = self.e_set.take(rows)
+        ``e_set`` has one leg or none."""
+        e_set = None if self.e_set is None else self.e_set.take(rows)
         return self if e_set is self.e_set else _FhocpObjective(self.model, self.params, e_set)
 
     def quadratic(self, states, controls, terminal=None):
@@ -297,28 +300,39 @@ class _FhocpObjective:
         terminal = self._terminal(states) if terminal is None else terminal
         return np.maximum(np.sqrt(terminal) - self.params.terminal_level, 0.0)
 
+    def terminal_norms(self, states):
+        """``sqrt(p |e_m|^2)`` of each row, as floats."""
+        e_n = states[..., -1:, :]
+        return [math.sqrt(0.5 * x) for x in ((e_n * self.params.d_terminal)
+                                             @ np.swapaxes(e_n, -1, -2)).ravel().tolist()]
+
     def total(self, e0, controls, weight):
         """Cost of each control set, its rollout, and the rollout's
-        ``e_set.depths`` (depths, offsets, dist)."""
+        ``measure``."""
         states = self._states(e0, controls)
-        measured = self.e_set.depths(states[..., :2])
+        measured = self.measure(states)
         return self.cost(states, measured, controls, weight), states, measured
+
+    def measure(self, states):
+        """``e_set.depths`` (depths, offsets, dist) of a rollout, or ``()``."""
+        return () if self.e_set is None else self.e_set.depths(states[..., :2])
 
     def cost(self, states, measured, controls, weight):
         """``total``'s cost from a rollout and its depths already measured."""
         terminal = self._terminal(states)       # p |e_m|^2, shared by two terms
-        pen = np.add.reduce(self.e_set.worst(measured[0]) ** 2, axis=-1)
-        pen = pen + self.terminal_excess(states, terminal) ** 2
+        pen = self.terminal_excess(states, terminal) ** 2
+        if measured:
+            pen = np.add.reduce(self.e_set.worst(measured[0]) ** 2, axis=-1) + pen
         return self.quadratic(states, controls, terminal) + weight * pen
 
-    def gradient(self, states, measured, controls, weight, active=None):
+    def gradient(self, states, measured, controls, weight, active=None, norms=None):
         """Exact gradient of ``total`` in the controls of each row, for a pure
         integrator.
 
         ``states`` and ``measured`` are the rollout of ``controls`` and its
-        depths, as ``total`` returns them, and ``active`` their
-        ``_active_slopes`` (taken here when not given); ``weight`` holds one
-        penalty weight per row.
+        depths, as ``total`` returns them, ``active`` their
+        ``_active_slopes`` and ``norms`` their ``terminal_norms`` (each taken
+        here when not given); ``weight`` holds one penalty weight per row.
         ``e_k = e_0 + h * sum_{j<k} u_j``, so ``dJ/du_j = 2h r u_j +
         h * sum_{k>j} dJ/de_k``.  ``dJ/de_k`` holds the stage term ``2h q
         e_k``, the terminal term ``2 p e_m`` with the terminal-excess
@@ -328,14 +342,12 @@ class _FhocpObjective:
         """
         p = self.params
         d_e = states * p.d_stage
-        e_n = states[..., -1:, :]
-        d_e[..., -1:, :] = e_n * p.d_terminal
-        norm_p = [math.sqrt(0.5 * x) for x in
-                  (d_e[..., -1:, :] @ np.swapaxes(e_n, -1, -2)).ravel().tolist()]
+        d_e[..., -1:, :] = states[..., -1:, :] * p.d_terminal
+        norms = self.terminal_norms(states) if norms is None else norms
         # the terminal-excess factor of each row, on floats; times 1.0, which
         # keeps the bits, where there is no excess
         factor = [1.0 + w * (v - p.terminal_level) / v if v - p.terminal_level > 0.0 else 1.0
-                  for w, v in zip(weight.tolist(), norm_p)]
+                  for w, v in zip(weight.tolist(), norms)]
         if factor.count(1.0) < len(factor):
             d_e[:, -1, :] *= np.array(factor)[:, None]
         (rows, steps), depth, slope = self._active_slopes(measured) if active is None else active
@@ -345,22 +357,21 @@ class _FhocpObjective:
         tail = d_e[..., :0:-1, :].cumsum(axis=-2)[..., ::-1, :]   # sum_{k>j} dJ/de_k
         return controls * p.d_input + p.seg_h * tail
 
-    def hessian(self, states, measured, weight, active=None):
+    def hessian(self, states, measured, weight, active=None, norms=None):
         """Hessian of ``total`` in the flattened controls of each row, for a
         pure integrator: ``params.hessian``, the exact one of the
         terminal-excess penalty, and the Gauss-Newton term of each active
-        hinge along ``gradient``'s slope.  ``params.hessian`` itself, one
-        for all rows, when no row has a penalty term."""
+        hinge along ``gradient``'s slope (``active``, ``norms`` as there).
+        ``params.hessian`` itself, one for all rows, when no row has a
+        penalty term."""
         p = self.params
         (rows, steps), _, slope = self._active_slopes(measured) if active is None else active
-        count, m1, n = states.shape
-        m = m1 - 1
-        e_n = states[:, -1:, :]
-        pe = 0.5 * (e_n * p.d_terminal)
-        norm_p = [math.sqrt(x) for x in (pe @ np.swapaxes(e_n, -1, -2)).ravel().tolist()]
-        over = [r for r, v in enumerate(norm_p) if v > p.terminal_level]
+        norms = self.terminal_norms(states) if norms is None else norms
+        over = [r for r, v in enumerate(norms) if v > p.terminal_level]
         if not over and slope is None:
             return p.hessian
+        count, m1, n = states.shape
+        m = m1 - 1
         # 2 w h^2 of each row, and ratio / (p |e_m|^2) and (1 - ratio) / 2 of
         # each row past the terminal level, on floats as a batch of one has them
         hh = p.seg_h ** 2
@@ -368,10 +379,10 @@ class _FhocpObjective:
         hess = None if len(over) == count else np.repeat(p.hessian[None], count, axis=0)
         if over:
             # e_m moves by h with every control, so every block gains h^2 A
-            f = np.array([(scale[r], p.terminal_level / norm_p[r] / norm_p[r] ** 2,
-                           (1.0 - p.terminal_level / norm_p[r]) * 0.5)
+            f = np.array([(scale[r], p.terminal_level / norms[r] / norms[r] ** 2,
+                           (1.0 - p.terminal_level / norms[r]) * 0.5)
                           for r in over])[:, :, None, None]
-            pe = pe[slice(None) if hess is None else over]
+            pe = 0.5 * (states[slice(None) if hess is None else over, -1:, :] * p.d_terminal)
             a = f[:, 0] * ((f[:, 1] * pe.transpose(0, 2, 1)) * pe
                            + f[:, 2] * (p.d_terminal * np.eye(n)))
             blocks = (p.hessian.reshape(m, n, m, n)
@@ -392,7 +403,9 @@ class _FhocpObjective:
 
     def _active_slopes(self, measured):
         """Where the worst depth is positive: the index arrays of those rows
-        and steps, that depth, and its slope."""
+        and steps, that depth, and its slope; Nones without depths."""
+        if not measured:
+            return (None, None), None, None
         depths, offsets, dist = measured
         at = (np.maximum.reduce(depths, axis=-1) > 0.0).nonzero()
         if at[-1].size == 0:
@@ -445,71 +458,88 @@ def solve_fhocps(problems) -> list:
     (any pure integrator of one width, or one other model object) are
     solved together by ``_solve_rows``, stacked on a leading row axis; a
     single problem is a batch of one.  A start outside its free space is
-    answered at once.  Each solution is bit for bit the one its problem gets
-    in a batch of its own.
+    answered at once, and the problems that no candidate can take near a
+    constraint (``_unreachable``) are solved apart, measuring none.  Each
+    solution is bit for bit the one its problem gets in a batch of its own.
     """
     sols = [None] * len(problems)
     groups = {}
-    for i, (_, model, params, _, u_set, _) in enumerate(problems):
-        key = len(problems) > 1 and (
+    for i, (e, model, params, e_set, u_set, _) in enumerate(problems):
+        clear = model.pure_integrator and _unreachable(params, u_set, e_set, e)
+        key = clear, len(problems) > 1 and (
             id(params), type(u_set), *(np.asarray(v).tobytes() for v in vars(u_set).values()),
             model.n if model.pure_integrator else model)
         groups.setdefault(key, []).append(i)
-    for rows in groups.values():
+    for (clear, _), rows in groups.items():
         _, model, params, _, u_set, _ = problems[rows[0]]
         m, n = params.segments, model.n
         e0 = np.array([problems[i][0] for i in rows], dtype=float)
-        stack = ConstraintStack.of([problems[i][3] for i in rows])
-        inside = stack.contains(e0[:, :2])
+        stack = None if clear else ConstraintStack.of([problems[i][3] for i in rows])
+        inside = [True] * len(rows) if clear else stack.contains(e0[:, :2]).tolist()
         starts = []
-        for i, e, ok in zip(rows, e0, inside.tolist()):
+        for i, e, ok in zip(rows, e0, inside):
             warm_start = problems[i][5]
             if not ok:
                 e_set = problems[i][3]
-                obj = _FhocpObjective(model, params, e_set.stacked)
                 controls = np.zeros((m, n))
-                states = obj._states(e, controls)
-                sols[i] = FhocpSolution(controls, states, float(obj.quadratic(states, controls)),
+                sols[i] = FhocpSolution(controls, _rollout(model, e, controls, params.seg_h),
                                         False, float(e_set.violation(e[:2])))
             elif warm_start is None:
                 # drive the error to zero over the horizon at constant rate; a
                 # crude but dimensionally sensible start that costs the solver
                 # far fewer iterations than all-zeros
-                starts.append(np.tile(-e / params.horizon, (m, 1)))
+                starts.append(np.repeat(-e[None] / params.horizon, m, axis=0))
             else:
                 starts.append(np.asarray(warm_start, dtype=float))
                 if starts[-1].shape != (m, n):
                     raise InvalidParam(f"warm start must have shape {(m, n)}")
         if not starts:
             continue
-        feasible = inside.nonzero()[0]
+        feasible = [k for k, ok in enumerate(inside) if ok]
         controls = project_input(np.array(starts), u_set)
         if len(feasible) < len(rows):
             stack, e0 = stack.take(feasible), e0[feasible]
         solved = _solve_rows(model, params, u_set, stack, e0, controls)
-        for i, sol in zip((rows[k] for k in feasible.tolist()), solved):
-            sols[i] = sol
+        for k, sol in zip(feasible, solved):
+            sols[rows[k]] = sol
     return sols
+
+
+def _unreachable(params, u_set, e_set, e) -> bool:
+    """The broad phase of ``solve_fhocps``: whether no candidate of a pure
+    integrator's problem can reach a constraint of ``e_set`` from the start
+    ``e``.  Projected inputs move its position at most ``horizon *
+    max|u[:2]|``, so a start whose ``ConstraintSet.clearance`` exceeds that
+    stays clear, with a rounding slack of 1e-9 of the largest length."""
+    if isinstance(u_set, Box):
+        top = np.maximum(-u_set.lower, u_set.upper)
+    elif isinstance(u_set, Ball):
+        top = np.abs(u_set.center) + u_set.radius
+    else:
+        return False                    # ``project_input`` rejects it
+    reach = params.horizon * math.hypot(*top[:2].tolist())
+    e = np.asarray(e, dtype=float).tolist()
+    scale = 1.0 + reach + max(e_set.radii.tolist(), default=0.0) + max(map(abs, e))
+    return e_set.clearance(e[:2]) > reach + 1e-9 * scale
 
 
 def _solve_rows(model, params, u_set, free, e0, controls):
     """The descent of ``solve_fhocp`` on problems stacked on a leading row
     axis, one or more: starts ``e0`` (rows, n), projected first controls
     (rows, m, n), and their free spaces, a ``ConstraintStack`` with one leg
-    per row or one for all, on a shared model, ``params`` and input set.
-    Every row keeps its own penalty weight, step size, stop tests and line
-    search, and leaves the batch when it stops.  Returns the
-    ``FhocpSolution`` of each row.
+    per row or one for all, or None where no row can reach a constraint, on
+    a shared model, ``params`` and input set.  Every row keeps its own
+    penalty weight, step size, stop tests and line search, and leaves the
+    batch when it stops.  Returns the ``FhocpSolution`` of each row.
 
     A step that takes every row indexes the arrays with ``...``, so that it
     costs no gather."""
     obj = _FhocpObjective(model, params, free)
-    fd_step = 1e-6
     newton = model.pure_integrator and isinstance(u_set, Box)
     ids = list(range(len(e0)))   # each row's problem
     sols = [None] * len(ids)
     weight = np.full(len(ids), PENALTY_WEIGHT)
-    ramped = np.zeros(len(ids), dtype=int)   # the iteration each row's weight was set at
+    ramped = [0] * len(ids)      # the iteration each row's weight was set at
     if not newton:
         step_size = np.ones(len(ids))
         prev_controls, prev_grad = np.zeros(controls.shape), np.zeros(controls.shape)
@@ -518,7 +548,7 @@ def _solve_rows(model, params, u_set, free, e0, controls):
     # search's batch already holds them for the picked candidate, and a new
     # penalty weight only changes the cost
     states = obj._states(e0, controls)
-    measured = obj.e_set.depths(states[..., :2])
+    measured = obj.measure(states)
     cost = obj.cost(states, measured, controls, weight)
     it = 0
     while True:
@@ -526,98 +556,94 @@ def _solve_rows(model, params, u_set, free, e0, controls):
         count = len(ids)
         if model.pure_integrator:
             active = obj._active_slopes(measured)
-            grad = obj.gradient(states, measured, controls, weight, active)
+            norms = obj.terminal_norms(states)
+            grad = obj.gradient(states, measured, controls, weight, active, norms)
         else:
-            grad = np.array([_fd_gradient(obj.take([r]), e0[r], controls[r], weight[r], fd_step)
+            grad = np.array([_fd_gradient(obj.take([r]), e0[r], controls[r], weight[r], 1e-6)
                              for r in range(count)])
         # projected-gradient stop: at a clamped optimum no step can move
         moves = project_input(controls - grad, u_set) - controls
-        stop = np.maximum.reduce(np.abs(moves).reshape(count, -1), axis=-1) < TOL
-        go = (~stop).nonzero()[0]
-        if go.size:
-            every = go.size == count
-            sel = ... if every else go
+        stop = (np.maximum.reduce(np.abs(moves).reshape(count, -1), axis=-1) < TOL).tolist()
+        go = [r for r, s in enumerate(stop) if not s]
+        if go:
+            every = len(go) == count
+            sel = ... if every else np.array(go)
             if newton:
-                hess = (obj.hessian(states, measured, weight, active) if every else
-                        obj.hessian(states[go], tuple(a[go] for a in measured), weight[go]))
+                hess = (obj.hessian(states, measured, weight, active, norms) if every else
+                        obj.hessian(states[sel], tuple(a[sel] for a in measured), weight[sel]))
                 direction = _newton_direction(hess, grad[sel], controls[sel], moves[sel], u_set)
                 steps = _HALVINGS[:, None, None]
             else:
                 # spectral (Barzilai-Borwein) initial step along -grad
-                dc = (controls[sel] - prev_controls[sel]).reshape(go.size, 1, -1)
-                dg = (grad[sel] - prev_grad[sel]).reshape(go.size, -1, 1)
-                curv = np.where(has_prev[go], (dc @ dg)[:, 0, 0], 0.0)
+                dc = (controls[sel] - prev_controls[sel]).reshape(len(go), 1, -1)
+                dg = (grad[sel] - prev_grad[sel]).reshape(len(go), -1, 1)
+                curv = np.where(has_prev[sel], (dc @ dg)[:, 0, 0], 0.0)
                 spectral = (dc @ dc.transpose(0, 2, 1))[:, 0, 0] / np.where(curv > 1e-30, curv, 1.0)
-                step_size[go] = np.where(curv > 1e-30, np.minimum(np.maximum(spectral, 1e-8), 1e3),
-                                         np.minimum(step_size[go] * 2.0, 1e3))
+                step_size[sel] = np.where(curv > 1e-30, np.minimum(np.maximum(spectral, 1e-8), 1e3),
+                                          np.minimum(step_size[sel] * 2.0, 1e3))
                 prev_controls[sel], prev_grad[sel] = controls[sel], grad[sel]
-                has_prev[go] = True
+                has_prev[sel] = True
                 direction = -grad[sel]
-                steps = (step_size[go, None] * _HALVINGS)[:, :, None, None]
-            found = _first_better(obj if every else obj.take(go), e0[sel], controls[sel],
+                steps = (step_size[sel, None] * _HALVINGS)[:, :, None, None]
+            found = _first_better(obj if every else obj.take(sel), e0[sel], controls[sel],
                                   steps, direction, u_set, cost[sel], weight[sel])
-            stop[sel] = True
+            stop = [True] * count       # a row that searched goes on if it moved enough
             if found is not None:
                 at, pick, picked, new_cost, new_states, new_measured = found
-                moved = ... if at.size == count else go.take(at)
-                shift = np.maximum.reduce(np.abs(picked - controls[moved]).reshape(at.size, -1),
+                rows = go if at is ... else [go[k] for k in at.tolist()]
+                moved = ... if len(rows) == count else np.array(rows)
+                shift = np.maximum.reduce(np.abs(picked - controls[moved]).reshape(len(rows), -1),
                                           axis=-1)
-                stop[moved] = [d < TOL or old - c < TOL * (1.0 + abs(c)) for d, old, c in
-                               zip(shift.tolist(), cost[moved].tolist(), new_cost.tolist())]
+                for r, d, old, c in zip(rows, shift.tolist(), cost[moved].tolist(),
+                                        new_cost.tolist()):
+                    stop[r] = d < TOL or old - c < TOL * (1.0 + abs(c))
                 if not newton:
                     step_size[moved] = steps[at, pick, 0, 0]
-                if at.size == count:
+                if len(rows) == count:
                     controls, cost, states, measured = picked, new_cost, new_states, new_measured
                 else:
                     controls[moved], cost[moved], states[moved] = picked, new_cost, new_states
                     for a, b in zip(measured, new_measured):
                         a[moved] = b
         # a row whose descent stopped, or ran MAX_ITERS iterations, is done
-        # with its penalty weight
+        # with its penalty weight: it finishes, or goes on with a weight ten
+        # times as large while it violates its constraints
         if it >= MAX_ITERS:
-            stop |= it - ramped >= MAX_ITERS
-        ending = np.count_nonzero(stop)
-        if ending == 0:
+            stop = [s or it - r >= MAX_ITERS for s, r in zip(stop, ramped)]
+        end = [r for r, s in enumerate(stop) if s]
+        if not end:
             continue
-        end = ... if ending == count else stop.nonzero()[0]
-        worst = ConstraintStack.worst(measured[0][end])
-        violation = np.maximum.reduce(worst, axis=-1).tolist()
-        done = [v <= FEASIBILITY_TOL or w >= PENALTY_MAX
-                for v, w in zip(violation, weight[end].tolist())]
-        finishing = done.count(True)
-        if finishing < ending:
-            end = stop.nonzero()[0]
-            ramp = end[[not d for d in done]]
-            at = ... if ramp.size == count else ramp
-            weight[ramp] *= 10.0
-            cost[ramp] = obj.cost(states[at], tuple(a[at] for a in measured), controls[at],
-                                  weight[ramp])
-            ramped[ramp] = it
+        at = ... if len(end) == count else end
+        violation = (np.maximum.reduce(ConstraintStack.worst(measured[0][at]), axis=-1).tolist()
+                     if measured else [0.0] * len(end))
+        ramp = []
+        for r, v, w, c in zip(end, violation, weight[at].tolist(), cost[at].tolist()):
+            if not (v <= FEASIBILITY_TOL or w >= PENALTY_MAX):
+                ramp.append(r)
+                ramped[r] = it
+            elif not math.isfinite(c):
+                raise SolverDiverged("non-finite cost at solution")
+            else:
+                sols[ids[r]] = FhocpSolution(controls[r], states[r], v <= FEASIBILITY_TOL, v, it)
+        if ramp:
+            at = ... if len(ramp) == count else ramp
+            weight[at] *= 10.0
+            cost[at] = obj.cost(states[at], tuple(a[at] for a in measured), controls[at],
+                                weight[at])
             if not newton:
-                has_prev[ramp] = False
-            if finishing == 0:
-                continue
-            end = end[done]
-            violation = [v for v, d in zip(violation, done) if d]
-        quad = obj.quadratic(states[end], controls[end])
-        if np.count_nonzero(np.isfinite(quad)) < finishing:
-            raise SolverDiverged("non-finite cost at solution")
-        rows = range(count) if finishing == count else end.tolist()
-        for r, q, v in zip(rows, quad.tolist(), violation):
-            sols[ids[r]] = FhocpSolution(controls[r], states[r], q, v <= FEASIBILITY_TOL, v, it)
-        if finishing == count:
+                has_prev[at] = False
+        keep = [r for r in range(count) if sols[ids[r]] is None]
+        if not keep:
             return sols
-        keep = np.ones(count, dtype=bool)
-        keep[end] = False
-        keep = keep.nonzero()[0]
-        ids = [ids[r] for r in keep.tolist()]
-        e0, controls, states, cost, weight, ramped = (
-            a.take(keep, axis=0) for a in (e0, controls, states, cost, weight, ramped))
-        measured = tuple(a.take(keep, axis=0) for a in measured)
-        obj = obj.take(keep)
-        if not newton:
-            step_size, prev_controls, prev_grad, has_prev = (
-                a.take(keep, axis=0) for a in (step_size, prev_controls, prev_grad, has_prev))
+        if len(keep) < count:
+            ids, ramped = [ids[r] for r in keep], [ramped[r] for r in keep]
+            e0, controls, states, cost, weight = (
+                a.take(keep, axis=0) for a in (e0, controls, states, cost, weight))
+            measured = tuple(a.take(keep, axis=0) for a in measured)
+            obj = obj.take(keep)
+            if not newton:
+                step_size, prev_controls, prev_grad, has_prev = (
+                    a.take(keep, axis=0) for a in (step_size, prev_controls, prev_grad, has_prev))
 
 
 def _newton_direction(hess, grad, controls, moves, u_set):
@@ -625,32 +651,23 @@ def _newton_direction(hess, grad, controls, moves, u_set):
     row: a control within ``min(_EPS0, |moves|)`` of a bound the gradient
     pushes it against takes ``-g_i / H_ii``, the free ones ``solve(H_FF,
     -g_F)``.  ``grad``, ``controls`` and ``moves`` have shape (rows, m, n);
-    ``hess`` is one Hessian per row, or one for all.  The free blocks of the
-    rows with the same number of free controls are solved in one stacked
-    call, which gives each row the bits of its own."""
+    ``hess`` is one Hessian per row, or one for all.  When every control of
+    every row is free, one stacked call solves them all; otherwise each row
+    with free controls solves its own block."""
     rows = len(grad)
     g = grad.reshape(rows, -1)
-    eps = np.array([min(_EPS0, math.sqrt(float(v @ v)))
+    eps = np.array([min(_EPS0, math.sqrt(v @ v))
                     for v in moves.reshape(rows, -1)])[:, None, None]
     free = ~(((controls <= u_set.lower + eps) & (grad > 0.0))
              | ((controls >= u_set.upper - eps) & (grad < 0.0))).reshape(rows, -1)
-    sizes = np.add.reduce(free, axis=-1).tolist()
-    if sizes.count(g.shape[1]) == rows:
+    if np.logical_and.reduce(free, axis=None):
         return np.linalg.solve(hess, -g[..., None]).reshape(controls.shape)
     direction = -g / hess.diagonal(0, -2, -1)
-    for k in set(sizes) - {0}:
-        at = [r for r, size in enumerate(sizes) if size == k]
-        if len(at) == 1:        # one row: plain indexing costs less
-            r = at[0]
-            f = free[r].nonzero()[0]
+    for r, f in enumerate(free):
+        f = f.nonzero()[0]
+        if f.size:
             h = hess if hess.ndim == 2 else hess[r]
-            direction[r][f] = np.linalg.solve(h[f[:, None], f], -g[r][f])
-            continue
-        at = np.array(at)[:, None]
-        f = free[at[:, 0]].nonzero()[1].reshape(len(at), k)
-        block = (hess[f[:, :, None], f[:, None, :]] if hess.ndim == 2
-                 else hess[at[:, :, None], f[:, :, None], f[:, None, :]])
-        direction[at, f] = np.linalg.solve(block, -g[at, f][..., None])[..., 0]
+            direction[r, f] = np.linalg.solve(h.take(f, 0).take(f, 1), -g[r, f])
     return direction.reshape(controls.shape)
 
 
@@ -667,7 +684,8 @@ def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
     clip to candidate 0's controls cost what it costs and are skipped.  A
     chunk of every row that searches is rolled out in one batch.  Returns
     the rows that found one, in order, with the candidate's index, its
-    controls, cost, rollout and depths, or None.  A rolled-out candidate
+    controls, cost, rollout and depths, or None; ``...`` and 0 for the rows
+    and the index when candidate 0 serves every row.  A rolled-out candidate
     with a non-finite cost raises ``SolverDiverged``."""
     rows = len(cost)
     first = project_input(controls + steps[..., 0, :, :] * direction, u_set)
@@ -676,7 +694,7 @@ def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
         raise SolverDiverged("non-finite cost during line search")
     better = costs < cost - 1e-12
     if np.count_nonzero(better) == rows:
-        return np.arange(rows), np.zeros(rows, dtype=int), first, costs, states, measured
+        return ..., 0, first, costs, states, measured
     hit = better.nonzero()[0]
     found = [(hit, np.zeros(hit.size, dtype=int), first[hit], costs[hit], states[hit],
               *(a[hit] for a in measured))]

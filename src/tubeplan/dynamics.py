@@ -221,7 +221,10 @@ class DisturbanceSpec:
                 nrm = np.linalg.norm(v)
                 if nrm < 1e-12:
                     return [float(bound)] + [0.0] * (n - 1)
-                return (bound / nrm * v).tolist()
+                d = bound / nrm * v
+                while np.linalg.norm(d) > bound:    # rounded past it: one ulp towards 0
+                    d = np.nextafter(d, 0.0)
+                return d.tolist()
 
             return radial
 

@@ -120,6 +120,12 @@ class ConstraintSet:
     def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
         return bool(self.stacked.contains(_as_vector(point)[None], tol)[0])
 
+    def clearance(self, point) -> float:
+        """How far ``point`` may move before it reaches a constraint: minus
+        its worst ``depths`` column, each of which is 1-Lipschitz in the
+        point; negative past one."""
+        return -float(np.maximum.reduce(self.depths(np.asarray(point, dtype=float))[0], axis=None))
+
     @staticmethod
     def worst(depths):
         """Worst penetration depth of each row of ``depths`` (as ``depths``

@@ -31,6 +31,7 @@ from tubeplan.geometry import (
     Ball,
     Box,
     ConstraintSet,
+    ConstraintStack,
     tighten_input_constraints,
     tighten_state_constraints,
 )
@@ -196,7 +197,8 @@ def test_solve_fhocp_beats_candidate_controls():
         cost, states, _ = obj.total(e0[None], c[None], 0.0)
         # candidates that satisfy the terminal constraint must not beat it
         if obj.terminal_excess(states)[0] <= 1e-9:
-            assert sol.cost <= float(cost[0]) + 1e-6
+            assert float(obj.quadratic(sol.nominal[None], sol.controls[None])[0]) <= (
+                float(cost[0]) + 1e-6)
 
 
 def test_solve_fhocp_respects_obstacle():
@@ -479,6 +481,111 @@ def test_clamped_optimum_stops_without_a_line_search(monkeypatch):
     assert calls == []
     assert np.array_equal(sol.controls, clamped)
     assert sol.feasible
+
+
+def _broad_phase_problems():
+    """Seeded problems on the bundled leg R1 -> R3, as ``solve_fhocps``
+    takes them, and the kind of each start: ``far`` from every constraint,
+    or moved so that its clearance is the reach of the projected inputs
+    plus an offset, from half the reach below it to a few rounding slacks
+    above, from a box ``side`` or a ``ball``, with a warm start towards
+    that constraint at full speed."""
+    model, params, e_set = _bundled_leg_problem("seven")
+    u_set = _bundled_leg_input_set()
+    reach = params.horizon * np.hypot(*np.maximum(-u_set.lower, u_set.upper)[:2])
+    m = params.segments
+    rng = np.random.default_rng(31)
+    problems, kinds = [], []
+
+    def add(pos, kind, towards):
+        warm = None if towards is None else np.tile([*towards, 0.0], (m, 1))
+        problems.append((np.array([*pos, 0.0]), model, params, e_set, u_set, warm))
+        kinds.append(kind)
+
+    offsets = (-0.5 * reach, -1e-3, -1e-8, 0.0, 1e-9, 1e-8, 1e-6, 1e-3)
+    while len(kinds) < 8 + 2 * 2 * len(offsets):
+        pos = rng.uniform(e_set.region.lower, e_set.region.upper)
+        depths = e_set.depths(pos)[0]
+        if -depths.max() > 2.0 * reach and kinds.count("far") < 8:
+            add(pos, "far", None if len(kinds) % 2 else rng.uniform(-1.0, 1.0, size=2))
+            continue
+        col = int(depths.argmax())
+        kind = "side" if col < 4 else "ball"
+        if kinds.count(kind) == 2 * len(offsets):
+            continue
+        starts = []
+        for d in offsets:
+            moved = pos.copy()
+            if kind == "side":              # the side's coordinate moves
+                towards = np.eye(2)[col % 2] * (1.0 if col >= 2 else -1.0)
+                moved[col % 2] = (e_set.region.lower[col] + reach + d if col < 2
+                                  else e_set.region.upper[col - 2] - reach - d)
+            else:                           # along the ray from the center
+                ball = e_set.exclusions[col - 4]
+                towards = (ball.center - pos) / np.linalg.norm(pos - ball.center)
+                moved = ball.center - (ball.radius + reach + d) * towards
+            if int(e_set.depths(moved)[0].argmax()) != col:
+                break                       # another constraint is nearer
+            assert abs(e_set.clearance(moved) - (reach + d)) < 1e-12
+            starts.append(moved)
+        else:
+            for moved in starts:
+                add(moved, kind, towards)
+    return problems, kinds
+
+
+def _same_solution(a, b):
+    return (np.array_equal(a.controls, b.controls) and np.array_equal(a.nominal, b.nominal)
+            and (a.feasible, a.violation, a.iterations) == (b.feasible, b.violation, b.iterations))
+
+
+def test_broad_phase_leaves_every_bit(monkeypatch):
+    # each problem, alone and in one lockstep batch, with the broad phase on
+    # and forced off, has the same solution bit for bit; the starts just
+    # past the rounding slack are culled, those within it measured
+    problems, kinds = _broad_phase_problems()
+    unreachable, culled = controller._unreachable, []
+
+    def recording(*args):
+        clear = unreachable(*args)
+        culled.append(clear)
+        return clear
+
+    monkeypatch.setattr(controller, "_unreachable", recording)
+    lone = [solve_fhocp(*p) for p in problems]
+    batch = controller.solve_fhocps(problems)
+    assert culled[:len(problems)] == culled[len(problems):]
+    monkeypatch.setattr(controller, "_unreachable", lambda *args: False)
+    measured = [solve_fhocp(*p) for p in problems]
+    for sol, *others in zip(lone, batch, measured, controller.solve_fhocps(problems)):
+        assert all(_same_solution(sol, other) for other in others)
+    seen = set(zip(kinds, culled))
+    assert seen == {("far", True), ("side", True), ("side", False),
+                    ("ball", True), ("ball", False)}
+    assert len({sol.iterations for sol in lone}) > 2
+
+
+def test_clear_solve_measures_no_constraint(monkeypatch):
+    # a lone start far from every constraint is solved without measuring
+    # its set; one whose reach touches a constraint is measured
+    calls = []
+    for name in ("depths", "contains"):
+        method = getattr(ConstraintStack, name)
+
+        def counting(self, *args, method=method, name=name):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(ConstraintStack, name, counting)
+    problems, kinds = _broad_phase_problems()
+    far = solve_fhocp(*problems[kinds.index("far")])
+    assert far.feasible and far.iterations > 0
+    assert calls == []
+    touching = problems[kinds.index("side")]      # half the reach away
+    e0, _, params, e_set, u_set, _ = touching
+    assert not controller._unreachable(params, u_set, e_set, e0)
+    solve_fhocp(*touching)
+    assert calls.count("contains") == 1 and calls.count("depths") > 1
 
 
 def test_solve_fhocp_infeasible_start():

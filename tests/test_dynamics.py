@@ -143,6 +143,23 @@ def test_worst_case_radial_points_away_from_target():
     assert np.linalg.norm(gen(0.0, target)) == pytest.approx(0.05)
 
 
+def test_worst_case_push_never_exceeds_the_bound():
+    # the radial push bound / |v| * v rounds past the bound on many states;
+    # the generator's push must stay within it by the norm test that the
+    # random draws raise on, and point the same way
+    bound, target = 0.05, np.array([0.4, -1.3, 0.2])
+    gen = DisturbanceSpec(bound, "worst").generator(target, seed=0)
+    rng = np.random.default_rng(2024)
+    rounded_past = 0
+    for x in rng.uniform(-6.0, 6.0, size=(20_000, 3)):
+        v = x - target
+        rounded_past += bool(np.linalg.norm(bound / np.linalg.norm(v) * v) > bound)
+        d = np.array(gen(0.0, x.tolist()))
+        assert np.linalg.norm(d) <= bound
+        assert np.allclose(d, bound / np.linalg.norm(v) * v, rtol=1e-15, atol=0.0)
+    assert rounded_past > 1000
+
+
 def test_random_hold_is_piecewise_constant():
     spec = DisturbanceSpec(0.1, "random")
     gen = spec.generator(np.zeros(2), seed=9)

@@ -74,6 +74,16 @@ def test_constraint_set_membership_and_violation():
     assert cs.violation([0.5, 0.5]) == 0.0
     assert cs.violation([0.0, 0.0]) == pytest.approx(0.25)
     assert cs.violation([1.3, 0.0]) == pytest.approx(0.3)
+    # clearance: the distance to the nearest side or ball surface, negative
+    # past one, so no point within it of the start is past a constraint
+    assert cs.clearance([0.5, 0.6]) == pytest.approx(0.4)                 # the upper y side
+    assert cs.clearance([0.3, 0.4]) == pytest.approx(0.25)                # the ball
+    assert cs.clearance([0.0, 0.1]) == pytest.approx(-0.15)
+    assert cs.clearance([1.3, 0.0]) == pytest.approx(-0.3)
+    rng = np.random.default_rng(8)
+    for p in rng.uniform(-1.0, 1.0, size=(200, 2)):
+        near = p + cs.clearance(p) * rng.uniform(-1.0, 1.0, size=(50, 2)) / np.sqrt(2.0)
+        assert np.all(np.max(cs.depths(near)[0], axis=-1) <= 1e-12) or cs.clearance(p) < 0
 
 
 def _loop_counts(cs, pts):
