@@ -137,7 +137,7 @@ def build_wts(scenario: Scenario) -> Wts:
                     "the settle hold cannot be realised"
                 )
             continue
-        if any(free.count_violations(model.position(outcome.states))):
+        if any(free.count_violations(outcome.states[:, :2])):
             continue
         transitions[(src, dst)] = (outcome.arrival_steps + settle) * scenario.step
 

@@ -7,7 +7,9 @@ sigma*q`` that keeps the disturbed trajectory inside a tube of radius
 ``delta_bound / sigma_margin`` around the nominal one.  For the pure
 integrator the gradient is exact (one rollout and its adjoint) and, on a
 box input set, the solver takes projected Newton steps; other models take
-Barzilai-Borwein steps along central finite differences.
+Barzilai-Borwein steps along central finite differences.  The input set
+(``geometry.Box`` or ``Ball``) owns projection, the saturation test and
+erosion; its type only picks a box's float clip and Newton step.
 
 All navigation happens in the error frame of the current target: the target
 center is mapped to the origin, constraints are shifted and tightened by the
@@ -46,6 +48,7 @@ from .dynamics import (
 )
 from .errors import InvalidParam, NonFiniteError, SolverDiverged
 from .geometry import (
+    DEFAULT_TOL,
     Ball,
     Box,
     ConstraintSet,
@@ -147,49 +150,23 @@ class FhocpParams:
         return self.terminal_level / math.sqrt(self.terminal_weight)
 
 
-def project_input(u: np.ndarray, u_set) -> np.ndarray:
-    """Closed-form projection onto a box (clamp) or ball (radial scaling)."""
-    if isinstance(u_set, Box):
-        return np.minimum(np.maximum(u, u_set.lower), u_set.upper)
-    if isinstance(u_set, Ball):
-        v = u - u_set.center
-        nrm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
-        scale = np.where(nrm > u_set.radius, u_set.radius / np.maximum(nrm, 1e-300), 1.0)
-        return u_set.center + scale * v
-    raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
-
-
-INPUT_TOL = 1e-9                       # slack of the saturation test
-
-
-def input_violation(u: np.ndarray, u_set, tol: float = INPUT_TOL) -> np.ndarray:
-    """Whether ``u`` leaves the input set by more than ``tol``, batched over
-    the leading axes of ``u``."""
-    if isinstance(u_set, Box):
-        return np.any((u < u_set.lower - tol) | (u > u_set.upper + tol), axis=-1)
-    if isinstance(u_set, Ball):
-        v = u - u_set.center
-        return np.sqrt(np.add.reduce(v * v, axis=-1)) > u_set.radius + tol
-    raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
-
-
 def saturation_count(inputs: np.ndarray, u_set) -> int:
     """Number of rows of ``inputs`` on the input set's boundary or past it,
-    within ``INPUT_TOL``: the samples whose applied input is saturated,
+    within ``DEFAULT_TOL``: the samples whose applied input is saturated,
     clipped by the ancillary law or held there by the nominal input."""
-    return int(np.count_nonzero(input_violation(inputs, u_set, -INPUT_TOL)))
+    return int(np.count_nonzero(u_set.outside(inputs, -DEFAULT_TOL)))
 
 
 def _float_saturation(u_set):
-    """``input_violation`` then ``project_input`` for one input held as a
+    """``u_set.outside`` then ``u_set.project`` for one input held as a
     list of floats: a function that returns the projected list, or the
     input itself when it is inside the set.  A box is tested and clipped on
-    the floats with the same comparisons; a ball goes through the array
-    functions."""
+    the floats with the same comparisons, which keeps the closed loop fast;
+    any other set goes through its own array methods."""
     if isinstance(u_set, Box):
         lower, upper = u_set.lower.tolist(), u_set.upper.tolist()
-        low = (u_set.lower - INPUT_TOL).tolist()
-        high = (u_set.upper + INPUT_TOL).tolist()
+        low = (u_set.lower - DEFAULT_TOL).tolist()
+        high = (u_set.upper + DEFAULT_TOL).tolist()
 
         def saturate(u):
             for a, lo, hi in zip(u, low, high):
@@ -200,16 +177,14 @@ def _float_saturation(u_set):
             return u
 
         return saturate
-    if isinstance(u_set, Ball):
 
-        def saturate(u):
-            v = np.array(u)
-            if input_violation(v, u_set):
-                return project_input(v, u_set).tolist()
-            return u
+    def saturate(u):
+        v = np.array(u)
+        if u_set.outside(v):
+            return u_set.project(v).tolist()
+        return u
 
-        return saturate
-    raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
+    return saturate
 
 
 def shift_to_error_frame(model: DynamicsModel, target_state: np.ndarray) -> DynamicsModel:
@@ -496,7 +471,7 @@ def solve_fhocps(problems) -> list:
         if not starts:
             continue
         feasible = [k for k, ok in enumerate(inside) if ok]
-        controls = project_input(np.array(starts), u_set)
+        controls = u_set.project(np.array(starts))
         if len(feasible) < len(rows):
             stack, e0 = stack.take(feasible), e0[feasible]
         solved = _solve_rows(model, params, u_set, stack, e0, controls)
@@ -511,13 +486,7 @@ def _unreachable(params, u_set, e_set, e) -> bool:
     ``e``.  Projected inputs move its position at most ``horizon *
     max|u[:2]|``, so a start whose ``ConstraintSet.clearance`` exceeds that
     stays clear, with a rounding slack of 1e-9 of the largest length."""
-    if isinstance(u_set, Box):
-        top = np.maximum(-u_set.lower, u_set.upper)
-    elif isinstance(u_set, Ball):
-        top = np.abs(u_set.center) + u_set.radius
-    else:
-        return False                    # ``project_input`` rejects it
-    reach = params.horizon * math.hypot(*top[:2].tolist())
+    reach = params.horizon * math.hypot(*u_set.abs_bound[:2].tolist())
     e = np.asarray(e, dtype=float).tolist()
     scale = 1.0 + reach + max(e_set.radii.tolist(), default=0.0) + max(map(abs, e))
     return e_set.clearance(e[:2]) > reach + 1e-9 * scale
@@ -562,7 +531,7 @@ def _solve_rows(model, params, u_set, free, e0, controls):
             grad = np.array([_fd_gradient(obj.take([r]), e0[r], controls[r], weight[r], 1e-6)
                              for r in range(count)])
         # projected-gradient stop: at a clamped optimum no step can move
-        moves = project_input(controls - grad, u_set) - controls
+        moves = u_set.project(controls - grad) - controls
         stop = (np.maximum.reduce(np.abs(moves).reshape(count, -1), axis=-1) < TOL).tolist()
         go = [r for r, s in enumerate(stop) if not s]
         if go:
@@ -688,7 +657,7 @@ def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
     and the index when candidate 0 serves every row.  A rolled-out candidate
     with a non-finite cost raises ``SolverDiverged``."""
     rows = len(cost)
-    first = project_input(controls + steps[..., 0, :, :] * direction, u_set)
+    first = u_set.project(controls + steps[..., 0, :, :] * direction)
     costs, states, measured = obj.total(e0, first, weight)
     if not np.logical_and.reduce(np.isfinite(costs)):
         raise SolverDiverged("non-finite cost during line search")
@@ -699,8 +668,8 @@ def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
     found = [(hit, np.zeros(hit.size, dtype=int), first[hit], costs[hit], states[hit],
               *(a[hit] for a in measured))]
     rest = (~better).nonzero()[0]
-    cands = project_input(controls[rest, None] + (steps if steps.ndim == 3 else steps[rest])
-                          * direction[rest, None], u_set)
+    cands = u_set.project(controls[rest, None] + (steps if steps.ndim == 3 else steps[rest])
+                          * direction[rest, None])
     width = cands.shape[1]
     same = np.logical_and.reduce((cands == cands[:, :1]).reshape(len(rest), width, -1), axis=-1)
     lo = np.where(np.logical_and.reduce(same, axis=-1), width, same.argmin(axis=-1))

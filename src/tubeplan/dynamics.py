@@ -49,9 +49,6 @@ class DynamicsModel:
     g: Callable[[np.ndarray], np.ndarray]
     pure_integrator: bool = False
 
-    def position(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x)[..., :2]
-
     def embed_position(self, pos) -> np.ndarray:
         """Full state whose workspace coordinates equal ``pos``, zeros elsewhere."""
         x = np.zeros(self.n)

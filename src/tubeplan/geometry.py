@@ -1,10 +1,11 @@
 """Exact set algebra for balls and axis-aligned boxes.
 
 Everything the constraint-tightening arithmetic needs: ball inflation,
-box-minus-ball erosion, and the composed tightening of state/input
-constraint sets by a tube radius.  All values are plain
-double-precision; membership tests take an explicit tolerance so sampled
-property tests stay deterministic.
+erosion by a ball, and the composed tightening of state/input constraint
+sets by a tube radius.  An input set, a ``Box`` or a ``Ball``, owns its
+projection, saturation test and erosion, so no caller asks which it holds.
+All values are plain double-precision; membership tests take an explicit
+tolerance so sampled property tests stay deterministic.
 """
 
 from __future__ import annotations
@@ -37,6 +38,32 @@ class Ball:
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius < 0:
             raise InvalidParam(f"ball radius must be >= 0, got {self.radius}")
+
+    @property
+    def abs_bound(self) -> np.ndarray:
+        """Bound on ``|u_i|`` of each coordinate of every point of the ball."""
+        return np.abs(self.center) + self.radius
+
+    def project(self, u):
+        """Nearest point of the ball to each ``u`` (radial scaling)."""
+        v = u - self.center
+        nrm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+        scale = np.where(nrm > self.radius, self.radius / np.maximum(nrm, 1e-300), 1.0)
+        return self.center + scale * v
+
+    def outside(self, u, tol: float = DEFAULT_TOL):
+        """Whether each ``u`` lies farther than ``radius + tol`` from the center."""
+        v = u - self.center
+        return np.sqrt(np.add.reduce(v * v, axis=-1)) > self.radius + tol
+
+    def eroded(self, r: float) -> "Ball":
+        """Pontryagin difference ball ``-`` ball: shrink the radius by ``r``."""
+        if r < 0:
+            raise InvalidParam(f"erosion radius must be >= 0, got {r}")
+        radius = self.radius - r
+        if radius < 0:
+            raise EmptySetError(f"ball of radius {self.radius} eroded by {r} is empty")
+        return Ball(self.center, radius)
 
 
 @dataclass(frozen=True)
@@ -71,6 +98,29 @@ class Box:
     def translate(self, shift) -> "Box":
         s = _as_vector(shift)
         return Box(self.lower + s, self.upper + s)
+
+    @property
+    def abs_bound(self) -> np.ndarray:
+        """Bound on ``|u_i|`` of each coordinate of every point of the box."""
+        return np.maximum(-self.lower, self.upper)
+
+    def project(self, u):
+        """Nearest point of the box to each ``u`` (a clamp)."""
+        return np.minimum(np.maximum(u, self.lower), self.upper)
+
+    def outside(self, u, tol: float = DEFAULT_TOL):
+        """Whether some coordinate of each ``u`` lies more than ``tol`` past a bound."""
+        return np.any((u < self.lower - tol) | (u > self.upper + tol), axis=-1)
+
+    def eroded(self, r: float) -> "Box":
+        """Pontryagin difference box ``-`` ball: move each bound inward by ``r``."""
+        if r < 0:
+            raise InvalidParam(f"erosion radius must be >= 0, got {r}")
+        lo = self.lower + r
+        up = self.upper - r
+        if np.any(lo > up):
+            raise EmptySetError(f"box of widths {self.widths} eroded by {r} is empty")
+        return Box(lo, up)
 
 
 @dataclass(frozen=True)
@@ -221,17 +271,6 @@ class ConstraintStack:
     worst = staticmethod(ConstraintSet.worst)
 
 
-def erode_box_by_ball(box: Box, r: float) -> Box:
-    """Pontryagin difference box ``-`` ball: move each bound inward by ``r``."""
-    if r < 0:
-        raise InvalidParam(f"erosion radius must be >= 0, got {r}")
-    lo = box.lower + r
-    up = box.upper - r
-    if np.any(lo > up):
-        raise EmptySetError(f"box of widths {box.widths} eroded by {r} is empty")
-    return Box(lo, up)
-
-
 def inflate_ball(b: Ball, r: float) -> Ball:
     """Minkowski sum of a ball with the origin-centred ball of radius ``r``."""
     if r < 0:
@@ -252,7 +291,7 @@ def tighten_state_constraints(
     if tube_radius < 0:
         raise InvalidParam(f"tube radius must be >= 0, got {tube_radius}")
     shift = _as_vector(target_shift)
-    region = erode_box_by_ball(x_set.region.translate(-shift), tube_radius)
+    region = x_set.region.translate(-shift).eroded(tube_radius)
     exclusions = tuple(
         Ball(b.center - shift, b.radius + tube_radius) for b in x_set.exclusions
     )
@@ -260,19 +299,9 @@ def tighten_state_constraints(
 
 
 def tighten_input_constraints(u_set, sigma: float, tube_radius: float):
-    """Erode the input set by ``sigma * tube_radius`` (box or ball)."""
+    """Erode the input set (box or ball) by ``sigma * tube_radius``."""
     if sigma <= 0:
         raise InvalidParam(f"sigma must be > 0, got {sigma}")
     if tube_radius < 0:
         raise InvalidParam(f"tube radius must be >= 0, got {tube_radius}")
-    margin = sigma * tube_radius
-    if isinstance(u_set, Box):
-        return erode_box_by_ball(u_set, margin)
-    if isinstance(u_set, Ball):
-        radius = u_set.radius - margin
-        if radius < 0:
-            raise EmptySetError(
-                f"input ball of radius {u_set.radius} eroded by {margin} is empty"
-            )
-        return Ball(u_set.center, radius)
-    raise InvalidParam(f"input set must be Box or Ball, got {type(u_set)!r}")
+    return u_set.eroded(sigma * tube_radius)

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import Wts
-from .controller import (input_violation, lockstep, max_deviation, navigate, reached,
-                          saturation_count)
+from .controller import lockstep, max_deviation, navigate, reached, saturation_count
 from .dynamics import DISTURBANCE_POLICIES, DisturbanceSpec, derive_seed
 from .errors import ExecutionFailure, ValidationError
 from .mitl import monitor
@@ -179,7 +178,7 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace) -> dict:
     formula = scenario.formula()
     tube = scenario.tube_params()
     eta = scenario.robot_radius
-    pos = scenario.model().position(trace.states)
+    pos = trace.states[:, :2]
     indices = stamp_indices(scenario, plan)
 
     containment = []
@@ -209,7 +208,7 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace) -> dict:
         offpath += leg_hits
 
     u_set = scenario.input_set()
-    input_bad = int(np.count_nonzero(input_violation(trace.inputs, u_set)))
+    input_bad = int(np.count_nonzero(u_set.outside(trace.inputs)))
 
     tol = tube_tolerance(tube.tube_radius, scenario.sim_dt,
                          scenario.disturbance_bound)
@@ -364,15 +363,14 @@ def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
 
     g, s = "%.17g", "%s"
 
-    model = scenario.model()
-    pos = model.position(trace.states)
-    nom = model.position(trace.nominal)
+    pos = trace.states[:, :2]
+    nom = trace.nominal[:, :2]
     indices = stamp_indices(scenario, plan)
     # a sample belongs to the leg it lies in or closes; the first to leg 0
     leg_of = np.searchsorted(np.array(indices[1:], dtype=float),
                              np.arange(len(pos)))
     table("path.tsv", ["t", "px", "py", "nom_px", "nom_py", "leg"], [g] * 5 + ["%d"],
-          np.column_stack([trace.ts, pos[:, :2], nom[:, :2], leg_of]).tolist())
+          np.column_stack([trace.ts, pos, nom, leg_of]).tolist())
     table("regions.tsv", ["name", "cx", "cy", "radius", "labels"], [s, g, g, g, s],
           [(name, ball.center[0], ball.center[1], ball.radius,
             ",".join(sorted(scenario.label_of(name))))
@@ -381,7 +379,8 @@ def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
     dev = np.sqrt(np.add.reduce(d * d, axis=-1))
     table("deviation.tsv", ["t", "deviation"], [g, g],
           np.column_stack([trace.ts, dev]).tolist())
-    table("inputs.tsv", ["t"] + [f"u{i}" for i in range(model.n)], [g] * (1 + model.n),
+    n = scenario.state_dim
+    table("inputs.tsv", ["t"] + [f"u{i}" for i in range(n)], [g] * (1 + n),
           np.column_stack([trace.ts, trace.inputs]).tolist())
     table("stamps.tsv", ["stamp", "state", "labels"], [g, s, s],
           [(float(stamp), name, ",".join(sorted(scenario.label_of(name))))

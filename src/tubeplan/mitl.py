@@ -130,15 +130,20 @@ TEMPORAL_UNARY = {"X": Next, "F": Eventually, "G": Always}
 
 
 def atoms_of(f) -> frozenset:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    if isinstance(f, Not):
-        return atoms_of(f.child)
-    if isinstance(f, (And, Or, Until)):
-        return atoms_of(f.left) | atoms_of(f.right)
-    if isinstance(f, (Next, Eventually, Always)):
-        return atoms_of(f.child)
-    raise InvalidParam(f"not a formula node: {f!r}")
+    """The atom names of ``f``, by a loop over a stack of nodes, so that no
+    chain is too long for it."""
+    names, todo = set(), [f]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Atom):
+            names.add(f.name)
+        elif isinstance(f, (And, Or, Until)):
+            todo += (f.left, f.right)
+        elif isinstance(f, (Not, Next, Eventually, Always)):
+            todo.append(f.child)
+        else:
+            raise InvalidParam(f"not a formula node: {f!r}")
+    return frozenset(names)
 
 
 def is_propositional(f) -> bool:
@@ -311,15 +316,23 @@ def parse(text: str):
 
 
 def to_string(f) -> str:
-    """Canonical fully parenthesised rendering; round-trips through parse."""
+    """Canonical fully parenthesised rendering; round-trips through parse.
+
+    The left operands of an ``&``/``|`` chain, which the parser builds
+    left-deep and without a nesting limit, are walked by a loop."""
+    chain = []
+    while isinstance(f, (And, Or)):
+        chain.append(f)
+        f = f.left
+    if chain:
+        parts = ["(" * len(chain), to_string(f)]
+        for node in reversed(chain):
+            parts += (" & " if isinstance(node, And) else " | ", to_string(node.right), ")")
+        return "".join(parts)
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Not):
         return "!" + _wrap(f.child)
-    if isinstance(f, And):
-        return f"({to_string(f.left)} & {to_string(f.right)})"
-    if isinstance(f, Or):
-        return f"({to_string(f.left)} | {to_string(f.right)})"
     if isinstance(f, Until):
         return f"({_wrap(f.left)} U{f.interval} {_wrap(f.right)})"
     for sym, cls in TEMPORAL_UNARY.items():

@@ -27,7 +27,7 @@ from .dynamics import (
     min_eig_g,
 )
 from .errors import ValidationError
-from .geometry import Ball, Box, ConstraintSet
+from .geometry import Ball, Box, ConstraintSet, inflate_ball
 
 LIPSCHITZ_SAMPLES = 4000
 EIG_SAMPLES = 4000
@@ -35,11 +35,12 @@ ESTIMATE_SEED = 20260823
 
 
 def parse_rational(value) -> Fraction:
-    """Accept ints, finite floats, and ``"p/q"`` strings with ``q != 0``."""
+    """Accept ints, finite floats, and ``"p/q"`` strings with ``q != 0``; a
+    bool, which ``numbers.Real`` counts as 0 or 1, is not a number here."""
     try:
         if isinstance(value, str):
             return Fraction(value)
-        if isinstance(value, Real):
+        if isinstance(value, Real) and not isinstance(value, bool):
             return Fraction(value).limit_denominator(10**9)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
@@ -121,9 +122,7 @@ class Scenario:
         the two endpoints becomes a keep-out ball inflated by the robot
         radius, so the body never overlaps a third region mid-leg.
         """
-        from .geometry import erode_box_by_ball, inflate_ball
-
-        region = erode_box_by_ball(self.workspace, self.robot_radius)
+        region = self.workspace.eroded(self.robot_radius)
         exclusions = tuple(
             inflate_ball(ball, self.robot_radius)
             for name, ball in sorted(self.regions.items())
@@ -139,11 +138,13 @@ class Scenario:
         return self.labels.get(region, frozenset())
 
 
-def _non_finite(value, where: str = "") -> list:
-    """``(path, number)`` for every non-finite float under ``value``;
-    Python's ``json`` reads ``NaN``, ``Infinity`` and ``1e400`` as such."""
-    if isinstance(value, float):
-        return [] if math.isfinite(value) else [(where, value)]
+def _not_numbers(value, where: str = "") -> list:
+    """``(path, value)`` for every non-finite float and every bool under
+    ``value``.  Python's ``json`` reads ``NaN``, ``Infinity`` and ``1e400``
+    as non-finite floats, and ``true`` and ``false`` as bools, which
+    ``numbers.Real`` counts as 1 and 0; no scenario field is a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        return [(where, value)]
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, list):
@@ -151,7 +152,7 @@ def _non_finite(value, where: str = "") -> list:
     else:
         return []
     return [found for key, item in items
-            for found in _non_finite(item, f"{where}.{key}" if where else str(key))]
+            for found in _not_numbers(item, f"{where}.{key}" if where else str(key))]
 
 
 def _require(problems, cond: bool, message: str) -> bool:
@@ -163,7 +164,7 @@ def _require(problems, cond: bool, message: str) -> bool:
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and cross-validate a scenario; collect *all* problems at once."""
     problems = [f"field {path!r} must be a finite number, got {value}"
-                for path, value in _non_finite(data)]
+                for path, value in _not_numbers(data)]
 
     def get(key, kind=None, default=KeyError):
         if key not in data:
@@ -301,9 +302,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if workspace is not None and regions and isinstance(robot_radius, Real):
         inner = None
         try:
-            from .geometry import erode_box_by_ball
-
-            inner = erode_box_by_ball(workspace, robot_radius)
+            inner = workspace.eroded(robot_radius)
         except Exception as exc:
             problems.append(f"workspace too small for the robot: {exc}")
         arrival = None

@@ -24,12 +24,7 @@ from tubeplan.controller import (
 )
 from tubeplan.dynamics import DisturbanceSpec, derive_seed, single_integrator
 from tubeplan.errors import Unrealizable
-from tubeplan.geometry import (
-    Ball,
-    Box,
-    ConstraintSet,
-    erode_box_by_ball,
-)
+from tubeplan.geometry import Ball, Box, ConstraintSet
 from tubeplan.harness import execute_plan, export_trace, import_trace
 from tubeplan.mitl import (
     Always,
@@ -99,7 +94,7 @@ def disturbed_batch():
                                     fhocp, spec, max_steps=6, seed=derive_seed(7, i),
                                     sim_dt=SIM_DT)])
         max_dev = max(max_dev, out.max_deviation)
-        exits, hits = constraints.count_violations(model.position(out.states))
+        exits, hits = constraints.count_violations(out.states[:, :2])
         obstacle_hits += hits
         workspace_exits += exits
         saturations += saturation_count(out.inputs, u_set)
@@ -169,7 +164,7 @@ def test_criterion_2_arrival_bound():
             continue
         arrived += 1
         hold = out.ts >= float(out.arrival_steps * step) - 1e-12
-        dists = np.linalg.norm(model.position(out.states[hold]) - target.center,
+        dists = np.linalg.norm(out.states[hold][:, :2] - target.center,
                                axis=1)
         assert float(np.max(dists)) <= bound, (
             f"pair {i}: hold distance {np.max(dists)} exceeds {bound}"
@@ -440,7 +435,7 @@ def test_criterion_6_geometry_exactness():
     # box (-) ball: y survives erosion exactly when y +- r e_i stays inside
     box = Box([-1.0, -2.0], [2.0, 1.0])
     r = 0.35
-    eroded = erode_box_by_ball(box, r)
+    eroded = box.eroded(r)
     assert np.array_equal(eroded.lower, box.lower + r)
     assert np.array_equal(eroded.upper, box.upper - r)
     for p in rng.uniform(-2.5, 2.5, size=(samples, 2)):
@@ -474,7 +469,7 @@ def test_criterion_7_zero_disturbance(tiny_zero_scenario, tiny_zero_wts):
     # exact region center, so it replays the abstraction's step count to
     # the step
     radius = tiny_zero_scenario.fhocp_params().arrival_radius
-    pos = tiny_zero_scenario.model().position(trace.states)
+    pos = trace.states[:, :2]
     start = 0
     for i, (src, dst, weight) in enumerate(plan.legs()):
         assert weight == tiny_zero_wts.transitions[(src, dst)]

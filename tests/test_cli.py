@@ -5,11 +5,13 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tubeplan
 from tubeplan import cli
 from tubeplan.errors import ValidationError
+from tubeplan.harness import import_trace
 from tubeplan.mitl import MAX_NESTING
 
 from conftest import tiny_dict
@@ -64,6 +66,15 @@ def test_parse_rejects_deep_nesting(capsys, text, position):
     err = capsys.readouterr().err
     assert err == (f"error: formula nested deeper than {MAX_NESTING} levels "
                    f"(at position {position})\n")
+
+
+def test_parse_prints_long_chains(capsys):
+    # the parser builds a 5,000-operand chain left-deep, without recursion;
+    # printing it and listing its atoms must not recurse per operand either
+    text = " & ".join(["a"] * 5000)
+    assert cli.main(["parse", "--formula", text]) == cli.EXIT_PASS
+    assert capsys.readouterr().out.splitlines() == [
+        "(" * 4999 + "a" + " & a)" * 4999, "atoms: a"]
 
 
 def test_invalid_scenario_file(capsys, tmp_path):
@@ -482,6 +493,60 @@ def test_out_of_range_scenario_is_rejected(tmp_path, capsys, change, message):
                      "--wts", str(tmp_path / "wts.json")])
     assert code == cli.EXIT_INVALID
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    (["robot_radius"], False),
+    (["lipschitz"], False),
+    (["sigma_margin"], True),
+    (["gain_floor"], True),
+    (["input", "bound"], True),
+    (["fhocp", "horizon"], True),
+    (["fhocp", "state_weight"], True),
+    (["fhocp", "step"], True),
+    (["fhocp", "terminal_level"], True),
+    (["state_dim"], True),
+    (["disturbance_bound"], False),
+    (["settle_time"], False),
+    (["sim_dt"], True),
+    (["workspace", "lower", 0], False),
+    (["regions", "A", "radius"], True),
+], ids=lambda v: ".".join(map(str, v)) if isinstance(v, list) else str(v).lower())
+def test_boolean_scenario_number_is_rejected(tmp_path, capsys, path, value):
+    # ``bool`` is a ``numbers.Real``: read as a number, ``false`` would be a
+    # zero radius and ``true`` a unit bound or horizon
+    data = tiny_dict()
+    _scenario_edit(path, value)(data)
+    scn = tmp_path / "bad.json"
+    scn.write_text(json.dumps(data))
+    code = cli.main(["synthesize", "--scenario", str(scn),
+                     "--wts", str(tmp_path / "wts.json")])
+    assert code == cli.EXIT_INVALID
+    field = ".".join(map(str, path))
+    assert f"field {field!r} must be a finite number, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "wts.json").exists()
+
+
+def test_ball_input_set_runs_end_to_end(tmp_path, capsys):
+    # the tiny world with a ball of inputs: the report's input counts are
+    # the norm rule's, row by row, and two runs write the same bytes
+    data = tiny_dict()
+    data["input"] = {"type": "ball", "bound": 0.3}
+    scn = tmp_path / "ball.json"
+    scn.write_text(json.dumps(data))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["run", "--scenario", str(scn), "--out", str(out)]) == cli.EXIT_PASS
+    report = json.loads((outs[0] / "report.json").read_text())
+    inputs = import_trace(outs[0] / "trace.tsv").inputs
+    norms = [float(np.sqrt(np.add.reduce(u * u))) for u in inputs]
+    assert len(norms) > 1000
+    assert report["input_violations"] == sum(v > 0.3 + 1e-9 for v in norms)
+    assert report["saturations"] == sum(v > 0.3 - 1e-9 for v in norms)
+    assert report["pass"]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["plan.json", "report.json", "trace.tsv", "wts.json"]
+    assert all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes() for n in names)
 
 
 def test_plan_of_another_scenario_is_rejected(workdir, wts_cache, tmp_path,

@@ -10,11 +10,9 @@ from tubeplan.controller import (
     _FhocpObjective,
     _fd_gradient,
     _rollout,
-    input_violation,
     lockstep,
     make_tube_params,
     navigate,
-    project_input,
     saturation_count,
     shift_to_error_frame,
     solve_fhocp,
@@ -70,13 +68,13 @@ def test_arrival_radius():
 
 def test_project_input_box_and_ball():
     box = Box([-0.2, -0.2], [0.2, 0.2])
-    assert np.allclose(project_input(np.array([0.5, -0.1]), box), [0.2, -0.1])
+    assert np.allclose(box.project(np.array([0.5, -0.1])), [0.2, -0.1])
     ball = Ball([0.0, 0.0], 1.0)
-    p = project_input(np.array([3.0, 4.0]), ball)
+    p = ball.project(np.array([3.0, 4.0]))
     assert np.linalg.norm(p) == pytest.approx(1.0)
     assert np.allclose(p, [0.6, 0.8])
-    assert input_violation(np.array([0.25, 0.0]), box)
-    assert not input_violation(np.array([0.2, 0.2]), box)
+    assert box.outside(np.array([0.25, 0.0]))
+    assert not box.outside(np.array([0.2, 0.2]))
 
 
 def _edge_inputs(u_set, tol, rng):
@@ -116,7 +114,7 @@ def _edge_inputs(u_set, tol, rng):
 def test_batched_input_violation_is_the_per_row_rule(u_set):
     tol = 1e-9
     u, expected = _edge_inputs(u_set, tol, np.random.default_rng(3))
-    batched = input_violation(u, u_set, tol)
+    batched = u_set.outside(u, tol)
     assert batched.shape == (len(u),)
     if isinstance(u_set, Box):
         rule = [bool(np.any(row < u_set.lower - tol) or np.any(row > u_set.upper + tol))
@@ -125,8 +123,8 @@ def test_batched_input_violation_is_the_per_row_rule(u_set):
         rule = [float(np.sqrt(np.add.reduce(row * row))) > u_set.radius + tol
                 for row in u]
     assert batched.tolist() == rule
-    assert [bool(input_violation(row, u_set, tol)) for row in u] == rule
-    assert np.array_equal(input_violation(u.reshape(-1, 2, 3), u_set, tol),
+    assert [bool(u_set.outside(row, tol)) for row in u] == rule
+    assert np.array_equal(u_set.outside(u.reshape(-1, 2, 3), tol),
                           batched.reshape(-1, 2))
     checked = [(got, bad) for got, bad in zip(rule, expected) if bad is not None]
     assert len(checked) == 30
@@ -360,7 +358,7 @@ def test_newton_step_solves_the_convex_case(bound, start):
     cost, states, measured = obj.total(e0[None], sol.controls[None], weight)
     grad = obj.gradient(states, measured, sol.controls[None], weight)[0]
     assert sol.feasible
-    assert np.max(np.abs(project_input(sol.controls - grad, u_set) - sol.controls)) < controller.TOL
+    assert np.max(np.abs(u_set.project(sol.controls - grad) - sol.controls)) < controller.TOL
     parent_cost, parent_iterations = CONVEX_PARENT[bound, start]
     assert float(cost[0]) <= parent_cost
     if obj.terminal_excess(states)[0] == 0.0:
@@ -389,8 +387,8 @@ def test_line_search_chunks_are_rows_of_the_full_batch():
         e0 = np.array([*rng.uniform(-1.0, 1.0, size=2), 0.0])
         controls = rng.uniform(-0.15, 0.15, size=(m, 3))
         steps = 10.0 ** rng.uniform(-1, 2) * controller._HALVINGS
-        cands = project_input(controls[None] - steps[:, None, None]
-                              * rng.normal(size=(1, m, 3)), u_set)
+        cands = u_set.project(controls[None] - steps[:, None, None]
+                              * rng.normal(size=(1, m, 3)))
         clipped += int(np.array_equal(cands[1], cands[0]))
         weight = 10.0 ** rng.uniform(3, 6)
         cost, states, measured = obj.total(e0, cands, weight)
@@ -691,8 +689,8 @@ def _array_interval(model, input_set):
             t = t0 + j * dt
             delta = np.asarray(delta_fn(t, x), dtype=float)
             u = u_hat - sigma * ((x - target) - e_hat)
-            if input_violation(u, input_set):
-                u = project_input(u, input_set)
+            if input_set.outside(u):
+                u = input_set.project(u)
             x = rk4_step(model, x, u, dt, delta)
             e_hat = rk4_step(err_model, e_hat, u_hat, dt)
             ts.append(t + dt)

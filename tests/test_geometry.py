@@ -7,7 +7,6 @@ from tubeplan.geometry import (
     Ball,
     Box,
     ConstraintSet,
-    erode_box_by_ball,
     inflate_ball,
     tighten_input_constraints,
     tighten_state_constraints,
@@ -16,14 +15,14 @@ from tubeplan.geometry import (
 
 def test_erode_box_exact():
     box = Box([-2.0, -1.0], [2.0, 3.0])
-    e = erode_box_by_ball(box, 0.5)
+    e = box.eroded(0.5)
     assert np.array_equal(e.lower, [-1.5, -0.5])
     assert np.array_equal(e.upper, [1.5, 2.5])
 
 
 def test_erode_box_empty():
     with pytest.raises(EmptySetError):
-        erode_box_by_ball(Box([0.0, 0.0], [1.0, 1.0]), 0.6)
+        Box([0.0, 0.0], [1.0, 1.0]).eroded(0.6)
 
 
 def test_box_validation():
@@ -37,7 +36,7 @@ def test_erosion_membership_property():
     # every eroded-box point plus every radius-r offset stays in the box
     rng = np.random.default_rng(42)
     box = Box([-2.0, -1.5, 0.0], [1.0, 2.5, 4.0])
-    eroded = erode_box_by_ball(box, 0.4)
+    eroded = box.eroded(0.4)
     pts = rng.uniform(eroded.lower, eroded.upper, size=(10_000, eroded.dim))
     dirs = rng.normal(size=(10_000, 3))
     dirs *= 0.4 / np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -23,6 +23,9 @@ from tubeplan.mitl import (
     parse,
     to_string,
 )
+from tubeplan.scenario import default_scenario
+
+from conftest import TINY_SCENARIO
 
 F = Fraction
 
@@ -170,6 +173,50 @@ def test_parser_totality_fuzz():
         except MitlSyntaxError:
             continue
         assert parse(to_string(f)) == f
+
+
+def _recursive_to_string(f):
+    """The canonical rendering by one call per node, the plain recursive
+    form that ``to_string`` must match byte for byte."""
+    def wrap(g):
+        text = _recursive_to_string(g)
+        return text if text.startswith("(") or isinstance(g, Atom) else f"({text})"
+
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Not):
+        return "!" + wrap(f.child)
+    if isinstance(f, (And, Or)):
+        op = "&" if isinstance(f, And) else "|"
+        return f"({_recursive_to_string(f.left)} {op} {_recursive_to_string(f.right)})"
+    if isinstance(f, Until):
+        return f"({wrap(f.left)} U{f.interval} {wrap(f.right)})"
+    sym = {Next: "X", Eventually: "F", Always: "G"}[type(f)]
+    return f"{sym}{f.interval}{wrap(f.child)}"
+
+
+def _recursive_atoms(f):
+    if isinstance(f, Atom):
+        return {f.name}
+    if isinstance(f, (And, Or, Until)):
+        return _recursive_atoms(f.left) | _recursive_atoms(f.right)
+    return _recursive_atoms(f.child)
+
+
+def test_chain_loop_prints_the_recursive_text():
+    rng = np.random.default_rng(2024)
+    formulas = [_random_formula(rng, depth=d) for d in (4, 6) for _ in range(200)]
+    texts = [default_scenario().formula_text, TINY_SCENARIO["formula"],
+             "G[0,inf](!obs1 & !obs2) & F[30,50] mission2 & F[80,110] mission1",
+             "a U[0,2] b U[1,3] c", "a & b | c", "!a & b", "F[1/3,5.25] a",
+             "a & b | c & (d | e & f) | !(g | h) & F[0,1](p & q | r) & s",
+             "(a | b) & (c | d) & (e U[0,1] f | g) & G[2,inf] h"]
+    ops = rng.integers(2, size=60)
+    texts.append("".join(f"p{i} {'&|'[o]} " for i, o in enumerate(ops)) + "q")
+    formulas += [parse(t) for t in texts]
+    for f in formulas:
+        assert to_string(f) == _recursive_to_string(f)
+        assert atoms_of(f) == _recursive_atoms(f)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,12 @@ def test_rational_helpers():
     assert rational_str(F(4)) == "4"
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_rational_rejects_booleans(value):
+    with pytest.raises(ValidationError, match=f"cannot read {value}"):
+        parse_rational(value)
+
+
 def test_default_scenario_loads():
     s = default_scenario()
     assert len(s.regions) == 9

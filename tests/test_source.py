@@ -66,3 +66,41 @@ def test_unused_import_scan_finds_unused_names(tmp_path):
         "def f(a):\n    import json\n    return asdict(a)\n")
     (tmp_path / "__init__.py").write_text("from .mod import A\n")
     assert unused_imports(tmp_path) == ["mod.py:2 os", "mod.py:4 fields"]
+
+
+def input_set_switches(root):
+    """``file function`` of every ``isinstance`` test against ``Box`` or
+    ``Ball`` under ``root``, named by the innermost function that holds it
+    (``<module>`` outside any), sorted."""
+    found = []
+    for path, tree in _modules(root):
+        where = {}
+        # ast.walk is breadth-first: an inner function overwrites its outer one
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where.update((id(inner), node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(node.args[1])} & {"Box", "Ball"}):
+                found.append(f"{path.relative_to(root)} {where.get(id(node), '<module>')}")
+    return sorted(found)
+
+
+def test_input_set_type_picks_only_algorithms():
+    # Box and Ball answer projection, the saturation test and erosion
+    # themselves; the type is tested only where it picks an algorithm: the
+    # box's float clip in the closed loop and the box's projected Newton step
+    assert input_set_switches(PACKAGE) == ["controller.py _float_saturation",
+                                           "controller.py _solve_rows"]
+
+
+def test_input_set_switch_scan_finds_type_tests(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import geometry\nfrom geometry import Ball, Box\n"
+        "def f(u):\n"
+        "    def g(v):\n        return isinstance(v, (Box, int))\n"
+        "    return isinstance(u, geometry.Ball) or isinstance(u, dict)\n"
+        "ok = isinstance(1, Box) and isinstance(Box, type)\n")
+    assert input_set_switches(tmp_path) == ["mod.py <module>", "mod.py f", "mod.py g"]
