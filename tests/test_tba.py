@@ -1,17 +1,37 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tubeplan.errors import InternalError, UnsupportedFragment
-from tubeplan.mitl import Interval, Not, TimedWord, Until, monitor, parse
+from tubeplan.mitl import (
+    And,
+    Always,
+    Atom,
+    Eventually,
+    Interval,
+    Next,
+    Not,
+    Or,
+    TimedWord,
+    Until,
+    atoms_of,
+    monitor,
+    parse,
+    to_string,
+)
+from tubeplan.scenario import default_scenario
 from tubeplan.tba import (
     Edge,
     TimedAutomaton,
+    _normalise,
     accepts_word,
     build_tba,
     stutter_loop_weight,
 )
+
+from conftest import TINY_SCENARIO
 
 F = Fraction
 
@@ -161,3 +181,159 @@ def test_or_of_blocks():
     tba = build_tba(f)
     assert accepts_word(tba, word([set(), {"b"}], [0, 1]))
     assert not accepts_word(tba, word([set(), {"b"}], [0, 3]))
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the formula layer
+# ---------------------------------------------------------------------------
+
+_ATOMS = ("a", "b", "c", "d")
+
+
+def _interval(rng):
+    lo = F(int(rng.integers(0, 4)), int(rng.integers(1, 3)))
+    if rng.random() < 0.3:
+        return Interval(lo, None)
+    return Interval(lo, lo + F(int(rng.integers(0, 5)), int(rng.integers(1, 3))))
+
+
+def _chain(rng, operand, n):
+    """A left-deep ``&``/``|`` chain of ``n`` operands, each drawn by
+    ``operand``; now and then an operand is itself a chain (printed in
+    parentheses) or a negated one."""
+    f = None
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.15 and n > 1:
+            g = _chain(rng, operand, int(rng.integers(2, 4)))
+        elif r < 0.25 and n > 1:
+            g = Not(_chain(rng, operand, int(rng.integers(2, 4))))
+        else:
+            g = operand(rng)
+        if f is None:
+            f = g
+        else:
+            f = (And if rng.random() < 0.6 else Or)(f, g)
+    return f
+
+
+def _prop(rng):
+    f = Atom(_ATOMS[rng.integers(len(_ATOMS))])
+    return Not(f) if rng.random() < 0.3 else f
+
+
+def _body(rng):
+    return _chain(rng, _prop, int(rng.integers(1, 4)))
+
+
+def _block(rng):
+    """A block of the flat fragment, now and then negated; about one in
+    fifteen lies outside the fragment."""
+    kind = rng.integers(5)
+    if rng.random() < 0.07:
+        inner = Eventually(_body(rng), _interval(rng))
+        return [Next(_body(rng), _interval(rng)),
+                Always(inner, _interval(rng)),
+                Not(Until(_body(rng), _body(rng), _interval(rng)))][rng.integers(3)]
+    if kind == 0:
+        f = _body(rng)
+    elif kind == 1:
+        f = Eventually(_body(rng), _interval(rng))
+    elif kind == 2:
+        f = Always(_body(rng), _interval(rng))
+    else:
+        f = Until(_body(rng), _body(rng), _interval(rng))
+    return Not(f) if rng.random() < 0.2 else f
+
+
+def _temporal_count(f):
+    count, todo = 0, [f]
+    while todo:
+        g = todo.pop()
+        count += isinstance(g, (Eventually, Always, Until, Next))
+        todo += [getattr(g, k) for k in ("child", "left", "right") if hasattr(g, k)]
+    return count
+
+
+def _pin_corpus():
+    rng = np.random.default_rng(23)
+    formulas = []
+    while len(formulas) < 320:
+        # at most three timed blocks keep each product automaton small
+        f = _chain(rng, _block, int(rng.integers(1, 4)))
+        if _temporal_count(f) <= 3:
+            formulas.append(f)
+    formulas += [parse(t) for t in (
+        default_scenario().formula_text, TINY_SCENARIO["formula"],
+        "G[0,inf](!o1 & !o2) & F[30,50] m2 & F[80,110] m1",
+        "!(F[1,2] a | G[0,3] !b) & (a U[1,4] b | c)",
+        "a & b | c & (d | a & b) | !(c | d) & F[0,1](a & b | c)")]
+    words = []
+    for f in formulas:
+        atoms = sorted(atoms_of(f))
+        cmax = max([iv for iv in _intervals(f)] or [F(1)])
+        fw = []
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            steps = [F(int(rng.integers(1, 5)), 2) * max(1, cmax // 4)
+                     for _ in range(n - 1)]
+            times = [F(0)]
+            for s in steps:
+                times.append(times[-1] + s)
+            letters = [frozenset(a for a in atoms if rng.random() < 0.4)
+                       for _ in range(n)]
+            fw.append(TimedWord(tuple(letters), tuple(times)))
+        words.append(fw)
+    return formulas, words
+
+
+def _intervals(f):
+    """Every finite interval end of ``f``."""
+    ends, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        iv = getattr(g, "interval", None)
+        if iv is not None:
+            ends += [c for c in (iv.lo, iv.hi) if c is not None]
+        todo += [getattr(g, k) for k in ("child", "left", "right") if hasattr(g, k)]
+    return ends
+
+
+def _attempt(fn, *args):
+    try:
+        return repr(fn(*args))
+    except UnsupportedFragment as exc:
+        return f"UnsupportedFragment: {exc}"
+
+
+# sha256 of the formula layer's outputs on the corpus above, at the commit
+# before chains were walked by loops; any change to a printed text, a
+# normalised formula, an automaton or a verdict changes it
+FORMULA_LAYER_DIGEST = "876e562662db0b777ca218fcaf1568b7d06ba6e00900c6b52656c16494acd3ab"
+
+
+def test_formula_layer_outputs_are_pinned():
+    formulas, words = _pin_corpus()
+    assert len(formulas) >= 300 and all(len(w) == 40 for w in words)
+    h = hashlib.sha256()
+    built = 0
+    for f, fw in zip(formulas, words):
+        lines = [to_string(f), _attempt(_normalise, f, False),
+                 _attempt(_normalise, f, True)]
+        try:
+            tba = build_tba(f)
+        except UnsupportedFragment as exc:
+            tba = None
+            lines.append(f"UnsupportedFragment: {exc}")
+        else:
+            built += 1
+            lines.append(repr((tba.locations, tba.initial, sorted(tba.accepting),
+                               tba.edges, tba.constants)))
+        for w in fw:
+            verdict = monitor(f, w)
+            if tba is not None:
+                assert accepts_word(tba, w) == verdict, (to_string(f), w)
+            lines.append(str(int(verdict)))
+        h.update("\n".join(lines).encode() + b"\n\n")
+    assert built >= 250
+    assert h.hexdigest() == FORMULA_LAYER_DIGEST
