@@ -19,7 +19,7 @@ from fractions import Fraction
 from .controller import lockstep, navigate
 from .dynamics import DisturbanceSpec
 from .errors import AbstractionError, NoTransition, UnknownTransition, ValidationError
-from .scenario import Scenario, rational_str
+from .scenario import Scenario, not_numbers, rational_str
 
 LEG_TIMEOUT = 90          # seconds
 
@@ -169,7 +169,8 @@ def wts_to_dict(wts: Wts) -> dict:
 def wts_from_dict(data: dict) -> Wts:
     """Inverse of ``wts_to_dict``; extra per-transition keys (older files
     carry ``arrival_steps`` and ``weight_steps``) are ignored.  Data that is
-    not a transition system over its own states raises ``ValidationError``."""
+    not a transition system over its own states, or whose states are not a
+    list or a weight is a bool, raises ``ValidationError``."""
     try:
         states = tuple(data["states"])
         transitions = {
@@ -182,7 +183,12 @@ def wts_from_dict(data: dict) -> Wts:
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError,
             OverflowError) as exc:
         raise ValidationError([f"not a transition system: {exc!r}"]) from exc
-    problems = [f"state {s!r} is not a string" for s in states if not isinstance(s, str)]
+    problems = [f"field {path!r} must be a finite number, got {value}"
+                for i, item in enumerate(data["transitions"])
+                for path, value in not_numbers(item["weight"], f"transitions.{i}.weight")]
+    if not isinstance(data["states"], list):
+        problems.append(f"field 'states' must be a list, got {data['states']!r}")
+    problems += [f"state {s!r} is not a string" for s in states if not isinstance(s, str)]
     problems += [f"labels of {s!r} must be a list of strings, got {v!r}"
                  for s, v in label_items
                  if not (isinstance(v, list) and all(isinstance(a, str) for a in v))]

@@ -11,8 +11,17 @@ then a number (``\\d+`` and an optional ``.\\d*`` or ``/\\d+``), a word
 ``!&|()[],``.  Anything else, and a number ``Fraction`` cannot take (``p/0``),
 is a ``MitlSyntaxError`` at its position.
 
+The parser builds an ``&``/``|`` chain left-deep and without a nesting
+limit, so no walk recurses once per chain operand.  The pure ones
+(``is_propositional``, ``eval_propositional``, the monitor) loop down a
+chain's left spine and read its right operands first, stopping as
+``and``/``or`` would; those that must keep left-to-right order take the
+spine bottom-up from ``left_spine``.
+
 Finite words are evaluated under a stuttering extension: the final letter is
-held at every time strictly after the final stamp.
+held at every time strictly after the final stamp.  The monitor evaluates
+those stutter positions as position ``l = -1``, whose letter
+``w.letters[-1]`` is the held one.
 """
 
 from __future__ import annotations
@@ -61,12 +70,6 @@ class Interval:
         if self.hi > d:
             return True
         return False
-
-    def has_positive_point(self) -> bool:
-        return self.intersects_after(Fraction(0))
-
-    def contains_zero(self) -> bool:
-        return self.contains(Fraction(0))
 
     def __str__(self) -> str:
         hi = "inf" if self.hi is None else str(self.hi)
@@ -146,26 +149,43 @@ def atoms_of(f) -> frozenset:
     return frozenset(names)
 
 
+def left_spine(f):
+    """The operand at the bottom of ``f``'s ``&``/``|`` left spine, and the
+    spine's nodes bottom-up (none when ``f`` is no chain)."""
+    spine = []
+    while isinstance(f, (And, Or)):
+        spine.append(f)
+        f = f.left
+    spine.reverse()
+    return f, spine
+
+
 def is_propositional(f) -> bool:
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Not):
-        return is_propositional(f.child)
-    if isinstance(f, (And, Or)):
-        return is_propositional(f.left) and is_propositional(f.right)
-    return False
+    while isinstance(f, (And, Or, Not)):
+        if isinstance(f, Not):
+            f = f.child
+        elif not is_propositional(f.right):
+            return False
+        else:
+            f = f.left
+    return isinstance(f, Atom)
 
 
 def eval_propositional(f, letter: frozenset) -> bool:
-    if isinstance(f, Atom):
-        return f.name in letter
-    if isinstance(f, Not):
-        return not eval_propositional(f.child, letter)
-    if isinstance(f, And):
-        return eval_propositional(f.left, letter) and eval_propositional(f.right, letter)
-    if isinstance(f, Or):
-        return eval_propositional(f.left, letter) or eval_propositional(f.right, letter)
-    raise InvalidParam(f"not a propositional formula: {f!r}")
+    while True:
+        if isinstance(f, Atom):
+            return f.name in letter
+        if isinstance(f, Not):
+            return not eval_propositional(f.child, letter)
+        if isinstance(f, And):
+            if not eval_propositional(f.right, letter):
+                return False
+        elif isinstance(f, Or):
+            if eval_propositional(f.right, letter):
+                return True
+        else:
+            raise InvalidParam(f"not a propositional formula: {f!r}")
+        f = f.left
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +336,11 @@ def parse(text: str):
 
 
 def to_string(f) -> str:
-    """Canonical fully parenthesised rendering; round-trips through parse.
-
-    The left operands of an ``&``/``|`` chain, which the parser builds
-    left-deep and without a nesting limit, are walked by a loop."""
-    chain = []
-    while isinstance(f, (And, Or)):
-        chain.append(f)
-        f = f.left
-    if chain:
-        parts = ["(" * len(chain), to_string(f)]
-        for node in reversed(chain):
+    """Canonical fully parenthesised rendering; round-trips through parse."""
+    f, spine = left_spine(f)
+    if spine:
+        parts = ["(" * len(spine), to_string(f)]
+        for node in spine:
             parts += (" & " if isinstance(node, And) else " | ", to_string(node.right), ")")
         return "".join(parts)
     if isinstance(f, Atom):
@@ -405,6 +419,7 @@ class _Monitor:
         self.cache = {}
 
     def sat(self, f, l: int) -> bool:
+        """Satisfaction at position ``l``; ``l = -1`` is any stutter position."""
         key = (id(f), l)
         hit = self.cache.get(key)
         if hit is not None:
@@ -419,31 +434,44 @@ class _Monitor:
             return f.name in w.letters[l]
         if isinstance(f, Not):
             return not self.sat(f.child, l)
-        if isinstance(f, And):
-            return self.sat(f.left, l) and self.sat(f.right, l)
-        if isinstance(f, Or):
-            return self.sat(f.left, l) or self.sat(f.right, l)
+        if isinstance(f, (And, Or)):
+            while True:
+                if isinstance(f, And):
+                    if not self.sat(f.right, l):
+                        return False
+                elif isinstance(f, Or):
+                    if self.sat(f.right, l):
+                        return True
+                else:
+                    return self.sat(f, l)
+                f = f.left
         if isinstance(f, Next):
-            if l < self.last:
+            if 0 <= l < self.last:
                 return f.interval.contains(w.times[l + 1] - w.times[l]) and self.sat(
                     f.child, l + 1
                 )
-            return f.interval.has_positive_point() and self.sat_stutter(f.child)
-        d = self.w.times[self.last] - self.w.times[l]  # offset of the last stamp
+            return f.interval.intersects_after(0) and self.sat(f.child, -1)
+        if l < 0:
+            # the held letter at every later time
+            if isinstance(f, (Eventually, Always)):
+                return self.sat(f.child, -1)
+            if isinstance(f, Until):
+                return self.sat(f.right, -1) and (
+                    f.interval.contains(0) or self.sat(f.left, -1))
+            raise InvalidParam(f"not a formula node: {f!r}")
+        d = w.times[self.last] - w.times[l]  # offset of the last stamp
         if isinstance(f, Eventually):
             for lp in range(l, self.last + 1):
                 if f.interval.contains(w.times[lp] - w.times[l]) and self.sat(f.child, lp):
                     return True
-            return f.interval.intersects_after(d) and self.sat_stutter(f.child)
+            return f.interval.intersects_after(d) and self.sat(f.child, -1)
         if isinstance(f, Always):
             for lp in range(l, self.last + 1):
                 if f.interval.contains(w.times[lp] - w.times[l]) and not self.sat(
                     f.child, lp
                 ):
                     return False
-            if f.interval.intersects_after(d) and not self.sat_stutter(f.child):
-                return False
-            return True
+            return not f.interval.intersects_after(d) or self.sat(f.child, -1)
         if isinstance(f, Until):
             for lp in range(l, self.last + 1):
                 if f.interval.contains(w.times[lp] - w.times[l]) and self.sat(f.right, lp):
@@ -452,39 +480,7 @@ class _Monitor:
             # stutter witness: strictly after the last stamp, so every
             # concrete position from l on, and the held letter, must satisfy
             # the left operand
-            if not f.interval.intersects_after(d):
-                return False
-            if not (self.sat_stutter(f.right) and self.sat_stutter(f.left)):
-                return False
-            return all(self.sat(f.left, lpp) for lpp in range(l, self.last + 1))
-        raise InvalidParam(f"not a formula node: {f!r}")
-
-    def sat_stutter(self, f) -> bool:
-        """Satisfaction at any stutter position (constant held letter)."""
-        key = (id(f), -1)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._sat_stutter(f)
-        self.cache[key] = out
-        return out
-
-    def _sat_stutter(self, f) -> bool:
-        letter = self.w.letters[self.last]
-        if isinstance(f, Atom):
-            return f.name in letter
-        if isinstance(f, Not):
-            return not self.sat_stutter(f.child)
-        if isinstance(f, And):
-            return self.sat_stutter(f.left) and self.sat_stutter(f.right)
-        if isinstance(f, Or):
-            return self.sat_stutter(f.left) or self.sat_stutter(f.right)
-        if isinstance(f, Next):
-            return f.interval.has_positive_point() and self.sat_stutter(f.child)
-        if isinstance(f, (Eventually, Always)):
-            return self.sat_stutter(f.child)
-        if isinstance(f, Until):
-            if not self.sat_stutter(f.right):
-                return False
-            return f.interval.contains_zero() or self.sat_stutter(f.left)
+            return (f.interval.intersects_after(d) and self.sat(f.right, -1)
+                    and self.sat(f.left, -1)
+                    and all(self.sat(f.left, lpp) for lpp in range(l, self.last + 1)))
         raise InvalidParam(f"not a formula node: {f!r}")

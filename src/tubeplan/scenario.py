@@ -138,7 +138,7 @@ class Scenario:
         return self.labels.get(region, frozenset())
 
 
-def _not_numbers(value, where: str = "") -> list:
+def not_numbers(value, where: str = "") -> list:
     """``(path, value)`` for every non-finite float and every bool under
     ``value``.  Python's ``json`` reads ``NaN``, ``Infinity`` and ``1e400``
     as non-finite floats, and ``true`` and ``false`` as bools, which
@@ -152,7 +152,7 @@ def _not_numbers(value, where: str = "") -> list:
     else:
         return []
     return [found for key, item in items
-            for found in _not_numbers(item, f"{where}.{key}" if where else str(key))]
+            for found in not_numbers(item, f"{where}.{key}" if where else str(key))]
 
 
 def _require(problems, cond: bool, message: str) -> bool:
@@ -164,7 +164,7 @@ def _require(problems, cond: bool, message: str) -> bool:
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and cross-validate a scenario; collect *all* problems at once."""
     problems = [f"field {path!r} must be a finite number, got {value}"
-                for path, value in _not_numbers(data)]
+                for path, value in not_numbers(data)]
 
     def get(key, kind=None, default=KeyError):
         if key not in data:

@@ -36,7 +36,7 @@ from math import lcm
 from .abstraction import Wts
 from .errors import (InternalError, InvalidParam, SearchBudgetExceeded,
                      UnknownTransition, Unrealizable, ValidationError)
-from .scenario import rational_str
+from .scenario import not_numbers, rational_str
 from .tba import TimedAutomaton
 
 DEFAULT_BUDGET = 10**6
@@ -279,15 +279,16 @@ def plan_to_dict(plan: Plan) -> dict:
 
 def plan_from_dict(data: dict) -> Plan:
     """Inverse of ``plan_to_dict``.  Data that is not a plan raises
-    ``ValidationError``: a missing key, a state that is not a string, a
-    stamp that is not a finite rational, a stamp count other than the state
-    count, a first stamp other than 0, stamps that do not strictly
-    increase, or a ``prefix_len`` outside 1..len(states)."""
+    ``ValidationError``: a missing key, states or stamps that are not a
+    list, a state that is not a string, a stamp that is not a finite
+    rational (a bool is none), a stamp count other than the state count, a
+    first stamp other than 0, stamps that do not strictly increase, or a
+    ``prefix_len`` that is not an integer in 1..len(states)."""
     try:
         plan = Plan(
             states=tuple(data["states"]),
             stamps=tuple(Fraction(t) for t in data["stamps"]),
-            prefix_len=int(data["prefix_len"]),
+            prefix_len=data["prefix_len"],
             scenario_hash=data.get("scenario_hash", ""),
             formula_text=data.get("formula", ""),
         )
@@ -295,14 +296,20 @@ def plan_from_dict(data: dict) -> Plan:
             OverflowError) as exc:
         raise ValidationError([f"data is not a plan: {exc!r}"]) from exc
     stamps, count = plan.stamps, len(plan.states)
-    problems = [f"state {s!r} is not a string" for s in plan.states if not isinstance(s, str)]
+    problems = [f"field {key!r} must be a list, got {data[key]!r}"
+                for key in ("states", "stamps") if not isinstance(data[key], list)]
+    problems += [f"field {path!r} must be a finite number, got {value}"
+                 for path, value in not_numbers(data["stamps"], "stamps")]
+    problems += [f"state {s!r} is not a string" for s in plan.states if not isinstance(s, str)]
     if len(stamps) != count:
         problems.append(f"{len(stamps)} stamps for {count} states")
     if stamps and stamps[0] != 0:
         problems.append(f"first stamp is {stamps[0]}, not 0")
     if any(b <= a for a, b in zip(stamps, stamps[1:])):
         problems.append("stamps do not strictly increase")
-    if not 1 <= plan.prefix_len <= count:
+    if type(plan.prefix_len) is not int:
+        problems.append(f"field 'prefix_len' must be an integer, got {plan.prefix_len!r}")
+    elif not 1 <= plan.prefix_len <= count:
         problems.append(f"prefix_len {plan.prefix_len} is outside 1..{count}")
     if problems:
         raise ValidationError(problems)

@@ -15,10 +15,16 @@ each step is a lookup that yields one location.  ``successors`` and the
 product search read the same tables.  A product location is
 Büchi-accepting when the Boolean combination evaluates to true on the
 per-block verdicts (co-safety blocks: reached their DONE trap; safety
-blocks: not in their REJECT trap).
+blocks: not in their REJECT trap).  That combination is itself an And/Or
+formula whose atoms are the blocks' indices, so ``eval_propositional``
+decides it on the set of indices whose verdict holds.
 Along any infinite word with diverging time the verdict vector is
 eventually constant, so "accepting location visited infinitely often"
 coincides with the formula's verdict.
+
+Normalisation and the split into blocks walk an ``&``/``|`` chain's left
+spine by a loop, bottom-up (``mitl.left_spine``), so that blocks keep
+their left-to-right order and no chain is too long for them.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .mitl import (
     Until,
     eval_propositional,
     is_propositional,
+    left_spine,
     to_string,
 )
 
@@ -207,18 +214,17 @@ def _until_block(psi1, psi2, iv: Interval) -> _Block:
 
 def _normalise(f, negated: bool):
     """Push negation inward by duality; reject what the fragment lacks."""
-    if isinstance(f, Not):
-        return _normalise(f.child, not negated)
+    while isinstance(f, Not):
+        f, negated = f.child, not negated
     if isinstance(f, Atom):
         return Not(f) if negated else f
-    if isinstance(f, And):
-        l = _normalise(f.left, negated)
-        r = _normalise(f.right, negated)
-        return Or(l, r) if negated else And(l, r)
-    if isinstance(f, Or):
-        l = _normalise(f.left, negated)
-        r = _normalise(f.right, negated)
-        return And(l, r) if negated else Or(l, r)
+    if isinstance(f, (And, Or)):
+        f, spine = left_spine(f)
+        out = _normalise(f, negated)
+        for node in spine:
+            dual = isinstance(node, And) == negated
+            out = (Or if dual else And)(out, _normalise(node.right, negated))
+        return out
     if isinstance(f, Eventually):
         child = _normalise(f.child, negated)
         return Always(child, f.interval) if negated else Eventually(child, f.interval)
@@ -239,15 +245,16 @@ def _normalise(f, negated: bool):
 
 
 def _collect_blocks(f, blocks: list):
-    """Split a normalised formula into a monotone And/Or tree over blocks.
+    """Split a normalised formula into a monotone And/Or formula over
+    blocks, whose atoms are the blocks' indices as text.
 
-    Returns a nested structure: ("and", a, b), ("or", a, b), or ("block", i).
-    """
-    if isinstance(f, (And, Or)) and not is_propositional(f):
-        op = "and" if isinstance(f, And) else "or"
-        return (op, _collect_blocks(f.left, blocks), _collect_blocks(f.right, blocks))
-    idx = len(blocks)
-    if is_propositional(f):
+    A chain's propositional bottom, the longest part of its left spine that
+    is propositional as a whole, is one block."""
+    f, spine = left_spine(f)
+    k, propositional = 0, is_propositional(f)
+    while propositional and k < len(spine) and is_propositional(spine[k].right):
+        f, k = spine[k], k + 1
+    if propositional:
         blocks.append(_prop_block(f))
     elif isinstance(f, Eventually) and is_propositional(f.child):
         blocks.append(_eventually_block(f.child, f.interval))
@@ -259,18 +266,10 @@ def _collect_blocks(f, blocks: list):
         raise UnsupportedFragment(
             f"nested timed operators are outside the fragment: {to_string(f)}", f
         )
-    return ("block", idx)
-
-
-def _eval_tree(tree, verdicts) -> bool:
-    tag = tree[0]
-    if tag == "block":
-        return verdicts[tree[1]]
-    if tag == "and":
-        return _eval_tree(tree[1], verdicts) and _eval_tree(tree[2], verdicts)
-    if tag == "or":
-        return _eval_tree(tree[1], verdicts) or _eval_tree(tree[2], verdicts)
-    raise InvalidParam(f"bad tree node {tag!r}")
+    tree = Atom(str(len(blocks) - 1))
+    for node in spine[k:]:
+        tree = type(node)(tree, _collect_blocks(node.right, blocks))
+    return tree
 
 
 def _and_labels(labels):
@@ -305,8 +304,9 @@ def build_tba(formula) -> TimedAutomaton:
     while frontier:
         vec = frontier.pop()
         locations.append(name(vec))
-        verdicts = [b.verdict[loc] for b, loc in zip(blocks, vec)]
-        if _eval_tree(tree, verdicts):
+        holding = frozenset(str(i) for i, (b, loc) in enumerate(zip(blocks, vec))
+                            if b.verdict[loc])
+        if eval_propositional(tree, holding):
             accepting.add(name(vec))
         per_block = [
             [e for e in b.edges if e[0] == loc] for b, loc in zip(blocks, vec)

@@ -381,7 +381,7 @@ def _brute_force(f, w):
             return ev(node.child, None)
         if isinstance(node, Until):
             return ev(node.right, None) and (
-                node.interval.contains_zero() or ev(node.left, None)
+                node.interval.contains(0) or ev(node.left, None)
             )
         raise TypeError(f"unsupported node {node!r}")
 

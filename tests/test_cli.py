@@ -77,6 +77,41 @@ def test_parse_prints_long_chains(capsys):
         "(" * 4999 + "a" + " & a)" * 4999, "atoms: a"]
 
 
+@pytest.fixture(scope="module")
+def long_chain(tmp_path_factory):
+    """The tiny world with labels o0..o4999 on H, whose safety block forbids
+    each: one ``&`` chain of 5,000 operands, and its own abstraction."""
+    d = tmp_path_factory.mktemp("chain")
+    data = tiny_dict()
+    data["labels"]["H"] = [f"o{i}" for i in range(5000)]
+    data["formula"] = ("G[0,inf](" + " & ".join(f"!o{i}" for i in range(5000))
+                       + ") & F[0,30] goal")
+    (d / "tiny.json").write_text(json.dumps(data))
+    assert cli.main(["abstract", "--scenario", str(d / "tiny.json"),
+                     "--out", str(d / "wts.json")]) == cli.EXIT_PASS
+    return d
+
+
+@pytest.mark.parametrize("command", ["parse", "synthesize", "run", "verify"])
+def test_long_safety_chain_end_to_end(long_chain, capsys, command):
+    # no stage walks the chain by one call per operand, so none raises
+    # RecursionError under the default recursion limit
+    scn, out = str(long_chain / "tiny.json"), long_chain / "out"
+    wts = ["--wts", str(long_chain / "wts.json")]
+    if command == "verify" and not out.exists():
+        assert cli.main(["run", "--scenario", scn, *wts, "--out", str(out)]) == cli.EXIT_PASS
+    argv = {
+        "parse": ["parse", "--scenario", scn],
+        "synthesize": ["synthesize", "--scenario", scn, *wts],
+        "run": ["run", "--scenario", scn, *wts, "--out", str(out)],
+        "verify": ["verify", "--scenario", scn, "--plan", str(out / "plan.json"),
+                   "--trace", str(out / "trace.tsv")],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_PASS
+    if command == "parse":
+        assert "!o4999)" in capsys.readouterr().out
+
+
 def test_invalid_scenario_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"model": "hovercraft"}))
@@ -398,22 +433,34 @@ def _label_string(data):
     data["labels"]["A"] = "home"
 
 
-@pytest.mark.parametrize("corrupt", [
-    _truncate, _edit_wts(_drop_labels), _edit_wts(_word_weight),
-    _edit_wts(_unknown_target), _edit_wts(_unknown_initial),
-    _edit_wts(_label_string),
+def _boolean_weight(data):
+    data["transitions"][1]["weight"] = True
+
+
+def _states_string(data):
+    data["states"] = "".join(data["states"])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate, "error:"), (_edit_wts(_drop_labels), "error:"),
+    (_edit_wts(_word_weight), "error:"), (_edit_wts(_unknown_target), "error:"),
+    (_edit_wts(_unknown_initial), "error:"), (_edit_wts(_label_string), "error:"),
+    (_edit_wts(_boolean_weight),
+     "field 'transitions.1.weight' must be a finite number, got True"),
+    (_edit_wts(_states_string), "field 'states' must be a list, got 'ABH'"),
 ], ids=["truncated", "missing-key", "non-rational-weight", "unknown-target",
-        "unknown-initial", "label-string"])
+        "unknown-initial", "label-string", "boolean-weight", "states-string"])
 def test_malformed_wts_cache_is_rejected(workdir, wts_cache, tmp_path, capsys,
-                                         corrupt):
+                                         corrupt, message):
     # unchecked, these crash synthesis (JSONDecodeError, KeyError,
-    # ValueError) or fail it as a runtime error (exit 4)
+    # ValueError), fail it as a runtime error (exit 4), or plan on a
+    # weight ``true`` read as 1 s (exit 0)
     bad = tmp_path / "wts.json"
     bad.write_text(corrupt(wts_cache.read_text()))
     code = cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),
                      "--wts", str(bad)])
     assert code == cli.EXIT_INVALID
-    assert "error:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _keep_columns(trace_text, names):
@@ -610,6 +657,22 @@ def _overflow_a_stamp(plan):
     plan["stamps"][1] = 1e400       # written out as 1e400 below
 
 
+def _boolean_stamp(plan):
+    plan["stamps"][1] = True
+
+
+def _fractional_prefix_len(plan):
+    plan["prefix_len"] = 2.9
+
+
+def _text_prefix_len(plan):
+    plan["prefix_len"] = "2"
+
+
+def _states_string(plan):
+    plan["states"] = "".join(plan["states"])
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_set_state_z, "state 'Z' is not a region"),
     (_list_state, "state ['A'] is not a string"),
@@ -620,8 +683,13 @@ def _overflow_a_stamp(plan):
     (_drop_prefix_len, "is not a plan"),
     (_divide_a_stamp_by_zero, "is not a plan"),
     (_overflow_a_stamp, "is not a plan"),
+    (_boolean_stamp, "field 'stamps.1' must be a finite number, got True"),
+    (_fractional_prefix_len, "field 'prefix_len' must be an integer, got 2.9"),
+    (_text_prefix_len, "field 'prefix_len' must be an integer, got '2'"),
+    (_states_string, "field 'states' must be a list, got 'AB"),
 ], ids=["unknown-state", "list-state", "missing-stamps", "nonzero-start", "repeated-stamp",
-        "prefix-too-long", "missing-key", "zero-denominator", "infinite-stamp"])
+        "prefix-too-long", "missing-key", "zero-denominator", "infinite-stamp",
+        "boolean-stamp", "fractional-prefix-len", "text-prefix-len", "states-string"])
 def test_malformed_plan_is_rejected(workdir, wts_cache, tmp_path, capsys,
                                     corrupt, message):
     # unchecked, these crash execution (KeyError, IndexError) or run a

@@ -231,6 +231,26 @@ def test_is_propositional_and_eval():
     assert not eval_propositional(f, frozenset({"a", "b"}))
 
 
+# 5,000-operand chains: a walk that recursed once per operand would raise
+# RecursionError under the default recursion limit
+LONG_AND = " & ".join(f"!p{i}" for i in range(5000))
+LONG_OR = " | ".join(f"p{i}" for i in range(5000))
+
+
+@pytest.mark.parametrize("text, holds_on_empty", [
+    (LONG_AND, True), (LONG_OR, False), (f"!({LONG_OR})", True),
+], ids=["and", "or", "not"])
+def test_long_chain_is_propositional_and_evaluates(text, holds_on_empty):
+    f = parse(text)
+    assert is_propositional(f)
+    assert eval_propositional(f, frozenset()) == holds_on_empty
+    for atom in ("p0", "p2500", "p4999"):
+        assert eval_propositional(f, frozenset({atom, "q"})) != holds_on_empty
+    # the timed operand sits at the bottom, after every other one is read
+    assert not is_propositional(parse(f"F[0,1] q & {text}"))
+    assert not is_propositional(parse(f"({LONG_AND}) U[0,1] q"))
+
+
 # ---------------------------------------------------------------------------
 # monitor
 # ---------------------------------------------------------------------------

@@ -176,6 +176,58 @@ def test_accepts_mission_formula():
     assert not accepts_word(tba, early) and not monitor(f, early)
 
 
+# 5,000-operand chains at the top, under a negation and as operands of U: a
+# walk that recursed once per operand would raise RecursionError under the
+# default recursion limit
+_LONG_AND = " & ".join(f"!p{i}" for i in range(5000))
+_LONG_OR = " | ".join(f"p{i}" for i in range(5000))
+_AND_Q = f"{_LONG_AND} & F[1,3] q"
+_OR_Q = f"{_LONG_OR} | G[1,3] q"
+_UNTIL = f"({_LONG_AND}) U[1,3] ({_LONG_OR})"
+LONG_CHAINS = {   # text, and its normal form, then that of its negation
+    "and": (_AND_Q, _AND_Q, f"{_LONG_OR} | G[1,3] !q"),
+    "or": (_OR_Q, _OR_Q, f"{_LONG_AND} & F[1,3] !q"),
+    "not": (f"!({_OR_Q})", f"{_LONG_AND} & F[1,3] !q", _OR_Q),
+    "until": (_UNTIL, _UNTIL, None),
+}
+
+
+def _long_chain_words():
+    rng = np.random.default_rng(7)
+    atoms = ("p0", "p2500", "p4999", "q")
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        steps = np.cumsum(rng.integers(1, 4, size=n - 1)) / 2
+        yield TimedWord(
+            tuple(frozenset(a for a in atoms if rng.random() < 0.3) for _ in range(n)),
+            (F(0),) + tuple(F(float(t)) for t in steps))
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_CHAINS))
+def test_long_chains_normalise(kind):
+    text, positive, negated = LONG_CHAINS[kind]
+    f = parse(text)
+    assert to_string(_normalise(f, False)) == to_string(parse(positive))
+    if negated is None:
+        with pytest.raises(UnsupportedFragment, match="negated until"):
+            _normalise(f, True)
+    else:
+        assert to_string(_normalise(f, True)) == to_string(parse(negated))
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_CHAINS))
+def test_long_chains_build_and_check_words(kind):
+    f = parse(LONG_CHAINS[kind][0])
+    tba = build_tba(f)
+    # the chain's propositional part is one block, its timed operand another
+    assert len(tba.locations) <= 9
+    verdicts = []
+    for w in _long_chain_words():
+        verdicts.append(monitor(f, w))
+        assert accepts_word(tba, w) == verdicts[-1], w
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_or_of_blocks():
     f = parse("F[0,2] a | F[0,2] b")
     tba = build_tba(f)
@@ -246,13 +298,12 @@ def _block(rng):
     return Not(f) if rng.random() < 0.2 else f
 
 
-def _temporal_count(f):
-    count, todo = 0, [f]
+def _nodes(f):
+    todo = [f]
     while todo:
         g = todo.pop()
-        count += isinstance(g, (Eventually, Always, Until, Next))
+        yield g
         todo += [getattr(g, k) for k in ("child", "left", "right") if hasattr(g, k)]
-    return count
 
 
 def _pin_corpus():
@@ -261,7 +312,7 @@ def _pin_corpus():
     while len(formulas) < 320:
         # at most three timed blocks keep each product automaton small
         f = _chain(rng, _block, int(rng.integers(1, 4)))
-        if _temporal_count(f) <= 3:
+        if sum(hasattr(g, "interval") for g in _nodes(f)) <= 3:
             formulas.append(f)
     formulas += [parse(t) for t in (
         default_scenario().formula_text, TINY_SCENARIO["formula"],
@@ -271,7 +322,9 @@ def _pin_corpus():
     words = []
     for f in formulas:
         atoms = sorted(atoms_of(f))
-        cmax = max([iv for iv in _intervals(f)] or [F(1)])
+        cmax = max((c for g in _nodes(f) if hasattr(g, "interval")
+                    for c in (g.interval.lo, g.interval.hi) if c is not None),
+                   default=F(1))
         fw = []
         for _ in range(40):
             n = int(rng.integers(1, 6))
@@ -285,18 +338,6 @@ def _pin_corpus():
             fw.append(TimedWord(tuple(letters), tuple(times)))
         words.append(fw)
     return formulas, words
-
-
-def _intervals(f):
-    """Every finite interval end of ``f``."""
-    ends, todo = [], [f]
-    while todo:
-        g = todo.pop()
-        iv = getattr(g, "interval", None)
-        if iv is not None:
-            ends += [c for c in (iv.lo, iv.hi) if c is not None]
-        todo += [getattr(g, k) for k in ("child", "left", "right") if hasattr(g, k)]
-    return ends
 
 
 def _attempt(fn, *args):
