@@ -90,16 +90,51 @@ class Not:
     child: "Formula"
 
 
+def _chain_eq(self, other):
+    """The dataclass's equality, down the left spine by a loop."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    a, b = self, other
+    while isinstance(a, (And, Or)) and b.__class__ is a.__class__:
+        if a is b:
+            return True
+        if not (a.right is b.right or a.right == b.right):
+            return False
+        a, b = a.left, b.left
+    return a is b or a == b
+
+
+def _chain_hash(self):
+    bottom, spine = left_spine(self)
+    h = hash(bottom)
+    for node in spine:
+        h = hash((h, node.right))
+    return h
+
+
+def _chain_repr(self):
+    """The dataclass's repr text, built from the left spine."""
+    bottom, spine = left_spine(self)
+    parts = [f"{node.__class__.__qualname__}(left=" for node in reversed(spine)]
+    parts.append(repr(bottom))
+    parts += [f", right={node.right!r})" for node in spine]
+    return "".join(parts)
+
+
 @dataclass(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
+
+    __eq__, __hash__, __repr__ = _chain_eq, _chain_hash, _chain_repr
 
 
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
+
+    __eq__, __hash__, __repr__ = _chain_eq, _chain_hash, _chain_repr
 
 
 @dataclass(frozen=True)

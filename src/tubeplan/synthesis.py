@@ -8,6 +8,12 @@ transition of the system.  Saturation makes the product graph finite.  The
 search is breadth-first and stops at the first level holding an anchor, an
 accepting saturated node that can reach itself; it looks for that cycle in
 the saturated subgraph, which every successor of a saturated node is in.
+A node whose location is not live (``TimedAutomaton.live``: no accepting
+location can follow it) is found but never expanded, and neither are its
+successors, which are not live either.  When no anchor is found, the search
+walks on from those pruned nodes, so an unrealizable search still finds
+every reachable node and reports every reachable location.  The budget
+counts every node found, pruned or not.
 
 The search clock counts integer ticks of 1/L, where L is the lcm of the
 denominators of every weight, guard constant and the slack.  Each of them
@@ -76,19 +82,30 @@ def _region_bounds(constants, ticks: int) -> list:
     return [b for c in constants for b in (int(c * ticks), int(c * ticks) + 1)]
 
 
-def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, budget: int):
+def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
+         budget: int):
     """Deterministic BFS over ``(state, location, tick)`` nodes that stops at
     the first level holding an anchor, an accepting saturated node on a
-    cycle.  Returns the nodes found, then the anchor's path from the root
-    and its cycle, or ``None, None`` after finding every reachable node.
+    cycle.  Returns the nodes it kept and those it pruned, then the
+    anchor's path from the root and its cycle, or ``None, None`` after
+    finding every reachable node.
 
-    Nodes are numbered level by level, so when a level's first node is
+    A node found at a location that is not ``live`` can reach no accepting
+    location: it is pruned, found but never expanded.  Each of its
+    successors is pruned too, so every kept node is first found from a kept
+    parent, at the level and with the rank a search without pruning gives
+    it.  With no anchor, the search walks on from the pruned nodes until
+    every reachable node is found.  ``budget`` caps the nodes found, pruned
+    ones included.
+
+    Kept nodes are numbered level by level, so when a level's first node is
     about to be expanded, that level's nodes and their (duration, number)
     ranks are final; trying its candidates in that order keeps the (depth,
     duration, number) order of a full exploration.  Each (state, location)
     pair's arcs ``(dst, weight, region table)`` are fetched once, so an
     edge costs a capped add, a bisect and an index."""
-    nodes = [root]
+    nodes = [root]      # the kept nodes, which are the queue
+    dead = []           # the pruned nodes
     seen = {root}
     parent = [None]
     duration = [0]
@@ -107,17 +124,21 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, budget: int):
 
     def saturated_successors(node):  # a saturated node's successors are too
         here = arcs.get(node[:2]) or arcs_of(*node[:2])
-        return [(dst, targets[top], cap) for dst, _, targets in here]
+        return [(dst, targets[top], cap) for dst, _, targets in here
+                if targets[top] in live]
+
+    def check_budget():
+        if len(nodes) + len(dead) > budget:
+            raise SearchBudgetExceeded(f"product exploration exceeded {budget} nodes")
 
     for idx, (state, location, clock) in enumerate(nodes):  # nodes is the queue
-        if len(nodes) > budget:
-            raise SearchBudgetExceeded(f"product exploration exceeded {budget} nodes")
+        check_budget()
         if idx == level_end:
             if found:
                 for n in sorted(found, key=duration.__getitem__):
                     cycle = _shortest_cycle(saturated_successors, nodes[n])
                     if cycle is not None:
-                        return nodes, [nodes[i] for i in _path_to(parent, n)], cycle
+                        return nodes, dead, [nodes[i] for i in _path_to(parent, n)], cycle
                 found.clear()
             level_end = len(nodes)
         for dst, weight, targets in arcs.get((state, location)) or arcs_of(state, location):
@@ -127,13 +148,26 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, budget: int):
             child = (dst, targets[bisect_right(bounds, tick)], tick)
             if child not in seen:
                 seen.add(child)
+                if child[1] not in live:
+                    dead.append(child)
+                    continue
                 # weights are positive, so only saturated nodes can recur
                 if tick == cap and child[1] in accepting:
                     found.append(len(nodes))
                 nodes.append(child)
                 parent.append(idx)
                 duration.append(duration[idx] + weight)
-    return nodes, None, None
+    for state, location, clock in dead:  # no anchor: walk on; dead grows as read
+        check_budget()
+        for dst, weight, targets in arcs.get((state, location)) or arcs_of(state, location):
+            tick = clock + weight
+            if tick > cap:
+                tick = cap
+            child = (dst, targets[bisect_right(bounds, tick)], tick)
+            if child not in seen:
+                seen.add(child)
+                dead.append(child)
+    return nodes, dead, None, None
 
 
 def _path_to(parent, node):
@@ -185,14 +219,14 @@ def find_accepting_run(
         raise UnknownTransition(f"unknown state {wts.initial!r}")
     start = tba.table(tba.initial, wts.label_of(wts.initial))
     root = (wts.initial, start[bisect_right(bounds, 0)], 0)
-    nodes, prefix, cycle = _bfs(tba.table, bounds, edges, cap, root,
-                                tba.accepting, budget)
+    nodes, dead, prefix, cycle = _bfs(tba.table, bounds, edges, cap, root,
+                                      tba.accepting, tba.live, budget)
     if cycle is not None:
         def run_nodes(path):
             return tuple(ProductNode(state, location, Fraction(tick, ticks))
                          for state, location, tick in path)
         return TimedRun(run_nodes(prefix), run_nodes(cycle))
-    reachable = sorted({location for _, location, _ in nodes})
+    reachable = sorted({location for _, location, _ in nodes + dead})
     raise Unrealizable(
         "no accepting cycle is reachable in the product", reachable
     )

@@ -10,14 +10,17 @@ Each block automaton is deterministic and complete, with trap locations for
 settled verdicts, and so is the exported automaton, the synchronous product
 of the blocks.  A guard compares the clock only with guard constants, so it
 is a range of clock regions; each (location, letter) pair compiles once
-into a table with one target per region (``TimedAutomaton.table``), and
-each step is a lookup that yields one location.  ``successors`` and the
-product search read the same tables.  A product location is
-Büchi-accepting when the Boolean combination evaluates to true on the
-per-block verdicts (co-safety blocks: reached their DONE trap; safety
-blocks: not in their REJECT trap).  That combination is itself an And/Or
-formula whose atoms are the blocks' indices, so ``eval_propositional``
-decides it on the set of indices whose verdict holds.
+into a table with one target per region (``TimedAutomaton.table``), from
+the edges that leave that location (grouped once per automaton), and each
+step is a lookup that yields one location.  ``successors`` and the product
+search read the same tables.  ``TimedAutomaton.live`` holds the locations
+from which some path of edges reaches an accepting location, also computed
+once per automaton; the product search expands no node elsewhere.  A
+product location is Büchi-accepting when the Boolean combination evaluates
+to true on the per-block verdicts (co-safety blocks: reached their DONE
+trap; safety blocks: not in their REJECT trap).  That combination is itself
+an And/Or formula whose atoms are the blocks' indices, so
+``eval_propositional`` decides it on the set of indices whose verdict holds.
 Along any infinite word with diverging time the verdict vector is
 eventually constant, so "accepting location visited infinitely often"
 coincides with the formula's verdict.
@@ -99,12 +102,38 @@ class TimedAutomaton:
             table = self._tables[(location, letter)] = self._table(location, letter)
         return table
 
+    @functools.cached_property
+    def live(self) -> frozenset:
+        """The locations from which some path of edges, whatever their
+        letters and guards, reaches an accepting location: a reverse walk
+        from the accepting ones over the edges that can fire.  No run
+        through any other location is accepted, and every location it
+        reaches is not live either."""
+        sources = {}
+        for e in self.edges:
+            if e.regions[0] <= e.regions[1]:
+                sources.setdefault(e.target, []).append(e.source)
+        live, todo = set(self.accepting), list(self.accepting)
+        while todo:
+            for source in sources.get(todo.pop(), ()):
+                if source not in live:
+                    live.add(source)
+                    todo.append(source)
+        return frozenset(live)
+
+    @functools.cached_property
+    def _leaving(self) -> dict:
+        """The edges that leave each location, in ``edges`` order."""
+        leaving = {}
+        for e in self.edges:
+            leaving.setdefault(e.source, []).append(e)
+        return leaving
+
     def _table(self, location: str, letter: frozenset) -> tuple:
         """Target per region; exactly one edge must cover each region."""
         hits = [[] for _ in range(2 * len(self.constants) + 1)]
-        for e in self.edges:
-            if e.source == location and (
-                    e.label is None or eval_propositional(e.label, letter)):
+        for e in self._leaving.get(location, ()):
+            if e.label is None or eval_propositional(e.label, letter):
                 for targets in hits[e.regions[0]:e.regions[1] + 1]:
                     targets.append(e.target)
         for r, targets in enumerate(hits):
@@ -287,8 +316,10 @@ def build_tba(formula) -> TimedAutomaton:
                               for c in (b.interval.lo, b.interval.hi)
                               if c is not None}))
 
+    index = {c: i for i, c in enumerate(constants)}
+
     def regions(condition) -> Tuple[int, int]:
-        lo, hi = [None if end is None else 2 * constants.index(end[0]) + 1 + end[1]
+        lo, hi = [None if end is None else 2 * index[end[0]] + 1 + end[1]
                   for end in condition]
         return (lo or 0, 2 * len(constants) if hi is None else hi)
 

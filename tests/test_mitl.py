@@ -1,3 +1,4 @@
+import dataclasses
 import string
 from fractions import Fraction
 
@@ -249,6 +250,54 @@ def test_long_chain_is_propositional_and_evaluates(text, holds_on_empty):
     # the timed operand sits at the bottom, after every other one is read
     assert not is_propositional(parse(f"F[0,1] q & {text}"))
     assert not is_propositional(parse(f"({LONG_AND}) U[0,1] q"))
+
+
+def _dataclass_repr(f):
+    """The repr text a dataclass generates, by one call per node."""
+    if not dataclasses.is_dataclass(f):
+        return repr(f)
+    fields = ", ".join(f"{field.name}={_dataclass_repr(getattr(f, field.name))}"
+                       for field in dataclasses.fields(f))
+    return f"{type(f).__qualname__}({fields})"
+
+
+def _dataclass_eq(f, g):
+    """The equality a dataclass generates, by one call per node."""
+    if not dataclasses.is_dataclass(f):
+        return f == g
+    return type(f) is type(g) and all(
+        _dataclass_eq(getattr(f, field.name), getattr(g, field.name))
+        for field in dataclasses.fields(f))
+
+
+def test_chain_equality_hash_and_repr_are_the_dataclass_ones():
+    rng = np.random.default_rng(2025)
+    formulas = [_random_formula(rng, depth=d) for d in (3, 5) for _ in range(150)]
+    near = [parse(t) for t in ("a & b | c", "a | b & c", "(a & b) & c", "a & (b & c)",
+                               "(a | b) & c", "a & b & !c", "a & b", "a | b", "a")]
+    for f in formulas + near:
+        assert repr(f) == _dataclass_repr(f)
+        copy = parse(to_string(f))  # equal, and sharing no node with f
+        assert copy == f and hash(copy) == hash(f)
+    pairs = [(f, g) for f in near for g in near]
+    pairs += list(zip(formulas, formulas[1:]))
+    for f, g in pairs:
+        assert (f == g) == _dataclass_eq(f, g), (f, g)
+
+
+@pytest.mark.parametrize("text", [LONG_AND, LONG_OR], ids=["and", "or"])
+def test_long_chain_compares_hashes_and_prints(text):
+    f, g = parse(text), parse(text)
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    op = " & " if text is LONG_AND else " | "
+    # differing only at the bottom of the spine: an operand, then an operator
+    assert f != parse(text.replace("p0" + op, "q" + op, 1))
+    other = " | " if op == " & " else " & "
+    assert f != parse("(" + text.replace(op, other, 1).replace(op, ")" + op, 1))
+    name = "And" if op == " & " else "Or"
+    operand = "Not(child=Atom(name='p{}'))" if op == " & " else "Atom(name='p{}')"
+    assert repr(f) == (f"{name}(left=" * 4999 + operand.format(0) + "".join(
+        f", right={operand.format(i)})" for i in range(1, 5000)))
 
 
 # ---------------------------------------------------------------------------

@@ -294,45 +294,103 @@ def test_early_stop_matches_full_exploration():
     assert 50 < outcomes.count("run") < 250
 
 
+def _searched(monkeypatch, wts, tba):
+    """The outcome of the search, its kept and pruned nodes, and the
+    locations whose arcs it fetched, which are those of the nodes it
+    expanded."""
+    bfs, searches, expanded = synthesis._bfs, [], set()
+
+    def counted_bfs(table, *rest):
+        def counted_table(location, letter):
+            expanded.add(location)
+            return table(location, letter)
+        searches.append(bfs(counted_table, *rest))
+        return searches[-1]
+
+    monkeypatch.setattr(synthesis, "_bfs", counted_bfs)
+    outcome = _outcome(_early_stop, wts, tba)
+    (nodes, dead, _, _), = searches
+    return outcome, nodes, dead, expanded
+
+
+def test_pruned_search_expands_no_dead_node(monkeypatch):
+    # the cases of test_early_stop_matches_full_exploration: a search that
+    # finds a run expands no node whose location is not live, and every
+    # search keeps only live nodes after the root and prunes only dead ones
+    rng = np.random.default_rng(20)
+    pruned = 0
+    for _ in range(300):
+        wts, text = _random_system(rng), _random_formula(rng)
+        tba = build_tba(parse(text))
+        outcome, nodes, dead, expanded = _searched(monkeypatch, wts, tba)
+        if outcome[0] == "run":
+            assert expanded <= tba.live, text
+        assert all(location in tba.live for _, location, _ in nodes[1:]), text
+        assert not any(location in tba.live for _, location, _ in dead), text
+        pruned += len(dead)
+    assert pruned > 0
+
+
+def test_search_from_a_violating_start_keeps_only_the_root(monkeypatch):
+    # the initial state's label already breaks the safety block: every node
+    # after the root is pruned, and the walk-on still reports every location
+    # that exploring the whole product reaches
+    wts = wts_from_dict({
+        "states": ["s0", "s1"],
+        "initial": "s0",
+        "labels": {"s0": ["bad"], "s1": ["p"]},
+        "transitions": [
+            {"source": "s0", "target": "s1", "weight": "1"},
+            {"source": "s1", "target": "s0", "weight": "1"},
+            {"source": "s1", "target": "s1", "weight": "1/2"},
+        ],
+    })
+    tba = build_tba(parse("G[0,inf] !bad & F[1,2] p"))
+    outcome, nodes, dead, _ = _searched(monkeypatch, wts, tba)
+    assert nodes == [("s0", "0:reject|1:wait", 0)]
+    assert outcome == _outcome(_full_search, wts, tba)
+    assert outcome == ("unrealizable", {"0:reject|1:wait", "0:reject|1:done"})
+    assert len(dead) > 1
+
+
 def _bundled_wts(scenario):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return load_wts(os.path.join(root, "perfbench", "data", "nexus_wts.json"),
                     expected_hash=scenario_hash(scenario))
 
 
-def _counted_search(monkeypatch, formula):
+def _counted_search(monkeypatch, formula, kept=None):
     """Run the search on the bundled system; return its outcome, the number
-    of product nodes it found and the (location, letter) pairs whose region
-    tables the automaton built."""
-    bfs, build = synthesis._bfs, TimedAutomaton._table
-    found, built = [], []
-
-    def counted_bfs(*args):
-        found.append(bfs(*args))
-        return found[-1]
+    of product nodes it found, pruned ones included, and the (location,
+    letter) pairs whose region tables the automaton built.  The number of
+    nodes it kept is appended to ``kept`` if given."""
+    build, built = TimedAutomaton._table, []
 
     def counted_build(self, location, letter):
         built.append((location, letter))
         return build(self, location, letter)
 
-    monkeypatch.setattr(synthesis, "_bfs", counted_bfs)
     monkeypatch.setattr(TimedAutomaton, "_table", counted_build)
-    wts = _bundled_wts(default_scenario())
-    outcome = _outcome(_early_stop, wts, build_tba(formula))
-    (nodes, _, _), = found
-    return outcome, len(nodes), built
+    outcome, nodes, dead, _ = _searched(monkeypatch, _bundled_wts(default_scenario()),
+                                        build_tba(formula))
+    if kept is not None:
+        kept.append(len(nodes))
+    return outcome, len(nodes) + len(dead), built
 
 
 def test_bundled_search_builds_each_region_table_once(monkeypatch):
-    # the bundled plan anchors at depth 5: the search stops once the 4,799
-    # nodes through that level are found, of the 16,055 reachable.  It reads
-    # each edge's target from a region table that the automaton builds once
-    # per (location, letter) pair, and never steps it one call per edge
+    # the bundled plan anchors at depth 5: the search stops once the 786
+    # nodes through that level are found, of the 16,055 reachable.  It keeps
+    # 379 of them; the other 407 sit where the safety block has failed, so
+    # no accepting location follows, and are never expanded.  It reads each
+    # edge's target from a region table that the automaton builds once per
+    # (location, letter) pair, and never steps it one call per edge
+    kept = []
     outcome, found, built = _counted_search(monkeypatch,
-                                            default_scenario().formula())
+                                            default_scenario().formula(), kept)
     assert outcome[0] == "run" and len(outcome[1]) == 6
-    assert found == 4_799
-    assert len(built) == len(set(built)) == 45
+    assert found == 786 and kept == [379]
+    assert len(built) == len(set(built)) == 26
 
 
 # the bundled formula, and R3 (mission2) within 10 s of the start, which no
@@ -422,14 +480,15 @@ def test_golden_plans(which, request):
 
 
 def test_budget_caps_the_nodes_found_before_the_search_stops():
-    # the bundled plan is found among 4,799 nodes, so a budget of 4,799,
-    # below the 16,055 reachable nodes, still returns it, and one less does not
+    # the bundled plan is found among 786 nodes, pruned ones included, so a
+    # budget of 786, below the 16,055 reachable nodes, still returns it, and
+    # one less does not
     scenario = default_scenario()
     wts, formula = _bundled_wts(scenario), scenario.formula()
-    plan = synthesize(wts, formula, budget=4_799)
+    plan = synthesize(wts, formula, budget=786)
     assert (plan.states, plan.stamps, plan.prefix_len) == _golden(*BUNDLED_PLAN)
     with pytest.raises(SearchBudgetExceeded):
-        synthesize(wts, formula, budget=4_798)
+        synthesize(wts, formula, budget=785)
     # an unrealizable search finds every reachable node before it stops
     formula = parse(UNREALIZABLE_BUNDLED)
     with pytest.raises(Unrealizable):

@@ -129,6 +129,23 @@ def test_nondeterministic_or_incomplete_automaton_is_rejected():
         _hand_built(labelled).successors("p", frozenset({"a"}), F(0))
 
 
+def test_live_locations():
+    # a safety block's reject trap leads to no accepting location
+    tba = build_tba(parse("G[0,inf] !a"))
+    assert tba.live == {"0:active"} and tba.accepting == {"0:active"}
+    # F[1,2] b's wait can still reach done, which it does not accept
+    tba = build_tba(parse("F[1,2] b"))
+    assert tba.live == set(tba.locations) == {"0:wait", "0:done"}
+    assert tba.accepting == {"0:done"}
+    # the bundled formula: the four locations where the safety block failed
+    tba = build_tba(default_scenario().formula())
+    assert len(tba.locations) == 8
+    assert tba.live == {loc for loc in tba.locations if loc.startswith("0:active")}
+    # an edge that no clock region enables leads nowhere
+    assert _hand_built([Edge("p", "q", None, (1, 0))]).live == {"q"}
+    assert _hand_built([Edge("p", "q", None, (1, 1))]).live == {"p", "q"}
+
+
 def test_stutter_loop_weight_halves_gcd():
     tba = build_tba(parse("F[30,50] m & F[80,110] n"))
     # constants ahead of t=20 are 30, 50, 80, 110 -> gcd of gaps is 10
