@@ -22,7 +22,8 @@ and counting ticks decides every guard exactly as the rationals would
 (Henzinger, Manna & Pnueli, "What good are digital clocks?", ICALP 1992).
 A tick's clock region is then one bisect over integer bounds, and each
 (state, location) pair fetches its arcs, with the automaton's per-region
-target tables, once per search: an edge is a table lookup, not a call
+target tables (each the zip of the automaton's block tables, compiled once
+per automaton), once per search: an edge is a table lookup, not a call
 into the automaton.
 The nodes of a returned run carry exact ``Fraction`` clocks, and the stamps
 of its plan are exact sums of the ``Fraction`` weights.  Every tie is
@@ -74,12 +75,18 @@ def _tick_size(wts: Wts, tba: TimedAutomaton, slack: Fraction) -> int:
     return lcm(*(v.denominator for v in values))
 
 
+def _whole(value, ticks: int) -> int:
+    """``value`` in ticks, for ``ticks`` a multiple of its denominator: an
+    integer product, with no ``Fraction`` made."""
+    return value.numerator * (ticks // value.denominator)
+
+
 def _region_bounds(constants, ticks: int) -> list:
     """Bounds that find a whole tick's clock region with one bisect:
     ``bisect_right(bounds, tick)`` counts ``c`` and ``c + 1`` for every
     constant ``c`` (in ticks) at or below the tick, so it is ``2i`` in the
     gap below constant ``i`` and ``2i + 1`` on it."""
-    return [b for c in constants for b in (int(c * ticks), int(c * ticks) + 1)]
+    return [b for c in constants for b in (_whole(c, ticks), _whole(c, ticks) + 1)]
 
 
 def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
@@ -212,8 +219,8 @@ def find_accepting_run(
         raise InvalidParam(f"saturation slack must be > 0, got {slack}")
     ticks = _tick_size(wts, tba, slack)
     bounds = _region_bounds(tba.constants, ticks)
-    cap = int((tba.cmax + slack) * ticks)
-    edges = {s: [(dst, int(w * ticks), wts.label_of(dst))
+    cap = _whole(tba.cmax + slack, ticks)
+    edges = {s: [(dst, _whole(w, ticks), wts.label_of(dst))
                  for dst, w in wts.successors(s)] for s in wts.states}
     if wts.initial not in edges:
         raise UnknownTransition(f"unknown state {wts.initial!r}")

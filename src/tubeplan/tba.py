@@ -9,13 +9,17 @@ clock: the time elapsed since the start, shared by every block.
 Each block automaton is deterministic and complete, with trap locations for
 settled verdicts, and so is the exported automaton, the synchronous product
 of the blocks.  A guard compares the clock only with guard constants, so it
-is a range of clock regions; each (location, letter) pair compiles once
-into a table with one target per region (``TimedAutomaton.table``), from
-the edges that leave that location (grouped once per automaton), and each
-step is a lookup that yields one location.  ``successors`` and the product
-search read the same tables.  ``TimedAutomaton.live`` holds the locations
-from which some path of edges reaches an accepting location, also computed
-once per automaton; the product search expands no node elsewhere.  A
+is a range of clock regions, resolved once per block edge.  Each block
+(location, letter) pair compiles once into a block table with one target
+per region, from that block location's few short labels.  The product
+steps each block on its own, so a (location, letter) pair's table
+(``TimedAutomaton.table``) is the zip of its blocks' tables: each region's
+block targets, read across, name the target location.  A step is a lookup
+that yields one location; ``successors`` and the product search read the
+same tables.  ``build_tba`` builds the product's own edges block by block
+for the exported automaton and for ``TimedAutomaton.live``: the locations
+from which some path of edges reaches an accepting location, computed once
+per automaton; the product search expands no node elsewhere.  A
 product location is Büchi-accepting when the Boolean combination evaluates
 to true on the per-block verdicts (co-safety blocks: reached their DONE
 trap; safety blocks: not in their REJECT trap).  That combination is itself
@@ -33,7 +37,6 @@ their left-to-right order and no chain is too long for them.
 from __future__ import annotations
 
 import functools
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,6 +77,13 @@ class TimedAutomaton:
     ``constants`` are the sorted guard constants.  Clock region ``2i`` is the
     open gap just below ``constants[i]``, region ``2i+1`` is ``constants[i]``
     and region ``2n`` lies above the last; an edge's guard is a region range.
+
+    The automaton is a product of blocks.  ``_blocks`` is ``(vectors,
+    leaving)``: each location's vector of block locations, whose names
+    joined by ``|`` are its own name, and the edges ``(target, label, first
+    region, last region)`` that leave each block location.  ``build_tba``
+    passes them; an automaton assembled from ``edges`` alone is a product of
+    one block, its own edges.
     """
 
     locations: Tuple[str, ...]
@@ -81,7 +91,17 @@ class TimedAutomaton:
     accepting: frozenset
     edges: Tuple[Edge, ...]
     constants: Tuple[Fraction, ...] = ()
+    _blocks: Optional[tuple] = field(default=None, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _block_tables: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._blocks is None:
+            leaving = {}
+            for e in self.edges:
+                leaving.setdefault(e.source, []).append((e.target, e.label, *e.regions))
+            vectors = {location: (location,) for location in self.locations}
+            object.__setattr__(self, "_blocks", (vectors, leaving))
 
     @property
     def cmax(self) -> Fraction:
@@ -96,10 +116,11 @@ class TimedAutomaton:
 
     def table(self, location: str, letter: frozenset) -> tuple:
         """The location reached from ``location`` by reading ``letter``, per
-        clock region; built on first use and kept."""
+        clock region: the blocks' tables read across, built on first use
+        and kept."""
         table = self._tables.get((location, letter))
         if table is None:
-            table = self._tables[(location, letter)] = self._table(location, letter)
+            table = self._tables[(location, letter)] = self._product_table(location, letter)
         return table
 
     @functools.cached_property
@@ -121,24 +142,34 @@ class TimedAutomaton:
                     todo.append(source)
         return frozenset(live)
 
-    @functools.cached_property
-    def _leaving(self) -> dict:
-        """The edges that leave each location, in ``edges`` order."""
-        leaving = {}
-        for e in self.edges:
-            leaving.setdefault(e.source, []).append(e)
-        return leaving
+    def _product_table(self, location: str, letter: frozenset) -> tuple:
+        """Target per region: the zip of the block tables of the location's
+        vector, each region's block targets joined into one name."""
+        vectors, _ = self._blocks
+        vector = vectors.get(location)
+        if vector is None:
+            raise InternalError(f"{location!r} is not a location of the automaton")
+        tables = self._block_tables
+        columns = []
+        for part in vector:
+            column = tables.get((part, letter))
+            if column is None:
+                column = tables[(part, letter)] = self._block_table(part, letter)
+            columns.append(column)
+        return tuple(map("|".join, zip(*columns)))
 
-    def _table(self, location: str, letter: frozenset) -> tuple:
-        """Target per region; exactly one edge must cover each region."""
+    def _block_table(self, part: str, letter: frozenset) -> tuple:
+        """Block target per region; exactly one of the edges that leave the
+        block location ``part`` must cover each region."""
+        _, leaving = self._blocks
         hits = [[] for _ in range(2 * len(self.constants) + 1)]
-        for e in self._leaving.get(location, ()):
-            if e.label is None or eval_propositional(e.label, letter):
-                for targets in hits[e.regions[0]:e.regions[1] + 1]:
-                    targets.append(e.target)
+        for target, label, lo, hi in leaving.get(part, ()):
+            if label is None or eval_propositional(label, letter):
+                for targets in hits[lo:hi + 1]:
+                    targets.append(target)
         for r, targets in enumerate(hits):
             if len(targets) != 1:
-                raise InternalError(f"{len(targets)} edges leave {location!r} on "
+                raise InternalError(f"{len(targets)} edges leave {part!r} on "
                                     f"{sorted(letter)} in clock region {r}")
         return tuple(target for target, in hits)
 
@@ -301,13 +332,14 @@ def _collect_blocks(f, blocks: list):
     return tree
 
 
-def _and_labels(labels):
-    labels = [l for l in labels if l is not None]
-    return functools.reduce(And, labels) if labels else None
-
-
 def build_tba(formula) -> TimedAutomaton:
-    """Translate a flat-fragment formula into a timed Büchi automaton."""
+    """Translate a flat-fragment formula into a timed Büchi automaton.
+
+    Each block edge's time condition is resolved to its region range once,
+    and each location is named once.  A location's edges are the product of
+    its blocks' leaving edges in ``itertools.product`` order, built block by
+    block: the partial products share their ``And`` label prefix, and a
+    region span is a running ``max``/``min``."""
     norm = _normalise(formula, False)
     blocks: list = []
     tree = _collect_blocks(norm, blocks)
@@ -315,50 +347,53 @@ def build_tba(formula) -> TimedAutomaton:
     constants = tuple(sorted({c for b in blocks if b.interval is not None
                               for c in (b.interval.lo, b.interval.hi)
                               if c is not None}))
+    index = {c: 2 * i + 1 for i, c in enumerate(constants)}
+    top = 2 * len(constants)
 
-    index = {c: i for i, c in enumerate(constants)}
+    # a block location's name is its block's index and its own name; the
+    # blocks' verdicts are read by the block names that hold
+    leaving, holds = {}, {}
+    for i, b in enumerate(blocks):
+        for src, dst, label, (lo, hi) in b.edges:
+            leaving.setdefault(f"{i}:{src}", []).append(
+                (f"{i}:{dst}", label, 0 if lo is None else index[lo[0]] + lo[1],
+                 top if hi is None else index[hi[0]] + hi[1]))
+        holds.update({f"{i}:{loc}": str(i) for loc, v in b.verdict.items() if v})
 
-    def regions(condition) -> Tuple[int, int]:
-        lo, hi = [None if end is None else 2 * index[end[0]] + 1 + end[1]
-                  for end in condition]
-        return (lo or 0, 2 * len(constants) if hi is None else hi)
-
-    def name(vec) -> str:
-        return "|".join(f"{i}:{loc}" for i, loc in enumerate(vec))
-
-    init_vec = tuple(b.initial for b in blocks)
-    locations = []
+    init_vec = tuple(f"{i}:{b.initial}" for i, b in enumerate(blocks))
+    names = {init_vec: "|".join(init_vec)}   # the vectors found, named
+    vectors = {}
     accepting = set()
     edges = []
-    seen = {init_vec}
     frontier = [init_vec]
     while frontier:
         vec = frontier.pop()
-        locations.append(name(vec))
-        holding = frozenset(str(i) for i, (b, loc) in enumerate(zip(blocks, vec))
-                            if b.verdict[loc])
-        if eval_propositional(tree, holding):
-            accepting.add(name(vec))
-        per_block = [
-            [e for e in b.edges if e[0] == loc] for b, loc in zip(blocks, vec)
-        ]
-        for combo in itertools.product(*per_block):
-            dst = tuple(e[1] for e in combo)
-            label = _and_labels([e[2] for e in combo])
-            # an empty range (lo > hi) is kept: its edge never fires
-            ranges = [regions(e[3]) for e in combo]
-            span = (max(r[0] for r in ranges), min(r[1] for r in ranges))
-            edges.append(Edge(name(vec), name(dst), label, span))
-            if dst not in seen:
-                seen.add(dst)
+        source = names[vec]
+        vectors[source] = vec
+        if eval_propositional(tree, frozenset(holds[p] for p in vec if p in holds)):
+            accepting.add(source)
+        combos = [((), None, 0, top)]
+        for part in vec:
+            combos = [(dst + (target,),
+                       label if more is None else (more if label is None else And(label, more)),
+                       max(lo, first), min(hi, last))
+                      for dst, label, lo, hi in combos
+                      for target, more, first, last in leaving[part]]
+        for dst, label, lo, hi in combos:
+            target = names.get(dst)
+            if target is None:
+                target = names[dst] = "|".join(dst)
                 frontier.append(dst)
+            # an empty range (lo > hi) is kept: its edge never fires
+            edges.append(Edge(source, target, label, (lo, hi)))
 
     return TimedAutomaton(
-        locations=tuple(sorted(locations)),
-        initial=name(init_vec),
+        locations=tuple(sorted(vectors)),
+        initial=names[init_vec],
         accepting=frozenset(accepting),
         edges=tuple(edges),
         constants=constants,
+        _blocks=(vectors, leaving),
     )
 
 

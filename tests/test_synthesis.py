@@ -361,21 +361,26 @@ def _bundled_wts(scenario):
 
 def _counted_search(monkeypatch, formula, kept=None):
     """Run the search on the bundled system; return its outcome, the number
-    of product nodes it found, pruned ones included, and the (location,
-    letter) pairs whose region tables the automaton built.  The number of
-    nodes it kept is appended to ``kept`` if given."""
-    build, built = TimedAutomaton._table, []
+    of product nodes it found, pruned ones included, the (location, letter)
+    pairs whose region tables the automaton built, and the (block location,
+    letter) pairs whose block tables it built.  The number of nodes it kept
+    is appended to ``kept`` if given."""
+    def counted(name):
+        build, built = getattr(TimedAutomaton, name), []
 
-    def counted_build(self, location, letter):
-        built.append((location, letter))
-        return build(self, location, letter)
+        def counted_build(self, location, letter):
+            built.append((location, letter))
+            return build(self, location, letter)
 
-    monkeypatch.setattr(TimedAutomaton, "_table", counted_build)
+        monkeypatch.setattr(TimedAutomaton, name, counted_build)
+        return built
+
+    built, built_blocks = counted("_product_table"), counted("_block_table")
     outcome, nodes, dead, _ = _searched(monkeypatch, _bundled_wts(default_scenario()),
                                         build_tba(formula))
     if kept is not None:
         kept.append(len(nodes))
-    return outcome, len(nodes) + len(dead), built
+    return outcome, len(nodes) + len(dead), built, built_blocks
 
 
 def test_bundled_search_builds_each_region_table_once(monkeypatch):
@@ -384,13 +389,16 @@ def test_bundled_search_builds_each_region_table_once(monkeypatch):
     # 379 of them; the other 407 sit where the safety block has failed, so
     # no accepting location follows, and are never expanded.  It reads each
     # edge's target from a region table that the automaton builds once per
-    # (location, letter) pair, and never steps it one call per edge
+    # (location, letter) pair, and never steps it one call per edge; each
+    # region table zips block tables, each built once per (block location,
+    # letter) pair
     kept = []
-    outcome, found, built = _counted_search(monkeypatch,
-                                            default_scenario().formula(), kept)
+    outcome, found, built, blocks = _counted_search(monkeypatch,
+                                                    default_scenario().formula(), kept)
     assert outcome[0] == "run" and len(outcome[1]) == 6
     assert found == 786 and kept == [379]
     assert len(built) == len(set(built)) == 26
+    assert len(blocks) == len(set(blocks)) == 35
 
 
 # the bundled formula, and R3 (mission2) within 10 s of the start, which no
@@ -402,13 +410,14 @@ UNREALIZABLE_BUNDLED = ("G[0,inf](!obs1 & !obs2 & !obs3 & !obs4) & F[30,50] miss
 def test_bundled_unrealizable_search_explores_every_node(monkeypatch):
     # no anchor, no early stop: the search finds every reachable node and
     # reports the locations that exploring the whole product reported
-    outcome, found, built = _counted_search(monkeypatch,
-                                            parse(UNREALIZABLE_BUNDLED))
+    outcome, found, built, blocks = _counted_search(monkeypatch,
+                                                    parse(UNREALIZABLE_BUNDLED))
     assert outcome == ("unrealizable", {
         f"0:{a}|1:{b}|2:{c}|3:wait" for a in ("active", "reject")
         for b in ("done", "wait") for c in ("done", "wait")})
     assert found == 16_055
     assert len(built) == len(set(built)) == 56
+    assert len(blocks) == len(set(blocks)) == 49
 
 
 def _reachable_pairs(tba, letters):

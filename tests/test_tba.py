@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from tubeplan.mitl import (
     TimedWord,
     Until,
     atoms_of,
+    eval_propositional,
     monitor,
     parse,
     to_string,
@@ -127,6 +129,18 @@ def test_nondeterministic_or_incomplete_automaton_is_rejected():
     assert _hand_built(labelled).successors("p", frozenset(), F(0)) == "q"
     with pytest.raises(InternalError, match="2 edges"):
         _hand_built(labelled).successors("p", frozenset({"a"}), F(0))
+
+
+def test_unknown_location_is_named():
+    # a location the automaton does not have is the package's own error,
+    # naming the location, whether the automaton was built or assembled
+    built = build_tba(parse("G[0,inf] !o & F[3,5] m"))
+    hand = _hand_built([Edge("p", "p", None, (0, 1)), Edge("p", "q", None, (2, 2))])
+    for tba in (built, hand):
+        with pytest.raises(InternalError, match="'x'"):
+            tba.table("x", frozenset())
+        with pytest.raises(InternalError, match="'x'"):
+            tba.successors("x", frozenset({"o"}), F(1))
 
 
 def test_live_locations():
@@ -395,3 +409,44 @@ def test_formula_layer_outputs_are_pinned():
         h.update("\n".join(lines).encode() + b"\n\n")
     assert built >= 250
     assert h.hexdigest() == FORMULA_LAYER_DIGEST
+
+
+def _product_edge_table(tba, location, letter):
+    """The region table read off the product edges, as the automaton built
+    it before it was compiled per block: the one edge that leaves
+    ``location``, reads ``letter`` and covers a region gives its target."""
+    hits = [[] for _ in range(2 * len(tba.constants) + 1)]
+    for e in tba.edges:
+        if e.source == location and (e.label is None
+                                     or eval_propositional(e.label, letter)):
+            for targets in hits[e.regions[0]:e.regions[1] + 1]:
+                targets.append(e.target)
+    assert all(len(targets) == 1 for targets in hits), (location, letter)
+    return tuple(target for target, in hits)
+
+
+def test_block_tables_zip_to_the_product_edge_tables():
+    # every (location, letter) table reachable on the formula's atoms, the
+    # zip of block tables, is the table the product edges give
+    formulas, _ = _pin_corpus()
+    pairs = 0
+    for f in formulas:
+        try:
+            tba = build_tba(f)
+        except UnsupportedFragment:
+            continue
+        atoms = sorted(atoms_of(f))
+        letters = [frozenset(c) for k in range(len(atoms) + 1)
+                   for c in itertools.combinations(atoms, k)]
+        seen, todo = {tba.initial}, [tba.initial]
+        while todo:
+            location = todo.pop()
+            for letter in letters:
+                table = tba.table(location, letter)
+                assert table == _product_edge_table(tba, location, letter), (
+                    to_string(f), location, sorted(letter))
+                pairs += 1
+                new = set(table) - seen
+                seen |= new
+                todo += new
+    assert pairs > 10_000
