@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -169,14 +170,13 @@ def wts_to_dict(wts: Wts) -> dict:
 def wts_from_dict(data: dict) -> Wts:
     """Inverse of ``wts_to_dict``; extra per-transition keys (older files
     carry ``arrival_steps`` and ``weight_steps``) are ignored.  Data that is
-    not a transition system over its own states, or whose states are not a
-    list or a weight is a bool, raises ``ValidationError``."""
+    not a transition system over its own states, lists a transition twice,
+    has states that are not a list or a bool weight, raises ``ValidationError``."""
     try:
         states = tuple(data["states"])
-        transitions = {
-            (item["source"], item["target"]): Fraction(item["weight"])
-            for item in data["transitions"]
-        }
+        pairs = [((item["source"], item["target"]), Fraction(item["weight"]))
+                 for item in data["transitions"]]
+        transitions = dict(pairs)
         label_items = list(data["labels"].items())
         initial = data["initial"]
         digest = data.get("scenario_hash", "")
@@ -194,6 +194,8 @@ def wts_from_dict(data: dict) -> Wts:
                  if not (isinstance(v, list) and all(isinstance(a, str) for a in v))]
     problems += [f"transition end {s!r} is not a state"
                  for pair in transitions for s in pair if s not in states]
+    problems += [f"transition {src!r} -> {dst!r} is listed {n} times"
+                 for (src, dst), n in Counter(p for p, _ in pairs).items() if n > 1]
     if initial not in states:
         problems.append(f"initial state {initial!r} is not a state")
     if problems:
@@ -222,7 +224,10 @@ def load_wts(path, expected_hash: str) -> Wts:
             data = json.load(fh)
         except ValueError as exc:
             raise ValidationError([f"{path} is not JSON: {exc}"]) from exc
-    wts = wts_from_dict(data)
+    try:
+        wts = wts_from_dict(data)
+    except ValidationError as exc:
+        raise ValidationError([f"{path}: {p}" for p in exc.problems]) from exc
     if wts.scenario_hash != expected_hash:
         raise AbstractionError(
             "cached transition system was built from a different scenario "

@@ -18,9 +18,10 @@ sampling instant (so the tube deviation restarts from zero each interval).
 
 Between sampling instants one substep loop serves every model
 (``_interval``), on lists of floats: the ancillary law, its saturation and
-the records are shared, and only the real and the nominal step depend on the
-model (``integrator_increment`` for the pure integrator, ``rk4_step``
-otherwise).
+the sample rows are shared, and only the real and the nominal step depend on
+the model (``integrator_increment`` for the pure integrator, ``rk4_step``
+otherwise).  A sample is one row ``[t, *x, *x_hat, *u, *delta]`` of one
+``Samples`` matrix, from the closed loop to the trace file.
 
 ``navigate`` is a generator that yields its shooting problem at each
 sampling instant; ``lockstep`` runs any number of them side by side and
@@ -716,27 +717,58 @@ INFEASIBLE = "InfeasibleFhocp"
 TIMED_OUT = "TimedOut"
 
 
+def _series(k):
+    """Property: the ``k``-th block of state-sized columns after ``t``."""
+
+    def get(self) -> np.ndarray:
+        n = (self.samples.shape[1] - 1) // 4
+        return self.samples[:, 1 + k * n:1 + (k + 1) * n]
+
+    return property(get)
+
+
 @dataclass
-class NavigationOutcome:
+class Samples:
+    """Closed-loop record, one row ``[t, *x, *x_hat, *u, *delta]`` per sample."""
+
+    samples: np.ndarray
+    states = _series(0)
+    nominal = _series(1)
+    inputs = _series(2)
+    deltas = _series(3)
+
+    @staticmethod
+    def columns(n: int) -> list:
+        """Column names of the samples of an ``n``-dimensional state."""
+        return ["t"] + [f"{s}{i}" for s in ("x", "xhat", "u", "delta") for i in range(n)]
+
+    @property
+    def ts(self) -> np.ndarray:
+        return self.samples[:, 0]
+
+    @property
+    def deviations(self) -> np.ndarray:
+        """``|x - x_hat|`` of each sample."""
+        d = self.states - self.nominal
+        return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+    @property
+    def max_deviation(self) -> float:
+        """Largest ``|x - x_hat|``; 0.0 for no samples."""
+        return float(np.maximum.reduce(self.deviations, initial=0.0))
+
+
+@dataclass
+class NavigationOutcome(Samples):
     """Closed-loop record of one navigation attempt."""
 
     status: str
-    ts: np.ndarray
-    states: np.ndarray
-    nominal_states: np.ndarray
-    inputs: np.ndarray
-    disturbances: np.ndarray
     arrival_steps: Optional[int]        # sampling steps until the stop test
     total_steps: int                    # sampling steps actually simulated
 
     @property
     def arrived(self) -> bool:
         return self.status == ARRIVED
-
-    @property
-    def max_deviation(self) -> float:
-        """Largest ``|x - x_hat|`` over all samples."""
-        return max_deviation(self.states, self.nominal_states)
 
 
 def reached(pos: np.ndarray, center: np.ndarray, radius: float) -> bool:
@@ -745,14 +777,8 @@ def reached(pos: np.ndarray, center: np.ndarray, radius: float) -> bool:
     return float(np.sqrt(d.dot(d))) <= radius
 
 
-def max_deviation(states: np.ndarray, nominal: np.ndarray) -> float:
-    """Largest row-wise ``|x - x_hat|``; 0.0 for no rows."""
-    d = states - nominal
-    return float(np.maximum.reduce(np.sqrt(np.add.reduce(d * d, axis=-1)), initial=0.0))
-
-
 def _interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delta_fn,
-              t0, dt, substeps, records):
+              t0, dt, substeps, rows):
     """``navigate``'s substep loop over one sampling interval, on lists of
     Python floats.
 
@@ -760,9 +786,8 @@ def _interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delt
     target) - e_hat)``, saturates it (``_float_saturation``), and moves the
     real state by ``step(x, u, delta)`` and the nominal one by
     ``nominal_step(e_hat)``; ``navigate`` picks the two steps for the model.
-    Appends one row per substep to ``records`` and returns the final state.
+    Appends one sample row per substep to ``rows`` and returns the final state.
     """
-    ts, xs, nominal, inputs, deltas = records
     for j in range(substeps):
         t = t0 + j * dt
         delta = delta_fn(t, x)
@@ -771,11 +796,7 @@ def _interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delt
         e_hat = nominal_step(e_hat)
         if not all(map(math.isfinite, x)):
             raise NonFiniteError(f"state became non-finite at t={t + dt}")
-        ts.append(t + dt)
-        xs.append(x)
-        nominal.append([a + b for a, b in zip(e_hat, target)])
-        inputs.append(u)
-        deltas.append(delta)
+        rows.append([t + dt, *x, *[a + b for a, b in zip(e_hat, target)], *u, *delta])
     return x
 
 
@@ -804,9 +825,9 @@ def navigate(
     before ``min_duration_steps`` steps have elapsed, and gives up after
     ``max_steps``.  Safety of the samples is left to the caller.
 
-    A generator: at each sampling instant it yields its shooting problem, the
-    argument tuple of ``solve_fhocp``, and takes that problem's solution
-    back; it returns the ``NavigationOutcome``.  ``lockstep`` drives it.
+    A generator driven by ``lockstep``: it yields its shooting problem
+    (``solve_fhocp``'s arguments) at each sampling instant, takes its solution
+    back, and returns the ``NavigationOutcome``: a start row, one per substep.
     """
     h = fhocp.step
     substeps = round(h / sim_dt)
@@ -821,13 +842,8 @@ def navigate(
     delta_fn = disturbance.generator(target_state, seed)
 
     x = np.asarray(x_start, dtype=float).copy()
-    # one list of floats per sample; the arrays are built once, at the end
-    ts = [0.0]
-    xs = [x.tolist()]
-    nominal = [x.tolist()]
-    inputs = [[0.0] * model.n]
-    deltas = [[0.0] * model.n]
-    records = (ts, xs, nominal, inputs, deltas)
+    # one list of floats per sample row; the matrix is built once, at the end
+    rows = [[0.0, *x.tolist(), *x.tolist(), *[0.0] * (2 * model.n)]]
     saturate = _float_saturation(input_set)
     target_list = target_state.tolist()
 
@@ -877,21 +893,12 @@ def navigate(
         # propagate the coupled (real, nominal) pair over one sampling interval
         x = np.array(_interval(
             x.tolist(), e.tolist(), u_hat, target_list, tube.sigma, saturate,
-            step, nominal_step(u_hat), delta_fn, k * h, sim_dt, substeps, records))
+            step, nominal_step(u_hat), delta_fn, k * h, sim_dt, substeps, rows))
 
         warm = np.concatenate((sol.controls[1:], np.zeros((1, model.n))))
         k += 1
 
-    return NavigationOutcome(
-        status=status,
-        ts=np.asarray(ts),
-        states=np.asarray(xs),
-        nominal_states=np.asarray(nominal),
-        inputs=np.asarray(inputs),
-        disturbances=np.asarray(deltas),
-        arrival_steps=arrival_steps,
-        total_steps=k,
-    )
+    return NavigationOutcome(np.asarray(rows), status, arrival_steps, k)
 
 
 def lockstep(legs) -> list:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import Wts
-from .controller import lockstep, max_deviation, navigate, reached, saturation_count
+from .controller import Samples, lockstep, navigate, reached, saturation_count
 from .dynamics import DISTURBANCE_POLICIES, DisturbanceSpec, derive_seed
 from .errors import ExecutionFailure, ValidationError
 from .mitl import monitor
@@ -43,22 +43,12 @@ def tube_tolerance(tube_radius: float, sim_dt: float, delta_bound: float) -> flo
 
 
 @dataclass
-class Trace:
+class Trace(Samples):
     """Concatenated closed-loop record of a full plan execution."""
 
-    ts: np.ndarray
-    states: np.ndarray
-    nominal: np.ndarray
-    inputs: np.ndarray
-    deltas: np.ndarray
     plan_digest: str                # ``synthesis.plan_digest`` of the plan run
     seed: int = 0
     disturbance: str = "zero"
-
-    @property
-    def max_deviation(self) -> float:
-        """Largest ``|x - x_hat|`` over all samples."""
-        return max_deviation(self.states, self.nominal)
 
 
 def execute_plan(
@@ -82,16 +72,11 @@ def execute_plan(
     h = float(scenario.step)
 
     x = model.embed_position(scenario.regions[plan.states[0]].center)
-    ts = [np.zeros(1)]
-    xs = [x[None, :]]
-    nom = [x[None, :]]
-    us = [np.zeros((1, model.n))]
-    ds = [np.zeros((1, model.n))]
+    # blocks of sample rows: the start, then each leg's rows after its start
+    blocks = [np.concatenate(([0.0], x, x, np.zeros(2 * model.n)))[None, :]]
 
     def recorded() -> Trace:
-        return Trace(np.concatenate(ts), np.concatenate(xs),
-                     np.concatenate(nom), np.concatenate(us),
-                     np.concatenate(ds), plan_digest(plan), seed, disturbance)
+        return Trace(np.concatenate(blocks), plan_digest(plan), seed, disturbance)
 
     t_offset = 0.0
     for i, (src, dst, weight) in enumerate(plan.legs()):
@@ -122,11 +107,9 @@ def execute_plan(
             min_duration_steps=steps,
             sim_dt=scenario.sim_dt,
         )])
-        ts.append(outcome.ts[1:] + t_offset)
-        xs.append(outcome.states[1:])
-        nom.append(outcome.nominal_states[1:])
-        us.append(outcome.inputs[1:])
-        ds.append(outcome.disturbances[1:])
+        rows = outcome.samples[1:]
+        rows[:, 0] += t_offset
+        blocks.append(rows)
         if not outcome.arrived:
             raise ExecutionFailure(
                 f"leg {i} ({src!r} -> {dst!r}) ended {outcome.status} after "
@@ -244,22 +227,15 @@ def _meta_dict(trace: Trace) -> dict:
     }
 
 
-def _columns(n: int) -> list:
-    return (["t"] + [f"x{i}" for i in range(n)] + [f"xhat{i}" for i in range(n)]
-            + [f"u{i}" for i in range(n)] + [f"delta{i}" for i in range(n)])
-
-
 def export_trace(trace: Trace, path) -> None:
-    """Tab-separated samples with a JSON metadata comment line on top."""
-    cols = _columns(trace.states.shape[1])
-    rows = np.column_stack([trace.ts, trace.states, trace.nominal,
-                            trace.inputs, trace.deltas]).tolist()
+    """Tab-separated sample rows with a JSON metadata comment line on top."""
+    cols = Samples.columns(trace.states.shape[1])
     line = "\t".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(_meta_dict(trace), sort_keys=True,
                                    separators=(",", ":")) + "\n")
         fh.write("\t".join(cols) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        fh.writelines(line % tuple(row) for row in trace.samples.tolist())
 
 
 def import_trace(path) -> Trace:
@@ -283,8 +259,7 @@ def import_trace(path) -> Trace:
         raise ValidationError([f"{path}: bad trace header: plan_digest {digest!r}, "
                                f"seed {seed!r}, disturbance {disturbance!r}"])
     width = len(cols)
-    n = (width - 1) // 4
-    if n < 1 or cols != _columns(n):
+    if width < 5 or cols != Samples.columns((width - 1) // 4):
         raise ValidationError([f"{path}: column header {cols[:9]!r} is not that "
                                "of a trace"])
     if data is None or data.shape[1] != width:
@@ -295,16 +270,7 @@ def import_trace(path) -> Trace:
         row, col = bad[0].tolist()
         raise ValidationError([f"{path}: sample row {row}: {cols[col]} is "
                                f"{float(data[row, col])}, not a finite number"])
-    return Trace(
-        ts=data[:, 0],
-        states=data[:, 1:1 + n],
-        nominal=data[:, 1 + n:1 + 2 * n],
-        inputs=data[:, 1 + 2 * n:1 + 3 * n],
-        deltas=data[:, 1 + 3 * n:1 + 4 * n],
-        plan_digest=digest,
-        seed=seed,
-        disturbance=disturbance,
-    )
+    return Trace(data, digest, seed, disturbance)
 
 
 def _parse_samples(fh):
@@ -364,19 +330,17 @@ def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
     g, s = "%.17g", "%s"
 
     pos = trace.states[:, :2]
-    nom = trace.nominal[:, :2]
     indices = stamp_indices(scenario, plan)
     # a sample belongs to the leg it lies in or closes; the first to leg 0
     leg_of = np.searchsorted(np.array(indices[1:], dtype=float),
                              np.arange(len(pos)))
     table("path.tsv", ["t", "px", "py", "nom_px", "nom_py", "leg"], [g] * 5 + ["%d"],
-          np.column_stack([trace.ts, pos, nom, leg_of]).tolist())
+          np.column_stack([trace.ts, pos, trace.nominal[:, :2], leg_of]).tolist())
     table("regions.tsv", ["name", "cx", "cy", "radius", "labels"], [s, g, g, g, s],
           [(name, ball.center[0], ball.center[1], ball.radius,
             ",".join(sorted(scenario.label_of(name))))
            for name, ball in sorted(scenario.regions.items())])
-    d = trace.states - trace.nominal
-    dev = np.sqrt(np.add.reduce(d * d, axis=-1))
+    dev = trace.deviations
     table("deviation.tsv", ["t", "deviation"], [g, g],
           np.column_stack([trace.ts, dev]).tolist())
     n = scenario.state_dim

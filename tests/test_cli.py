@@ -441,6 +441,11 @@ def _states_string(data):
     data["states"] = "".join(data["states"])
 
 
+def _repeat_a_transition(data):
+    first = data["transitions"][0]
+    data["transitions"].append(dict(first, weight="999"))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate, "error:"), (_edit_wts(_drop_labels), "error:"),
     (_edit_wts(_word_weight), "error:"), (_edit_wts(_unknown_target), "error:"),
@@ -448,19 +453,23 @@ def _states_string(data):
     (_edit_wts(_boolean_weight),
      "field 'transitions.1.weight' must be a finite number, got True"),
     (_edit_wts(_states_string), "field 'states' must be a list, got 'ABH'"),
+    (_edit_wts(_repeat_a_transition), "transition 'A' -> 'A' is listed 2 times"),
 ], ids=["truncated", "missing-key", "non-rational-weight", "unknown-target",
-        "unknown-initial", "label-string", "boolean-weight", "states-string"])
+        "unknown-initial", "label-string", "boolean-weight", "states-string",
+        "repeated-transition"])
 def test_malformed_wts_cache_is_rejected(workdir, wts_cache, tmp_path, capsys,
                                          corrupt, message):
     # unchecked, these crash synthesis (JSONDecodeError, KeyError,
     # ValueError), fail it as a runtime error (exit 4), or plan on a
-    # weight ``true`` read as 1 s (exit 0)
+    # weight ``true`` read as 1 s, or on the last of two weights (exit 0)
     bad = tmp_path / "wts.json"
     bad.write_text(corrupt(wts_cache.read_text()))
     code = cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),
                      "--wts", str(bad)])
     assert code == cli.EXIT_INVALID
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert f"error: {bad}" in err           # every problem names the file
 
 
 def _keep_columns(trace_text, names):

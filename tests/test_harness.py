@@ -91,8 +91,10 @@ def test_trace_export_import_round_trip(tiny_scenario, tiny_plan, tiny_trace,
     path = tmp_path / "trace.tsv"
     export_trace(tiny_trace, path)
     loaded = import_trace(path)
-    assert np.array_equal(loaded.states, tiny_trace.states)
-    assert np.array_equal(loaded.ts, tiny_trace.ts)
+    # every column, bit for bit: signed zeros, nominal, input, disturbance
+    assert loaded.samples.shape == tiny_trace.samples.shape
+    assert np.array_equal(loaded.samples.view(np.int64),
+                          tiny_trace.samples.view(np.int64))
     assert (loaded.plan_digest, loaded.seed, loaded.disturbance) == (
         tiny_trace.plan_digest, 7, "random")
     # the verifier derives the timed word from the scenario's labels
@@ -108,8 +110,7 @@ def test_trace_cells_are_17_significant_digits(tmp_path):
     special = [-0.0, 5e-324, 1e300, 0.1, 3.0, -2.0, 0.0, -1e-300, 12345678901234567.0]
     rng = np.random.default_rng(5)
     table = rng.permutation(np.resize(special, (9, 9)).ravel()).reshape(9, 9)
-    trace = Trace(table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5:7],
-                  table[:, 7:9], plan_digest="d" * 64)
+    trace = Trace(table, plan_digest="d" * 64)
     path = tmp_path / "trace.tsv"
     export_trace(trace, path)
     lines = path.read_text().split("\n")
@@ -132,11 +133,9 @@ def test_forged_samples_between_stamps_fail(tiny_scenario, tiny_plan,
     forged_rows = np.ones(len(tiny_trace.ts), dtype=bool)
     forged_rows[stamped] = False
     hazard = tiny_scenario.model().embed_position(tiny_scenario.regions["H"].center)
-    states = tiny_trace.states.copy()
-    nominal = tiny_trace.nominal.copy()
-    states[forged_rows] = hazard
-    nominal[forged_rows] = hazard
-    forged = replace(tiny_trace, states=states, nominal=nominal)
+    forged = replace(tiny_trace, samples=tiny_trace.samples.copy())
+    forged.states[forged_rows] = hazard
+    forged.nominal[forged_rows] = hazard
 
     report = verify_trace(tiny_scenario, tiny_plan, forged)
     assert report["containment_ok"] and report["tube_ok"]
@@ -176,16 +175,9 @@ def test_samples_after_the_last_stamp_are_incomplete(tiny_scenario, tiny_plan,
                                                      tiny_trace):
     # the run goes on past the plan's last stamp, holding the last sample
     extra = 5
-    longer = replace(
-        tiny_trace,
-        ts=np.concatenate([tiny_trace.ts,
-                           tiny_trace.ts[-1] + 0.01 * np.arange(1, extra + 1)]),
-        **{name: np.concatenate([arr, np.repeat(arr[-1:], extra, axis=0)])
-           for name, arr in (("states", tiny_trace.states),
-                             ("nominal", tiny_trace.nominal),
-                             ("inputs", tiny_trace.inputs),
-                             ("deltas", tiny_trace.deltas))},
-    )
+    longer = replace(tiny_trace, samples=np.concatenate(
+        [tiny_trace.samples, np.repeat(tiny_trace.samples[-1:], extra, axis=0)]))
+    longer.ts[-extra:] = tiny_trace.ts[-1] + 0.01 * np.arange(1, extra + 1)
     report = verify_trace(tiny_scenario, tiny_plan, longer)
     assert report["containment_ok"] and report["tube_ok"]
     assert not report["complete"]
@@ -222,11 +214,11 @@ def test_saturations_are_counted_from_the_samples(tiny_scenario, tiny_plan,
     # three inputs moved onto the box bound under a header that claims 99
     # saturations per leg: the report counts the three the samples show
     bound = tiny_scenario.input_set().upper[0]
-    inputs = tiny_trace.inputs.copy()
     assert verify_trace(tiny_scenario, tiny_plan, tiny_trace)["saturations"] == 0
-    inputs[[40, 400, 2000], 0] = [bound, -bound, bound]
+    saturated = replace(tiny_trace, samples=tiny_trace.samples.copy())
+    saturated.inputs[[40, 400, 2000], 0] = [bound, -bound, bound]
     path = tmp_path / "trace.tsv"
-    export_trace(replace(tiny_trace, inputs=inputs), path)
+    export_trace(saturated, path)
     _with_legacy_legs(path, 99)
     report = verify_trace(tiny_scenario, tiny_plan, import_trace(path))
     assert report["saturations"] == 3

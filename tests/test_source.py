@@ -68,6 +68,50 @@ def test_unused_import_scan_finds_unused_names(tmp_path):
     assert unused_imports(tmp_path) == ["mod.py:2 os", "mod.py:4 fields"]
 
 
+def orphaned_private_names(root):
+    """``file:line name`` of every private name under ``root`` that nothing
+    under ``root`` reads: module-level ``_name`` functions, classes and
+    assignments, and ``_method`` methods of module-level classes.  Dunder
+    names are left out."""
+    read, defined = set(), []
+    for path, tree in _modules(root):
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        where = path.relative_to(root)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((where, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(where, node.lineno, target.id) for target in targets
+                            if isinstance(target, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(where, item.lineno, item.name) for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [f"{where}:{line} {name}" for where, line, name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_no_orphaned_private_names_in_package():
+    assert orphaned_private_names(PACKAGE) == []
+
+
+def test_orphan_scan_finds_unread_private_names(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "_LIMIT = 3\n_used: int = 1\n__all__ = []\n"
+        "def _helper():\n    return _used\n"
+        "def _left():\n    return 0\n"
+        "class _Box:\n"
+        "    def __init__(self):\n        self._x = _helper()\n"
+        "    def _kept(self):\n        return self._x\n"
+        "    def _dead(self):\n        return 0\n")
+    (tmp_path / "other.py").write_text("from mod import _Box\nprint(_Box()._kept())\n")
+    assert orphaned_private_names(tmp_path) == [
+        "mod.py:1 _LIMIT", "mod.py:6 _left", "mod.py:13 _dead"]
+
+
 def input_set_switches(root):
     """``file function`` of every ``isinstance`` test against ``Box`` or
     ``Ball`` under ``root``, named by the innermost function that holds it
