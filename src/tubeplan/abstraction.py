@@ -20,7 +20,7 @@ from fractions import Fraction
 from .controller import lockstep, navigate
 from .dynamics import DisturbanceSpec
 from .errors import AbstractionError, NoTransition, UnknownTransition, ValidationError
-from .scenario import Scenario, not_numbers, rational_str
+from .scenario import Scenario, not_numbers, rational_str, read_json, write_json
 
 LEG_TIMEOUT = 90          # seconds
 
@@ -171,7 +171,8 @@ def wts_from_dict(data: dict) -> Wts:
     """Inverse of ``wts_to_dict``; extra per-transition keys (older files
     carry ``arrival_steps`` and ``weight_steps``) are ignored.  Data that is
     not a transition system over its own states, lists a transition twice,
-    has states that are not a list or a bool weight, raises ``ValidationError``."""
+    has states that are not a list, a bool weight or a ``scenario_hash``
+    that is not a string, raises ``ValidationError``."""
     try:
         states = tuple(data["states"])
         pairs = [((item["source"], item["target"]), Fraction(item["weight"]))
@@ -192,12 +193,14 @@ def wts_from_dict(data: dict) -> Wts:
     problems += [f"labels of {s!r} must be a list of strings, got {v!r}"
                  for s, v in label_items
                  if not (isinstance(v, list) and all(isinstance(a, str) for a in v))]
-    problems += [f"transition end {s!r} is not a state"
-                 for pair in transitions for s in pair if s not in states]
+    missing = dict.fromkeys(s for pair in transitions for s in pair if s not in states)
+    problems += [f"transition end {s!r} is not a state" for s in missing]
     problems += [f"transition {src!r} -> {dst!r} is listed {n} times"
                  for (src, dst), n in Counter(p for p, _ in pairs).items() if n > 1]
     if initial not in states:
         problems.append(f"initial state {initial!r} is not a state")
+    if not isinstance(digest, str):
+        problems.append(f"field 'scenario_hash' must be a string, got {digest!r}")
     if problems:
         raise ValidationError(problems)
     return Wts(
@@ -210,24 +213,14 @@ def wts_from_dict(data: dict) -> Wts:
 
 
 def save_wts(wts: Wts, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(wts_to_dict(wts), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, wts_to_dict(wts))
 
 
 def load_wts(path, expected_hash: str) -> Wts:
     """Read a transition system saved by ``save_wts`` for the scenario whose
     ``scenario_hash`` is ``expected_hash``; another scenario's raises
     ``AbstractionError``, a file that is not one ``ValidationError``."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ValidationError([f"{path} is not JSON: {exc}"]) from exc
-    try:
-        wts = wts_from_dict(data)
-    except ValidationError as exc:
-        raise ValidationError([f"{path}: {p}" for p in exc.problems]) from exc
+    wts = read_json(path, wts_from_dict)
     if wts.scenario_hash != expected_hash:
         raise AbstractionError(
             "cached transition system was built from a different scenario "

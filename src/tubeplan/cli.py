@@ -52,7 +52,12 @@ def _get_wts(args, scenario):
     path = getattr(args, "wts", None)
     if path and os.path.exists(path):
         wts = abstraction.load_wts(path, expected_hash=expected)
-        # the scenario hash leaves the labels and the initial region out
+        # the hash names the scenario, not the cache's own states, and it
+        # leaves the labels and the initial region out
+        if sorted(wts.states) != sorted(scenario.regions):
+            raise AbstractionError(f"cached transition system has states "
+                                   f"{sorted(wts.states)}, not the scenario's regions "
+                                   f"{sorted(scenario.regions)}")
         if wts.labels != {s: scenario.label_of(s) for s in wts.states}:
             raise AbstractionError("cached transition system has stale labels")
         if wts.initial != scenario.initial_region:

@@ -219,23 +219,23 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace) -> dict:
 # trace files
 # ---------------------------------------------------------------------------
 
-def _meta_dict(trace: Trace) -> dict:
-    return {
-        "plan_digest": trace.plan_digest,
-        "seed": trace.seed,
-        "disturbance": trace.disturbance,
-    }
+def _write_tsv(path, header_lines, cells, rows) -> None:
+    """``header_lines``, then one line per row formatted with ``cells``, a
+    %-format per column."""
+    line = "\t".join(cells) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(header + "\n" for header in header_lines)
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def export_trace(trace: Trace, path) -> None:
     """Tab-separated sample rows with a JSON metadata comment line on top."""
     cols = Samples.columns(trace.states.shape[1])
-    line = "\t".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(_meta_dict(trace), sort_keys=True,
-                                   separators=(",", ":")) + "\n")
-        fh.write("\t".join(cols) + "\n")
-        fh.writelines(line % tuple(row) for row in trace.samples.tolist())
+    meta = {"plan_digest": trace.plan_digest, "seed": trace.seed,
+            "disturbance": trace.disturbance}
+    _write_tsv(path, ["# " + json.dumps(meta, sort_keys=True, separators=(",", ":")),
+                      "\t".join(cols)],
+               ["%.17g"] * len(cols), trace.samples.tolist())
 
 
 def import_trace(path) -> Trace:
@@ -319,12 +319,8 @@ def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
     written = []
 
     def table(name, header, cells, rows):
-        """One line per row, formatted with ``cells``, a %-format per column."""
         path = os.path.join(outdir, name)
-        line = "\t".join(cells) + "\n"
-        with open(path, "w") as fh:
-            fh.write("\t".join(header) + "\n")
-            fh.writelines(line % tuple(row) for row in rows)
+        _write_tsv(path, ["\t".join(header)], cells, rows)
         written.append(path)
 
     g, s = "%.17g", "%s"

@@ -4,7 +4,9 @@ A scenario bundles everything one planning problem needs: the robot model,
 the workspace box, labelled circular regions of interest, the disturbance
 bound, controller tuning, and the task formula.  Scenarios load from JSON;
 fields where exact arithmetic matters (sampling step, horizon, settle time)
-accept rationals written as ``"p/q"`` strings.
+accept rationals written as ``"p/q"`` strings.  ``read_json`` and
+``write_json`` read and write every JSON artifact file: scenario,
+transition system and plan.
 """
 
 from __future__ import annotations
@@ -163,6 +165,9 @@ def _require(problems, cond: bool, message: str) -> bool:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and cross-validate a scenario; collect *all* problems at once."""
+    if not isinstance(data, dict):
+        raise ValidationError([f"a scenario must be a JSON object, "
+                               f"got {type(data).__name__}"])
     problems = [f"field {path!r} must be a finite number, got {value}"
                 for path, value in not_numbers(data)]
 
@@ -366,15 +371,30 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def read_json(path, from_dict):
+    """``from_dict`` of the JSON data in the file at ``path``.  A file that
+    is not UTF-8 JSON, or data ``from_dict`` rejects, raises
+    ``ValidationError``, each of whose problems names the file."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:      # not JSON, or not UTF-8 text
-            raise ValidationError([f"invalid JSON in {path}: {exc}"]) from exc
-    if not isinstance(data, dict):
-        raise ValidationError([f"scenario file {path} must hold a JSON object"])
-    return scenario_from_dict(data)
+            raise ValidationError([f"{path}: not JSON: {exc}"]) from exc
+    try:
+        return from_dict(data)
+    except ValidationError as exc:
+        raise ValidationError([f"{path}: {p}" for p in exc.problems]) from exc
+
+
+def write_json(path, data) -> None:
+    """``data`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_scenario(path) -> Scenario:
+    return read_json(path, scenario_from_dict)
 
 
 def default_scenario() -> Scenario:

@@ -43,7 +43,7 @@ from math import lcm
 from .abstraction import Wts
 from .errors import (InternalError, InvalidParam, SearchBudgetExceeded,
                      UnknownTransition, Unrealizable, ValidationError)
-from .scenario import not_numbers, rational_str
+from .scenario import not_numbers, rational_str, read_json, write_json
 from .tba import TimedAutomaton
 
 DEFAULT_BUDGET = 10**6
@@ -364,20 +364,10 @@ def plan_digest(plan: Plan) -> str:
 
 
 def save_plan(plan: Plan, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(plan_to_dict(plan), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, plan_to_dict(plan))
 
 
 def load_plan(path) -> Plan:
     """Read a plan saved by ``save_plan``; a file that is not UTF-8 JSON or
     not a plan raises ``ValidationError``, which names the file."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ValidationError([f"{path} is not JSON: {exc}"]) from exc
-    try:
-        return plan_from_dict(data)
-    except ValidationError as exc:
-        raise ValidationError([f"{path}: {p}" for p in exc.problems]) from exc
+    return read_json(path, plan_from_dict)

@@ -117,6 +117,8 @@ def test_invalid_scenario_file(capsys, tmp_path):
     bad.write_text(json.dumps({"model": "hovercraft"}))
     code = cli.main(["abstract", "--scenario", str(bad)])
     assert code == cli.EXIT_INVALID
+    # the problems name the file, as those of a cache or a plan do
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 def test_abstract_lists_transitions(workdir, wts_cache, capsys):
@@ -446,6 +448,18 @@ def _repeat_a_transition(data):
     data["transitions"].append(dict(first, weight="999"))
 
 
+def _drop_h_from_states(data):
+    data["states"] = "AB"
+
+
+def _number_hash(data):
+    data["scenario_hash"] = 5
+
+
+def _null_hash(data):
+    data["scenario_hash"] = None
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate, "error:"), (_edit_wts(_drop_labels), "error:"),
     (_edit_wts(_word_weight), "error:"), (_edit_wts(_unknown_target), "error:"),
@@ -454,22 +468,53 @@ def _repeat_a_transition(data):
      "field 'transitions.1.weight' must be a finite number, got True"),
     (_edit_wts(_states_string), "field 'states' must be a list, got 'ABH'"),
     (_edit_wts(_repeat_a_transition), "transition 'A' -> 'A' is listed 2 times"),
+    # each missing name once, however many transitions it ends
+    (_edit_wts(_drop_h_from_states), "transition end 'H' is not a state"),
+    (_edit_wts(_number_hash), "field 'scenario_hash' must be a string, got 5"),
+    (_edit_wts(_null_hash), "field 'scenario_hash' must be a string, got None"),
 ], ids=["truncated", "missing-key", "non-rational-weight", "unknown-target",
         "unknown-initial", "label-string", "boolean-weight", "states-string",
-        "repeated-transition"])
+        "repeated-transition", "states-without-h", "number-hash", "null-hash"])
 def test_malformed_wts_cache_is_rejected(workdir, wts_cache, tmp_path, capsys,
                                          corrupt, message):
     # unchecked, these crash synthesis (JSONDecodeError, KeyError,
-    # ValueError), fail it as a runtime error (exit 4), or plan on a
-    # weight ``true`` read as 1 s, or on the last of two weights (exit 0)
+    # ValueError, a TypeError on a hash that is not a string), fail it as a
+    # runtime error (exit 4), or plan on a weight ``true`` read as 1 s, or on
+    # the last of two weights (exit 0)
     bad = tmp_path / "wts.json"
     bad.write_text(corrupt(wts_cache.read_text()))
     code = cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),
                      "--wts", str(bad)])
     assert code == cli.EXIT_INVALID
     err = capsys.readouterr().err
-    assert message in err
+    assert err.count(message) == 1
     assert f"error: {bad}" in err           # every problem names the file
+
+
+def _detour_through_z(data):
+    """A state ``Z`` that is no region, which the plan must pass: A's own
+    transitions are replaced by A -> Z, and Z leads everywhere."""
+    data["states"].append("Z")
+    data["labels"]["Z"] = []
+    data["transitions"] = [t for t in data["transitions"] if t["source"] != "A"]
+    data["transitions"] += [{"source": src, "target": dst, "weight": "1/10"}
+                            for src, dst in (("A", "Z"), ("Z", "B"), ("B", "Z"),
+                                             ("Z", "A"), ("Z", "Z"))]
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run"])
+def test_cache_state_that_is_no_region_is_rejected(workdir, wts_cache, tmp_path,
+                                                   capsys, command):
+    # the scenario hash does not cover the cache's states: unchecked,
+    # ``synthesize`` plans through Z (exit 0) and ``run`` crashes executing
+    # the leg to it (KeyError)
+    bad = tmp_path / "wts.json"
+    bad.write_text(_edit_wts(_detour_through_z)(wts_cache.read_text()))
+    code = cli.main([command, "--scenario", str(workdir / "tiny.json"),
+                     "--wts", str(bad)])
+    assert code == cli.EXIT_RUNTIME
+    assert "has states ['A', 'B', 'H', 'Z'], not the scenario's regions" \
+        in capsys.readouterr().err
 
 
 def _keep_columns(trace_text, names):

@@ -112,9 +112,9 @@ def test_orphan_scan_finds_unread_private_names(tmp_path):
         "mod.py:1 _LIMIT", "mod.py:6 _left", "mod.py:13 _dead"]
 
 
-def input_set_switches(root):
-    """``file function`` of every ``isinstance`` test against ``Box`` or
-    ``Ball`` under ``root``, named by the innermost function that holds it
+def _call_sites(root, matches):
+    """``file function`` of every call under ``root`` for which
+    ``matches(call)`` holds, named by the innermost function that holds it
     (``<module>`` outside any), sorted."""
     found = []
     for path, tree in _modules(root):
@@ -123,13 +123,20 @@ def input_set_switches(root):
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 where.update((id(inner), node.name) for inner in ast.walk(node))
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "isinstance" and len(node.args) == 2
-                    and {getattr(n, "id", getattr(n, "attr", None))
-                         for n in ast.walk(node.args[1])} & {"Box", "Ball"}):
-                found.append(f"{path.relative_to(root)} {where.get(id(node), '<module>')}")
+        found += [f"{path.relative_to(root)} {where.get(id(node), '<module>')}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and matches(node)]
     return sorted(found)
+
+
+def input_set_switches(root):
+    """``file function`` of every ``isinstance`` test against ``Box`` or
+    ``Ball`` under ``root``."""
+    return _call_sites(root, lambda node: (
+        isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and bool({getattr(n, "id", getattr(n, "attr", None))
+                  for n in ast.walk(node.args[1])} & {"Box", "Ball"})))
 
 
 def test_input_set_type_picks_only_algorithms():
@@ -148,3 +155,26 @@ def test_input_set_switch_scan_finds_type_tests(tmp_path):
         "    return isinstance(u, geometry.Ball) or isinstance(u, dict)\n"
         "ok = isinstance(1, Box) and isinstance(Box, type)\n")
     assert input_set_switches(tmp_path) == ["mod.py <module>", "mod.py f", "mod.py g"]
+
+
+def json_file_reads(root):
+    """``file function`` of every ``json.load`` call under ``root``."""
+    return _call_sites(root, lambda node: (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "load"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"))
+
+
+def test_json_files_have_one_reader():
+    # every artifact file is read by ``scenario.read_json``, which names the
+    # file in each problem; ``json.loads`` of text already read is no file read
+    assert json_file_reads(PACKAGE) == ["scenario.py read_json"]
+
+
+def test_json_read_scan_finds_file_reads(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import json\n"
+        "def f(fh):\n"
+        "    def g(fh):\n        return json.load(fh)\n"
+        "    return json.loads(fh.read()), pickle.load(fh)\n"
+        "data = json.load(open('a.json'))\n")
+    assert json_file_reads(tmp_path) == ["mod.py <module>", "mod.py g"]
