@@ -171,8 +171,8 @@ def wts_from_dict(data: dict) -> Wts:
     """Inverse of ``wts_to_dict``; extra per-transition keys (older files
     carry ``arrival_steps`` and ``weight_steps``) are ignored.  Data that is
     not a transition system over its own states, lists a transition twice,
-    has states that are not a list, a bool weight or a ``scenario_hash``
-    that is not a string, raises ``ValidationError``."""
+    has states that are not a list, a bool weight, a weight of 0 or below or
+    a ``scenario_hash`` that is not a string, raises ``ValidationError``."""
     try:
         states = tuple(data["states"])
         pairs = [((item["source"], item["target"]), Fraction(item["weight"]))
@@ -187,6 +187,8 @@ def wts_from_dict(data: dict) -> Wts:
     problems = [f"field {path!r} must be a finite number, got {value}"
                 for i, item in enumerate(data["transitions"])
                 for path, value in not_numbers(item["weight"], f"transitions.{i}.weight")]
+    problems += [f"transition {src!r} -> {dst!r} has nonpositive weight {rational_str(w)}"
+                 for (src, dst), w in pairs if w <= 0]
     if not isinstance(data["states"], list):
         problems.append(f"field 'states' must be a list, got {data['states']!r}")
     problems += [f"state {s!r} is not a string" for s in states if not isinstance(s, str)]

@@ -12,9 +12,13 @@ Barzilai-Borwein steps along central finite differences.  The input set
 erosion; its type only picks a box's float clip and Newton step.
 
 All navigation happens in the error frame of the current target: the target
-center is mapped to the origin, constraints are shifted and tightened by the
-tube radius, and the nominal state is reset to the measured state at every
-sampling instant (so the tube deviation restarts from zero each interval).
+center is mapped to the origin, and constraints are shifted and tightened by
+the tube radius.  The nominal state runs on its own (Mayne, Seron & Rakovic,
+Automatica 2005): each shooting problem starts from the nominal error state,
+which carries over from one interval to the next and never reads the
+measured state, so the deviation ``q = x - x_hat`` obeys ``q' = -sigma q +
+delta`` and stays within the tube radius.  A pure integrator's nominal lands
+on the target's center at the end of a run (``navigate``).
 
 Between sampling instants one substep loop serves every model
 (``_interval``), on lists of floats: the ancillary law, its saturation and
@@ -786,7 +790,8 @@ def _interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delt
     target) - e_hat)``, saturates it (``_float_saturation``), and moves the
     real state by ``step(x, u, delta)`` and the nominal one by
     ``nominal_step(e_hat)``; ``navigate`` picks the two steps for the model.
-    Appends one sample row per substep to ``rows`` and returns the final state.
+    Appends one sample row per substep to ``rows`` and returns the final
+    real state and nominal error state.
     """
     for j in range(substeps):
         t = t0 + j * dt
@@ -797,7 +802,7 @@ def _interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delt
         if not all(map(math.isfinite, x)):
             raise NonFiniteError(f"state became non-finite at t={t + dt}")
         rows.append([t + dt, *x, *[a + b for a, b in zip(e_hat, target)], *u, *delta])
-    return x
+    return x, e_hat
 
 
 def navigate(
@@ -814,16 +819,25 @@ def navigate(
     settle_steps: int = 0,
     min_duration_steps: int = 0,
     sim_dt: float = 0.01,
+    nominal_start=None,
 ) -> Generator[tuple, FhocpSolution, NavigationOutcome]:
     """Receding-horizon navigation of the disturbed system towards a region.
 
-    At each sampling instant the nominal error state is reset to the measured
-    one, the shooting problem is re-solved (warm-started with the shifted
-    previous solution), and the ancillary law is applied over the interval.
-    The run stops ``settle_steps`` sampling steps after the stop test
-    ``|pos(x) - target.center| <= arrival_radius`` first passes, but never
-    before ``min_duration_steps`` steps have elapsed, and gives up after
-    ``max_steps``.  Safety of the samples is left to the caller.
+    The nominal state starts at ``nominal_start`` (``x_start`` when not
+    given) and runs on its own: at each sampling instant the shooting
+    problem is solved from the nominal error state (warm-started with the
+    shifted previous solution), its first input moves the nominal over the
+    interval, and the ancillary law keeps the real state in the tube around
+    it.  The stop test ``|pos(x_hat) - target.center| <= arrival_radius``
+    reads the nominal, so nothing the nominal does depends on the real
+    state or the disturbance.  The run ends ``settle_steps`` sampling steps
+    after the stop test first passes, but never before
+    ``min_duration_steps`` steps have elapsed, and gives up after
+    ``max_steps``.  In that settle window a pure integrator's nominal is
+    steered in a straight line onto the target's center by one held input,
+    with no shooting problem, and its last sample is the target state
+    exactly; other models, or a landing input outside the tightened input
+    set, keep solving.  Safety of the samples is left to the caller.
 
     A generator driven by ``lockstep``: it yields its shooting problem
     (``solve_fhocp``'s arguments) at each sampling instant, takes its solution
@@ -841,9 +855,11 @@ def navigate(
     arrival_radius = fhocp.arrival_radius
     delta_fn = disturbance.generator(target_state, seed)
 
-    x = np.asarray(x_start, dtype=float).copy()
+    x = np.asarray(x_start, dtype=float).tolist()
+    x_hat = x if nominal_start is None else np.asarray(nominal_start, dtype=float).tolist()
+    e = np.array(x_hat) - target_state
     # one list of floats per sample row; the matrix is built once, at the end
-    rows = [[0.0, *x.tolist(), *x.tolist(), *[0.0] * (2 * model.n)]]
+    rows = [[0.0, *x, *x_hat, *[0.0] * (2 * model.n)]]
     saturate = _float_saturation(input_set)
     target_list = target_state.tolist()
 
@@ -866,37 +882,43 @@ def navigate(
             return lambda e_hat: rk4_step(err_model, np.array(e_hat), u_hat, sim_dt).tolist()
 
     warm = None
-    arrival_steps = None
+    arrival_steps = end = landing = None
     status = TIMED_OUT
 
     k = 0
     while k <= max_steps:
-        if arrival_steps is None and reached(x[:2], target.center, arrival_radius):
+        if arrival_steps is None and reached(e[:2], 0.0, arrival_radius):
             arrival_steps = k
-        if (
-            arrival_steps is not None
-            and k >= arrival_steps + settle_steps
-            and k >= min_duration_steps
-        ):
+            end = max(k + settle_steps, min_duration_steps)
+            if model.pure_integrator and end > k:
+                # one held input from here onto the center by the run's end
+                held = e / -((end - k) * h)
+                landing = None if u_tight.outside(held, 0.0) else held.tolist()
+        if arrival_steps is not None and k >= end:
             status = ARRIVED
             break
         if k == max_steps:
             break
 
-        e = x - target_state
-        sol = yield (e, err_model, fhocp, e_set, u_tight, warm)
-        if not sol.feasible:
-            status = INFEASIBLE
-            break
-        u_hat = sol.controls[0].tolist()
+        if landing is None:
+            sol = yield (e, err_model, fhocp, e_set, u_tight, warm)
+            if not sol.feasible:
+                status = INFEASIBLE
+                break
+            u_hat = sol.controls[0].tolist()
+            warm = np.concatenate((sol.controls[1:], np.zeros((1, model.n))))
+        else:
+            u_hat = landing
 
         # propagate the coupled (real, nominal) pair over one sampling interval
-        x = np.array(_interval(
-            x.tolist(), e.tolist(), u_hat, target_list, tube.sigma, saturate,
-            step, nominal_step(u_hat), delta_fn, k * h, sim_dt, substeps, rows))
-
-        warm = np.concatenate((sol.controls[1:], np.zeros((1, model.n))))
+        x, e_hat = _interval(x, e.tolist(), u_hat, target_list, tube.sigma, saturate, step,
+                             nominal_step(u_hat), delta_fn, k * h, sim_dt, substeps, rows)
         k += 1
+        if landing is not None and k == end:
+            # landed: the held input's round-off is dropped
+            e_hat = [0.0] * model.n
+            rows[-1][1 + model.n:1 + 2 * model.n] = target_list
+        e = np.array(e_hat)
 
     return NavigationOutcome(np.asarray(rows), status, arrival_steps, k)
 

@@ -26,15 +26,17 @@ import numpy as np
 from .abstraction import Wts
 from .controller import Samples, lockstep, navigate, reached, saturation_count
 from .dynamics import DISTURBANCE_POLICIES, DisturbanceSpec, derive_seed
-from .errors import ExecutionFailure, ValidationError
+from .errors import ExecutionFailure, InternalError, ValidationError
 from .mitl import monitor
 from .scenario import Scenario, rational_str
 from .synthesis import Plan, plan_digest, plan_word
 
-# Loop-closure slack on the tube radius: the controller resets the nominal
-# state every sampling step, so the deviation it must absorb per interval is
-# one step's worth of disturbance, not the full radius; the second term
-# covers integration error at the simulation resolution.
+# Loop-closure slack on the tube radius: the nominal runs on its own for the
+# whole plan, so the deviation ``q = x - x_hat``, which obeys ``q' = -sigma q
+# + delta`` from ``q = 0`` at the plan's start, stays within the tube radius
+# and reaches it under a sustained worst push; the first term's slack and the
+# second term cover integration error at the simulation resolution and the
+# round-off of a nominal landing on a region's center.
 TUBE_REL_SLACK = 1.001
 
 
@@ -64,6 +66,11 @@ def execute_plan(
     streams are derived from ``seed`` and the leg's position in the plan, so
     the whole run is reproducible and independent of how other legs unfolded.
     A failure's partial trace ends with the samples of the leg that failed.
+
+    Each leg's nominal starts where the previous leg's nominal ended, so it
+    depends only on the leg, its step count and that start: a leg that
+    repeats one already run in this call replays the recorded solutions of
+    its shooting problems instead of solving them again (``_replayed``).
     """
     model = scenario.model()
     tube = scenario.tube_params()
@@ -71,7 +78,9 @@ def execute_plan(
     input_set = scenario.input_set()
     h = float(scenario.step)
 
-    x = model.embed_position(scenario.regions[plan.states[0]].center)
+    x = nominal = model.embed_position(scenario.regions[plan.states[0]].center)
+    # the shooting problems' starts and solutions of each leg run so far
+    records = {}
     # blocks of sample rows: the start, then each leg's rows after its start
     blocks = [np.concatenate(([0.0], x, x, np.zeros(2 * model.n)))[None, :]]
 
@@ -92,7 +101,8 @@ def execute_plan(
             )
         steps = int(steps)
         spec = DisturbanceSpec(scenario.disturbance_bound, disturbance)
-        (outcome,) = lockstep([navigate(
+        record = records.setdefault((src, dst, steps, nominal.tobytes()), [])
+        (outcome,) = lockstep([_replayed(navigate(
             model,
             x,
             scenario.regions[dst],
@@ -106,7 +116,8 @@ def execute_plan(
             settle_steps=0,
             min_duration_steps=steps,
             sim_dt=scenario.sim_dt,
-        )])
+            nominal_start=nominal,
+        ), record)])
         rows = outcome.samples[1:]
         rows[:, 0] += t_offset
         blocks.append(rows)
@@ -116,10 +127,32 @@ def execute_plan(
                 f"{outcome.total_steps} of {steps} scheduled steps",
                 recorded(),
             )
-        x = outcome.states[-1].copy()
+        x, nominal = outcome.states[-1].copy(), outcome.nominal[-1].copy()
         t_offset += steps * h
 
     return recorded()
+
+
+def _replayed(leg, record: list):
+    """The ``navigate`` generator ``leg``, with its ``k``-th shooting problem
+    answered from ``record[k]``, a ``(start, FhocpSolution)`` pair, when the
+    record holds it; otherwise the problem is yielded to ``lockstep`` and
+    its solution recorded.  A recorded start that is not the problem's
+    raises ``InternalError``."""
+    sol = None
+    for k in itertools.count():
+        try:
+            problem = leg.send(sol)
+        except StopIteration as stop:
+            return stop.value
+        if k < len(record):
+            start, sol = record[k]
+            if not np.array_equal(start, problem[0]):
+                raise InternalError(f"shooting problem {k} of a repeated leg starts at "
+                                    f"{problem[0]}, not at the recorded {start}")
+        else:
+            sol = yield problem
+            record.append((problem[0], sol))
 
 
 def stamp_indices(scenario: Scenario, plan: Plan) -> list:

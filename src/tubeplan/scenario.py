@@ -333,7 +333,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         names = sorted(regions)
         for i, a in enumerate(names):
             for b in names[i + 1:]:
-                dist = float(np.linalg.norm(regions[a].center - regions[b].center))
+                # on floats: a huge coordinate overflows no square, and a
+                # difference past the float range is inf, without a warning
+                dist = math.hypot(*(p - q for p, q in zip(regions[a].center.tolist(),
+                                                          regions[b].center.tolist())))
                 _require(
                     problems,
                     dist > regions[a].radius + regions[b].radius + 2 * robot_radius,

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tubeplan.abstraction import (
+    Wts,
     build_wts,
     load_wts,
     save_wts,
@@ -10,7 +11,12 @@ from tubeplan.abstraction import (
     wts_from_dict,
     wts_to_dict,
 )
-from tubeplan.errors import AbstractionError, NoTransition, UnknownTransition
+from tubeplan.errors import (
+    AbstractionError,
+    NoTransition,
+    UnknownTransition,
+    ValidationError,
+)
 from tubeplan.scenario import scenario_from_dict
 
 from conftest import tiny_dict
@@ -95,10 +101,14 @@ def test_hash_tracks_relevant_fields():
 
 
 def test_nonpositive_weight_rejected():
-    with pytest.raises(AbstractionError):
+    # a file's weight is one of the file's problems; a system built in code
+    # checks its own
+    with pytest.raises(ValidationError, match="'A' -> 'A' has nonpositive weight 0"):
         wts_from_dict({
             "states": ["A"],
             "initial": "A",
             "labels": {"A": []},
             "transitions": [{"source": "A", "target": "A", "weight": "0"}],
         })
+    with pytest.raises(AbstractionError):
+        Wts(("A",), "A", {}, {("A", "A"): F(0)})

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubeplan import cli
-from tubeplan.abstraction import load_wts, scenario_hash
+from tubeplan import cli, controller
+from tubeplan.abstraction import LEG_TIMEOUT, load_wts, scenario_hash
 from tubeplan.controller import (
     FhocpParams,
     lockstep,
@@ -25,7 +25,14 @@ from tubeplan.controller import (
 from tubeplan.dynamics import DisturbanceSpec, derive_seed, single_integrator
 from tubeplan.errors import Unrealizable
 from tubeplan.geometry import Ball, Box, ConstraintSet
-from tubeplan.harness import execute_plan, export_trace, import_trace
+from tubeplan.harness import (
+    execute_plan,
+    export_trace,
+    import_trace,
+    leg_rows,
+    stamp_indices,
+    verify_trace,
+)
 from tubeplan.mitl import (
     Always,
     And,
@@ -39,6 +46,7 @@ from tubeplan.mitl import (
     parse,
     to_string,
 )
+from tubeplan.scenario import default_scenario
 from tubeplan.synthesis import find_accepting_run, plan_digest, plan_word, synthesize
 from tubeplan.tba import accepts_word, build_tba
 
@@ -183,14 +191,12 @@ FROZEN_WTS = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "ne
 # on x86-64 with numpy 2.4: a change that keeps behaviour keeps these bytes
 MISSION_DIGESTS = {
     "plan.json": "678b7bbf2570a93d628fbc79b124e7f493d29431c79c6f6d89ea6e7a1524dec8",
-    "trace.tsv": "95ee4cba10fc266103d89a42d411b84ffa87d8fa8338427997305e257afbf2df",
-    "report.json": "2c75337c82694e58eb188ea723354771db64be3c3a4a6a6d36b790aee3fded74",
+    "trace.tsv": "8d9fdb6ab76fe05114b07d64943e2645cb82e2837285a54b7baa2b703c2c5a10",
+    "report.json": "103459968797c577ad3f713e479b0ba5d48abbfc4af7b733dfb325f2ccbfa616",
 }
 
 
 def test_criterion_4_default_mission(tmp_path):
-    from tubeplan.scenario import default_scenario
-
     out = tmp_path / "mission"
     t0 = time.perf_counter()
     code = cli.main(["run", "--out", str(out)])
@@ -220,6 +226,90 @@ def test_criterion_4_default_mission(tmp_path):
     print(f"criterion 4 (bundled mission): PASS  in {elapsed:.0f}s, "
           f"mission2 at {[float(t) for t in visits('mission2', 30, 50)]}, "
           f"mission1 at {[float(t) for t in visits('mission1', 80, 110)]}")
+
+
+# ---------------------------------------------------------------------------
+# criteria 1 and 4 together: the bundled plan under every disturbance policy
+# ---------------------------------------------------------------------------
+
+BUNDLED_RUNS = [("zero", 0), ("random", 0), ("uniform", 0)] + [("worst", s) for s in range(4)]
+
+
+def _counting_solves(patch):
+    """Count the problems passed to ``controller.solve_fhocps``, which every
+    solve goes through: a list whose last entry is the running count."""
+    counts = [0]
+    solve_all = controller.solve_fhocps
+
+    def counting(problems):
+        counts[-1] += len(problems)
+        return solve_all(problems)
+
+    patch.setattr(controller, "solve_fhocps", counting)
+    return counts
+
+
+@pytest.fixture(scope="module")
+def bundled_runs():
+    """The bundled plan on the frozen transition system, executed under each
+    policy (``worst`` for seeds 0-3), and the problems each execution
+    solved."""
+    scenario = default_scenario()
+    wts = load_wts(FROZEN_WTS, scenario_hash(scenario))
+    plan = synthesize(wts, scenario.formula())
+    traces, solves = {}, {}
+    with pytest.MonkeyPatch.context() as patch:
+        counts = _counting_solves(patch)
+        for run in BUNDLED_RUNS:
+            counts.append(0)
+            traces[run] = execute_plan(scenario, wts, plan, *run)
+            solves[run] = counts[-1]
+    return scenario, plan, traces, solves
+
+
+def test_bundled_plan_passes_under_worst(bundled_runs):
+    # the nominal runs on its own for the whole plan, so the ancillary law
+    # holds the real state within the tube radius of it under the worst push
+    scenario, plan, traces, _ = bundled_runs
+    for seed in range(4):
+        report = verify_trace(scenario, plan, traces["worst", seed])
+        assert report["pass"], seed
+        assert report["max_deviation"] <= scenario.tube_params().tube_radius
+
+
+def test_bundled_nominal_is_the_same_under_every_policy(bundled_runs):
+    _, _, traces, _ = bundled_runs
+    zero = traces["zero", 0].nominal
+    for run, trace in traces.items():
+        assert np.array_equal(trace.nominal, zero), run
+
+
+def test_bundled_legs_replay_the_abstraction_nominal(bundled_runs):
+    # each leg's nominal is the one the abstraction ran for its transition,
+    # from the source's center, and an execution solves only the first leg
+    # of each transition
+    scenario, plan, traces, solves = bundled_runs
+    model = scenario.model()
+    nominal = {}
+    with pytest.MonkeyPatch.context() as patch:
+        counts = _counting_solves(patch)
+        for src, dst, _ in plan.legs():
+            if (src, dst) in nominal:
+                continue
+            (out,) = lockstep([navigate(
+                model, model.embed_position(scenario.regions[src].center),
+                scenario.regions[dst], scenario.state_constraints_for(src, dst),
+                scenario.input_set(), scenario.tube_params(), scenario.fhocp_params(),
+                DisturbanceSpec(0.0, "zero"), round(LEG_TIMEOUT / scenario.step),
+                settle_steps=scenario.settle_steps, sim_dt=scenario.sim_dt)])
+            nominal[src, dst] = out.nominal
+    first = counts[-1]
+    assert len(nominal) < len(plan.legs())          # some leg repeats
+    rows = leg_rows(stamp_indices(scenario, plan))
+    for run, trace in traces.items():
+        for (src, dst, _), leg in zip(plan.legs(), rows):
+            assert np.array_equal(trace.nominal[leg], nominal[src, dst]), (run, src, dst)
+        assert solves[run] == first > 0, run
 
 
 # ---------------------------------------------------------------------------

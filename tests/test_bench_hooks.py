@@ -85,3 +85,30 @@ def test_layer_metrics_read_a_traced_run(tiny_scenario, tiny_wts):
     for name in ("navigate_calls", "solves", "solver_iters", "iters_per_solve"):
         assert layers["simulate.controller." + name] > 0, name
     assert layers["abstraction.transitions"] == len(tiny_wts.transitions)
+
+
+def test_traced_execution_counts_every_solve(monkeypatch, tiny_scenario, tiny_wts):
+    # the tracer counts solves at ``solve_fhocp``, which a lone problem goes
+    # through; every solve goes through ``solve_fhocps``, so the two counts
+    # agree only while execution passes its problems one at a time
+    tracing = _load_tracing()
+    tp = SimpleNamespace(**{m: importlib.import_module("tubeplan." + m)
+                            for m in MODULES})
+    plan = tp.synthesis.synthesize(tiny_wts, tiny_scenario.formula())
+    problems = []
+    solve_all = tp.controller.solve_fhocps
+
+    def counting(batch):
+        problems.extend(batch)
+        return solve_all(batch)
+
+    monkeypatch.setattr(tp.controller, "solve_fhocps", counting)
+    tracer = tracing.Tracer()
+    tracing.install(tracer, tp)
+    try:
+        with tracer.stage_span("simulate"):
+            tp.harness.execute_plan(tiny_scenario, tiny_wts, plan, seed=1)
+    finally:
+        tracer.uninstall()
+    layers = tracing.layer_metrics(tracer, _NoKernel())
+    assert layers["simulate.controller.solves"] == len(problems) > 0

@@ -121,6 +121,16 @@ def test_invalid_scenario_file(capsys, tmp_path):
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+def test_huge_coordinate_prints_one_error_line(capsys, tmp_path):
+    data = tiny_dict()
+    data["regions"]["A"]["center"] = [1e300, 0]
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["parse", "--scenario", str(bad)]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: {bad}: region 'A' center leaves the eroded workspace\n")
+
+
 def test_abstract_lists_transitions(workdir, wts_cache, capsys):
     # the fixture already ran abstract; check its artifact and rerun output
     data = json.loads(wts_cache.read_text())
@@ -452,6 +462,14 @@ def _drop_h_from_states(data):
     data["states"] = "AB"
 
 
+def _zero_weight(data):
+    data["transitions"][0]["weight"] = "0"
+
+
+def _negative_weight(data):
+    data["transitions"][1]["weight"] = "-1"
+
+
 def _number_hash(data):
     data["scenario_hash"] = 5
 
@@ -472,15 +490,18 @@ def _null_hash(data):
     (_edit_wts(_drop_h_from_states), "transition end 'H' is not a state"),
     (_edit_wts(_number_hash), "field 'scenario_hash' must be a string, got 5"),
     (_edit_wts(_null_hash), "field 'scenario_hash' must be a string, got None"),
+    (_edit_wts(_zero_weight), "transition 'A' -> 'A' has nonpositive weight 0"),
+    (_edit_wts(_negative_weight), "transition 'A' -> 'B' has nonpositive weight -1"),
 ], ids=["truncated", "missing-key", "non-rational-weight", "unknown-target",
         "unknown-initial", "label-string", "boolean-weight", "states-string",
-        "repeated-transition", "states-without-h", "number-hash", "null-hash"])
+        "repeated-transition", "states-without-h", "number-hash", "null-hash",
+        "zero-weight", "negative-weight"])
 def test_malformed_wts_cache_is_rejected(workdir, wts_cache, tmp_path, capsys,
                                          corrupt, message):
     # unchecked, these crash synthesis (JSONDecodeError, KeyError,
     # ValueError, a TypeError on a hash that is not a string), fail it as a
-    # runtime error (exit 4), or plan on a weight ``true`` read as 1 s, or on
-    # the last of two weights (exit 0)
+    # runtime error (exit 4, as a weight of 0 or below did), or plan on a
+    # weight ``true`` read as 1 s, or on the last of two weights (exit 0)
     bad = tmp_path / "wts.json"
     bad.write_text(corrupt(wts_cache.read_text()))
     code = cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),

@@ -310,12 +310,12 @@ def test_plot_data_files(tiny_scenario, tiny_plan, tiny_trace, tmp_path):
 
 # sha256 of the plot-data files of the tiny trace, as a writer that
 # formatted each cell on its own wrote them, on the trace of the projected
-# Newton solver
+# Newton solver with the nominal carried over the whole plan
 PLOT_DATA_SHA256 = {
-    "deviation.tsv": "6d195fe4c054f3fac388b8e2d4530d4749a45d2dd3a782a6dd9ef3c59307ea8a",
-    "inputs.tsv": "b959e9983e67685e62dd864ca8f0a851486953dcf3462905bcc1b3e618712cd5",
-    "legs.tsv": "4a593fc51fba1eb518dfa5e689351fd71945649c9f94ed3a4cf5cc5ce499d9c5",
-    "path.tsv": "7047e50dba58c371fafd06d98f4b4806c77ee69eba483907b135a300de0ce1da",
+    "deviation.tsv": "ce009cc0169fb6a4b362990196aafb27ecbdc43df1a84d074b83d7fefc12f639",
+    "inputs.tsv": "16d4d0bc595a3017cd9706ef6e0f48d54e5fd0d856295d7af385d926e0610f64",
+    "legs.tsv": "36c926f981ee8f86de774a56225b42f7ace9769a2ddd91862b0313b2943f8a52",
+    "path.tsv": "ea79e05ad917014b6a130c2d4e8a13467308c8061d1a0c36f8fcabad363b523d",
     "regions.tsv": "565ef6a7764090a93446d4caad1e49e4d1ca040d1103bea8199b8d17dde680e2",
     "stamps.tsv": "9ae14fa5d8eef143f6edcb10e4dcc08b3c32b1de9fda82558e32adc0918185d0",
 }

@@ -100,6 +100,16 @@ def test_validation_region_too_small():
     assert any("radius" in p for p in err.value.problems)
 
 
+def test_validation_huge_coordinate_is_a_problem_not_a_warning():
+    # the region distances square no coordinate: numpy's norm warned of an
+    # overflow, which this suite's ``filterwarnings = error`` raises
+    data = tiny_dict()
+    data["regions"]["A"]["center"] = [1e300, 0]
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(data)
+    assert err.value.problems == ["region 'A' center leaves the eroded workspace"]
+
+
 def test_validation_unknown_model_and_missing_fields():
     with pytest.raises(ValidationError) as err:
         scenario_from_dict({"model": "hovercraft"})
