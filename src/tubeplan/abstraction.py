@@ -1,9 +1,9 @@
 """Weighted transition system abstraction of the navigation layer.
 
 States are the labelled regions of interest.  A transition ``(i, j)`` exists
-when the tube controller, run on the disturbance-free system from the center
-of region ``i``, reaches region ``j`` (stop test plus a settle hold) without
-leaving the leg's free space.  Its weight is the exact duration of that run
+when the tube controller's nominal, run from the center of region ``i``,
+reaches region ``j`` (stop test plus a settle hold) without leaving the
+leg's free space.  Its weight is the exact duration of that run
 in sampling steps times the step length — settle hold included — so the
 discrete timed runs over this system predict the stamps the executor will
 reproduce, and a weight divided by the step is the executor's step count.
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .controller import lockstep, navigate
-from .dynamics import DisturbanceSpec
 from .errors import AbstractionError, NoTransition, UnknownTransition, ValidationError
 from .scenario import Scenario, not_numbers, rational_str, read_json, write_json
 
@@ -93,8 +92,8 @@ def scenario_hash(scenario: Scenario) -> str:
 
 
 def build_wts(scenario: Scenario) -> Wts:
-    """Run every center-to-region leg on the nominal system and keep the
-    ones that arrive with no sample outside the leg's free space.  The legs
+    """Run the nominal of every center-to-region leg and keep the ones that
+    arrive with no nominal position outside the leg's free space.  The legs
     run side by side (``lockstep``), one batch of shooting problems per
     sampling step.
 
@@ -107,12 +106,11 @@ def build_wts(scenario: Scenario) -> Wts:
     input_set = scenario.input_set()
     settle = scenario.settle_steps
     max_steps = round(LEG_TIMEOUT / scenario.step)
-    no_disturbance = DisturbanceSpec(0.0, "zero")
 
     names = tuple(sorted(scenario.regions))
     pairs = [(src, dst, scenario.state_constraints_for(src, dst))
              for src in names for dst in names]
-    outcomes = lockstep(
+    nominals = lockstep(
         navigate(
             model,
             model.embed_position(scenario.regions[src].center),
@@ -121,26 +119,24 @@ def build_wts(scenario: Scenario) -> Wts:
             input_set,
             tube,
             fhocp,
-            no_disturbance,
             max_steps,
-            seed=0,
             settle_steps=settle,
             sim_dt=scenario.sim_dt,
         )
         for src, dst, free in pairs
     )
     transitions = {}
-    for (src, dst, free), outcome in zip(pairs, outcomes):
-        if not outcome.arrived:
+    for (src, dst, free), nominal in zip(pairs, nominals):
+        if not nominal.arrived:
             if src == dst:
                 raise AbstractionError(
-                    f"self-loop at {src!r} failed ({outcome.status}); "
+                    f"self-loop at {src!r} failed ({nominal.status}); "
                     "the settle hold cannot be realised"
                 )
             continue
-        if any(free.count_violations(outcome.states[:, :2])):
+        if any(free.count_violations(nominal.states[:, :2])):
             continue
-        transitions[(src, dst)] = (outcome.arrival_steps + settle) * scenario.step
+        transitions[(src, dst)] = (nominal.arrival_steps + settle) * scenario.step
 
     labels = {name: scenario.label_of(name) for name in names}
     return Wts(

@@ -13,19 +13,19 @@ erosion; its type only picks a box's float clip and Newton step.
 
 All navigation happens in the error frame of the current target: the target
 center is mapped to the origin, and constraints are shifted and tightened by
-the tube radius.  The nominal state runs on its own (Mayne, Seron & Rakovic,
-Automatica 2005): each shooting problem starts from the nominal error state,
-which carries over from one interval to the next and never reads the
-measured state, so the deviation ``q = x - x_hat`` obeys ``q' = -sigma q +
-delta`` and stays within the tube radius.  A pure integrator's nominal lands
-on the target's center at the end of a run (``navigate``).
+the tube radius.  The nominal runs first and on its own (Mayne, Seron &
+Rakovic, Automatica 2005): ``navigate`` computes it, each shooting problem
+starting from the nominal error state, which carries over from one interval
+to the next and never reads the measured state.  ``track`` then runs the
+disturbed state around it under the ancillary law, so the deviation ``q = x
+- x_hat`` obeys ``q' = -sigma q + delta`` and stays within the tube radius.
+A pure integrator's nominal lands on the target's center at the end of a
+run.
 
-Between sampling instants one substep loop serves every model
-(``_interval``), on lists of floats: the ancillary law, its saturation and
-the sample rows are shared, and only the real and the nominal step depend on
-the model (``integrator_increment`` for the pure integrator, ``rk4_step``
-otherwise).  A sample is one row ``[t, *x, *x_hat, *u, *delta]`` of one
-``Samples`` matrix, from the closed loop to the trace file.
+Between sampling instants both run on lists of floats, and only their steps
+depend on the model (``integrator_increment`` for the pure integrator,
+``rk4_step`` otherwise).  A sample is one row ``[t, *x, *x_hat, *u,
+*delta]`` of one ``Samples`` matrix, from the closed loop to the trace file.
 
 ``navigate`` is a generator that yields its shooting problem at each
 sampling instant; ``lockstep`` runs any number of them side by side and
@@ -763,16 +763,32 @@ class Samples:
 
 
 @dataclass
-class NavigationOutcome(Samples):
-    """Closed-loop record of one navigation attempt."""
+class Nominal:
+    """The nominal run of one navigation attempt, in the error frame of its
+    target state ``r``: the nominal input ``u_hat`` held over each sampling
+    interval, and the nominal error state ``e_hat = x_hat - r`` at the start
+    and after every substep."""
 
     status: str
     arrival_steps: Optional[int]        # sampling steps until the stop test
-    total_steps: int                    # sampling steps actually simulated
+    total_steps: int                    # sampling steps actually run
+    start: np.ndarray                   # x_hat at the start
+    target: np.ndarray                  # r
+    held: np.ndarray                    # (total_steps, n): u_hat of each interval
+    errors: np.ndarray                  # (total_steps * substeps + 1, n): e_hat
+    step: float                         # sampling step
+    sim_dt: float                       # substep
 
     @property
     def arrived(self) -> bool:
         return self.status == ARRIVED
+
+    @property
+    def states(self) -> np.ndarray:
+        """``x_hat`` at the start and after every substep: ``e_hat + r``."""
+        states = self.errors + self.target
+        states[0] = self.start
+        return states
 
 
 def reached(pos: np.ndarray, center: np.ndarray, radius: float) -> bool:
@@ -781,67 +797,37 @@ def reached(pos: np.ndarray, center: np.ndarray, radius: float) -> bool:
     return float(np.sqrt(d.dot(d))) <= radius
 
 
-def _interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delta_fn,
-              t0, dt, substeps, rows):
-    """``navigate``'s substep loop over one sampling interval, on lists of
-    Python floats.
-
-    Each substep applies the ancillary law ``u = u_hat - sigma * ((x -
-    target) - e_hat)``, saturates it (``_float_saturation``), and moves the
-    real state by ``step(x, u, delta)`` and the nominal one by
-    ``nominal_step(e_hat)``; ``navigate`` picks the two steps for the model.
-    Appends one sample row per substep to ``rows`` and returns the final
-    real state and nominal error state.
-    """
-    for j in range(substeps):
-        t = t0 + j * dt
-        delta = delta_fn(t, x)
-        u = saturate([a - sigma * ((b - r) - d) for a, b, r, d in zip(u_hat, x, target, e_hat)])
-        x = step(x, u, delta)
-        e_hat = nominal_step(e_hat)
-        if not all(map(math.isfinite, x)):
-            raise NonFiniteError(f"state became non-finite at t={t + dt}")
-        rows.append([t + dt, *x, *[a + b for a, b in zip(e_hat, target)], *u, *delta])
-    return x, e_hat
-
-
 def navigate(
     model: DynamicsModel,
-    x_start,
+    start,
     target: Ball,
     state_constraints: ConstraintSet,
     input_set,
     tube: TubeParams,
     fhocp: FhocpParams,
-    disturbance: DisturbanceSpec,
     max_steps: int,
-    seed: int = 0,
     settle_steps: int = 0,
     min_duration_steps: int = 0,
     sim_dt: float = 0.01,
-    nominal_start=None,
-) -> Generator[tuple, FhocpSolution, NavigationOutcome]:
-    """Receding-horizon navigation of the disturbed system towards a region.
+) -> Generator[tuple, FhocpSolution, Nominal]:
+    """Receding-horizon nominal run from ``start`` towards a region.
 
-    The nominal state starts at ``nominal_start`` (``x_start`` when not
-    given) and runs on its own: at each sampling instant the shooting
-    problem is solved from the nominal error state (warm-started with the
-    shifted previous solution), its first input moves the nominal over the
-    interval, and the ancillary law keeps the real state in the tube around
-    it.  The stop test ``|pos(x_hat) - target.center| <= arrival_radius``
-    reads the nominal, so nothing the nominal does depends on the real
-    state or the disturbance.  The run ends ``settle_steps`` sampling steps
-    after the stop test first passes, but never before
-    ``min_duration_steps`` steps have elapsed, and gives up after
-    ``max_steps``.  In that settle window a pure integrator's nominal is
-    steered in a straight line onto the target's center by one held input,
-    with no shooting problem, and its last sample is the target state
+    At each sampling instant the shooting problem is solved from the nominal
+    error state (warm-started with the shifted previous solution), and its
+    first input moves the nominal over the interval; ``track`` then keeps a
+    disturbed state in the tube around it.  The stop test
+    ``|pos(x_hat) - target.center| <= arrival_radius`` reads the nominal.
+    The run ends ``settle_steps`` sampling steps after the stop test first
+    passes, but never before ``min_duration_steps`` steps have elapsed, and
+    gives up after ``max_steps``.  In that settle window a pure integrator's
+    nominal is steered in a straight line onto the target's center by one
+    held input, with no shooting problem, and its last error state is 0
     exactly; other models, or a landing input outside the tightened input
-    set, keep solving.  Safety of the samples is left to the caller.
+    set, keep solving.  Safety is left to the caller.
 
     A generator driven by ``lockstep``: it yields its shooting problem
     (``solve_fhocp``'s arguments) at each sampling instant, takes its solution
-    back, and returns the ``NavigationOutcome``: a start row, one per substep.
+    back, and returns the ``Nominal``.
     """
     h = fhocp.step
     substeps = round(h / sim_dt)
@@ -853,33 +839,13 @@ def navigate(
     e_set = tighten_state_constraints(state_constraints, target.center, tube.tube_radius)
     u_tight = tighten_input_constraints(input_set, tube.sigma, tube.tube_radius)
     arrival_radius = fhocp.arrival_radius
-    delta_fn = disturbance.generator(target_state, seed)
 
-    x = np.asarray(x_start, dtype=float).tolist()
-    x_hat = x if nominal_start is None else np.asarray(nominal_start, dtype=float).tolist()
-    e = np.array(x_hat) - target_state
-    # one list of floats per sample row; the matrix is built once, at the end
-    rows = [[0.0, *x, *x_hat, *[0.0] * (2 * model.n)]]
-    saturate = _float_saturation(input_set)
-    target_list = target_state.tolist()
-
-    # the real and the nominal step of one substep, on floats; the nominal
-    # input is held over an interval, so ``nominal_step`` makes the nominal
-    # step of each one
-    if model.pure_integrator:
-        def step(x, u, delta):
-            return [a + integrator_increment((0.0 + b) + d, sim_dt)
-                    for a, b, d in zip(x, u, delta)]
-
-        def nominal_step(u_hat):
-            held = [integrator_increment(0.0 + a, sim_dt) for a in u_hat]
-            return lambda e_hat: [a + b for a, b in zip(e_hat, held)]
-    else:
-        def step(x, u, delta):
-            return rk4_step(model, np.array(x), u, sim_dt, delta).tolist()
-
-        def nominal_step(u_hat):
-            return lambda e_hat: rk4_step(err_model, np.array(e_hat), u_hat, sim_dt).tolist()
+    start = np.asarray(start, dtype=float)
+    e = start - target_state
+    # e_hat after every substep and u_hat of every interval, as lists of
+    # floats; the arrays are built once, at the end
+    errors = [e.tolist()]
+    held = []
 
     warm = None
     arrival_steps = end = landing = None
@@ -892,8 +858,8 @@ def navigate(
             end = max(k + settle_steps, min_duration_steps)
             if model.pure_integrator and end > k:
                 # one held input from here onto the center by the run's end
-                held = e / -((end - k) * h)
-                landing = None if u_tight.outside(held, 0.0) else held.tolist()
+                u_land = e / -((end - k) * h)
+                landing = None if u_tight.outside(u_land, 0.0) else u_land.tolist()
         if arrival_steps is not None and k >= end:
             status = ARRIVED
             break
@@ -909,23 +875,78 @@ def navigate(
             warm = np.concatenate((sol.controls[1:], np.zeros((1, model.n))))
         else:
             u_hat = landing
+        held.append(u_hat)
 
-        # propagate the coupled (real, nominal) pair over one sampling interval
-        x, e_hat = _interval(x, e.tolist(), u_hat, target_list, tube.sigma, saturate, step,
-                             nominal_step(u_hat), delta_fn, k * h, sim_dt, substeps, rows)
+        # the nominal over one sampling interval under the held input
+        e_hat = errors[-1]
+        if model.pure_integrator:
+            increment = [integrator_increment(0.0 + a, sim_dt) for a in u_hat]
+            for _ in range(substeps):
+                e_hat = [a + b for a, b in zip(e_hat, increment)]
+                errors.append(e_hat)
+        else:
+            for _ in range(substeps):
+                e_hat = rk4_step(err_model, np.array(e_hat), u_hat, sim_dt).tolist()
+                errors.append(e_hat)
         k += 1
         if landing is not None and k == end:
             # landed: the held input's round-off is dropped
-            e_hat = [0.0] * model.n
-            rows[-1][1 + model.n:1 + 2 * model.n] = target_list
-        e = np.array(e_hat)
+            errors[-1] = [0.0] * model.n
+        e = np.array(errors[-1])
 
-    return NavigationOutcome(np.asarray(rows), status, arrival_steps, k)
+    return Nominal(status, arrival_steps, k, start, target_state,
+                   np.array(held, dtype=float).reshape(k, model.n), np.array(errors),
+                   h, sim_dt)
+
+
+def track(model: DynamicsModel, nominal: Nominal, x_start, tube: TubeParams, input_set,
+          disturbance: DisturbanceSpec, seed: int) -> Samples:
+    """The disturbed closed loop around ``nominal``, on lists of Python
+    floats, from the real state ``x_start``.
+
+    Each substep applies the ancillary law ``u = u_hat - sigma * ((x - r) -
+    e_hat)``, with the interval's held nominal input and the nominal error
+    state at the substep's start, saturates it (``_float_saturation``), and
+    moves the real state by one model step under the disturbance
+    (``integrator_increment`` for the pure integrator, ``rk4_step``
+    otherwise).  Returns the samples: a start row, one per substep.
+    """
+    dt = nominal.sim_dt
+    substeps = round(nominal.step / dt)
+    sigma = tube.sigma
+    target = nominal.target.tolist()
+    delta_fn = disturbance.generator(nominal.target, seed)
+    saturate = _float_saturation(input_set)
+    if model.pure_integrator:
+        def step(x, u, delta):
+            return [a + integrator_increment((0.0 + b) + d, dt) for a, b, d in zip(x, u, delta)]
+    else:
+        def step(x, u, delta):
+            return rk4_step(model, np.array(x), u, dt, delta).tolist()
+
+    x = np.asarray(x_start, dtype=float).tolist()
+    n = len(x)
+    # one list of floats ``[t, *x, *u, *delta]`` per sample; the nominal
+    # columns join them once, at the end
+    rows = [[0.0, *x, *[0.0] * (2 * n)]]
+    errors = nominal.errors.tolist()
+    for k, u_hat in enumerate(nominal.held.tolist()):
+        t0 = k * nominal.step
+        for j, e_hat in enumerate(errors[k * substeps:(k + 1) * substeps]):
+            t = t0 + j * dt
+            delta = delta_fn(t, x)
+            u = saturate([a - sigma * ((b - r) - d) for a, b, r, d in zip(u_hat, x, target, e_hat)])
+            x = step(x, u, delta)
+            if not all(map(math.isfinite, x)):
+                raise NonFiniteError(f"state became non-finite at t={t + dt}")
+            rows.append([t + dt, *x, *u, *delta])
+    rows = np.asarray(rows)
+    return Samples(np.concatenate((rows[:, :1 + n], nominal.states, rows[:, 1 + n:]), axis=1))
 
 
 def lockstep(legs) -> list:
-    """Run ``navigate`` generators side by side and return their outcomes,
-    in order.
+    """Run ``navigate`` generators side by side and return their
+    ``Nominal`` runs, in order.
 
     At each sampling step every leg still running yields its shooting
     problem, and all of them are solved in one ``solve_fhocps`` batch; each

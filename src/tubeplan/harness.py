@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import Wts
-from .controller import Samples, lockstep, navigate, reached, saturation_count
+from .controller import Samples, lockstep, navigate, reached, saturation_count, track
 from .dynamics import DISTURBANCE_POLICIES, DisturbanceSpec, derive_seed
-from .errors import ExecutionFailure, InternalError, ValidationError
+from .errors import ExecutionFailure, ValidationError
 from .mitl import monitor
 from .scenario import Scenario, rational_str
 from .synthesis import Plan, plan_digest, plan_word
@@ -65,22 +65,25 @@ def execute_plan(
     ``disturbance`` is one of ``DISTURBANCE_POLICIES``.  Per-leg disturbance
     streams are derived from ``seed`` and the leg's position in the plan, so
     the whole run is reproducible and independent of how other legs unfolded.
-    A failure's partial trace ends with the samples of the leg that failed.
+    A leg must be a transition of ``wts`` and last its weight, else
+    ``ExecutionFailure``.  A failure's partial trace ends with the samples of
+    the leg that failed.
 
     Each leg's nominal starts where the previous leg's nominal ended, so it
-    depends only on the leg, its step count and that start: a leg that
-    repeats one already run in this call replays the recorded solutions of
-    its shooting problems instead of solving them again (``_replayed``).
+    depends only on the leg, its step count and that start: ``navigate``
+    computes it once per distinct leg, and ``track`` runs the disturbed
+    state around it on every leg.
     """
     model = scenario.model()
     tube = scenario.tube_params()
     fhocp = scenario.fhocp_params()
     input_set = scenario.input_set()
+    spec = DisturbanceSpec(scenario.disturbance_bound, disturbance)
     h = float(scenario.step)
 
-    x = nominal = model.embed_position(scenario.regions[plan.states[0]].center)
-    # the shooting problems' starts and solutions of each leg run so far
-    records = {}
+    x = start = model.embed_position(scenario.regions[plan.states[0]].center)
+    # the nominal of each distinct leg run so far
+    nominals = {}
     # blocks of sample rows: the start, then each leg's rows after its start
     blocks = [np.concatenate(([0.0], x, x, np.zeros(2 * model.n)))[None, :]]
 
@@ -89,9 +92,15 @@ def execute_plan(
 
     t_offset = 0.0
     for i, (src, dst, weight) in enumerate(plan.legs()):
-        if (src, dst) not in wts.transitions:
+        scheduled = wts.transitions.get((src, dst))
+        if scheduled is None:
             raise ExecutionFailure(
                 f"plan leg {src!r} -> {dst!r} has no transition", recorded()
+            )
+        if weight != scheduled:
+            raise ExecutionFailure(
+                f"leg {i} ({src!r} -> {dst!r}) lasts {weight}, not its "
+                f"transition's weight {scheduled}", recorded()
             )
         steps = weight / scenario.step
         if steps.denominator != 1:
@@ -100,59 +109,28 @@ def execute_plan(
                 f"number of {scenario.step} s steps", recorded()
             )
         steps = int(steps)
-        spec = DisturbanceSpec(scenario.disturbance_bound, disturbance)
-        record = records.setdefault((src, dst, steps, nominal.tobytes()), [])
-        (outcome,) = lockstep([_replayed(navigate(
-            model,
-            x,
-            scenario.regions[dst],
-            scenario.state_constraints_for(src, dst),
-            input_set,
-            tube,
-            fhocp,
-            spec,
-            steps,
-            seed=derive_seed(seed, i, src, dst),
-            settle_steps=0,
-            min_duration_steps=steps,
-            sim_dt=scenario.sim_dt,
-            nominal_start=nominal,
-        ), record)])
-        rows = outcome.samples[1:]
+        key = (src, dst, steps, start.tobytes())
+        if key not in nominals:
+            (nominals[key],) = lockstep([navigate(
+                model, start, scenario.regions[dst], scenario.state_constraints_for(src, dst),
+                input_set, tube, fhocp, steps, min_duration_steps=steps,
+                sim_dt=scenario.sim_dt)])
+        nominal = nominals[key]
+        leg = track(model, nominal, x, tube, input_set, spec,
+                    seed=derive_seed(seed, i, src, dst))
+        rows = leg.samples[1:]
         rows[:, 0] += t_offset
         blocks.append(rows)
-        if not outcome.arrived:
+        if not nominal.arrived:
             raise ExecutionFailure(
-                f"leg {i} ({src!r} -> {dst!r}) ended {outcome.status} after "
-                f"{outcome.total_steps} of {steps} scheduled steps",
+                f"leg {i} ({src!r} -> {dst!r}) ended {nominal.status} after "
+                f"{nominal.total_steps} of {steps} scheduled steps",
                 recorded(),
             )
-        x, nominal = outcome.states[-1].copy(), outcome.nominal[-1].copy()
+        x, start = leg.states[-1], leg.nominal[-1]
         t_offset += steps * h
 
     return recorded()
-
-
-def _replayed(leg, record: list):
-    """The ``navigate`` generator ``leg``, with its ``k``-th shooting problem
-    answered from ``record[k]``, a ``(start, FhocpSolution)`` pair, when the
-    record holds it; otherwise the problem is yielded to ``lockstep`` and
-    its solution recorded.  A recorded start that is not the problem's
-    raises ``InternalError``."""
-    sol = None
-    for k in itertools.count():
-        try:
-            problem = leg.send(sol)
-        except StopIteration as stop:
-            return stop.value
-        if k < len(record):
-            start, sol = record[k]
-            if not np.array_equal(start, problem[0]):
-                raise InternalError(f"shooting problem {k} of a repeated leg starts at "
-                                    f"{problem[0]}, not at the recorded {start}")
-        else:
-            sol = yield problem
-            record.append((problem[0], sol))
 
 
 def stamp_indices(scenario: Scenario, plan: Plan) -> list:
@@ -378,8 +356,9 @@ def export_plot_data(scenario: Scenario, plan: Plan, trace: Trace,
     table("stamps.tsv", ["stamp", "state", "labels"], [g, s, s],
           [(float(stamp), name, ",".join(sorted(scenario.label_of(name))))
            for stamp, name in zip(plan.stamps, plan.states)])
-    # a leg's arrival: the first of its sampling instants that passes
-    # ``navigate``'s stop test, or -1
+    # a leg's arrival: the first of its sampling instants whose recorded
+    # real position passes the stop test ``reached``, or -1 (``navigate``
+    # applies that test to the nominal)
     substeps = round(float(scenario.step) / scenario.sim_dt)
     radius = scenario.fhocp_params().arrival_radius
 

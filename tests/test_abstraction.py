@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tubeplan import controller
 from tubeplan.abstraction import (
     Wts,
     build_wts,
@@ -11,6 +12,7 @@ from tubeplan.abstraction import (
     wts_from_dict,
     wts_to_dict,
 )
+from tubeplan.dynamics import DisturbanceSpec
 from tubeplan.errors import (
     AbstractionError,
     NoTransition,
@@ -45,6 +47,22 @@ def test_weights_are_arrival_plus_settle(tiny_scenario, tiny_wts):
         assert weight > 0
     # self-loops arrive immediately: weight is exactly the settle hold
     assert tiny_wts.transitions[("A", "A")] == settle * step
+
+
+def test_abstraction_runs_no_closed_loop(monkeypatch, tiny_scenario):
+    # a transition is decided on the nominal alone: with the tracking loop
+    # and every disturbance generator failing, the weights are unchanged
+    def closed_loop(*args, **kwargs):
+        raise AssertionError("the abstraction ran a closed loop")
+
+    monkeypatch.setattr(controller, "track", closed_loop)
+    monkeypatch.setattr(DisturbanceSpec, "generator", closed_loop)
+    wts = build_wts(tiny_scenario)
+    assert {f"{src}->{dst}": str(w) for (src, dst), w in wts.transitions.items()} == {
+        "A->A": "1", "A->B": "36/5", "A->H": "9/2",
+        "B->A": "36/5", "B->B": "1", "B->H": "9/2",
+        "H->A": "9/2", "H->B": "9/2", "H->H": "1",
+    }
 
 
 def test_symmetric_legs_have_close_weights(tiny_wts):

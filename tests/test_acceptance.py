@@ -21,6 +21,7 @@ from tubeplan.controller import (
     make_tube_params,
     navigate,
     saturation_count,
+    track,
 )
 from tubeplan.dynamics import DisturbanceSpec, derive_seed, single_integrator
 from tubeplan.errors import Unrealizable
@@ -98,9 +99,9 @@ def disturbed_batch():
     for i in range(BATCH_RUNS):
         start = model.embed_position(feasible_start())
         spec = DisturbanceSpec(DELTA_BOUND, policies[i % len(policies)])
-        (out,) = lockstep([navigate(model, start, target, constraints, u_set, tube,
-                                    fhocp, spec, max_steps=6, seed=derive_seed(7, i),
-                                    sim_dt=SIM_DT)])
+        (nominal,) = lockstep([navigate(model, start, target, constraints, u_set, tube,
+                                        fhocp, max_steps=6, sim_dt=SIM_DT)])
+        out = track(model, nominal, start, tube, u_set, spec, seed=derive_seed(7, i))
         max_dev = max(max_dev, out.max_deviation)
         exits, hits = constraints.count_violations(out.states[:, :2])
         obstacle_hits += hits
@@ -163,15 +164,16 @@ def test_criterion_2_arrival_bound():
     for i in range(20):
         start_pos, target_pos = clear_point(), clear_point()
         target = Ball(target_pos, 0.3)
-        (out,) = lockstep([navigate(model, model.embed_position(start_pos), target,
-                                    constraints, u_set, tube, fhocp,
-                                    DisturbanceSpec(DELTA_BOUND, "random"),
-                                    max_steps=120, seed=derive_seed(3, i),
-                                    settle_steps=10, sim_dt=SIM_DT)])
-        if not out.arrived:
+        start = model.embed_position(start_pos)
+        (nominal,) = lockstep([navigate(model, start, target, constraints, u_set, tube,
+                                        fhocp, max_steps=120, settle_steps=10,
+                                        sim_dt=SIM_DT)])
+        if not nominal.arrived:
             continue
         arrived += 1
-        hold = out.ts >= float(out.arrival_steps * step) - 1e-12
+        out = track(model, nominal, start, tube, u_set,
+                    DisturbanceSpec(DELTA_BOUND, "random"), seed=derive_seed(3, i))
+        hold = out.ts >= float(nominal.arrival_steps * step) - 1e-12
         dists = np.linalg.norm(out.states[hold][:, :2] - target.center,
                                axis=1)
         assert float(np.max(dists)) <= bound, (
@@ -300,9 +302,9 @@ def test_bundled_legs_replay_the_abstraction_nominal(bundled_runs):
                 model, model.embed_position(scenario.regions[src].center),
                 scenario.regions[dst], scenario.state_constraints_for(src, dst),
                 scenario.input_set(), scenario.tube_params(), scenario.fhocp_params(),
-                DisturbanceSpec(0.0, "zero"), round(LEG_TIMEOUT / scenario.step),
+                round(LEG_TIMEOUT / scenario.step),
                 settle_steps=scenario.settle_steps, sim_dt=scenario.sim_dt)])
-            nominal[src, dst] = out.nominal
+            nominal[src, dst] = out.states
     first = counts[-1]
     assert len(nominal) < len(plan.legs())          # some leg repeats
     rows = leg_rows(stamp_indices(scenario, plan))

@@ -16,6 +16,7 @@ from tubeplan.controller import (
     saturation_count,
     shift_to_error_frame,
     solve_fhocp,
+    track,
 )
 from tubeplan.dynamics import (
     DisturbanceSpec,
@@ -598,17 +599,17 @@ def test_solve_fhocp_infeasible_start():
 
 
 def _simple_navigation(delta_bound, policy="zero", seed=0, settle=0):
+    """The nominal run and the closed loop that tracks it."""
     m = single_integrator(3)
     tube = make_tube_params(0.0, 1.0, 1.0, delta_bound)
     params = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
-    (out,) = lockstep([navigate(
-        m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs,
-        Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube, params,
-        DisturbanceSpec(delta_bound, policy), max_steps=300, seed=seed,
-        settle_steps=settle,
-    )])
-    return out
+    u_set = Box(-0.3 * np.ones(3), 0.3 * np.ones(3))
+    start = m.embed_position([-1.0, 0.5])
+    (nominal,) = lockstep([navigate(m, start, Ball([1.0, -0.5], 0.3), cs, u_set, tube, params,
+                                    max_steps=300, settle_steps=settle)])
+    return nominal, track(m, nominal, start, tube, u_set, DisturbanceSpec(delta_bound, policy),
+                          seed=seed)
 
 
 def test_navigate_reaches_target_without_disturbance(monkeypatch):
@@ -629,8 +630,8 @@ def test_navigate_reaches_target_without_disturbance(monkeypatch):
         return recorded
 
     monkeypatch.setattr(controller, "_float_saturation", recording)
-    out = _simple_navigation(0.0)
-    assert out.arrived
+    nominal, out = _simple_navigation(0.0)
+    assert nominal.arrived
     assert out.max_deviation <= 1e-9
     assert len(clipped) == len(out.inputs) - 1 and not any(clipped)
     pos = out.states[-1][:2]
@@ -638,19 +639,19 @@ def test_navigate_reaches_target_without_disturbance(monkeypatch):
 
 
 def test_navigate_under_disturbance_stays_in_tube():
-    out = _simple_navigation(0.05, policy="random", seed=4, settle=10)
-    assert out.arrived
+    nominal, out = _simple_navigation(0.05, policy="random", seed=4, settle=10)
+    assert nominal.arrived
     assert out.max_deviation <= 0.05 * 1.001 + 10 * 0.01 * 0.05
-    assert out.arrival_steps + 10 == out.total_steps
+    assert nominal.arrival_steps + 10 == nominal.total_steps
+    assert len(out.ts) == nominal.total_steps * 10 + 1
 
 
 def test_navigate_hold_keeps_target():
     # after arrival, the settle hold must keep the robot near the target
-    out = _simple_navigation(0.05, policy="worst", seed=1,
-                             settle=20)
-    assert out.arrived
+    nominal, out = _simple_navigation(0.05, policy="worst", seed=1, settle=20)
+    assert nominal.arrived
     substeps = round(0.1 / 0.01)
-    tail = out.states[out.arrival_steps * substeps:]
+    tail = out.states[nominal.arrival_steps * substeps:]
     dists = np.linalg.norm(tail[:, :2] - [1.0, -0.5], axis=1)
     assert np.max(dists) <= 0.1 / np.sqrt(0.5) + 0.05 + 1e-3
 
@@ -672,19 +673,21 @@ def test_integrator_nominal_lands_on_the_center(monkeypatch, settle):
     outs = []
     for policy in ("zero", "worst"):
         problems.clear()
-        outs.append(_simple_navigation(0.05, policy=policy, seed=1, settle=settle))
-        assert outs[-1].arrived
-        assert len(problems) == outs[-1].arrival_steps + (settle if settle == 1 else 0)
+        nominal, out = _simple_navigation(0.05, policy=policy, seed=1, settle=settle)
+        outs.append(out)
+        assert nominal.arrived
+        assert len(problems) == nominal.arrival_steps + (settle if settle == 1 else 0)
     assert np.array_equal(outs[0].nominal, outs[1].nominal)
     if settle == 10:
         assert np.array_equal(outs[0].nominal[-1], [1.0, -0.5, 0.0])
+        assert np.array_equal(nominal.errors[-1], [0.0, 0.0, 0.0])
         # a straight line: the same increment on each substep of the window
-        steps = np.diff(outs[0].nominal[outs[0].arrival_steps * 10:], axis=0)
+        steps = np.diff(outs[0].nominal[nominal.arrival_steps * 10:], axis=0)
         assert len(steps) == 100 and np.allclose(steps, steps[0], rtol=0.0, atol=1e-15)
 
 
 def test_navigate_min_duration_holds_longer():
-    out = _simple_navigation(0.0)
+    out, _ = _simple_navigation(0.0)
     m = single_integrator(3)
     tube = make_tube_params(0.0, 1.0, 1.0, 0.0)
     params = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
@@ -693,25 +696,27 @@ def test_navigate_min_duration_holds_longer():
     (held,) = lockstep([navigate(
         m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs,
         Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube, params,
-        DisturbanceSpec(0.0, "zero"), max_steps=scheduled,
-        min_duration_steps=scheduled,
+        max_steps=scheduled, min_duration_steps=scheduled,
     )])
     assert held.arrived
-    assert held.total_steps == scheduled
+    assert held.total_steps == scheduled == len(held.held)
     assert held.arrival_steps == out.arrival_steps
+    assert held.errors.shape == (scheduled * 10 + 1, 3)
 
 
 def _array_interval(model, input_set):
-    """The substep loop ``navigate`` ran on arrays before the float loop,
-    with ``_interval``'s signature: the reference.  It writes out the
-    ancillary law ``u = u_hat - sigma * (e - e_hat)`` on arrays, and every
-    step is the four-stage ``rk4_step``, of ``model`` for the real state and
-    of its error-frame model for the nominal one."""
+    """The substep loop of one sampling interval on arrays, as ``navigate``
+    and ``track`` ran it before their float loops: the reference.  It writes
+    out the ancillary law ``u = u_hat - sigma * (e - e_hat)`` on arrays, and
+    every step is the four-stage ``rk4_step``, of ``model`` for the real
+    state and of its error-frame model for the nominal one.  Appends one
+    sample row per substep to ``rows`` and returns the final real state and
+    the nominal error state after each substep."""
 
-    def interval(x, e_hat, u_hat, target, sigma, saturate, step, nominal_step, delta_fn,
-                 t0, dt, substeps, rows):
+    def interval(x, e_hat, u_hat, target, sigma, delta_fn, t0, dt, substeps, rows):
         x, e_hat, u_hat, target = (np.array(v) for v in (x, e_hat, u_hat, target))
         err_model = shift_to_error_frame(model, target)
+        errors = []
         for j in range(substeps):
             t = t0 + j * dt
             delta = np.asarray(delta_fn(t, x), dtype=float)
@@ -720,9 +725,10 @@ def _array_interval(model, input_set):
                 u = input_set.project(u)
             x = rk4_step(model, x, u, dt, delta)
             e_hat = rk4_step(err_model, e_hat, u_hat, dt)
+            errors.append(e_hat)
             rows.append([t + dt, *x.tolist(), *(e_hat + target).tolist(), *u.tolist(),
                          *delta.tolist()])
-        return x.tolist(), e_hat.tolist()
+        return x, errors
 
     return interval
 
@@ -731,29 +737,34 @@ def _array_interval(model, input_set):
     Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), Ball(np.zeros(3), 0.3),
 ], ids=["box", "ball"])
 @pytest.mark.parametrize("policy", ["zero", "random", "worst", "uniform"])
-def test_float_interval_is_the_rk4_step_loop(monkeypatch, input_set, policy):
+def test_float_interval_is_the_rk4_step_loop(input_set, policy):
     # the tube is sized for disturbances of 0.001 but they reach 0.2, so the
     # deviation outgrows it and the ancillary law saturates on the long
     # first legs, where the nominal input sits on the tightened bound; the
-    # one float loop must give the array reference's bits for every model
+    # nominal's and the tracking's float loops must give the array
+    # reference's bits for every model, interval by interval under the
+    # nominal's held inputs
     tube = make_tube_params(0.0, 1.0, 1.0, 0.001)
     params = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
     cs = ConstraintSet(Box([-3.0, -3.0], [3.0, 3.0]), [Ball([0.0, 1.2], 0.3)])
+    disturbance = DisturbanceSpec(0.2, policy)
     for m, max_steps in ((single_integrator(3), 40), (demo_nonlinear(3), 6)):
+        start = m.embed_position([-2.0, 0.5])
+        (nominal,) = lockstep([navigate(m, start, Ball([2.0, 0.0], 0.3), cs, input_set, tube,
+                                        params, max_steps=max_steps)])
+        fast = track(m, nominal, start, tube, input_set, disturbance, seed=5)
 
-        def run():
-            (out,) = lockstep([navigate(m, m.embed_position([-2.0, 0.5]), Ball([2.0, 0.0], 0.3),
-                                        cs, input_set, tube, params,
-                                        DisturbanceSpec(0.2, policy), max_steps=max_steps,
-                                        seed=5)])
-            return out
-
-        fast = run()
-        with monkeypatch.context() as patch:
-            patch.setattr(controller, "_interval", _array_interval(m, input_set))
-            slow = run()
-        assert fast.total_steps == slow.total_steps >= min(20, max_steps), m.name
-        assert np.array_equal(fast.samples.view(np.int64), slow.samples.view(np.int64))
+        interval = _array_interval(m, input_set)
+        delta_fn = disturbance.generator(nominal.target, 5)
+        x, errors = start, [nominal.errors[0]]
+        rows = [[0.0, *start.tolist(), *start.tolist(), *[0.0] * 6]]
+        for k, u_hat in enumerate(nominal.held):
+            x, steps = interval(x, errors[-1], u_hat, nominal.target, tube.sigma, delta_fn,
+                                k * params.step, 0.01, 10, rows)
+            errors += steps
+        assert nominal.total_steps == len(nominal.held) >= min(20, max_steps), m.name
+        assert np.array_equal(nominal.errors.view(np.int64), np.array(errors).view(np.int64))
+        assert np.array_equal(fast.samples.view(np.int64), np.array(rows).view(np.int64))
         assert (saturation_count(fast.inputs, input_set) > 0) == (policy != "zero"), m.name
 
 
@@ -765,11 +776,12 @@ def test_navigate_steps_other_models_with_rk4():
     tube = make_tube_params(0.0, 1.0, 1.0, 0.05)
     params = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
-    (out,) = lockstep([navigate(m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3),
-                                cs, Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube,
-                                params, DisturbanceSpec(0.05, "random"), max_steps=3,
-                                seed=4)])
-    assert out.total_steps == 3 and out.states.shape == (31, 3)
+    u_set = Box(-0.3 * np.ones(3), 0.3 * np.ones(3))
+    start = m.embed_position([-1.0, 0.5])
+    (nominal,) = lockstep([navigate(m, start, Ball([1.0, -0.5], 0.3), cs, u_set, tube, params,
+                                    max_steps=3)])
+    out = track(m, nominal, start, tube, u_set, DisturbanceSpec(0.05, "random"), seed=4)
+    assert nominal.total_steps == 3 and out.states.shape == (31, 3)
     assert np.allclose(out.ts, np.arange(31) * 0.01)
     for k in range(30):
         step = rk4_step(m, out.states[k], out.inputs[k + 1], 0.01, out.deltas[k + 1])
@@ -780,13 +792,24 @@ def test_navigate_steps_other_models_with_rk4():
     assert out.max_deviation <= tube.tube_radius
 
 
+# sha256 of the closed-loop samples of ``_tiny_legs``' legs, one after the
+# other, pinned on x86-64 with numpy 2.4 as the nominal and the real state
+# ran in one loop: a change that keeps behaviour keeps these bits
+LOCKSTEP_SAMPLES_SHA256 = {
+    "box": "c318a2d306e7d631825df924331cfaf2d84ae53d83994fc9a8b52cc68276ad58",
+    "ball": "8f900edf3aae460e0b3773a432fed0edb1c5806f398da0435a9dd2f3b5ae1130",
+    "demo_nonlinear": "c8238919dcf974f42532ad031a1f569e633149b3e178b814b550d69bdc5c4d1c",
+}
+
+
 def _tiny_legs(kind):
-    """Leg factories of the tiny scenario: every center-to-region leg
-    (self-loops included) and A -> B behind an extra ball, which ends
-    InfeasibleFhocp midway; under disturbances past the tube, so the
-    ancillary law saturates.  ``demo_nonlinear``: two short legs of that
-    model, which take finite differences and the spectral step.  Returns
-    the factory and the scenario's input set."""
+    """Legs of the tiny scenario: every center-to-region leg (self-loops
+    included) and A -> B behind an extra ball, which ends InfeasibleFhocp
+    midway; tracked under disturbances past the tube, so the ancillary law
+    saturates.  ``demo_nonlinear``: two short legs of that model, which take
+    finite differences and the spectral step.  Returns a factory of the
+    legs' ``navigate`` generators, a function that tracks their nominals,
+    and the scenario's input set."""
     data = tiny_dict()
     if kind == "demo_nonlinear":
         data["model"] = "demo_nonlinear"
@@ -803,22 +826,30 @@ def _tiny_legs(kind):
     if kind == "demo_nonlinear":
         legs, max_steps = legs[1:3], 4
 
-    def make():
-        return [navigate(model, model.embed_position(scenario.regions[src].center),
-                         scenario.regions[dst], free, scenario.input_set(), tube, fhocp,
-                         DisturbanceSpec(0.3, "random"), max_steps, seed=i,
-                         settle_steps=scenario.settle_steps, sim_dt=scenario.sim_dt)
-                for i, (src, dst, free) in enumerate(legs)]
+    def start(src):
+        return model.embed_position(scenario.regions[src].center)
 
-    return make, scenario.input_set()
+    def make():
+        return [navigate(model, start(src), scenario.regions[dst], free, scenario.input_set(),
+                         tube, fhocp, max_steps, settle_steps=scenario.settle_steps,
+                         sim_dt=scenario.sim_dt)
+                for src, dst, free in legs]
+
+    def closed_loop(nominals):
+        return [track(model, nominal, start(src), tube, scenario.input_set(),
+                      DisturbanceSpec(0.3, "random"), seed=i)
+                for i, ((src, _, _), nominal) in enumerate(zip(legs, nominals))]
+
+    return make, closed_loop, scenario.input_set()
 
 
 @pytest.mark.parametrize("kind", ["box", "ball", "demo_nonlinear"])
 def test_lockstep_legs_run_as_they_do_alone(monkeypatch, kind):
     # one batch of shooting problems per sampling step must give every leg
-    # the run it has alone, bit for bit, while legs leave the batch at
-    # different steps and rows stop, ramp and search at different times
-    make, u_set = _tiny_legs(kind)
+    # the nominal it has alone, bit for bit, while legs leave the batch at
+    # different steps and rows stop, ramp and search at different times;
+    # the closed loop around those nominals keeps its pinned bits
+    make, closed_loop, u_set = _tiny_legs(kind)
     iterations = []
     solve_all = controller.solve_fhocps
 
@@ -834,10 +865,15 @@ def test_lockstep_legs_run_as_they_do_alone(monkeypatch, kind):
     alone = [lockstep([leg])[0] for leg in make()]
     assert sum(iterations) == batched > 0
     for a, b in zip(alone, together):
-        assert np.array_equal(a.samples, b.samples)
-        for name in ("status", "arrival_steps", "total_steps"):
-            assert getattr(a, name) == getattr(b, name), name
+        for name in ("status", "arrival_steps", "total_steps", "held", "errors"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    outs = closed_loop(together)
+    digest = hashlib.sha256()
+    for out in outs:
+        digest.update(out.samples.tobytes())
+    assert digest.hexdigest() == LOCKSTEP_SAMPLES_SHA256[kind]
     if kind != "demo_nonlinear":
-        assert {out.status for out in alone} == {controller.ARRIVED, controller.INFEASIBLE}
-        assert len({out.total_steps for out in alone}) > 2
-        assert any(saturation_count(out.inputs, u_set) for out in alone)
+        assert {nominal.status for nominal in alone} == {controller.ARRIVED,
+                                                         controller.INFEASIBLE}
+        assert len({nominal.total_steps for nominal in alone}) > 2
+        assert any(saturation_count(out.inputs, u_set) for out in outs)

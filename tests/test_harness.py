@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tubeplan import cli
-from tubeplan.abstraction import Wts
+from tubeplan.abstraction import Wts, save_wts
 from tubeplan.errors import ExecutionFailure, ValidationError
 from tubeplan.harness import (
     Trace,
@@ -357,6 +357,30 @@ def test_impossible_schedule_fails_with_partial_trace(tiny_scenario, tiny_wts):
     dist = np.linalg.norm(partial.states[[0, 10], :2]
                           - tiny_scenario.regions["B"].center, axis=1)
     assert np.all(dist > tiny_scenario.fhocp_params().arrival_radius)
+
+
+def test_leg_longer_than_its_transition_fails_with_partial_trace(
+        tiny_scenario, tiny_wts, tiny_plan, tmp_path, capsys):
+    # the plan's last leg, B -> B of weight 1, stretched to 61 s: execution
+    # checks each leg's duration against its transition's weight, and the
+    # partial trace ends where the stretched leg would start
+    assert tiny_plan.legs()[-1] == ("B", "B", 1)
+    plan = replace(tiny_plan, stamps=tiny_plan.stamps[:-1] + (tiny_plan.stamps[-1] + 60,))
+    with pytest.raises(ExecutionFailure, match="lasts 61, not its transition's weight 1") as err:
+        execute_plan(tiny_scenario, tiny_wts, plan, disturbance="zero")
+    partial = err.value.partial_trace
+    assert len(partial.ts) == stamp_indices(tiny_scenario, plan)[-2] + 1
+    scenario_path = tmp_path / "tiny.json"
+    scenario_path.write_text(json.dumps(tiny_dict()))
+    save_plan(plan, tmp_path / "plan.json")
+    wts_path = tmp_path / "wts.json"
+    save_wts(tiny_wts, wts_path)
+    code = cli.main(["simulate", "--scenario", str(scenario_path), "--wts", str(wts_path),
+                     "--plan", str(tmp_path / "plan.json"),
+                     "--out", str(tmp_path / "trace.tsv")])
+    assert code == cli.EXIT_RUNTIME
+    assert "failure: leg 5 ('B' -> 'B') lasts 61" in capsys.readouterr().err
+    assert len(import_trace(tmp_path / "trace.tsv").ts) == len(partial.ts)
 
 
 def test_tube_tolerance_formula():
