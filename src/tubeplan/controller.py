@@ -96,7 +96,6 @@ PENALTY_WEIGHT = 1e3
 PENALTY_MAX = 1e6
 FEASIBILITY_TOL = 1e-6
 _HALVINGS = 0.5 ** np.arange(30)       # backtracking steps
-_CHUNKS = (1, 4, 30)                   # ends of the candidate rows rolled out together
 _EPS0 = 1e-3                           # widest epsilon-active band of the Newton step
 
 
@@ -625,17 +624,14 @@ def _newton_direction(hess, grad, controls, moves, u_set):
     row: a control within ``min(_EPS0, |moves|)`` of a bound the gradient
     pushes it against takes ``-g_i / H_ii``, the free ones ``solve(H_FF,
     -g_F)``.  ``grad``, ``controls`` and ``moves`` have shape (rows, m, n);
-    ``hess`` is one Hessian per row, or one for all.  When every control of
-    every row is free, one stacked call solves them all; otherwise each row
-    with free controls solves its own block."""
+    ``hess`` is one Hessian per row, or one for all.  Each row with free
+    controls solves its own block, the whole Hessian when all are free."""
     rows = len(grad)
     g = grad.reshape(rows, -1)
     eps = np.array([min(_EPS0, math.sqrt(v @ v))
                     for v in moves.reshape(rows, -1)])[:, None, None]
     free = ~(((controls <= u_set.lower + eps) & (grad > 0.0))
              | ((controls >= u_set.upper - eps) & (grad < 0.0))).reshape(rows, -1)
-    if np.logical_and.reduce(free, axis=None):
-        return np.linalg.solve(hess, -g[..., None]).reshape(controls.shape)
     direction = -g / hess.diagonal(0, -2, -1)
     for r, f in enumerate(free):
         f = f.nonzero()[0]
@@ -651,16 +647,13 @@ def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
     that costs less than the row's ``cost``; ``e0``, ``controls`` and
     ``direction`` have a leading row axis.
 
-    Candidate 0 of every row is built and rolled out first; the other
-    candidates are built only for the rows it does not serve.  Each of
-    those rolls out its candidates in chunks that end at ``_CHUNKS``, up to
-    the first chunk that holds a better one; the leading candidates that
-    clip to candidate 0's controls cost what it costs and are skipped.  A
-    chunk of every row that searches is rolled out in one batch.  Returns
-    the rows that found one, in order, with the candidate's index, its
-    controls, cost, rollout and depths, or None; ``...`` and 0 for the rows
-    and the index when candidate 0 serves every row.  A rolled-out candidate
-    with a non-finite cost raises ``SolverDiverged``."""
+    Candidate 0 of every row is built and rolled out first, in one batch;
+    every other candidate of the rows it does not serve is then rolled out
+    in a second one.  A candidate's bits do not depend on its batch.
+    Returns the rows that found one, in order, with the candidate's index,
+    its controls, cost, rollout and depths, or None; ``...`` and 0 for the
+    rows and the index when candidate 0 serves every row.  A rolled-out
+    candidate with a non-finite cost raises ``SolverDiverged``."""
     rows = len(cost)
     first = u_set.project(controls + steps[..., 0, :, :] * direction)
     costs, states, measured = obj.total(e0, first, weight)
@@ -669,38 +662,31 @@ def _first_better(obj, e0, controls, steps, direction, u_set, cost, weight):
     better = costs < cost - 1e-12
     if np.count_nonzero(better) == rows:
         return ..., 0, first, costs, states, measured
-    hit = better.nonzero()[0]
-    found = [(hit, np.zeros(hit.size, dtype=int), first[hit], costs[hit], states[hit],
-              *(a[hit] for a in measured))]
     rest = (~better).nonzero()[0]
-    cands = u_set.project(controls[rest, None] + (steps if steps.ndim == 3 else steps[rest])
-                          * direction[rest, None])
+    later = steps[1:] if steps.ndim == 3 else steps[rest, 1:]
+    cands = u_set.project(controls[rest, None] + later * direction[rest, None])
     width = cands.shape[1]
-    same = np.logical_and.reduce((cands == cands[:, :1]).reshape(len(rest), width, -1), axis=-1)
-    lo = np.where(np.logical_and.reduce(same, axis=-1), width, same.argmin(axis=-1))
-    for hi in _CHUNKS[1:]:
-        sel = (lo < hi).nonzero()[0]
-        if sel.size == 0:
-            continue
-        span = hi - lo[sel]
-        at = np.repeat(sel, span)            # position in ``rest`` of each candidate
-        col = np.arange(len(at)) + np.repeat(lo[sel] - (span.cumsum() - span), span)
-        each = rest[at]
-        costs, states, measured = obj.take(each).total(e0[each], cands[at, col], weight[each])
-        if not np.logical_and.reduce(np.isfinite(costs)):
-            raise SolverDiverged("non-finite cost during line search")
-        lo[sel] = hi
-        hit = (costs < cost[each] - 1e-12).nonzero()[0]
-        if hit.size:
-            first = hit[np.concatenate(([True], at[hit[1:]] != at[hit[:-1]]))]
-            found.append((each[first], col[first], cands[at[first], col[first]], costs[first],
-                          states[first], *(a[first] for a in measured)))
-            lo[at[first]] = width            # found: searches no further
-    order = np.argsort(np.concatenate([part[0] for part in found]))   # by row
-    parts = [np.concatenate(p)[order] for p in zip(*found)]
-    if parts[0].size == 0:
+    each = np.repeat(rest, width)
+    cands = cands.reshape(len(each), *controls.shape[1:])
+    more_costs, more_states, more_measured = obj.take(each).total(e0[each], cands, weight[each])
+    if not np.logical_and.reduce(np.isfinite(more_costs)):
+        raise SolverDiverged("non-finite cost during line search")
+    wins = (more_costs < cost[each] - 1e-12).reshape(len(rest), width)
+    served = np.logical_or.reduce(wins, axis=-1)
+    # each served row's first better candidate takes its candidate 0's place
+    pick = wins.argmax(axis=-1)[served]
+    won, at = rest[served], served.nonzero()[0] * width + pick
+    index = np.zeros(rows, dtype=int)
+    index[won] = pick + 1
+    better[won] = True
+    for a, b in zip((first, costs, states, *measured),
+                    (cands, more_costs, more_states, *more_measured)):
+        a[won] = b[at]
+    found = better.nonzero()[0]
+    if found.size == 0:
         return None
-    return (*parts[:5], tuple(parts[5:]))
+    return found, index[found], first[found], costs[found], states[found], tuple(
+        a[found] for a in measured)
 
 
 def _fd_gradient(obj, e0, controls, weight, fd_step):

@@ -279,6 +279,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         problems.extend(exc.problems)
         settle_time = Fraction(0)
     _require(problems, settle_time >= 0, f"settle_time must be >= 0, got {settle_time}")
+    _require(problems, settle_time != 0,
+             "settle_time must be > 0: it is the weight of every self-loop")
     sim_dt = get("sim_dt", Real, 0.01)
     dt_ok = sim_dt is not None and _require(problems, sim_dt > 0,
                                             f"sim_dt must be > 0, got {sim_dt}")
@@ -286,7 +288,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         sub = float(step) / sim_dt
         _require(problems, abs(round(sub) * sim_dt - float(step)) < 1e-9,
                  f"sim_dt={sim_dt} must divide the sampling step {step}")
-    if settle_time and step > 0:
+    if step > 0:
+        _require(problems, (horizon / step).denominator == 1,
+                 f"fhocp.horizon={horizon} must be a multiple of the step {step}")
         _require(problems, (settle_time / step).denominator == 1,
                  f"settle_time={settle_time} must be a multiple of the step {step}")
 

@@ -594,6 +594,9 @@ def _scenario_edit(path, value):
     (_scenario_edit(["sim_dt"], -0.01), "sim_dt must be > 0"),
     (_scenario_edit(["fhocp", "horizon"], "1/0"), "'1/0' as a rational"),
     (_scenario_edit(["settle_time"], -1), "settle_time must be >= 0"),
+    (_scenario_edit(["settle_time"], 0), "settle_time must be > 0"),
+    (_scenario_edit(["fhocp", "horizon"], "5/4"),
+     "fhocp.horizon=5/4 must be a multiple of the step 1/10"),
     (_scenario_edit(["disturbance_bound"], -0.02), "disturbance_bound must be >= 0"),
     (_scenario_edit(["sigma_margin"], 0.0), "sigma_margin must be > 0"),
     (_scenario_edit(["labels", "A"], "home"), "must be a list of strings"),
@@ -603,7 +606,7 @@ def _scenario_edit(path, value):
     (_scenario_edit(["input"], {"type": "box", "bound": float("inf")}),
      "field 'input.bound' must be a finite number, got inf"),
 ], ids=["center-3d", "workspace-3d", "state-dim-1", "sim-dt-0",
-        "sim-dt-negative", "rational-1/0", "settle-negative",
+        "sim-dt-negative", "rational-1/0", "settle-negative", "settle-0", "horizon-5/4",
         "disturbance-negative", "sigma-margin-0", "label-string",
         "lipschitz-nan", "input-bound-inf"])
 def test_out_of_range_scenario_is_rejected(tmp_path, capsys, change, message):

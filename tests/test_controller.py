@@ -374,35 +374,90 @@ def _bundled_leg_input_set():
     return tighten_input_constraints(scenario.input_set(), tube.sigma, tube.tube_radius)
 
 
-def test_line_search_chunks_are_rows_of_the_full_batch():
-    # the solver rolls out its candidates in chunks that end at
-    # controller._CHUNKS and, after row 0, may start past the rows that clip
-    # to row 0's controls: every row of every such chunk must have the bits
-    # of the same row of one rollout of all of them
-    obj = _bundled_leg_objective("seven")
+def _first_better_reference(obj, e0, controls, steps, direction, u_set, cost, weight):
+    """``controller._first_better`` written plainly: each row's candidates,
+    rolled out on their own, and the first that costs less than the row's
+    cost, as ``(row, index, controls, cost, states, depths)``."""
+    found = []
+    for r in range(len(cost)):
+        cands = u_set.project(controls[r] + (steps if steps.ndim == 3 else steps[r])
+                              * direction[r])
+        costs, states, measured = obj.take([r]).total(e0[r], cands, weight[r])
+        better = (costs < cost[r] - 1e-12).nonzero()[0]
+        if better.size:
+            k = better[0]
+            found.append((r, k, cands[k], costs[k], states[k], [a[k] for a in measured]))
+    return found
+
+
+@pytest.mark.parametrize("legs", ["one", "per_row"])
+@pytest.mark.parametrize("shared", [True, False], ids=["newton", "spectral"])
+def test_line_search_is_the_plain_first_better_candidate(monkeypatch, shared, legs):
+    # candidate 0 of every row in one rollout, then every other candidate of
+    # the rows it does not serve in one more: the rows, indices, controls,
+    # costs, rollouts and depths of each row's candidates rolled out alone,
+    # bit for bit, so a candidate's bits do not depend on its batch
+    model, params, seven = _bundled_leg_problem("seven")
     u_set = _bundled_leg_input_set()
     rng = np.random.default_rng(23)
-    m = obj.params.segments
-    clipped = 0
-    for _ in range(6):
-        e0 = np.array([*rng.uniform(-1.0, 1.0, size=2), 0.0])
-        controls = rng.uniform(-0.15, 0.15, size=(m, 3))
-        steps = 10.0 ** rng.uniform(-1, 2) * controller._HALVINGS
-        cands = u_set.project(controls[None] - steps[:, None, None]
-                              * rng.normal(size=(1, m, 3)))
-        clipped += int(np.array_equal(cands[1], cands[0]))
-        weight = 10.0 ** rng.uniform(3, 6)
-        cost, states, measured = obj.total(e0, cands, weight)
-        for lo in range(len(cands)):
-            for hi in controller._CHUNKS:
-                if lo >= hi:
-                    continue
-                part = obj.total(e0, cands[lo:hi], weight)
-                assert np.array_equal(part[0], cost[lo:hi])
-                assert np.array_equal(part[1], states[lo:hi])
-                for got, want in zip(part[2], measured):
-                    assert np.array_equal(got, want[lo:hi])
-    assert clipped > 0
+    count, m = 32, params.segments
+    # starts near the target and controls near their optimum, so that a step
+    # long enough to clip onto the input box costs more than a short one
+    e0 = np.column_stack([rng.uniform(-0.15, 0.15, size=(count, 2)), np.zeros(count)])
+    controls = -e0[:, None] / params.horizon + rng.normal(scale=0.01, size=(count, m, 3))
+    weight = 10.0 ** rng.uniform(3, 6, size=count)
+    free = (seven.stacked if legs == "one" else
+            ConstraintStack.of([seven, ConstraintSet(seven.region, ())] * (count // 2)))
+    obj = _FhocpObjective(model, params, free)
+    cost, rollout, depths = obj.total(e0, controls, weight)
+    # descent directions, long enough to clip onto the input box, and random ones
+    direction = np.where((np.arange(count) % 4 < 3)[:, None, None],
+                         -obj.gradient(rollout, depths, controls, weight),
+                         rng.normal(size=(count, m, 3)))
+    direction *= 10.0 ** rng.uniform(-2, 4, size=(count, 1, 1))
+    if shared:          # the Newton step's halvings, one set for all rows
+        steps = controller._HALVINGS[:, None, None]
+    else:               # a spectral step size per row
+        steps = (10.0 ** rng.uniform(-1, 1, size=(count, 1))
+                 * controller._HALVINGS)[:, :, None, None]
+    want = _first_better_reference(obj, e0, controls, steps, direction, u_set, cost, weight)
+
+    calls = []
+    total = _FhocpObjective.total
+
+    def counting(self, *args):
+        calls.append(args)
+        return total(self, *args)
+
+    monkeypatch.setattr(_FhocpObjective, "total", counting)
+    rows, index, picked, costs, states, measured = controller._first_better(
+        obj, e0, controls, steps, direction, u_set, cost, weight)
+    assert len(calls) == 2
+    assert rows.tolist() == [w[0] for w in want]
+    assert index.tolist() == [w[1] for w in want]
+    for got, k in zip((picked, costs, states), (2, 3, 4)):
+        assert got.tobytes() == np.array([w[k] for w in want]).tobytes()
+    for col, got in enumerate(measured):
+        assert got.tobytes() == np.array([w[5][col] for w in want]).tobytes()
+
+    # rows that candidate 0 serves, that a later one serves, and that none
+    # serves; and rows searched past candidate 0 whose next candidates clip
+    # onto its controls
+    served = dict(zip(rows.tolist(), index.tolist()))
+    kinds = {"none" if r not in served else "first" if served[r] == 0 else "later"
+             for r in range(count)}
+    assert kinds == {"first", "later", "none"}
+    clipped = [r for r in range(count) if served.get(r) != 0 and np.array_equal(
+        *u_set.project(controls[r] + (steps if shared else steps[r])[:2] * direction[r]))]
+    assert any(served.get(r, 0) > 1 for r in clipped)
+
+    # when candidate 0 serves every row, the search stops at its one rollout
+    first = [r for r, k in served.items() if k == 0]
+    calls.clear()
+    at, k, *_ = controller._first_better(
+        obj.take(first), e0[first], controls[first], steps if shared else steps[first],
+        direction[first], u_set, cost[first], weight[first])
+    assert (at, k, len(calls)) == (..., 0, 1)
 
 
 def _pinned_problem(name):
