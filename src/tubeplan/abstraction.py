@@ -7,6 +7,8 @@ leg's free space.  Its weight is the exact duration of that run
 in sampling steps times the step length — settle hold included — so the
 discrete timed runs over this system predict the stamps the executor will
 reproduce, and a weight divided by the step is the executor's step count.
+The system also keeps each transition's nominal inputs, so that execution
+can replay the nominal from the source's center without solving again.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .controller import lockstep, navigate
 from .errors import AbstractionError, NoTransition, UnknownTransition, ValidationError
@@ -31,6 +35,9 @@ class Wts:
     labels: dict                        # state -> frozenset of propositions
     transitions: dict                   # (src, dst) -> Fraction weight
     scenario_hash: str = ""
+    # (src, dst) -> the held nominal inputs of the transition's run from the
+    # source's center, one row of n per sampling step, landing included
+    held: dict = field(default_factory=dict, repr=False, compare=False)
     _succ: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,7 +105,9 @@ def build_wts(scenario: Scenario) -> Wts:
     sampling step.
 
     Self-loops are included (arrive immediately, hold for the settle time),
-    so plans can wait at a region in settle-time quanta.
+    so plans can wait at a region in settle-time quanta.  Each kept
+    transition keeps its nominal's held inputs (``Nominal.held``), from which
+    ``harness.execute_plan`` replays the nominal with no shooting problem.
     """
     model = scenario.model()
     tube = scenario.tube_params()
@@ -125,7 +134,7 @@ def build_wts(scenario: Scenario) -> Wts:
         )
         for src, dst, free in pairs
     )
-    transitions = {}
+    transitions, held = {}, {}
     for (src, dst, free), nominal in zip(pairs, nominals):
         if not nominal.arrived:
             if src == dst:
@@ -137,6 +146,7 @@ def build_wts(scenario: Scenario) -> Wts:
         if any(free.count_violations(nominal.states[:, :2])):
             continue
         transitions[(src, dst)] = (nominal.arrival_steps + settle) * scenario.step
+        held[(src, dst)] = nominal.held
 
     labels = {name: scenario.label_of(name) for name in names}
     return Wts(
@@ -145,6 +155,7 @@ def build_wts(scenario: Scenario) -> Wts:
         labels=labels,
         transitions=transitions,
         scenario_hash=scenario_hash(scenario),
+        held=held,
     )
 
 
@@ -157,18 +168,46 @@ def wts_to_dict(wts: Wts) -> dict:
         "transitions": [],
     }
     for (src, dst), weight in sorted(wts.transitions.items()):
-        out["transitions"].append(
-            {"source": src, "target": dst, "weight": rational_str(weight)}
-        )
+        item = {"source": src, "target": dst, "weight": rational_str(weight)}
+        if (src, dst) in wts.held:
+            item["held"] = wts.held[src, dst].tolist()
+        out["transitions"].append(item)
     return out
+
+
+def _held_rows(value, where: str):
+    """A transition's ``held`` list as a float array of rows, and the
+    problems that keep it from being one: rows that are not lists of one
+    width, or an entry that is not a finite number."""
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
+        return None, [f"field {where!r} must be a list of rows of numbers"]
+    widths = sorted({len(row) for row in value})
+    if len(widths) > 1:
+        return None, [f"field {where!r} has rows of {widths} numbers"]
+    problems = [f"field {path!r} must be a finite number, got {v!r}"
+                for path, v in not_numbers(value, where)]
+    problems += [f"field '{where}.{i}.{j}' must be a finite number, got {v!r}"
+                 for i, row in enumerate(value) for j, v in enumerate(row)
+                 if not isinstance(v, (int, float))]
+    if not problems:
+        try:
+            rows = np.array(value, dtype=float)
+        except OverflowError as exc:            # an integer past float range
+            problems.append(f"field {where!r}: {exc}")
+        else:
+            return rows.reshape(len(value), widths[0] if widths else 0), []
+    return None, problems
 
 
 def wts_from_dict(data: dict) -> Wts:
     """Inverse of ``wts_to_dict``; extra per-transition keys (older files
-    carry ``arrival_steps`` and ``weight_steps``) are ignored.  Data that is
-    not a transition system over its own states, lists a transition twice,
-    has states that are not a list, a bool weight, a weight of 0 or below or
-    a ``scenario_hash`` that is not a string, raises ``ValidationError``."""
+    carry ``arrival_steps`` and ``weight_steps``) are ignored, and a
+    transition without ``held`` inputs (as in older files) is solved again
+    when executed.  Data that is not a transition system over its own
+    states, lists a transition twice, has states that are not a list, a bool
+    weight, a weight of 0 or below, ``held`` inputs that are not rows of one
+    width of finite numbers or a ``scenario_hash`` that is not a string,
+    raises ``ValidationError``."""
     try:
         states = tuple(data["states"])
         pairs = [((item["source"], item["target"]), Fraction(item["weight"]))
@@ -199,6 +238,11 @@ def wts_from_dict(data: dict) -> Wts:
         problems.append(f"initial state {initial!r} is not a state")
     if not isinstance(digest, str):
         problems.append(f"field 'scenario_hash' must be a string, got {digest!r}")
+    held = {}
+    for i, ((pair, _), item) in enumerate(zip(pairs, data["transitions"])):
+        if "held" in item:
+            held[pair], found = _held_rows(item["held"], f"transitions.{i}.held")
+            problems += found
     if problems:
         raise ValidationError(problems)
     return Wts(
@@ -207,7 +251,20 @@ def wts_from_dict(data: dict) -> Wts:
         labels={s: frozenset(v) for s, v in label_items},
         transitions=transitions,
         scenario_hash=digest,
+        held=held,
     )
+
+
+def held_problems(wts: Wts, scenario: Scenario) -> list:
+    """What keeps the held inputs of ``wts`` from driving ``scenario``'s
+    model: each transition's must have a row per sampling step of its
+    weight, each of the model's width."""
+    n = scenario.state_dim
+    return [f"transition {src!r} -> {dst!r} holds {rows.shape[0]} rows of "
+            f"{rows.shape[1]} inputs, not {wts.transitions[src, dst] / scenario.step} "
+            f"rows of {n}"
+            for (src, dst), rows in sorted(wts.held.items())
+            if rows.shape != (wts.transitions[src, dst] / scenario.step, n)]
 
 
 def save_wts(wts: Wts, path) -> None:

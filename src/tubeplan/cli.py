@@ -47,7 +47,9 @@ def _load(args):
 
 
 def _get_wts(args, scenario):
-    """Load a cached abstraction when it matches, else rebuild (and cache)."""
+    """Load a cached abstraction when it matches, else rebuild (and cache).
+    A cache whose held inputs do not fit the scenario's steps and model
+    (``abstraction.held_problems``) is invalid input."""
     expected = abstraction.scenario_hash(scenario)
     path = getattr(args, "wts", None)
     if path and os.path.exists(path):
@@ -63,6 +65,9 @@ def _get_wts(args, scenario):
         if wts.initial != scenario.initial_region:
             raise AbstractionError(f"cached transition system starts at {wts.initial!r}, "
                                    f"not at the initial region {scenario.initial_region!r}")
+        problems = abstraction.held_problems(wts, scenario)
+        if problems:
+            raise ValidationError([f"{path}: {p}" for p in problems])
         return wts
     wts = abstraction.build_wts(scenario)
     if path:
@@ -126,13 +131,18 @@ def cmd_synthesize(args) -> int:
 def _execute(args, scenario, wts, plan, trace_path):
     """Run the plan.  A failed execution writes its partial trace to
     ``trace_path``, when one is given, before the failure propagates, so
-    that ``verify`` can report on it."""
+    that ``verify`` can report on it.  Held inputs that run out name the
+    ``--wts`` cache they came from."""
     try:
         return harness.execute_plan(scenario, wts, plan,
                                     disturbance=args.disturbance, seed=args.seed)
     except ExecutionFailure as exc:
         if trace_path:
             harness.export_trace(exc.partial_trace, trace_path)
+        raise
+    except ValidationError as exc:
+        if args.wts:
+            raise ValidationError([f"{args.wts}: {p}" for p in exc.problems]) from exc
         raise
 
 

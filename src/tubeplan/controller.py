@@ -126,6 +126,10 @@ class FhocpParams:
     def __post_init__(self):
         if not (self.horizon > self.step > 0):
             raise InvalidParam("need horizon > step > 0")
+        ratio = self.horizon / self.step
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise InvalidParam(f"horizon {self.horizon} must be a whole number "
+                               f"of {self.step} s steps")
         if self.terminal_level <= 0:
             raise InvalidParam("terminal level must be > 0")
         for name in ("state_weight", "terminal_weight", "input_weight"):
@@ -144,7 +148,8 @@ class FhocpParams:
 
     @property
     def segments(self) -> int:
-        """Piecewise-constant control segments: one per sampling step."""
+        """Piecewise-constant control segments: one per sampling step, a
+        whole number of them (``__post_init__``)."""
         return round(self.horizon / self.step)
 
     @property
@@ -938,7 +943,9 @@ def lockstep(legs) -> list:
     problem, and all of them are solved in one ``solve_fhocps`` batch; each
     leg's run is bit for bit the one it has on its own.  A single pending
     problem goes through ``solve_fhocp``, its one-problem entry, so that a
-    profiler that wraps that name still sees each solve of a one-leg run.
+    profiler that wraps that name still sees each solve of a one-leg run:
+    the abstraction runs every leg here, and execution each leg it cannot
+    replay from the abstraction's held inputs (``harness.execute_plan``).
     """
     legs = list(legs)
     outcomes = [None] * len(legs)

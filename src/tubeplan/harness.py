@@ -11,6 +11,9 @@ from the recorded samples alone.  A trace holds the samples, the digest of
 its plan, and the seed and disturbance policy of the run; the stamps, the
 word and the leg of each sample are read from the plan, the only copy of
 them, and each leg's arrival and each saturation from the samples.
+A leg that starts at its source's center replays the nominal the
+abstraction computed for its transition, from the held inputs the
+transition system carries, so execution solves only the other legs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import Wts
-from .controller import Samples, lockstep, navigate, reached, saturation_count, track
+from .controller import (
+    FhocpSolution,
+    Samples,
+    lockstep,
+    navigate,
+    reached,
+    saturation_count,
+    track,
+)
 from .dynamics import DISTURBANCE_POLICIES, DisturbanceSpec, derive_seed
 from .errors import ExecutionFailure, ValidationError
 from .mitl import monitor
@@ -72,7 +83,12 @@ def execute_plan(
     Each leg's nominal starts where the previous leg's nominal ended, so it
     depends only on the leg, its step count and that start: ``navigate``
     computes it once per distinct leg, and ``track`` runs the disturbed
-    state around it on every leg.
+    state around it on every leg.  A leg whose nominal starts exactly at its
+    source's center, and whose transition carries its held inputs
+    (``Wts.held``), is the abstraction's run: its shooting problems are
+    answered with those inputs in order (``_replay``), with no solve.  Other
+    legs solve through ``lockstep``.  Held inputs that run out before the
+    nominal ends raise ``ValidationError``.
     """
     model = scenario.model()
     tube = scenario.tube_params()
@@ -111,10 +127,16 @@ def execute_plan(
         steps = int(steps)
         key = (src, dst, steps, start.tobytes())
         if key not in nominals:
-            (nominals[key],) = lockstep([navigate(
+            run = navigate(
                 model, start, scenario.regions[dst], scenario.state_constraints_for(src, dst),
                 input_set, tube, fhocp, steps, min_duration_steps=steps,
-                sim_dt=scenario.sim_dt)])
+                sim_dt=scenario.sim_dt)
+            held = wts.held.get((src, dst))
+            center = model.embed_position(scenario.regions[src].center)
+            if held is not None and key[3] == center.tobytes():
+                nominals[key] = _replay(run, held, src, dst)
+            else:
+                (nominals[key],) = lockstep([run])
         nominal = nominals[key]
         leg = track(model, nominal, x, tube, input_set, spec,
                     seed=derive_seed(seed, i, src, dst))
@@ -131,6 +153,25 @@ def execute_plan(
         t_offset += steps * h
 
     return recorded()
+
+
+def _replay(run, held: np.ndarray, src: str, dst: str):
+    """The ``Nominal`` of the ``navigate`` generator ``run``, each of whose
+    shooting problems is answered by the next row of ``held`` as the first
+    input of a feasible solution; the rows of a landing, which ``navigate``
+    computes itself, go unread.  ``ValidationError`` if the rows run out."""
+    rows = iter(held)
+    sol = None
+    while True:
+        try:
+            run.send(sol)
+        except StopIteration as stop:
+            return stop.value
+        row = next(rows, None)
+        if row is None:
+            raise ValidationError([f"transition {src!r} -> {dst!r}: its {len(held)} "
+                                   "held inputs ran out before its nominal ended"])
+        sol = FhocpSolution(row[None], None, True, 0.0)
 
 
 def stamp_indices(scenario: Scenario, plan: Plan) -> list:

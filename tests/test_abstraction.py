@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tubeplan import controller
@@ -103,6 +104,21 @@ def test_save_load_round_trip(tiny_wts, tmp_path):
     assert loaded.weight_of("A", "B") == tiny_wts.weight_of("A", "B")
     with pytest.raises(AbstractionError):
         load_wts(path, expected_hash="somethingelse")
+    # every transition's held inputs, a row per step of its weight, bit for bit
+    assert loaded.held.keys() == tiny_wts.transitions.keys()
+    for pair, rows in tiny_wts.held.items():
+        assert rows.shape == (tiny_wts.transitions[pair] * 10, 3)
+        assert np.array_equal(loaded.held[pair].view(np.int64), rows.view(np.int64))
+
+
+def test_held_inputs_leave_equality_alone(tiny_wts):
+    # a system loaded from a file without them (an older cache) is the same
+    # system, and solves its legs again when executed
+    data = wts_to_dict(tiny_wts)
+    for item in data["transitions"]:
+        del item["held"]
+    bare = wts_from_dict(data)
+    assert bare.held == {} and bare == tiny_wts
 
 
 def test_hash_tracks_relevant_fields():

@@ -7,14 +7,15 @@ under ``pytest -s``); the assertions carry the exact bounds being enforced.
 import hashlib
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tubeplan import cli, controller
-from tubeplan.abstraction import LEG_TIMEOUT, load_wts, scenario_hash
+from tubeplan import abstraction, cli, controller
+from tubeplan.abstraction import LEG_TIMEOUT, build_wts, load_wts, scenario_hash
 from tubeplan.controller import (
     FhocpParams,
     lockstep,
@@ -23,7 +24,12 @@ from tubeplan.controller import (
     saturation_count,
     track,
 )
-from tubeplan.dynamics import DisturbanceSpec, derive_seed, single_integrator
+from tubeplan.dynamics import (
+    DISTURBANCE_POLICIES,
+    DisturbanceSpec,
+    derive_seed,
+    single_integrator,
+)
 from tubeplan.errors import Unrealizable
 from tubeplan.geometry import Ball, Box, ConstraintSet
 from tubeplan.harness import (
@@ -47,8 +53,8 @@ from tubeplan.mitl import (
     parse,
     to_string,
 )
-from tubeplan.scenario import default_scenario
-from tubeplan.synthesis import find_accepting_run, plan_digest, plan_word, synthesize
+from tubeplan.scenario import default_scenario, scenario_from_dict
+from tubeplan.synthesis import Plan, find_accepting_run, plan_digest, plan_word, synthesize
 from tubeplan.tba import accepts_word, build_tba
 
 from conftest import tiny_dict
@@ -198,12 +204,30 @@ MISSION_DIGESTS = {
 }
 
 
-def test_criterion_4_default_mission(tmp_path):
+def _counting_after_abstraction(patch):
+    """``_counting_solves``, whose count starts again after each
+    ``abstraction.build_wts``."""
+    counts = _counting_solves(patch)
+    build = abstraction.build_wts
+
+    def counting(scenario):
+        wts = build(scenario)
+        counts.append(0)
+        return wts
+
+    patch.setattr(abstraction, "build_wts", counting)
+    return counts
+
+
+def test_criterion_4_default_mission(tmp_path, monkeypatch):
     out = tmp_path / "mission"
+    counts = _counting_after_abstraction(monkeypatch)
     t0 = time.perf_counter()
     code = cli.main(["run", "--out", str(out)])
     elapsed = time.perf_counter() - t0
     assert code == cli.EXIT_PASS
+    # execution replays the nominals the abstraction computed
+    assert len(counts) == 2 and counts[-1] == 0
     assert elapsed <= 300.0, f"end-to-end run took {elapsed:.0f}s"
     report = json.loads((out / "report.json").read_text())
     assert report["pass"]
@@ -225,6 +249,15 @@ def test_criterion_4_default_mission(tmp_path):
     assert load_wts(out / "wts.json", digest) == load_wts(FROZEN_WTS, digest)
     for name, want in MISSION_DIGESTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+    # ``simulate`` replays from the run's cache, and solves again from the
+    # frozen one, which carries no held inputs: the same trace either way
+    for cache, solved in ((out / "wts.json", False), (FROZEN_WTS, True)):
+        counts.append(0)
+        trace = tmp_path / "trace.tsv"
+        assert cli.main(["simulate", "--wts", str(cache), "--plan", str(out / "plan.json"),
+                         "--out", str(trace)]) == cli.EXIT_PASS
+        assert (counts[-1] > 0) == solved, cache
+        assert trace.read_bytes() == (out / "trace.tsv").read_bytes(), cache
     print(f"criterion 4 (bundled mission): PASS  in {elapsed:.0f}s, "
           f"mission2 at {[float(t) for t in visits('mission2', 30, 50)]}, "
           f"mission1 at {[float(t) for t in visits('mission1', 80, 110)]}")
@@ -312,6 +345,73 @@ def test_bundled_legs_replay_the_abstraction_nominal(bundled_runs):
         for (src, dst, _), leg in zip(plan.legs(), rows):
             assert np.array_equal(trace.nominal[leg], nominal[src, dst]), (run, src, dst)
         assert solves[run] == first > 0, run
+
+
+@pytest.fixture(scope="module")
+def bundled_fresh_wts():
+    """The bundled transition system as the abstraction builds it, with the
+    held inputs of every transition."""
+    return build_wts(default_scenario())
+
+
+@pytest.mark.parametrize("policy", DISTURBANCE_POLICIES)
+def test_bundled_replay_equals_solve(bundled_runs, bundled_fresh_wts, policy):
+    # the legs replayed from the held inputs give the samples the frozen
+    # system's solved legs give, bit for bit, and make no solve
+    scenario, plan, traces, _ = bundled_runs
+    frozen = load_wts(FROZEN_WTS, scenario_hash(scenario))
+    with pytest.MonkeyPatch.context() as patch:
+        counts = _counting_solves(patch)
+        for seed in range(2):
+            solved = traces.get((policy, seed)) or execute_plan(
+                scenario, frozen, plan, policy, seed)
+            counts.append(0)
+            replayed = execute_plan(scenario, bundled_fresh_wts, plan, policy, seed)
+            assert counts[-1] == 0, seed
+            assert np.array_equal(replayed.samples.view(np.int64),
+                                  solved.samples.view(np.int64)), seed
+
+
+def _tiny_variant(kind):
+    """The tiny scenario with a ball of inputs, or on ``demo_nonlinear``
+    cut to region A, whose self-loop is its one leg quick to solve, and a
+    plan that runs that loop twice."""
+    data = tiny_dict()
+    if kind == "ball":
+        data["input"]["type"] = "ball"
+        scenario = scenario_from_dict(data)
+        wts = build_wts(scenario)
+        return scenario, wts, synthesize(wts, scenario.formula())
+    data["model"] = "demo_nonlinear"
+    data["regions"] = {"A": data["regions"]["A"]}
+    data["labels"] = {"A": ["home"]}
+    data["formula"] = "G[0,inf] home"
+    scenario = scenario_from_dict(data)
+    wts = build_wts(scenario)
+    weight = wts.transitions["A", "A"]
+    return scenario, wts, Plan(("A", "A", "A"), (F(0), weight, 2 * weight), 1)
+
+
+@pytest.mark.parametrize("kind", ["ball", "demo_nonlinear"])
+def test_tiny_replay_equals_solve(monkeypatch, kind):
+    # a ball of inputs replays every leg; a demo_nonlinear nominal ends off
+    # its target's center, so the second loop starts off it and is solved
+    scenario, wts, plan = _tiny_variant(kind)
+    unheld = replace(wts, held={})
+    counts = _counting_solves(monkeypatch)
+    for policy, seed in (("random", 0), ("worst", 1)):
+        counts.append(0)
+        replayed = execute_plan(scenario, wts, plan, policy, seed)
+        partly = counts[-1]
+        counts.append(0)
+        solved = execute_plan(scenario, unheld, plan, policy, seed)
+        assert np.array_equal(replayed.samples.view(np.int64),
+                              solved.samples.view(np.int64)), (policy, seed)
+        assert 0 < counts[-1]
+        if kind == "ball":
+            assert partly == 0
+        else:
+            assert 0 < partly < counts[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ against the bundled scenario's hash; a rename or a format change would
 otherwise surface only when the benchmark runs.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -65,18 +66,21 @@ class _NoKernel:
 def test_layer_metrics_read_a_traced_run(tiny_scenario, tiny_wts):
     # the per-layer metrics of a traced abstraction and execution: every
     # solve the tracer sees must be one problem's solution, with an int
-    # iteration count and a bool verdict, or ``_on_solve`` fails
+    # iteration count and a bool verdict, or ``_on_solve`` fails.  The
+    # execution runs on the system without its held inputs, as loaded from
+    # an older cache, so that it solves
     tracing = _load_tracing()
     tp = SimpleNamespace(**{m: importlib.import_module("tubeplan." + m)
                             for m in MODULES})
     plan = tp.synthesis.synthesize(tiny_wts, tiny_scenario.formula())
+    unheld = dataclasses.replace(tiny_wts, held={})
     tracer = tracing.Tracer()
     tracing.install(tracer, tp)
     try:
         with tracer.stage_span("abstract"):
             tp.abstraction.build_wts(tiny_scenario)
         with tracer.stage_span("simulate"):
-            tp.harness.execute_plan(tiny_scenario, tiny_wts, plan, seed=1)
+            tp.harness.execute_plan(tiny_scenario, unheld, plan, seed=1)
     finally:
         tracer.uninstall()
     layers = tracing.layer_metrics(tracer, _NoKernel())
@@ -90,11 +94,14 @@ def test_layer_metrics_read_a_traced_run(tiny_scenario, tiny_wts):
 def test_traced_execution_counts_every_solve(monkeypatch, tiny_scenario, tiny_wts):
     # the tracer counts solves at ``solve_fhocp``, which a lone problem goes
     # through; every solve goes through ``solve_fhocps``, so the two counts
-    # agree only while execution passes its problems one at a time
+    # agree only while execution passes its problems one at a time.  The
+    # system has no held inputs, as if loaded from an older cache, so
+    # execution solves
     tracing = _load_tracing()
     tp = SimpleNamespace(**{m: importlib.import_module("tubeplan." + m)
                             for m in MODULES})
     plan = tp.synthesis.synthesize(tiny_wts, tiny_scenario.formula())
+    unheld = dataclasses.replace(tiny_wts, held={})
     problems = []
     solve_all = tp.controller.solve_fhocps
 
@@ -107,7 +114,7 @@ def test_traced_execution_counts_every_solve(monkeypatch, tiny_scenario, tiny_wt
     tracing.install(tracer, tp)
     try:
         with tracer.stage_span("simulate"):
-            tp.harness.execute_plan(tiny_scenario, tiny_wts, plan, seed=1)
+            tp.harness.execute_plan(tiny_scenario, unheld, plan, seed=1)
     finally:
         tracer.uninstall()
     layers = tracing.layer_metrics(tracer, _NoKernel())

@@ -512,6 +512,92 @@ def test_malformed_wts_cache_is_rejected(workdir, wts_cache, tmp_path, capsys,
     assert f"error: {bad}" in err           # every problem names the file
 
 
+def _held_of(data, src, dst):
+    return next(t for t in data["transitions"]
+                if (t["source"], t["target"]) == (src, dst))["held"]
+
+
+def _held_nan(data):
+    _held_of(data, "A", "B")[3][1] = float("nan")
+
+
+def _held_word(data):
+    _held_of(data, "A", "B")[0][0] = "x"
+
+
+def _held_bool(data):
+    _held_of(data, "A", "B")[0][2] = True
+
+
+def _held_ragged(data):
+    _held_of(data, "A", "B")[5].pop()
+
+
+def _held_not_rows(data):
+    _held_of(data, "A", "B")[:] = [1.0, 2.0]
+
+
+def _held_short(data):
+    _held_of(data, "A", "B").pop()
+
+
+def _held_first_ten(data):
+    del _held_of(data, "A", "B")[10:]
+
+
+def _held_planar(data):
+    for row in _held_of(data, "A", "B"):
+        row.pop()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_held_nan, "field 'transitions.1.held.3.1' must be a finite number, got nan"),
+    (_held_word, "field 'transitions.1.held.0.0' must be a finite number, got 'x'"),
+    (_held_bool, "field 'transitions.1.held.0.2' must be a finite number, got True"),
+    (_held_ragged, "field 'transitions.1.held' has rows of [2, 3] numbers"),
+    (_held_not_rows, "field 'transitions.1.held' must be a list of rows of numbers"),
+    (_held_short, "transition 'A' -> 'B' holds 71 rows of 3 inputs, not 72 rows of 3"),
+    (_held_planar, "transition 'A' -> 'B' holds 72 rows of 2 inputs, not 72 rows of 3"),
+], ids=["nan", "word", "bool", "ragged", "not-rows", "short", "planar"])
+@pytest.mark.parametrize("command", ["synthesize", "simulate"])
+def test_malformed_held_inputs_are_rejected(workdir, wts_cache, tmp_path, capsys,
+                                            corrupt, message, command):
+    # unchecked, the replay of a leg's nominal would read a NaN, a string
+    # or a row of another model as an input
+    plan = tmp_path / "plan.json"
+    assert cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),
+                     "--wts", str(wts_cache), "--out", str(plan)]) == cli.EXIT_PASS
+    bad = tmp_path / "wts.json"
+    bad.write_text(_edit_wts(corrupt)(wts_cache.read_text()))
+    argv = [command, "--scenario", str(workdir / "tiny.json"), "--wts", str(bad)]
+    if command == "simulate":
+        argv += ["--plan", str(plan)]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.count(message) == 1
+    assert f"error: {bad}" in err
+
+
+def test_held_inputs_that_run_out_are_rejected(workdir, wts_cache, tmp_path, capsys,
+                                               monkeypatch):
+    # past the row-count check, a replay that runs out of held inputs is
+    # invalid input too, and names the cache (the rows of the nominal's
+    # landing are never read, so only a cut before it runs out)
+    plan = tmp_path / "plan.json"
+    assert cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),
+                     "--wts", str(wts_cache), "--out", str(plan)]) == cli.EXIT_PASS
+    bad = tmp_path / "wts.json"
+    bad.write_text(_edit_wts(_held_first_ten)(wts_cache.read_text()))
+    monkeypatch.setattr(tubeplan.abstraction, "held_problems", lambda wts, scenario: [])
+    capsys.readouterr()
+    assert cli.main(["simulate", "--scenario", str(workdir / "tiny.json"),
+                     "--wts", str(bad), "--plan", str(plan)]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert (f"error: {bad}: transition 'A' -> 'B': its 10 held inputs ran out "
+            "before its nominal ended") in err
+
+
 def _detour_through_z(data):
     """A state ``Z`` that is no region, which the plan must pass: A's own
     transitions are replaced by A -> Z, and Z leads everywhere."""

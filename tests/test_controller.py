@@ -67,6 +67,14 @@ def test_arrival_radius():
                 dataclasses.replace(p, **{name: bad})
 
 
+def test_horizon_must_be_whole_steps():
+    # 1.25 s would be 12 segments of 0.1042 s, 0.11 s one segment of 0.11 s
+    for horizon in (1.25, 0.11):
+        with pytest.raises(InvalidParam, match="whole number"):
+            _params(horizon=horizon, step=0.1)
+    assert _params(horizon=0.6, step=0.1).segments == 6
+
+
 def test_project_input_box_and_ball():
     box = Box([-0.2, -0.2], [0.2, 0.2])
     assert np.allclose(box.project(np.array([0.5, -0.1])), [0.2, -0.1])
