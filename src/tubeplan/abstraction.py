@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .controller import lockstep, navigate
+from .controller import navigate
 from .errors import AbstractionError, NoTransition, UnknownTransition, ValidationError
 from .scenario import Scenario, not_numbers, rational_str, read_json, write_json
 
@@ -100,14 +101,15 @@ def scenario_hash(scenario: Scenario) -> str:
 
 def build_wts(scenario: Scenario) -> Wts:
     """Run the nominal of every center-to-region leg and keep the ones that
-    arrive with no nominal position outside the leg's free space.  The legs
-    run side by side (``lockstep``), one batch of shooting problems per
-    sampling step.
+    arrive with no nominal position outside the leg's free space.  All legs
+    run in one ``navigate`` call, in step, with one batch of shooting
+    problems per sampling step.
 
     Self-loops are included (arrive immediately, hold for the settle time),
     so plans can wait at a region in settle-time quanta.  Each kept
-    transition keeps its nominal's held inputs (``Nominal.held``), from which
-    ``harness.execute_plan`` replays the nominal with no shooting problem.
+    transition keeps its nominal's held inputs (``Nominal.held``), which
+    ``harness.execute_plan`` hands back to ``navigate`` to replay the
+    nominal with no shooting problem.
     """
     model = scenario.model()
     tube = scenario.tube_params()
@@ -119,21 +121,10 @@ def build_wts(scenario: Scenario) -> Wts:
     names = tuple(sorted(scenario.regions))
     pairs = [(src, dst, scenario.state_constraints_for(src, dst))
              for src in names for dst in names]
-    nominals = lockstep(
-        navigate(
-            model,
-            model.embed_position(scenario.regions[src].center),
-            scenario.regions[dst],
-            free,
-            input_set,
-            tube,
-            fhocp,
-            max_steps,
-            settle_steps=settle,
-            sim_dt=scenario.sim_dt,
-        )
-        for src, dst, free in pairs
-    )
+    nominals = navigate(
+        [(model.embed_position(scenario.regions[src].center), scenario.regions[dst], free)
+         for src, dst, free in pairs],
+        model, input_set, tube, fhocp, max_steps, settle_steps=settle, sim_dt=scenario.sim_dt)
     transitions, held = {}, {}
     for (src, dst, free), nominal in zip(pairs, nominals):
         if not nominal.arrived:
@@ -178,17 +169,17 @@ def wts_to_dict(wts: Wts) -> dict:
 def _held_rows(value, where: str):
     """A transition's ``held`` list as a float array of rows, and the
     problems that keep it from being one: rows that are not lists of one
-    width, or an entry that is not a finite number."""
+    width, or an entry that is not a finite number: anything but an int or
+    a float (a bool too), or a float that is not finite.  One pass checks
+    each entry once."""
     if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
         return None, [f"field {where!r} must be a list of rows of numbers"]
     widths = sorted({len(row) for row in value})
     if len(widths) > 1:
         return None, [f"field {where!r} has rows of {widths} numbers"]
-    problems = [f"field {path!r} must be a finite number, got {v!r}"
-                for path, v in not_numbers(value, where)]
-    problems += [f"field '{where}.{i}.{j}' must be a finite number, got {v!r}"
-                 for i, row in enumerate(value) for j, v in enumerate(row)
-                 if not isinstance(v, (int, float))]
+    problems = [f"field '{where}.{i}.{j}' must be a finite number, got {v!r}"
+                for i, row in enumerate(value) for j, v in enumerate(row)
+                if not ((type(v) is float or type(v) is int) and -math.inf < v < math.inf)]
     if not problems:
         try:
             rows = np.array(value, dtype=float)

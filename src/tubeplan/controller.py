@@ -22,26 +22,28 @@ disturbed state around it under the ancillary law, so the deviation ``q = x
 A pure integrator's nominal lands on the target's center at the end of a
 run.
 
-Between sampling instants both run on lists of floats, and only their steps
-depend on the model (``integrator_increment`` for the pure integrator,
-``rk4_step`` otherwise).  A sample is one row ``[t, *x, *x_hat, *u,
-*delta]`` of one ``Samples`` matrix, from the closed loop to the trace file.
+Between sampling instants only their steps depend on the model
+(``integrator_increment`` for the pure integrator, ``rk4_step`` otherwise).
+``navigate`` steps the nominals of many legs at once, as arrays on a
+leading leg axis, and ``track`` one disturbed state on lists of floats.  A
+sample is one row ``[t, *x, *x_hat, *u, *delta]`` of one ``Samples``
+matrix, from the closed loop to the trace file.
 
-``navigate`` is a generator that yields its shooting problem at each
-sampling instant; ``lockstep`` runs any number of them side by side and
-solves all pending problems in one batch (``solve_fhocps``).  The solver
-holds every problem on a leading row axis, and a single problem is a batch
-of one row.  A broad phase sets apart the problems whose start is farther
-from every constraint than the inputs can move a pure integrator within the
-horizon (``horizon * max|u|``): their solves measure no constraint, and the
-hinge terms they skip would all be 0.
+At each sampling instant ``navigate`` hands the shooting problems of all
+its running legs to one batch (``solve_fhocps``).  The solver holds every
+problem on a leading row axis, and a single problem is a batch of one row;
+a single leg is likewise a batch of one for ``navigate``.  A broad phase
+sets apart the problems whose start is farther from every constraint than
+the inputs can move a pure integrator within the horizon (``horizon *
+max|u|``): their solves measure no constraint, and the hinge terms they
+skip would all be 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,10 +53,9 @@ from .dynamics import (
     integrator_increment,
     rk4_step,
 )
-from .errors import InvalidParam, NonFiniteError, SolverDiverged
+from .errors import InvalidParam, NonFiniteError, SolverDiverged, ValidationError
 from .geometry import (
     DEFAULT_TOL,
-    Ball,
     Box,
     ConstraintSet,
     ConstraintStack,
@@ -782,17 +783,18 @@ class Nominal:
         return states
 
 
-def reached(pos: np.ndarray, center: np.ndarray, radius: float) -> bool:
-    """``navigate``'s stop test ``|pos - center| <= radius``."""
+def reached(pos: np.ndarray, center, radius: float):
+    """``navigate``'s stop test ``|pos - center| <= radius``, of one point
+    or of each row of ``pos``.  Each row's ``d @ d`` is a (1, n) by (n, 1)
+    product, which rounds as one point's ``d.dot(d)`` does, so a batch
+    rounds as its points do alone (the tests check it on 20,000 rows)."""
     d = pos - center
-    return float(np.sqrt(d.dot(d))) <= radius
+    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0] <= radius
 
 
 def navigate(
+    legs: list,
     model: DynamicsModel,
-    start,
-    target: Ball,
-    state_constraints: ConstraintSet,
     input_set,
     tube: TubeParams,
     fhocp: FhocpParams,
@@ -800,94 +802,134 @@ def navigate(
     settle_steps: int = 0,
     min_duration_steps: int = 0,
     sim_dt: float = 0.01,
-) -> Generator[tuple, FhocpSolution, Nominal]:
-    """Receding-horizon nominal run from ``start`` towards a region.
+    held=None,
+) -> list:
+    """Receding-horizon nominal runs, one per leg ``(start, target, free)``:
+    from the state ``start`` towards the ``Ball`` ``target``, within the
+    ``ConstraintSet`` ``free``.  Returns their ``Nominal`` runs, in order.
 
-    At each sampling instant the shooting problem is solved from the nominal
-    error state (warm-started with the shifted previous solution), and its
-    first input moves the nominal over the interval; ``track`` then keeps a
-    disturbed state in the tube around it.  The stop test
-    ``|pos(x_hat) - target.center| <= arrival_radius`` reads the nominal.
-    The run ends ``settle_steps`` sampling steps after the stop test first
-    passes, but never before ``min_duration_steps`` steps have elapsed, and
-    gives up after ``max_steps``.  In that settle window a pure integrator's
-    nominal is steered in a straight line onto the target's center by one
-    held input, with no shooting problem, and its last error state is 0
-    exactly; other models, or a landing input outside the tightened input
-    set, keep solving.  Safety is left to the caller.
+    At each sampling instant a leg's shooting problem is solved from its
+    nominal error state (warm-started with its shifted previous solution),
+    and the first input moves the nominal over the interval; ``track`` then
+    keeps a disturbed state in the tube around it.  The stop test
+    ``reached(pos(x_hat), target.center, arrival_radius)`` reads the
+    nominal.  A run ends ``settle_steps`` sampling steps after the stop test
+    first passes, but never before ``min_duration_steps`` steps have
+    elapsed, and gives up after ``max_steps``.  In that settle window a pure
+    integrator's nominal is steered in a straight line onto the target's
+    center by one held input, with no shooting problem, and its last error
+    state is 0 exactly; other models, or a landing input outside the
+    tightened input set, keep solving.  Safety is left to the caller.
 
-    A generator driven by ``lockstep``: it yields its shooting problem
-    (``solve_fhocp``'s arguments) at each sampling instant, takes its solution
-    back, and returns the ``Nominal``.
+    ``held``, if given, has None or nominal inputs for each leg: a leg with
+    inputs takes row ``k`` at step ``k`` instead of solving, and raises
+    ``ValidationError`` naming the leg if it needs a row past the last.
+
+    All legs start at step 0 and move in step: the running ones are an
+    index array, their error states one array, their problems one
+    ``solve_fhocps`` batch, and a pure integrator's substeps one
+    ``np.add.accumulate``, the additions of a substep loop; other models
+    step each leg with ``rk4_step``.  A leg's run is bit for bit its run in
+    a batch of one.
     """
     h = fhocp.step
     substeps = round(h / sim_dt)
     if abs(substeps * sim_dt - h) > 1e-9 or substeps < 1:
         raise InvalidParam(f"sim_dt={sim_dt} must divide the sampling step {h}")
 
-    target_state = model.embed_position(target.center)
-    err_model = shift_to_error_frame(model, target_state)
-    e_set = tighten_state_constraints(state_constraints, target.center, tube.tube_radius)
+    count, n = len(legs), model.n
+    starts = np.array([start for start, _, _ in legs], dtype=float).reshape(count, n)
+    targets = np.array([model.embed_position(target.center)
+                        for _, target, _ in legs]).reshape(count, n)
+    err_models = [shift_to_error_frame(model, r) for r in targets]
+    e_sets = [tighten_state_constraints(free, target.center, tube.tube_radius)
+              for _, target, free in legs]
     u_tight = tighten_input_constraints(input_set, tube.sigma, tube.tube_radius)
-    arrival_radius = fhocp.arrival_radius
+    held = [None] * count if held is None else held
 
-    start = np.asarray(start, dtype=float)
-    e = start - target_state
-    # e_hat after every substep and u_hat of every interval, as lists of
-    # floats; the arrays are built once, at the end
-    errors = [e.tolist()]
-    held = []
-
-    warm = None
-    arrival_steps = end = landing = None
-    status = TIMED_OUT
+    run = np.arange(count)          # the legs still running
+    e = starts - targets            # their nominal error states
+    # each leg's held inputs and its error-state blocks, joined at the end
+    inputs = [[] for _ in range(count)]
+    errors = [[row[None]] for row in e]
+    warm = [None] * count
+    status, arrival = [TIMED_OUT] * count, [None] * count
+    never = np.iinfo(np.int64).max
+    end = np.full(count, never)     # the step each leg ends at, once it has arrived
+    # a pure integrator's landing input, held to the end of its run
+    landing, lands = np.zeros((count, n)), np.zeros(count, dtype=bool)
 
     k = 0
-    while k <= max_steps:
-        if arrival_steps is None and reached(e[:2], 0.0, arrival_radius):
-            arrival_steps = k
-            end = max(k + settle_steps, min_duration_steps)
-            if model.pure_integrator and end > k:
+    while run.size:
+        end_now = end[run]
+        new = (end_now == never) & reached(e[:, :2], 0.0, fhocp.arrival_radius)
+        if new.any():
+            last = max(k + settle_steps, min_duration_steps)
+            end[run[new]] = end_now[new] = last
+            for i in run[new].tolist():
+                arrival[i] = k
+            if model.pure_integrator and last > k:
                 # one held input from here onto the center by the run's end
-                u_land = e / -((end - k) * h)
-                landing = None if u_tight.outside(u_land, 0.0) else u_land.tolist()
-        if arrival_steps is not None and k >= end:
-            status = ARRIVED
-            break
+                u_land = e[new] / -((last - k) * h)
+                fits = ~u_tight.outside(u_land, 0.0)
+                at = run[new][fits]
+                landing[at], lands[at] = u_land[fits], True
+        done = end_now <= k
+        if done.any():
+            for i in run[done].tolist():
+                status[i] = ARRIVED
+            run, e = run[~done], e[~done]
         if k == max_steps:
             break
 
-        if landing is None:
-            sol = yield (e, err_model, fhocp, e_set, u_tight, warm)
-            if not sol.feasible:
-                status = INFEASIBLE
-                break
-            u_hat = sol.controls[0].tolist()
-            warm = np.concatenate((sol.controls[1:], np.zeros((1, model.n))))
-        else:
-            u_hat = landing
-        held.append(u_hat)
+        u = landing[run]
+        asked, problems = [], []
+        for j, i in enumerate(run.tolist()):
+            if lands[i]:
+                continue
+            if held[i] is not None:
+                if k >= len(held[i]):
+                    raise ValidationError([f"leg {i}: its {len(held[i])} held inputs "
+                                           "ran out before its nominal ended"])
+                u[j] = held[i][k]
+            else:
+                asked.append(j)
+                problems.append((e[j], err_models[i], fhocp, e_sets[i], u_tight, warm[i]))
+        if problems:
+            sols = [solve_fhocp(*problems[0])] if len(problems) == 1 else solve_fhocps(problems)
+            for j, sol in zip(asked, sols):
+                if sol.feasible:
+                    u[j] = sol.controls[0]
+                    warm[run[j]] = np.concatenate((sol.controls[1:], np.zeros((1, n))))
+                else:
+                    status[run[j]] = INFEASIBLE
+            stuck = [j for j, sol in zip(asked, sols) if not sol.feasible]
+            if stuck:
+                run, e, u = (np.delete(a, stuck, axis=0) for a in (run, e, u))
 
-        # the nominal over one sampling interval under the held input
-        e_hat = errors[-1]
+        # the nominals over one sampling interval under their held inputs
         if model.pure_integrator:
-            increment = [integrator_increment(0.0 + a, sim_dt) for a in u_hat]
-            for _ in range(substeps):
-                e_hat = [a + b for a, b in zip(e_hat, increment)]
-                errors.append(e_hat)
+            path = np.empty((len(run), substeps + 1, n))
+            path[:, 0] = e
+            path[:, 1:] = integrator_increment(0.0 + u, sim_dt)[:, None]
+            path = np.add.accumulate(path, axis=1)[:, 1:]
         else:
-            for _ in range(substeps):
-                e_hat = rk4_step(err_model, np.array(e_hat), u_hat, sim_dt).tolist()
-                errors.append(e_hat)
+            path = np.empty((len(run), substeps, n))
+            for j, i in enumerate(run.tolist()):
+                e_hat = e[j]
+                for s in range(substeps):
+                    e_hat = path[j, s] = rk4_step(err_models[i], e_hat, u[j], sim_dt)
         k += 1
-        if landing is not None and k == end:
-            # landed: the held input's round-off is dropped
-            errors[-1] = [0.0] * model.n
-        e = np.array(errors[-1])
+        # landed: the held input's round-off is dropped
+        path[lands[run] & (end[run] == k), -1] = 0.0
+        e = path[:, -1]
+        for j, i in enumerate(run.tolist()):
+            inputs[i].append(u[j])
+            errors[i].append(path[j])
 
-    return Nominal(status, arrival_steps, k, start, target_state,
-                   np.array(held, dtype=float).reshape(k, model.n), np.array(errors),
-                   h, sim_dt)
+    return [Nominal(status[i], arrival[i], len(inputs[i]), starts[i], targets[i],
+                    np.array(inputs[i]).reshape(-1, n), np.concatenate(errors[i]), h, sim_dt)
+            for i in range(count)]
 
 
 def track(model: DynamicsModel, nominal: Nominal, x_start, tube: TubeParams, input_set,
@@ -933,36 +975,3 @@ def track(model: DynamicsModel, nominal: Nominal, x_start, tube: TubeParams, inp
             rows.append([t + dt, *x, *u, *delta])
     rows = np.asarray(rows)
     return Samples(np.concatenate((rows[:, :1 + n], nominal.states, rows[:, 1 + n:]), axis=1))
-
-
-def lockstep(legs) -> list:
-    """Run ``navigate`` generators side by side and return their
-    ``Nominal`` runs, in order.
-
-    At each sampling step every leg still running yields its shooting
-    problem, and all of them are solved in one ``solve_fhocps`` batch; each
-    leg's run is bit for bit the one it has on its own.  A single pending
-    problem goes through ``solve_fhocp``, its one-problem entry, so that a
-    profiler that wraps that name still sees each solve of a one-leg run:
-    the abstraction runs every leg here, and execution each leg it cannot
-    replay from the abstraction's held inputs (``harness.execute_plan``).
-    """
-    legs = list(legs)
-    outcomes = [None] * len(legs)
-    pending = {}
-
-    def advance(i, sol):
-        try:
-            pending[i] = legs[i].send(sol)
-        except StopIteration as stop:
-            outcomes[i] = stop.value
-
-    for i in range(len(legs)):
-        advance(i, None)
-    while pending:
-        running = list(pending)
-        problems = [pending.pop(i) for i in running]
-        sols = [solve_fhocp(*problems[0])] if len(problems) == 1 else solve_fhocps(problems)
-        for i, sol in zip(running, sols):
-            advance(i, sol)
-    return outcomes

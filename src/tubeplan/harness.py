@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -28,9 +29,7 @@ import numpy as np
 
 from .abstraction import Wts
 from .controller import (
-    FhocpSolution,
     Samples,
-    lockstep,
     navigate,
     reached,
     saturation_count,
@@ -46,13 +45,26 @@ from .synthesis import Plan, plan_digest, plan_word
 # whole plan, so the deviation ``q = x - x_hat``, which obeys ``q' = -sigma q
 # + delta`` from ``q = 0`` at the plan's start, stays within the tube radius
 # and reaches it under a sustained worst push; the first term's slack and the
-# second term cover integration error at the simulation resolution and the
-# round-off of a nominal landing on a region's center.
+# second term cover integration error at the simulation resolution.
 TUBE_REL_SLACK = 1.001
 
 
-def tube_tolerance(tube_radius: float, sim_dt: float, delta_bound: float) -> float:
-    return TUBE_REL_SLACK * tube_radius + 10.0 * sim_dt * delta_bound
+def tube_tolerance(tube_radius: float, sim_dt: float, delta_bound: float,
+                   sigma: float, scale: float) -> float:
+    """The largest deviation ``|x - x_hat|`` the verifier accepts: the tube
+    radius with its slack, or a round-off floor where that is larger.
+
+    ``x`` is stepped in the world frame and ``x_hat = e_hat + r`` in the
+    target's, so with no disturbance each substep still rounds ``x`` by at
+    most half an ulp of ``scale``, the largest distance of a workspace point
+    from the origin, and ``e_hat`` by at most half an ulp of ``2 scale``:
+    ``1.5 eps scale`` in all.  The ancillary law shrinks ``q`` by ``1 -
+    sigma sim_dt`` per substep, so ``q`` stays below ``1.5 eps scale /
+    (sigma sim_dt)``; the floor ``2 eps scale / (sigma sim_dt)`` leaves the
+    rest for the one-off roundings of forming ``x_hat`` and of a nominal
+    landing on a region's center."""
+    floor = 2.0 * sys.float_info.epsilon * scale / (sigma * sim_dt)
+    return max(TUBE_REL_SLACK * tube_radius + 10.0 * sim_dt * delta_bound, floor)
 
 
 @dataclass
@@ -81,14 +93,14 @@ def execute_plan(
     the leg that failed.
 
     Each leg's nominal starts where the previous leg's nominal ended, so it
-    depends only on the leg, its step count and that start: ``navigate``
-    computes it once per distinct leg, and ``track`` runs the disturbed
-    state around it on every leg.  A leg whose nominal starts exactly at its
-    source's center, and whose transition carries its held inputs
-    (``Wts.held``), is the abstraction's run: its shooting problems are
-    answered with those inputs in order (``_replay``), with no solve.  Other
-    legs solve through ``lockstep``.  Held inputs that run out before the
-    nominal ends raise ``ValidationError``.
+    depends only on the leg, its step count and that start: one
+    ``navigate`` call computes it, as a batch of one, once per distinct
+    leg, and ``track`` runs the disturbed state around it on every leg.  A
+    leg whose nominal starts exactly at its source's center, and whose
+    transition carries its held inputs (``Wts.held``), is the abstraction's
+    run: ``navigate`` reads those inputs step by step, with no solve; other
+    legs solve.  Held inputs that run out before the nominal ends raise
+    ``ValidationError`` naming the transition.
     """
     model = scenario.model()
     tube = scenario.tube_params()
@@ -127,16 +139,17 @@ def execute_plan(
         steps = int(steps)
         key = (src, dst, steps, start.tobytes())
         if key not in nominals:
-            run = navigate(
-                model, start, scenario.regions[dst], scenario.state_constraints_for(src, dst),
-                input_set, tube, fhocp, steps, min_duration_steps=steps,
-                sim_dt=scenario.sim_dt)
-            held = wts.held.get((src, dst))
-            center = model.embed_position(scenario.regions[src].center)
-            if held is not None and key[3] == center.tobytes():
-                nominals[key] = _replay(run, held, src, dst)
-            else:
-                (nominals[key],) = lockstep([run])
+            at_center = key[3] == model.embed_position(scenario.regions[src].center).tobytes()
+            held = wts.held.get((src, dst)) if at_center else None
+            try:
+                (nominals[key],) = navigate(
+                    [(start, scenario.regions[dst], scenario.state_constraints_for(src, dst))],
+                    model, input_set, tube, fhocp, steps, min_duration_steps=steps,
+                    sim_dt=scenario.sim_dt, held=[held])
+            except ValidationError as err:
+                # the transition, not the batch's "leg 0", names the held inputs
+                raise ValidationError([f"transition {src!r} -> {dst!r}:{p.partition(':')[2]}"
+                                       for p in err.problems]) from None
         nominal = nominals[key]
         leg = track(model, nominal, x, tube, input_set, spec,
                     seed=derive_seed(seed, i, src, dst))
@@ -153,25 +166,6 @@ def execute_plan(
         t_offset += steps * h
 
     return recorded()
-
-
-def _replay(run, held: np.ndarray, src: str, dst: str):
-    """The ``Nominal`` of the ``navigate`` generator ``run``, each of whose
-    shooting problems is answered by the next row of ``held`` as the first
-    input of a feasible solution; the rows of a landing, which ``navigate``
-    computes itself, go unread.  ``ValidationError`` if the rows run out."""
-    rows = iter(held)
-    sol = None
-    while True:
-        try:
-            run.send(sol)
-        except StopIteration as stop:
-            return stop.value
-        row = next(rows, None)
-        if row is None:
-            raise ValidationError([f"transition {src!r} -> {dst!r}: its {len(held)} "
-                                   "held inputs ran out before its nominal ended"])
-        sol = FhocpSolution(row[None], None, True, 0.0)
 
 
 def stamp_indices(scenario: Scenario, plan: Plan) -> list:
@@ -245,8 +239,10 @@ def verify_trace(scenario: Scenario, plan: Plan, trace: Trace) -> dict:
     u_set = scenario.input_set()
     input_bad = int(np.count_nonzero(u_set.outside(trace.inputs)))
 
-    tol = tube_tolerance(tube.tube_radius, scenario.sim_dt,
-                         scenario.disturbance_bound)
+    ws = scenario.workspace
+    scale = math.hypot(*np.maximum(np.abs(ws.lower), np.abs(ws.upper)).tolist())
+    tol = tube_tolerance(tube.tube_radius, scenario.sim_dt, scenario.disturbance_bound,
+                         tube.sigma, scale)
     tube_ok = trace.max_deviation <= tol
 
     report = {

@@ -18,7 +18,6 @@ from tubeplan import abstraction, cli, controller
 from tubeplan.abstraction import LEG_TIMEOUT, build_wts, load_wts, scenario_hash
 from tubeplan.controller import (
     FhocpParams,
-    lockstep,
     make_tube_params,
     navigate,
     saturation_count,
@@ -105,8 +104,8 @@ def disturbed_batch():
     for i in range(BATCH_RUNS):
         start = model.embed_position(feasible_start())
         spec = DisturbanceSpec(DELTA_BOUND, policies[i % len(policies)])
-        (nominal,) = lockstep([navigate(model, start, target, constraints, u_set, tube,
-                                        fhocp, max_steps=6, sim_dt=SIM_DT)])
+        (nominal,) = navigate([(start, target, constraints)], model, u_set, tube,
+                              fhocp, max_steps=6, sim_dt=SIM_DT)
         out = track(model, nominal, start, tube, u_set, spec, seed=derive_seed(7, i))
         max_dev = max(max_dev, out.max_deviation)
         exits, hits = constraints.count_violations(out.states[:, :2])
@@ -171,9 +170,8 @@ def test_criterion_2_arrival_bound():
         start_pos, target_pos = clear_point(), clear_point()
         target = Ball(target_pos, 0.3)
         start = model.embed_position(start_pos)
-        (nominal,) = lockstep([navigate(model, start, target, constraints, u_set, tube,
-                                        fhocp, max_steps=120, settle_steps=10,
-                                        sim_dt=SIM_DT)])
+        (nominal,) = navigate([(start, target, constraints)], model, u_set, tube,
+                              fhocp, max_steps=120, settle_steps=10, sim_dt=SIM_DT)
         if not nominal.arrived:
             continue
         arrived += 1
@@ -331,12 +329,12 @@ def test_bundled_legs_replay_the_abstraction_nominal(bundled_runs):
         for src, dst, _ in plan.legs():
             if (src, dst) in nominal:
                 continue
-            (out,) = lockstep([navigate(
-                model, model.embed_position(scenario.regions[src].center),
-                scenario.regions[dst], scenario.state_constraints_for(src, dst),
-                scenario.input_set(), scenario.tube_params(), scenario.fhocp_params(),
+            (out,) = navigate(
+                [(model.embed_position(scenario.regions[src].center),
+                  scenario.regions[dst], scenario.state_constraints_for(src, dst))],
+                model, scenario.input_set(), scenario.tube_params(), scenario.fhocp_params(),
                 round(LEG_TIMEOUT / scenario.step),
-                settle_steps=scenario.settle_steps, sim_dt=scenario.sim_dt)])
+                settle_steps=scenario.settle_steps, sim_dt=scenario.sim_dt)
             nominal[src, dst] = out.states
     first = counts[-1]
     assert len(nominal) < len(plan.legs())          # some leg repeats
@@ -651,6 +649,7 @@ def test_criterion_7_zero_disturbance(tiny_zero_scenario, tiny_zero_wts):
     trace = execute_plan(tiny_zero_scenario, tiny_zero_wts, plan,
                          disturbance="random", seed=1)
     assert trace.max_deviation <= 1e-6
+    assert verify_trace(tiny_zero_scenario, plan, trace)["pass"]
     # the plan's stamps are the transition weights, and the samples end
     # exactly at the last one
     step = tiny_zero_scenario.step
@@ -675,6 +674,21 @@ def test_criterion_7_zero_disturbance(tiny_zero_scenario, tiny_zero_wts):
         start += steps * substeps
     print(f"criterion 7 (zero-disturbance degeneracy): PASS  "
           f"max deviation {trace.max_deviation:.2e} <= 1e-6, exact stamps")
+
+
+@pytest.mark.parametrize("policy", DISTURBANCE_POLICIES)
+def test_zero_disturbance_run_passes(tmp_path, policy):
+    # with no disturbance the tube radius is 0, while the real state and
+    # the nominal still differ by round-off (about 1e-14 here): the tube
+    # tolerance's round-off floor lets ``tubeplan run`` pass
+    data = tiny_dict()
+    data["disturbance_bound"] = 0.0
+    scenario = tmp_path / "zero.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--scenario", str(scenario), "--disturbance", policy,
+                     "--out", str(out)]) == cli.EXIT_PASS
+    assert json.loads((out / "report.json").read_text())["tube_ok"]
 
 
 # ---------------------------------------------------------------------------

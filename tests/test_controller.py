@@ -10,9 +10,9 @@ from tubeplan.controller import (
     _FhocpObjective,
     _fd_gradient,
     _rollout,
-    lockstep,
     make_tube_params,
     navigate,
+    reached,
     saturation_count,
     shift_to_error_frame,
     solve_fhocp,
@@ -25,7 +25,7 @@ from tubeplan.dynamics import (
     rk4_step,
     single_integrator,
 )
-from tubeplan.errors import InvalidParam, SolverDiverged
+from tubeplan.errors import InvalidParam, SolverDiverged, ValidationError
 from tubeplan.geometry import (
     Ball,
     Box,
@@ -602,9 +602,9 @@ def _same_solution(a, b):
 
 
 def test_broad_phase_leaves_every_bit(monkeypatch):
-    # each problem, alone and in one lockstep batch, with the broad phase on
-    # and forced off, has the same solution bit for bit; the starts just
-    # past the rounding slack are culled, those within it measured
+    # each problem, alone and in one batch, with the broad phase on and
+    # forced off, has the same solution bit for bit; the starts just past
+    # the rounding slack are culled, those within it measured
     problems, kinds = _broad_phase_problems()
     unreachable, culled = controller._unreachable, []
 
@@ -669,8 +669,8 @@ def _simple_navigation(delta_bound, policy="zero", seed=0, settle=0):
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
     u_set = Box(-0.3 * np.ones(3), 0.3 * np.ones(3))
     start = m.embed_position([-1.0, 0.5])
-    (nominal,) = lockstep([navigate(m, start, Ball([1.0, -0.5], 0.3), cs, u_set, tube, params,
-                                    max_steps=300, settle_steps=settle)])
+    (nominal,) = navigate([(start, Ball([1.0, -0.5], 0.3), cs)], m, u_set, tube, params,
+                          max_steps=300, settle_steps=settle)
     return nominal, track(m, nominal, start, tube, u_set, DisturbanceSpec(delta_bound, policy),
                           seed=seed)
 
@@ -756,15 +756,45 @@ def test_navigate_min_duration_holds_longer():
     params = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
     scheduled = out.arrival_steps + 15
-    (held,) = lockstep([navigate(
-        m, m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs,
+    (held,) = navigate(
+        [(m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3), cs)], m,
         Box(-0.3 * np.ones(3), 0.3 * np.ones(3)), tube, params,
         max_steps=scheduled, min_duration_steps=scheduled,
-    )])
+    )
     assert held.arrived
     assert held.total_steps == scheduled == len(held.held)
     assert held.arrival_steps == out.arrival_steps
     assert held.errors.shape == (scheduled * 10 + 1, 3)
+
+
+def test_held_inputs_that_run_out_name_the_leg():
+    # a leg with held inputs reads one row per step until its run ends; one
+    # whose rows end first fails, named by its place in the batch
+    nominal, _ = _simple_navigation(0.0)
+    m = single_integrator(3)
+    tube = make_tube_params(0.0, 1.0, 1.0, 0.0)
+    params = FhocpParams(1.2, 0.1, 0.5, 0.5, 0.5, 0.1, 3)
+    leg = (m.embed_position([-1.0, 0.5]), Ball([1.0, -0.5], 0.3),
+           ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), []))
+    u_set = Box(-0.3 * np.ones(3), 0.3 * np.ones(3))
+    (replayed,) = navigate([leg], m, u_set, tube, params, max_steps=300,
+                           held=[nominal.held])
+    assert np.array_equal(replayed.errors.view(np.int64), nominal.errors.view(np.int64))
+    with pytest.raises(ValidationError, match="^leg 1: its 5 held inputs ran out"):
+        navigate([leg, leg], m, u_set, tube, params, max_steps=300,
+                 held=[None, nominal.held[:5]])
+
+
+def test_reached_rows_give_each_points_dot_product():
+    # the stop test of a batch of points compares each point's distance as
+    # the dot product of one point rounds it: at exactly that radius every
+    # row passes, one ulp below none does (a plain sum of squares rounds
+    # differently for some 16 % of these rows)
+    rng = np.random.default_rng(3)
+    pos, center = rng.uniform(-2.0, 2.0, (20000, 2)), np.array([0.3, -0.7])
+    dist = np.array([np.sqrt(d.dot(d)) for d in pos - center])
+    assert reached(pos, center, dist).all()
+    assert not reached(pos, center, np.nextafter(dist, 0.0)).any()
 
 
 def _array_interval(model, input_set):
@@ -813,8 +843,8 @@ def test_float_interval_is_the_rk4_step_loop(input_set, policy):
     disturbance = DisturbanceSpec(0.2, policy)
     for m, max_steps in ((single_integrator(3), 40), (demo_nonlinear(3), 6)):
         start = m.embed_position([-2.0, 0.5])
-        (nominal,) = lockstep([navigate(m, start, Ball([2.0, 0.0], 0.3), cs, input_set, tube,
-                                        params, max_steps=max_steps)])
+        (nominal,) = navigate([(start, Ball([2.0, 0.0], 0.3), cs)], m, input_set, tube,
+                              params, max_steps=max_steps)
         fast = track(m, nominal, start, tube, input_set, disturbance, seed=5)
 
         interval = _array_interval(m, input_set)
@@ -841,8 +871,8 @@ def test_navigate_steps_other_models_with_rk4():
     cs = ConstraintSet(Box([-2.0, -2.0], [2.0, 2.0]), [])
     u_set = Box(-0.3 * np.ones(3), 0.3 * np.ones(3))
     start = m.embed_position([-1.0, 0.5])
-    (nominal,) = lockstep([navigate(m, start, Ball([1.0, -0.5], 0.3), cs, u_set, tube, params,
-                                    max_steps=3)])
+    (nominal,) = navigate([(start, Ball([1.0, -0.5], 0.3), cs)], m, u_set, tube, params,
+                          max_steps=3)
     out = track(m, nominal, start, tube, u_set, DisturbanceSpec(0.05, "random"), seed=4)
     assert nominal.total_steps == 3 and out.states.shape == (31, 3)
     assert np.allclose(out.ts, np.arange(31) * 0.01)
@@ -870,9 +900,9 @@ def _tiny_legs(kind):
     included) and A -> B behind an extra ball, which ends InfeasibleFhocp
     midway; tracked under disturbances past the tube, so the ancillary law
     saturates.  ``demo_nonlinear``: two short legs of that model, which take
-    finite differences and the spectral step.  Returns a factory of the
-    legs' ``navigate`` generators, a function that tracks their nominals,
-    and the scenario's input set."""
+    finite differences and the spectral step.  Returns the legs, a function
+    that runs a list of them in one ``navigate`` call, a function that
+    tracks the nominals of all of them, and the scenario's input set."""
     data = tiny_dict()
     if kind == "demo_nonlinear":
         data["model"] = "demo_nonlinear"
@@ -892,27 +922,27 @@ def _tiny_legs(kind):
     def start(src):
         return model.embed_position(scenario.regions[src].center)
 
-    def make():
-        return [navigate(model, start(src), scenario.regions[dst], free, scenario.input_set(),
-                         tube, fhocp, max_steps, settle_steps=scenario.settle_steps,
-                         sim_dt=scenario.sim_dt)
-                for src, dst, free in legs]
+    def run(chosen):
+        return navigate([(start(src), scenario.regions[dst], free) for src, dst, free in chosen],
+                        model, scenario.input_set(), tube, fhocp, max_steps,
+                        settle_steps=scenario.settle_steps, sim_dt=scenario.sim_dt)
 
     def closed_loop(nominals):
         return [track(model, nominal, start(src), tube, scenario.input_set(),
                       DisturbanceSpec(0.3, "random"), seed=i)
                 for i, ((src, _, _), nominal) in enumerate(zip(legs, nominals))]
 
-    return make, closed_loop, scenario.input_set()
+    return legs, run, closed_loop, scenario.input_set()
 
 
 @pytest.mark.parametrize("kind", ["box", "ball", "demo_nonlinear"])
 def test_lockstep_legs_run_as_they_do_alone(monkeypatch, kind):
-    # one batch of shooting problems per sampling step must give every leg
-    # the nominal it has alone, bit for bit, while legs leave the batch at
-    # different steps and rows stop, ramp and search at different times;
-    # the closed loop around those nominals keeps its pinned bits
-    make, closed_loop, u_set = _tiny_legs(kind)
+    # every leg in one ``navigate`` call, one batch of shooting problems
+    # per sampling step, must get the nominal it has in a batch of one, bit
+    # for bit, while legs leave the batch at different steps and rows stop,
+    # ramp and search at different times; the closed loop around those
+    # nominals keeps its pinned bits
+    legs, run, closed_loop, u_set = _tiny_legs(kind)
     iterations = []
     solve_all = controller.solve_fhocps
 
@@ -922,10 +952,10 @@ def test_lockstep_legs_run_as_they_do_alone(monkeypatch, kind):
         return sols
 
     monkeypatch.setattr(controller, "solve_fhocps", counting)
-    together = lockstep(make())
+    together = run(legs)
     batched = sum(iterations)
     iterations.clear()
-    alone = [lockstep([leg])[0] for leg in make()]
+    alone = [run([leg])[0] for leg in legs]
     assert sum(iterations) == batched > 0
     for a, b in zip(alone, together):
         for name in ("status", "arrival_steps", "total_steps", "held", "errors"):

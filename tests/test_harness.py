@@ -384,5 +384,9 @@ def test_leg_longer_than_its_transition_fails_with_partial_trace(
 
 
 def test_tube_tolerance_formula():
-    assert tube_tolerance(0.05, 0.01, 0.05) == pytest.approx(0.05505)
-    assert tube_tolerance(0.0, 0.01, 0.0) == 0.0
+    # the slackened tube radius, bit for bit, wherever it tops the round-off
+    # floor ``2 eps scale / (sigma sim_dt)``; the floor at no disturbance
+    assert tube_tolerance(0.05, 0.01, 0.05, 1.0, 2.0) == 1.001 * 0.05 + 10.0 * 0.01 * 0.05
+    assert tube_tolerance(0.05, 0.01, 0.05, 1.0, 2.0) == pytest.approx(0.05505)
+    assert tube_tolerance(0.0, 0.01, 0.0, 1.0, 2.0) == 2.0 * 2.0 ** -52 * 2.0 / 0.01
+    assert tube_tolerance(0.0, 0.01, 0.0, 4.0, 2.0) == 2.0 ** -52 / 0.01

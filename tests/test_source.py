@@ -112,9 +112,10 @@ def test_orphan_scan_finds_unread_private_names(tmp_path):
         "mod.py:1 _LIMIT", "mod.py:6 _left", "mod.py:13 _dead"]
 
 
-def _call_sites(root, matches):
-    """``file function`` of every call under ``root`` for which
-    ``matches(call)`` holds, named by the innermost function that holds it
+def _sites(root, kinds, matches=None):
+    """``file function`` of every node of one of the ``kinds`` under
+    ``root`` for which ``matches(node)`` holds (each one, without
+    ``matches``), named by the innermost function that holds it
     (``<module>`` outside any), sorted."""
     found = []
     for path, tree in _modules(root):
@@ -125,14 +126,14 @@ def _call_sites(root, matches):
                 where.update((id(inner), node.name) for inner in ast.walk(node))
         found += [f"{path.relative_to(root)} {where.get(id(node), '<module>')}"
                   for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and matches(node)]
+                  if isinstance(node, kinds) and (matches is None or matches(node))]
     return sorted(found)
 
 
 def input_set_switches(root):
     """``file function`` of every ``isinstance`` test against ``Box`` or
     ``Ball`` under ``root``."""
-    return _call_sites(root, lambda node: (
+    return _sites(root, ast.Call, lambda node: (
         isinstance(node.func, ast.Name) and node.func.id == "isinstance"
         and len(node.args) == 2
         and bool({getattr(n, "id", getattr(n, "attr", None))
@@ -159,7 +160,7 @@ def test_input_set_switch_scan_finds_type_tests(tmp_path):
 
 def json_file_reads(root):
     """``file function`` of every ``json.load`` call under ``root``."""
-    return _call_sites(root, lambda node: (
+    return _sites(root, ast.Call, lambda node: (
         isinstance(node.func, ast.Attribute) and node.func.attr == "load"
         and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"))
 
@@ -178,3 +179,25 @@ def test_json_read_scan_finds_file_reads(tmp_path):
         "    return json.loads(fh.read()), pickle.load(fh)\n"
         "data = json.load(open('a.json'))\n")
     assert json_file_reads(tmp_path) == ["mod.py <module>", "mod.py g"]
+
+
+def generator_functions(root):
+    """``file function`` of every ``yield`` and ``yield from`` under
+    ``root``: the generator functions."""
+    return _sites(root, (ast.Yield, ast.YieldFrom))
+
+
+def test_no_generators_in_package():
+    # the pipeline's loops run on arrays in plain functions; a generator
+    # would hide a loop's state behind ``send``
+    assert generator_functions(PACKAGE) == []
+
+
+def test_generator_scan_finds_generators(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(xs):\n"
+        "    def g():\n        yield from xs\n"
+        "    return g, (x for x in xs), [x for x in xs]\n"
+        "def h():\n    received = yield 1\n    return received\n"
+        "lazy = lambda: (yield)\n")
+    assert generator_functions(tmp_path) == ["mod.py <module>", "mod.py g", "mod.py h"]
