@@ -7,8 +7,11 @@ trace, or do the whole chain with ``run``.  Exit codes: 0 verified pass,
 file that cannot be read, and a plan or trace that does not match the
 scenario or plan it is used with),
 4 runtime failure during abstraction or execution, 5 search budget exceeded
-(realizability unknown).  A failed execution still writes its partial
-trace where ``--out`` asks for the trace, so ``verify`` can check it.
+(realizability unknown).  A usage error (an unknown subcommand or option,
+a missing or malformed argument, a budget below 1) is invalid input too:
+exit 3, with the usage line on stderr.  A failed execution still writes
+its partial trace where ``--out`` asks for the trace, so ``verify`` can
+check it.
 """
 
 from __future__ import annotations
@@ -219,8 +222,30 @@ def cmd_plot_data(args) -> int:
     return EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input: the usage line and the error go to
+    stderr, and the exit code is ``EXIT_INVALID``, not argparse's 2, which
+    here means an unrealizable task.  Subcommand parsers are of this class
+    too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    """A ``--budget``: an integer of at least 1."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {budget}")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="tubeplan",
         description="Timed task planning and tube-controlled execution.",
     )
@@ -236,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if budget:
-            p.add_argument("--budget", type=int,
+            p.add_argument("--budget", type=_budget,
                            default=synthesis.DEFAULT_BUDGET,
                            help="most product nodes the search may find "
                                 "before it stops (exit 5 past it)")

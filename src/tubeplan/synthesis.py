@@ -8,12 +8,14 @@ transition of the system.  Saturation makes the product graph finite.  The
 search is breadth-first and stops at the first level holding an anchor, an
 accepting saturated node that can reach itself; it looks for that cycle in
 the saturated subgraph, which every successor of a saturated node is in.
-A node whose location is not live (``TimedAutomaton.live``: no accepting
-location can follow it) is found but never expanded, and neither are its
-successors, which are not live either.  When no anchor is found, the search
-walks on from those pruned nodes, so an unrealizable search still finds
-every reachable node and reports every reachable location.  The budget
-counts every node found, pruned or not.
+A node whose clock region is past its location's last live region
+(``TimedAutomaton.live``: from no later region can an accepting location
+follow, and a location missing from the map has none) is found but never
+expanded, and neither are its successors, whose regions are no lower and
+which are past their own.  When no anchor is found, the search walks on
+from those pruned nodes, so an unrealizable search still finds every
+reachable node and reports every reachable location.  The budget counts
+every node found, pruned or not.
 
 The search clock counts integer ticks of 1/L, where L is the lcm of the
 denominators of every weight, guard constant and the slack.  Each of them
@@ -97,13 +99,15 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
     anchor's path from the root and its cycle, or ``None, None`` after
     finding every reachable node.
 
-    A node found at a location that is not ``live`` can reach no accepting
-    location: it is pruned, found but never expanded.  Each of its
-    successors is pruned too, so every kept node is first found from a kept
-    parent, at the level and with the rank a search without pruning gives
-    it.  With no anchor, the search walks on from the pruned nodes until
-    every reachable node is found.  ``budget`` caps the nodes found, pruned
-    ones included.
+    ``live`` maps a location to its last live clock region.  A node found
+    in a higher region than its location's entry, or at a location without
+    one, can reach no accepting saturated node: it is pruned, found but
+    never expanded.  Regions never decrease along a path, so each of its
+    successors is pruned too, and every kept node is first found from a
+    kept parent, at the level and with the rank a search without pruning
+    gives it.  With no anchor, the search walks on from the pruned nodes
+    until every reachable node is found.  ``budget`` caps the nodes found,
+    pruned ones included.
 
     Kept nodes are numbered level by level, so when a level's first node is
     about to be expanded, that level's nodes and their (duration, number)
@@ -132,7 +136,7 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
     def saturated_successors(node):  # a saturated node's successors are too
         here = arcs.get(node[:2]) or arcs_of(*node[:2])
         return [(dst, targets[top], cap) for dst, _, targets in here
-                if targets[top] in live]
+                if live.get(targets[top], -1) == top]
 
     def check_budget():
         if len(nodes) + len(dead) > budget:
@@ -152,10 +156,11 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
             tick = clock + weight
             if tick > cap:
                 tick = cap
-            child = (dst, targets[bisect_right(bounds, tick)], tick)
+            region = bisect_right(bounds, tick)
+            child = (dst, targets[region], tick)
             if child not in seen:
                 seen.add(child)
-                if child[1] not in live:
+                if region > live.get(child[1], -1):
                     dead.append(child)
                     continue
                 # weights are positive, so only saturated nodes can recur
@@ -217,6 +222,8 @@ def find_accepting_run(
     slack = Fraction(saturation_slack)
     if slack <= 0:
         raise InvalidParam(f"saturation slack must be > 0, got {slack}")
+    if budget < 1:
+        raise InvalidParam(f"search budget must be at least 1, got {budget}")
     ticks = _tick_size(wts, tba, slack)
     bounds = _region_bounds(tba.constants, ticks)
     cap = _whole(tba.cmax + slack, ticks)

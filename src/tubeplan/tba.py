@@ -9,22 +9,23 @@ clock: the time elapsed since the start, shared by every block.
 Each block automaton is deterministic and complete, with trap locations for
 settled verdicts, and so is the exported automaton, the synchronous product
 of the blocks.  A guard compares the clock only with guard constants, so it
-is a range of clock regions, resolved once per block edge.  Each block
-(location, letter) pair compiles once into a block table with one target
-per region, from that block location's few short labels.  The product
-steps each block on its own, so a (location, letter) pair's table
-(``TimedAutomaton.table``) is the zip of its blocks' tables: each region's
-block targets, read across, name the target location.  A step is a lookup
-that yields one location; ``successors`` and the product search read the
-same tables.  ``build_tba`` builds the product's own edges block by block
-for the exported automaton and for ``TimedAutomaton.live``: the locations
-from which some path of edges reaches an accepting location, computed once
-per automaton; the product search expands no node elsewhere.  A
-product location is Büchi-accepting when the Boolean combination evaluates
-to true on the per-block verdicts (co-safety blocks: reached their DONE
-trap; safety blocks: not in their REJECT trap).  That combination is itself
-an And/Or formula whose atoms are the blocks' indices, so
-``eval_propositional`` decides it on the set of indices whose verdict holds.
+is a range of clock regions, resolved once per block edge.  A block
+location reads a letter only through the atoms of its edges' labels, so
+each (block location, the letter's share of those atoms) pair compiles
+once into a block table with one target per region, from that block
+location's few short labels.  The product steps each block on its own, so
+a (location, letter) pair's table (``TimedAutomaton.table``) is the zip of
+its blocks' tables: each region's block targets, read across, name the
+target location.  A step is a lookup that yields one location;
+``successors`` and the product search read the same tables.  ``build_tba``
+builds the product's own edges block by block for the exported automaton
+and for ``TimedAutomaton.live``: each location's last clock region from
+which some path of edges reaches an accepting location, computed once per
+automaton; the product search expands no node past it.  A product location
+is Büchi-accepting when the Boolean combination evaluates to true on the
+per-block verdicts (co-safety blocks: reached their DONE trap; safety
+blocks: not in their REJECT trap).  That combination is itself an And/Or
+formula whose atoms are the blocks' indices, so ``eval_propositional`` decides it on the set of indices whose verdict holds.
 Along any infinite word with diverging time the verdict vector is
 eventually constant, so "accepting location visited infinitely often"
 coincides with the formula's verdict.
@@ -55,6 +56,7 @@ from .mitl import (
     Or,
     TimedWord,
     Until,
+    atoms_of,
     eval_propositional,
     is_propositional,
     left_spine,
@@ -124,37 +126,57 @@ class TimedAutomaton:
         return table
 
     @functools.cached_property
-    def live(self) -> frozenset:
-        """The locations from which some path of edges, whatever their
-        letters and guards, reaches an accepting location: a reverse walk
-        from the accepting ones over the edges that can fire.  No run
-        through any other location is accepted, and every location it
-        reaches is not live either."""
+    def live(self) -> dict:
+        """Each location's last live clock region: the highest region from
+        which some path of edges reaches an accepting location in the top
+        (saturated) region; a location missing from the map is dead.  An
+        edge here fires on any letter and at any region of its guard at or
+        after the current one, so the map over-approximates every run.  It
+        is the least fixed point of: ``top`` for an accepting location, and
+        for each edge ``src -> dst`` over regions ``[lo, hi]``, at least
+        ``min(hi, live[dst])`` for ``src`` when that is ``>= lo``.  Regions
+        never decrease along a run, so no run from a location past its
+        entry is accepted, and every node it reaches is past its own."""
+        top = 2 * len(self.constants)
         sources = {}
         for e in self.edges:
-            if e.regions[0] <= e.regions[1]:
-                sources.setdefault(e.target, []).append(e.source)
-        live, todo = set(self.accepting), list(self.accepting)
+            sources.setdefault(e.target, []).append((e.source, *e.regions))
+        live, todo = dict.fromkeys(self.accepting, top), list(self.accepting)
         while todo:
-            for source in sources.get(todo.pop(), ()):
-                if source not in live:
-                    live.add(source)
+            target = todo.pop()
+            for source, lo, hi in sources.get(target, ()):
+                region = min(hi, live[target])
+                if region >= lo and region > live.get(source, -1):
+                    live[source] = region
                     todo.append(source)
-        return frozenset(live)
+        return live
+
+    @functools.cached_property
+    def _reads(self) -> dict:
+        """The atoms each block location's leaving edges read: its block
+        tables depend on a letter only through them."""
+        _, leaving = self._blocks
+        return {part: frozenset().union(*(atoms_of(label) for _, label, _, _ in out
+                                          if label is not None))
+                for part, out in leaving.items()}
 
     def _product_table(self, location: str, letter: frozenset) -> tuple:
         """Target per region: the zip of the block tables of the location's
-        vector, each region's block targets joined into one name."""
+        vector, each region's block targets joined into one name.  A block
+        table is keyed by its block location and the letter's share of the
+        atoms that location reads, so letters that differ elsewhere share
+        it."""
         vectors, _ = self._blocks
         vector = vectors.get(location)
         if vector is None:
             raise InternalError(f"{location!r} is not a location of the automaton")
-        tables = self._block_tables
+        tables, reads = self._block_tables, self._reads
         columns = []
         for part in vector:
-            column = tables.get((part, letter))
+            key = (part, letter & reads.get(part, frozenset()))
+            column = tables.get(key)
             if column is None:
-                column = tables[(part, letter)] = self._block_table(part, letter)
+                column = tables[key] = self._block_table(*key)
             columns.append(column)
         return tuple(map("|".join, zip(*columns)))
 

@@ -9,6 +9,7 @@ import json
 import time
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -689,6 +690,35 @@ def test_zero_disturbance_run_passes(tmp_path, policy):
     assert cli.main(["run", "--scenario", str(scenario), "--disturbance", policy,
                      "--out", str(out)]) == cli.EXIT_PASS
     assert json.loads((out / "report.json").read_text())["tube_ok"]
+
+
+@pytest.fixture(scope="module")
+def bundled_zero(tmp_path_factory):
+    """The bundled scenario with no disturbance, and the cache of its
+    abstraction that every run below reads."""
+    d = tmp_path_factory.mktemp("bundled_zero")
+    data = json.loads(resources.files("tubeplan").joinpath("data/nexus_sml.json")
+                      .read_text())
+    data["disturbance_bound"] = 0.0
+    scenario, wts = d / "zero.json", d / "wts.json"
+    scenario.write_text(json.dumps(data))
+    assert cli.main(["abstract", "--scenario", str(scenario),
+                     "--out", str(wts)]) == cli.EXIT_PASS
+    return scenario, wts
+
+
+@pytest.mark.parametrize("policy", DISTURBANCE_POLICIES)
+def test_bundled_zero_disturbance_run_passes(bundled_zero, tmp_path, policy):
+    # the nine-region mission with no disturbance: the nominal and the real
+    # state differ by round-off (about 2e-14), within the tube tolerance's
+    # round-off floor, under every policy
+    scenario, wts = bundled_zero
+    out = tmp_path / "run"
+    assert cli.main(["run", "--scenario", str(scenario), "--wts", str(wts),
+                     "--disturbance", policy, "--out", str(out)]) == cli.EXIT_PASS
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] and report["tube_ok"]
+    assert report["max_deviation"] <= report["tube_tolerance"]
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,36 @@ def test_budget_exit_code(workdir, wts_cache, capsys):
     assert "unrealizable:" not in err
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["synthesize", "--budget", "abc"], "argument --budget: not an integer: 'abc'"),
+    (["synthesize", "--budget", "0"], "argument --budget: must be at least 1, got 0"),
+    (["run", "--budget", "-5"], "argument --budget: must be at least 1, got -5"),
+    (["simulate", "--plan", "plan.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify"], "the following arguments are required: --plan, --trace"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_error_is_invalid_input(capsys, argv, message):
+    # argparse's own exit code, 2, is the CLI's "unrealizable task"; a usage
+    # error is invalid input, with the usage line on stderr, and a budget
+    # below 1 is one too, not an exceeded search budget
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: tubeplan")
+    assert message in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["synthesize", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tubeplan")
+
 def test_unsupported_fragment_exit_code(workdir, wts_cache, capsys):
     code = cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),
                      "--wts", str(wts_cache), "--formula", "F[0,5] G[0,1] goal"])

@@ -201,3 +201,24 @@ def test_generator_scan_finds_generators(tmp_path):
         "def h():\n    received = yield 1\n    return received\n"
         "lazy = lambda: (yield)\n")
     assert generator_functions(tmp_path) == ["mod.py <module>", "mod.py g", "mod.py h"]
+
+
+def argparse_imports(root):
+    """``file function`` of every import of ``argparse`` under ``root``."""
+    return _sites(root, (ast.Import, ast.ImportFrom), lambda node: (
+        (node.module, node.level) == ("argparse", 0)
+        if isinstance(node, ast.ImportFrom) else any(a.name.split(".")[0] == "argparse" for a in node.names)))
+
+
+def test_only_the_cli_parses_arguments():
+    # the CLI's parser sends every usage error to exit 3; a parser built
+    # anywhere else would exit 2, the code of an unrealizable task
+    assert argparse_imports(PACKAGE) == ["cli.py <module>"]
+
+
+def test_argparse_scan_finds_imports(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import os, argparse as ap\n"
+        "def f():\n    from argparse import ArgumentParser\n    return ArgumentParser\n"
+        "import argparsex\nfrom .argparse import x\n")
+    assert argparse_imports(tmp_path) == ["mod.py <module>", "mod.py f"]

@@ -10,7 +10,8 @@ import pytest
 
 from tubeplan import synthesis
 from tubeplan.abstraction import load_wts, scenario_hash, wts_from_dict
-from tubeplan.errors import InternalError, SearchBudgetExceeded, Unrealizable
+from tubeplan.errors import (InternalError, InvalidParam, SearchBudgetExceeded,
+                             Unrealizable)
 from tubeplan.mitl import monitor, parse
 from tubeplan.scenario import default_scenario
 from tubeplan.synthesis import (
@@ -115,6 +116,12 @@ def test_budget_exceeded():
     wts = two_state_wts()
     with pytest.raises(SearchBudgetExceeded):
         synthesize(wts, parse("F[0,100] p"), budget=5)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_is_rejected(budget):
+    with pytest.raises(InvalidParam, match=f"at least 1, got {budget}"):
+        find_accepting_run(two_state_wts(), build_tba(parse("F[0,5] p")), budget=budget)
 
 
 def test_monitor_disagreement_raises(monkeypatch):
@@ -294,16 +301,19 @@ def test_early_stop_matches_full_exploration():
     assert 50 < outcomes.count("run") < 250
 
 
-def _searched(monkeypatch, wts, tba):
+def _searched(monkeypatch, wts, tba, args=None):
     """The outcome of the search, its kept and pruned nodes, and the
     locations whose arcs it fetched, which are those of the nodes it
-    expanded."""
+    expanded.  The search's other arguments are appended to ``args`` if
+    given."""
     bfs, searches, expanded = synthesis._bfs, [], set()
 
     def counted_bfs(table, *rest):
         def counted_table(location, letter):
             expanded.add(location)
             return table(location, letter)
+        if args is not None:
+            args.append(rest)
         searches.append(bfs(counted_table, *rest))
         return searches[-1]
 
@@ -313,22 +323,84 @@ def _searched(monkeypatch, wts, tba):
     return outcome, nodes, dead, expanded
 
 
+def _doomed(wts, tba):
+    """The nodes of the whole reachable product, explored without pruning
+    with ``Fraction`` clocks, from which no path reaches an accepting
+    saturated node, so no path reaches an anchor either."""
+    cap = tba.cmax + 1  # the default saturation slack
+    root = (wts.initial,
+            tba.successors(tba.initial, wts.label_of(wts.initial), F(0)), F(0))
+    nodes, parents = [root], {root: []}
+    for node in nodes:
+        state, location, clock = node
+        for dst, weight in wts.successors(state):
+            tick = min(clock + weight, cap)
+            child = (dst, tba.successors(location, wts.label_of(dst), tick), tick)
+            if child not in parents:
+                parents[child] = []
+                nodes.append(child)
+            parents[child].append(node)
+    hopeful = {n for n in nodes if n[2] == cap and n[1] in tba.accepting}
+    todo = list(hopeful)
+    while todo:
+        for node in parents[todo.pop()]:
+            if node not in hopeful:
+                hopeful.add(node)
+                todo.append(node)
+    return set(nodes) - hopeful
+
+
+def _reaching(tba):
+    """Liveness by location alone: the locations from which some path of
+    edges, each enabled in some clock region, reaches an accepting one."""
+    sources = {}
+    for e in tba.edges:
+        if e.regions[0] <= e.regions[1]:
+            sources.setdefault(e.target, []).append(e.source)
+    reaching, todo = set(tba.accepting), list(tba.accepting)
+    while todo:
+        for source in sources.get(todo.pop(), ()):
+            if source not in reaching:
+                reaching.add(source)
+                todo.append(source)
+    return reaching
+
+
 def test_pruned_search_expands_no_dead_node(monkeypatch):
     # the cases of test_early_stop_matches_full_exploration: a search that
-    # finds a run expands no node whose location is not live, and every
-    # search keeps only live nodes after the root and prunes only dead ones
+    # finds a run expands no location the liveness map lacks, and every
+    # search keeps only nodes live at their clock region after the root and
+    # prunes only nodes past their location's last live region.  No pruned
+    # node reaches an anchor in the product a search without pruning
+    # explores.  Liveness by location alone, which takes each location that
+    # can reach an accepting one as live in every region, prunes fewer
     rng = np.random.default_rng(20)
-    pruned = 0
+    pruned = pruned_by_location = 0
     for _ in range(300):
         wts, text = _random_system(rng), _random_formula(rng)
         tba = build_tba(parse(text))
-        outcome, nodes, dead, expanded = _searched(monkeypatch, wts, tba)
+        args = []
+        outcome, nodes, dead, expanded = _searched(monkeypatch, wts, tba, args)
+        (bounds, edges, cap, root, accepting, live, budget), = args
+        assert live is tba.live
+
+        def live_here(node):
+            return bisect_right(bounds, node[2]) <= live.get(node[1], -1)
+
         if outcome[0] == "run":
-            assert expanded <= tba.live, text
-        assert all(location in tba.live for _, location, _ in nodes[1:]), text
-        assert not any(location in tba.live for _, location, _ in dead), text
+            assert expanded <= live.keys(), text
+        assert all(live_here(node) for node in nodes[1:]), text
+        assert not any(live_here(node) for node in dead), text
+        ticks = synthesis._tick_size(wts, tba, F(1))
+        doomed = _doomed(wts, tba)
+        assert all((state, location, F(tick, ticks)) in doomed
+                   for state, location, tick in dead), text
         pruned += len(dead)
-    assert pruned > 0
+        everywhere = dict.fromkeys(_reaching(tba), bisect_right(bounds, cap))
+        _, by_location, _, _ = synthesis._bfs(tba.table, bounds, edges, cap, root,
+                                               accepting, everywhere, budget)
+        pruned_by_location += len(by_location)
+    assert pruned > pruned_by_location > 0
 
 
 def test_search_from_a_violating_start_keeps_only_the_root(monkeypatch):
@@ -384,21 +456,23 @@ def _counted_search(monkeypatch, formula, kept=None):
 
 
 def test_bundled_search_builds_each_region_table_once(monkeypatch):
-    # the bundled plan anchors at depth 5: the search stops once the 786
+    # the bundled plan anchors at depth 5: the search stops once the 421
     # nodes through that level are found, of the 16,055 reachable.  It keeps
-    # 379 of them; the other 407 sit where the safety block has failed, so
-    # no accepting location follows, and are never expanded.  It reads each
-    # edge's target from a region table that the automaton builds once per
-    # (location, letter) pair, and never steps it one call per edge; each
-    # region table zips block tables, each built once per (block location,
-    # letter) pair
+    # 172 of them; the other 249 are never expanded: 211 sit where the
+    # safety block has failed, so no accepting location follows, and 38 at
+    # a clock past the last region from which a deadline can still be met.
+    # It reads each edge's target from a region table that the automaton
+    # builds once per (location, letter) pair, and never steps it one call
+    # per edge; each region table zips block tables, each built once per
+    # (block location, the letter's share of the atoms that block location
+    # reads) pair
     kept = []
     outcome, found, built, blocks = _counted_search(monkeypatch,
                                                     default_scenario().formula(), kept)
     assert outcome[0] == "run" and len(outcome[1]) == 6
-    assert found == 786 and kept == [379]
-    assert len(built) == len(set(built)) == 26
-    assert len(blocks) == len(set(blocks)) == 35
+    assert found == 421 and kept == [172]
+    assert len(built) == len(set(built)) == 21
+    assert len(blocks) == len(set(blocks)) == 11
 
 
 # the bundled formula, and R3 (mission2) within 10 s of the start, which no
@@ -417,7 +491,7 @@ def test_bundled_unrealizable_search_explores_every_node(monkeypatch):
         for b in ("done", "wait") for c in ("done", "wait")})
     assert found == 16_055
     assert len(built) == len(set(built)) == 56
-    assert len(blocks) == len(set(blocks)) == 49
+    assert len(blocks) == len(set(blocks)) == 14
 
 
 def _reachable_pairs(tba, letters):
@@ -489,15 +563,15 @@ def test_golden_plans(which, request):
 
 
 def test_budget_caps_the_nodes_found_before_the_search_stops():
-    # the bundled plan is found among 786 nodes, pruned ones included, so a
-    # budget of 786, below the 16,055 reachable nodes, still returns it, and
+    # the bundled plan is found among 421 nodes, pruned ones included, so a
+    # budget of 421, below the 16,055 reachable nodes, still returns it, and
     # one less does not
     scenario = default_scenario()
     wts, formula = _bundled_wts(scenario), scenario.formula()
-    plan = synthesize(wts, formula, budget=786)
+    plan = synthesize(wts, formula, budget=421)
     assert (plan.states, plan.stamps, plan.prefix_len) == _golden(*BUNDLED_PLAN)
     with pytest.raises(SearchBudgetExceeded):
-        synthesize(wts, formula, budget=785)
+        synthesize(wts, formula, budget=420)
     # an unrealizable search finds every reachable node before it stops
     formula = parse(UNREALIZABLE_BUNDLED)
     with pytest.raises(Unrealizable):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 from fractions import Fraction
@@ -144,20 +145,53 @@ def test_unknown_location_is_named():
 
 
 def test_live_locations():
-    # a safety block's reject trap leads to no accepting location
+    # each location's last live region: a safety block's reject trap leads
+    # to no accepting location, and its active location is live up to the
+    # top region, 2 over the one constant 0
     tba = build_tba(parse("G[0,inf] !a"))
-    assert tba.live == {"0:active"} and tba.accepting == {"0:active"}
-    # F[1,2] b's wait can still reach done, which it does not accept
+    assert tba.live == {"0:active": 2} and tba.accepting == {"0:active"}
+    # F[1,2] b's wait can still reach done, which it does not accept, up to
+    # the clock 2, region 3 of 0..4
     tba = build_tba(parse("F[1,2] b"))
-    assert tba.live == set(tba.locations) == {"0:wait", "0:done"}
+    assert tba.live.keys() == set(tba.locations) == {"0:wait", "0:done"}
+    assert tba.live == {"0:wait": 3, "0:done": 4}
     assert tba.accepting == {"0:done"}
-    # the bundled formula: the four locations where the safety block failed
+    # the bundled formula, over the constants 0, 30, 50, 80 and 110: the four
+    # locations where the safety block failed are dead, and one that waits
+    # for mission2 is live up to 50 (region 5), one that waits only for
+    # mission1 up to 110 (region 9)
     tba = build_tba(default_scenario().formula())
     assert len(tba.locations) == 8
-    assert tba.live == {loc for loc in tba.locations if loc.startswith("0:active")}
-    # an edge that no clock region enables leads nowhere
-    assert _hand_built([Edge("p", "q", None, (1, 0))]).live == {"q"}
-    assert _hand_built([Edge("p", "q", None, (1, 1))]).live == {"p", "q"}
+    assert tba.live == {"0:active|1:done|2:done": 10, "0:active|1:done|2:wait": 9,
+                        "0:active|1:wait|2:done": 5, "0:active|1:wait|2:wait": 5}
+    # an edge that no clock region enables leads nowhere, and one that fires
+    # only in region 1 makes its source live up to region 1
+    assert _hand_built([Edge("p", "q", None, (1, 0))]).live == {"q": 2}
+    assert _hand_built([Edge("p", "q", None, (1, 1))]).live == {"p": 1, "q": 2}
+
+
+def test_live_map_is_computed_once_per_automaton(monkeypatch):
+    # each accepts_word call is one product search, and 64 of them on one
+    # automaton read the liveness map that the first one computed
+    compute, computed = TimedAutomaton.live.func, []
+
+    def counted(self):
+        computed.append(self)
+        return compute(self)
+
+    live = functools.cached_property(counted)
+    live.__set_name__(TimedAutomaton, "live")
+    monkeypatch.setattr(TimedAutomaton, "live", live)
+    f = parse("G[0,inf] !a & F[1,3] b")
+    tba = build_tba(f)
+    rng = np.random.default_rng(64)
+    for _ in range(64):
+        n = int(rng.integers(1, 5))
+        steps = np.cumsum(rng.integers(1, 4, size=n - 1)) / 2
+        w = word([{a for a in "ab" if rng.random() < 0.4} for _ in range(n)],
+                 [0, *(F(float(t)) for t in steps)])
+        assert accepts_word(tba, w) == monitor(f, w)
+    assert computed == [tba]
 
 
 def test_stutter_loop_weight_halves_gcd():
