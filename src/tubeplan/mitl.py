@@ -418,7 +418,8 @@ class TimedWord:
 
     def __post_init__(self):
         letters = tuple(map(_letter, self.letters))
-        times = tuple(Fraction(t) for t in self.times)
+        # a Fraction is immutable: keep it, and convert only other numbers
+        times = tuple(t if type(t) is Fraction else Fraction(t) for t in self.times)
         if len(letters) != len(times) or not letters:
             raise InvalidParam("word needs equally many letters and stamps, >= 1")
         if times[0] != 0:

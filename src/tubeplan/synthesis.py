@@ -9,8 +9,9 @@ search is breadth-first and stops at the first level holding an anchor, an
 accepting saturated node that can reach itself; it looks for that cycle in
 the saturated subgraph, which every successor of a saturated node is in.
 A node whose clock region is past its location's last live region
-(``TimedAutomaton.live``: from no later region can an accepting location
-follow, and a location missing from the map has none) is found but never
+(``TimedAutomaton.live``, a fixed point over the automaton's label-free
+arcs: from no later region can an accepting location follow, and a
+location missing from the map has none) is found but never
 expanded, and neither are its successors, whose regions are no lower and
 which are past their own.  When no anchor is found, the search walks on
 from those pruned nodes, so an unrealizable search still finds every

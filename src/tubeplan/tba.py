@@ -18,10 +18,14 @@ a (location, letter) pair's table (``TimedAutomaton.table``) is the zip of
 its blocks' tables: each region's block targets, read across, name the
 target location.  A step is a lookup that yields one location;
 ``successors`` and the product search read the same tables.  ``build_tba``
-builds the product's own edges block by block for the exported automaton
-and for ``TimedAutomaton.live``: each location's last clock region from
-which some path of edges reaches an accepting location, computed once per
-automaton; the product search expands no node past it.  A product location
+walks the product once on label-free arcs, each the target and region
+span of one combination of block edges.  The walk gives the locations,
+their acceptance and the arcs that ``TimedAutomaton.live`` reads: each
+location's last clock region from which some path of arcs reaches an
+accepting location, computed once per automaton; the product search
+expands no node past it.  The labelled product edges
+(``TimedAutomaton.edges``), which the search never reads, are built from
+the blocks on first read, in the walk's order.  A product location
 is Büchi-accepting when the Boolean combination evaluates to true on the
 per-block verdicts (co-safety blocks: reached their DONE trap; safety
 blocks: not in their REJECT trap).  That combination is itself an And/Or
@@ -72,7 +76,7 @@ class Edge:
     regions: Tuple[int, int]  # inclusive range of clock regions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimedAutomaton:
     """Deterministic, complete automaton over one never-reset clock.
 
@@ -82,28 +86,37 @@ class TimedAutomaton:
 
     The automaton is a product of blocks.  ``_blocks`` is ``(vectors,
     leaving)``: each location's vector of block locations, whose names
-    joined by ``|`` are its own name, and the edges ``(target, label, first
-    region, last region)`` that leave each block location.  ``build_tba``
-    passes them; an automaton assembled from ``edges`` alone is a product of
-    one block, its own edges.
+    joined by ``|`` are its own name, in the order the product walk found
+    them, and the edges ``(target, label, first region, last region)`` that
+    leave each block location.  ``_sources`` holds the label-free arcs into
+    each location, ``(source, first region, last region)``: all that
+    ``live`` reads.  The labelled ``edges`` are built from ``_blocks`` on
+    first read, and the search never reads them.  ``build_tba`` makes an
+    automaton from a formula, ``from_edges`` one from its own edges.
     """
 
     locations: Tuple[str, ...]
     initial: str
     accepting: frozenset
-    edges: Tuple[Edge, ...]
-    constants: Tuple[Fraction, ...] = ()
-    _blocks: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
-    _block_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    constants: Tuple[Fraction, ...]
+    _blocks: tuple = field(repr=False)
+    _sources: dict = field(repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
+    _block_tables: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        if self._blocks is None:
-            leaving = {}
-            for e in self.edges:
-                leaving.setdefault(e.source, []).append((e.target, e.label, *e.regions))
-            vectors = {location: (location,) for location in self.locations}
-            object.__setattr__(self, "_blocks", (vectors, leaving))
+    @classmethod
+    def from_edges(cls, locations, initial, accepting, edges, constants=()):
+        """The automaton whose edges are ``edges``: a product of one block,
+        which is its own edges, walked from every location."""
+        leaving = {}
+        for e in edges:
+            leaving.setdefault(e.source, []).append((e.target, e.label, *e.regions))
+        vectors, sources = _walk([(location,) for location in locations],
+                                 leaving, 2 * len(constants))
+        tba = cls(tuple(locations), initial, frozenset(accepting), tuple(constants),
+                  (vectors, leaving), sources)
+        object.__setattr__(tba, "edges", tuple(edges))   # kept as given
+        return tba
 
     @property
     def cmax(self) -> Fraction:
@@ -126,21 +139,33 @@ class TimedAutomaton:
         return table
 
     @functools.cached_property
+    def edges(self) -> Tuple[Edge, ...]:
+        """The product's labelled edges, built on first read: the locations
+        in the order the product walk found them, each location's edges in
+        ``itertools.product`` order of its blocks' leaving edges, a label
+        the ``And`` of its blocks' labels."""
+        vectors, leaving = self._blocks
+        top = 2 * len(self.constants)
+        return tuple(Edge(source, "|".join(dst), label, (lo, hi))
+                     for source, vector in vectors.items()
+                     for (dst, lo, hi), label in zip(_spans(vector, leaving, top),
+                                                     _labels(vector, leaving)))
+
+    @functools.cached_property
     def live(self) -> dict:
         """Each location's last live clock region: the highest region from
-        which some path of edges reaches an accepting location in the top
+        which some path of arcs reaches an accepting location in the top
         (saturated) region; a location missing from the map is dead.  An
-        edge here fires on any letter and at any region of its guard at or
+        arc here fires on any letter and at any region of its span at or
         after the current one, so the map over-approximates every run.  It
         is the least fixed point of: ``top`` for an accepting location, and
-        for each edge ``src -> dst`` over regions ``[lo, hi]``, at least
+        for each arc ``src -> dst`` over regions ``[lo, hi]``, at least
         ``min(hi, live[dst])`` for ``src`` when that is ``>= lo``.  Regions
         never decrease along a run, so no run from a location past its
-        entry is accepted, and every node it reaches is past its own."""
+        entry is accepted, and every node it reaches is past its own.  The
+        arcs are ``_sources``, so no labelled edge is built."""
         top = 2 * len(self.constants)
-        sources = {}
-        for e in self.edges:
-            sources.setdefault(e.target, []).append((e.source, *e.regions))
+        sources = self._sources
         live, todo = dict.fromkeys(self.accepting, top), list(self.accepting)
         while todo:
             target = todo.pop()
@@ -354,14 +379,65 @@ def _collect_blocks(f, blocks: list):
     return tree
 
 
+# ---------------------------------------------------------------------------
+# the product walk
+# ---------------------------------------------------------------------------
+
+def _spans(vector, leaving, top) -> list:
+    """``(target vector, first region, last region)`` of each product edge
+    that leaves the location ``vector``, in ``itertools.product`` order of
+    its blocks' leaving edges, built block by block: a region span is a
+    running ``max``/``min``.  An empty span (first > last) is kept, though
+    its edge never fires."""
+    spans = [((), 0, top)]
+    for part in vector:
+        spans = [(dst + (target,), lo if lo > first else first, hi if hi < last else last)
+                 for dst, lo, hi in spans
+                 for target, _, first, last in leaving.get(part, ())]
+    return spans
+
+
+def _labels(vector, leaving) -> list:
+    """The labels of the edges ``_spans`` gives, in its order: the ``And``
+    of the blocks' edge labels, ``None`` ("any letter") left out, built
+    block by block so that the partial products share their prefix."""
+    labels = [None]
+    for part in vector:
+        labels = [label if more is None else (more if label is None else And(label, more))
+                  for label in labels
+                  for _, more, _, _ in leaving.get(part, ())]
+    return labels
+
+
+def _walk(roots, leaving, top):
+    """The product locations reachable from the vectors ``roots``, each
+    named once: their vectors by name, in the order found, and the
+    label-free arcs ``(source, first region, last region)`` into each."""
+    names = {root: "|".join(root) for root in roots}   # the vectors found, named
+    vectors, sources = {}, {}
+    frontier = list(roots)
+    while frontier:
+        vec = frontier.pop()
+        source = names[vec]
+        vectors[source] = vec
+        for dst, lo, hi in _spans(vec, leaving, top):
+            target = names.get(dst)
+            if target is None:
+                target = names[dst] = "|".join(dst)
+                frontier.append(dst)
+            sources.setdefault(target, []).append((source, lo, hi))
+    return vectors, sources
+
+
 def build_tba(formula) -> TimedAutomaton:
     """Translate a flat-fragment formula into a timed Büchi automaton.
 
-    Each block edge's time condition is resolved to its region range once,
-    and each location is named once.  A location's edges are the product of
-    its blocks' leaving edges in ``itertools.product`` order, built block by
-    block: the partial products share their ``And`` label prefix, and a
-    region span is a running ``max``/``min``."""
+    Each block edge's time condition is resolved to its region range once.
+    The product is walked once from the initial vector: a location's arcs
+    are the product of its blocks' leaving edges, each only a target and a
+    region span, so the walk builds no label and no ``Edge``.  It gives the
+    locations, their acceptance and the arcs ``live`` reads; the labelled
+    ``edges`` are built only when something reads them."""
     norm = _normalise(formula, False)
     blocks: list = []
     tree = _collect_blocks(norm, blocks)
@@ -383,39 +459,17 @@ def build_tba(formula) -> TimedAutomaton:
         holds.update({f"{i}:{loc}": str(i) for loc, v in b.verdict.items() if v})
 
     init_vec = tuple(f"{i}:{b.initial}" for i, b in enumerate(blocks))
-    names = {init_vec: "|".join(init_vec)}   # the vectors found, named
-    vectors = {}
-    accepting = set()
-    edges = []
-    frontier = [init_vec]
-    while frontier:
-        vec = frontier.pop()
-        source = names[vec]
-        vectors[source] = vec
-        if eval_propositional(tree, frozenset(holds[p] for p in vec if p in holds)):
-            accepting.add(source)
-        combos = [((), None, 0, top)]
-        for part in vec:
-            combos = [(dst + (target,),
-                       label if more is None else (more if label is None else And(label, more)),
-                       max(lo, first), min(hi, last))
-                      for dst, label, lo, hi in combos
-                      for target, more, first, last in leaving[part]]
-        for dst, label, lo, hi in combos:
-            target = names.get(dst)
-            if target is None:
-                target = names[dst] = "|".join(dst)
-                frontier.append(dst)
-            # an empty range (lo > hi) is kept: its edge never fires
-            edges.append(Edge(source, target, label, (lo, hi)))
-
+    vectors, sources = _walk([init_vec], leaving, top)
+    accepting = frozenset(
+        location for location, vec in vectors.items()
+        if eval_propositional(tree, frozenset(holds[p] for p in vec if p in holds)))
     return TimedAutomaton(
         locations=tuple(sorted(vectors)),
-        initial=names[init_vec],
-        accepting=frozenset(accepting),
-        edges=tuple(edges),
+        initial="|".join(init_vec),
+        accepting=accepting,
         constants=constants,
         _blocks=(vectors, leaving),
+        _sources=sources,
     )
 
 

@@ -389,3 +389,18 @@ def test_timed_word_validation():
         TimedWord((frozenset(), frozenset()), (F(0), F(0)))
     with pytest.raises(InvalidParam):
         TimedWord((), ())
+
+
+def test_timed_word_keeps_fraction_stamps():
+    # Fraction stamps are kept as the same objects; other numbers convert
+    stamps = (F(0), F(1, 2), F(7, 3))
+    w = TimedWord((frozenset(),) * 3, stamps)
+    assert all(a is b for a, b in zip(w.times, stamps))
+    w = TimedWord((frozenset(),) * 3, (0, "1/2", 3))
+    assert w.times == (F(0), F(1, 2), F(3)) and all(type(t) is F for t in w.times)
+    for n, times, message in ((2, (F(1), F(2)), "first stamp"),
+                              (2, (F(0), F(0)), "strictly increasing"),
+                              (3, (0, "1/2", "1/2"), "strictly increasing"),
+                              (2, (F(0),), "equally many")):
+        with pytest.raises(InvalidParam, match=message):
+            TimedWord((frozenset(),) * n, times)

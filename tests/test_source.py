@@ -222,3 +222,27 @@ def test_argparse_scan_finds_imports(tmp_path):
         "def f():\n    from argparse import ArgumentParser\n    return ArgumentParser\n"
         "import argparsex\nfrom .argparse import x\n")
     assert argparse_imports(tmp_path) == ["mod.py <module>", "mod.py f"]
+
+
+def edge_reads(root):
+    """``file function`` of every read of an ``.edges`` attribute under
+    ``root``."""
+    return _sites(root, ast.Attribute, lambda node: (
+        node.attr == "edges" and isinstance(node.ctx, ast.Load)))
+
+
+def test_only_the_automaton_reads_edges():
+    # the search reads block tables, ``accepting``, ``live`` and
+    # ``constants``; ``TimedAutomaton.edges`` builds the labelled product on
+    # first read, so nothing in the package reads it.  The one read left is
+    # ``build_tba``'s of each block's own edges
+    assert edge_reads(PACKAGE) == ["tba.py build_tba"]
+
+
+def test_edge_read_scan_finds_reads(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(tba):\n"
+        "    def g():\n        return len(tba.edges)\n"
+        "    tba.edges = ()\n    edges = tba.locations\n    return edges, g\n"
+        "n = [e.target for e in build().edges]\n")
+    assert edge_reads(tmp_path) == ["mod.py <module>", "mod.py g"]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from bisect import bisect_right
 from collections import deque
@@ -8,7 +9,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from tubeplan import synthesis
+from tubeplan import synthesis, tba as tba_module
 from tubeplan.abstraction import load_wts, scenario_hash, wts_from_dict
 from tubeplan.errors import (InternalError, InvalidParam, SearchBudgetExceeded,
                              Unrealizable)
@@ -25,7 +26,7 @@ from tubeplan.synthesis import (
     save_plan,
     synthesize,
 )
-from tubeplan.tba import TimedAutomaton, build_tba
+from tubeplan.tba import Edge, TimedAutomaton, build_tba
 
 F = Fraction
 
@@ -578,3 +579,31 @@ def test_budget_caps_the_nodes_found_before_the_search_stops():
         synthesize(wts, formula, budget=16_055)
     with pytest.raises(SearchBudgetExceeded):
         synthesize(wts, formula, budget=16_054)
+
+
+# sha256 of repr(build_tba(the bundled formula).edges) at the commit whose
+# build_tba still built the labelled edges itself
+BUNDLED_EDGES_SHA256 = "3ccef1b796d7e1acd2c2f0410d760b12fef81ae8bd71db5813e709d5b7eb9b30"
+
+
+def test_search_builds_no_labelled_edge(monkeypatch):
+    # building the automaton, its liveness map and a bundled synthesis make
+    # no Edge; the first read of ``edges`` builds the 75 of the product once
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Edge(*args)
+
+    monkeypatch.setattr(tba_module, "Edge", counted)
+    scenario = default_scenario()
+    formula = scenario.formula()
+    tba = build_tba(formula)
+    assert len(tba.live) == 4
+    plan = synthesize(_bundled_wts(scenario), formula)
+    assert (plan.states, plan.stamps, plan.prefix_len) == _golden(*BUNDLED_PLAN)
+    assert made == []
+    edges = tba.edges
+    assert len(made) == len(edges) == 75
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == BUNDLED_EDGES_SHA256
+    assert tba.edges is edges and len(made) == 75

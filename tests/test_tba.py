@@ -28,6 +28,7 @@ from tubeplan.scenario import default_scenario
 from tubeplan.tba import (
     Edge,
     TimedAutomaton,
+    _collect_blocks,
     _normalise,
     accepts_word,
     build_tba,
@@ -110,9 +111,9 @@ def test_determinism_and_completeness():
 
 
 def _hand_built(edges):
-    return TimedAutomaton(locations=("p", "q"), initial="p",
-                          accepting=frozenset({"q"}), edges=tuple(edges),
-                          constants=(F(2),))
+    return TimedAutomaton.from_edges(locations=("p", "q"), initial="p",
+                                     accepting=frozenset({"q"}), edges=tuple(edges),
+                                     constants=(F(2),))
 
 
 def test_nondeterministic_or_incomplete_automaton_is_rejected():
@@ -484,3 +485,71 @@ def test_block_tables_zip_to_the_product_edge_tables():
                 seen |= new
                 todo += new
     assert pairs > 10_000
+
+
+# the block locations whose verdict holds, by their own name: a co-safety
+# block's done trap, a safety block's active and safe locations, and a
+# propositional block's true trap
+_HOLDING = {"done", "active", "safe", "true"}
+
+
+def _edge_reference(f, tba):
+    """The locations, accepting locations and liveness map of ``tba`` as
+    read off its labelled edges: the locations the edges reach from the
+    initial one, those whose block verdicts satisfy the formula's block
+    combination, and the fixed point the automaton ran over its edges
+    before its walk dropped their labels."""
+    targets = {}
+    for e in tba.edges:
+        targets.setdefault(e.source, []).append(e.target)
+    reached, todo = {tba.initial}, [tba.initial]
+    while todo:
+        new = set(targets.get(todo.pop(), ())) - reached
+        reached |= new
+        todo += new
+    tree = _collect_blocks(_normalise(f, False), [])
+    accepting = frozenset(
+        location for location in reached
+        if eval_propositional(tree, frozenset(
+            block for block, name in (part.split(":") for part in location.split("|"))
+            if name in _HOLDING)))
+    top = 2 * len(tba.constants)
+    sources = {}
+    for e in tba.edges:
+        sources.setdefault(e.target, []).append((e.source, *e.regions))
+    live, todo = dict.fromkeys(accepting, top), list(accepting)
+    while todo:
+        target = todo.pop()
+        for source, lo, hi in sources.get(target, ()):
+            region = min(hi, live[target])
+            if region >= lo and region > live.get(source, -1):
+                live[source] = region
+                todo.append(source)
+    return tuple(sorted(reached)), accepting, live
+
+
+def test_walk_gives_what_the_labelled_edges_give():
+    # the label-free walk's locations, acceptance and liveness, on every
+    # automaton of the pinned corpus, are those its labelled edges give
+    formulas, _ = _pin_corpus()
+    built = 0
+    for f in formulas:
+        try:
+            tba = build_tba(f)
+        except UnsupportedFragment:
+            continue
+        built += 1
+        assert (tba.locations, tba.accepting, tba.live) == _edge_reference(f, tba), \
+            to_string(f)
+    assert built == 262
+
+
+def test_hand_built_automaton_keeps_its_edges():
+    # an automaton assembled from edges keeps them as given, in their own
+    # order, and its liveness comes from the same label-free walk
+    edges = (Edge("p", "q", None, (2, 2)), Edge("q", "q", None, (0, 2)),
+             Edge("p", "p", None, (0, 1)))
+    tba = _hand_built(edges)
+    assert tba.edges == edges
+    assert tba.live == {"p": 2, "q": 2}
+    assert tba.successors("p", frozenset(), F(1)) == "p"
