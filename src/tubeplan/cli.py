@@ -134,18 +134,13 @@ def cmd_synthesize(args) -> int:
 def _execute(args, scenario, wts, plan, trace_path):
     """Run the plan.  A failed execution writes its partial trace to
     ``trace_path``, when one is given, before the failure propagates, so
-    that ``verify`` can report on it.  Held inputs that run out name the
-    ``--wts`` cache they came from."""
+    that ``verify`` can report on it."""
     try:
         return harness.execute_plan(scenario, wts, plan,
                                     disturbance=args.disturbance, seed=args.seed)
     except ExecutionFailure as exc:
         if trace_path:
             harness.export_trace(exc.partial_trace, trace_path)
-        raise
-    except ValidationError as exc:
-        if args.wts:
-            raise ValidationError([f"{args.wts}: {p}" for p in exc.problems]) from exc
         raise
 
 

@@ -53,7 +53,7 @@ from .dynamics import (
     integrator_increment,
     rk4_step,
 )
-from .errors import InvalidParam, NonFiniteError, SolverDiverged, ValidationError
+from .errors import InvalidParam, NonFiniteError, SolverDiverged
 from .geometry import (
     DEFAULT_TOL,
     Box,
@@ -822,8 +822,8 @@ def navigate(
     tightened input set, keep solving.  Safety is left to the caller.
 
     ``held``, if given, has None or nominal inputs for each leg: a leg with
-    inputs takes row ``k`` at step ``k`` instead of solving, and raises
-    ``ValidationError`` naming the leg if it needs a row past the last.
+    inputs takes row ``k`` at step ``k`` instead of solving, so it needs a
+    row for each of the ``max_steps`` steps it may run.
 
     All legs start at step 0 and move in step: the running ones are an
     index array, their error states one array, their problems one
@@ -888,9 +888,6 @@ def navigate(
             if lands[i]:
                 continue
             if held[i] is not None:
-                if k >= len(held[i]):
-                    raise ValidationError([f"leg {i}: its {len(held[i])} held inputs "
-                                           "ran out before its nominal ended"])
                 u[j] = held[i][k]
             else:
                 asked.append(j)

@@ -60,8 +60,9 @@ class UnknownTransition(TubeplanError):
 class Unrealizable(TubeplanError):
     """No accepting lasso exists in the product.
 
-    ``reachable_locations`` lists the automaton locations that were reached,
-    as a diagnostic for why synthesis failed.
+    ``reachable_locations`` lists the automaton locations of the product
+    nodes the search found, kept or pruned, before its kept nodes ran out,
+    as a diagnostic for why synthesis failed; the product may reach more.
     """
 
     def __init__(self, message, reachable_locations=frozenset()):
@@ -72,8 +73,8 @@ class Unrealizable(TubeplanError):
 class SearchBudgetExceeded(TubeplanError):
     """The product search found more nodes than the configured cap before
     it could stop.  A realizable search stops at the first level holding
-    an anchor, so it can return a plan whose whole product exceeds the cap;
-    an unrealizable one stops only after finding every reachable node."""
+    an anchor, an unrealizable one when no kept node is left to expand, so
+    either can end within a cap that the whole product exceeds."""
 
 
 class ValidationError(TubeplanError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abstraction import Wts
+from .abstraction import Wts, held_problems
 from .controller import (
     Samples,
     navigate,
@@ -99,9 +99,13 @@ def execute_plan(
     leg whose nominal starts exactly at its source's center, and whose
     transition carries its held inputs (``Wts.held``), is the abstraction's
     run: ``navigate`` reads those inputs step by step, with no solve; other
-    legs solve.  Held inputs that run out before the nominal ends raise
-    ``ValidationError`` naming the transition.
+    legs solve.  Held inputs without a row per step of their transition's
+    weight (``abstraction.held_problems``) raise ``ValidationError`` naming
+    the transition, before the first leg runs.
     """
+    problems = held_problems(wts, scenario)
+    if problems:
+        raise ValidationError(problems)
     model = scenario.model()
     tube = scenario.tube_params()
     fhocp = scenario.fhocp_params()
@@ -141,15 +145,10 @@ def execute_plan(
         if key not in nominals:
             at_center = key[3] == model.embed_position(scenario.regions[src].center).tobytes()
             held = wts.held.get((src, dst)) if at_center else None
-            try:
-                (nominals[key],) = navigate(
-                    [(start, scenario.regions[dst], scenario.state_constraints_for(src, dst))],
-                    model, input_set, tube, fhocp, steps, min_duration_steps=steps,
-                    sim_dt=scenario.sim_dt, held=[held])
-            except ValidationError as err:
-                # the transition, not the batch's "leg 0", names the held inputs
-                raise ValidationError([f"transition {src!r} -> {dst!r}:{p.partition(':')[2]}"
-                                       for p in err.problems]) from None
+            (nominals[key],) = navigate(
+                [(start, scenario.regions[dst], scenario.state_constraints_for(src, dst))],
+                model, input_set, tube, fhocp, steps, min_duration_steps=steps,
+                sim_dt=scenario.sim_dt, held=[held])
         nominal = nominals[key]
         leg = track(model, nominal, x, tube, input_set, spec,
                     seed=derive_seed(seed, i, src, dst))

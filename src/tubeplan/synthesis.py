@@ -13,10 +13,12 @@ A node whose clock region is past its location's last live region
 arcs: from no later region can an accepting location follow, and a
 location missing from the map has none) is found but never
 expanded, and neither are its successors, whose regions are no lower and
-which are past their own.  When no anchor is found, the search walks on
-from those pruned nodes, so an unrealizable search still finds every
-reachable node and reports every reachable location.  The budget counts
-every node found, pruned or not.
+which are past their own.  No path from a pruned node reaches an anchor,
+so once no kept node is left to expand the task is unrealizable, as
+timed-automaton emptiness needs only the part of the region graph that can
+still reach acceptance (Alur & Dill, "A theory of timed automata", TCS
+1994): the search stops there and reports the locations of the nodes it
+found.  The budget counts every node found, pruned or not.
 
 The search clock counts integer ticks of 1/L, where L is the lcm of the
 denominators of every weight, guard constant and the slack.  Each of them
@@ -96,9 +98,9 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
          budget: int):
     """Deterministic BFS over ``(state, location, tick)`` nodes that stops at
     the first level holding an anchor, an accepting saturated node on a
-    cycle.  Returns the nodes it kept and those it pruned, then the
-    anchor's path from the root and its cycle, or ``None, None`` after
-    finding every reachable node.
+    cycle.  Returns the nodes it kept and every node it found, kept or
+    pruned, then the anchor's path from the root and its cycle, or
+    ``None, None`` once no kept node is left to expand.
 
     ``live`` maps a location to its last live clock region.  A node found
     in a higher region than its location's entry, or at a location without
@@ -106,9 +108,9 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
     never expanded.  Regions never decrease along a path, so each of its
     successors is pruned too, and every kept node is first found from a
     kept parent, at the level and with the rank a search without pruning
-    gives it.  With no anchor, the search walks on from the pruned nodes
-    until every reachable node is found.  ``budget`` caps the nodes found,
-    pruned ones included.
+    gives it, and no anchor is reachable from a pruned node.  ``budget``
+    caps the nodes found, pruned ones included, from every expansion, the
+    last one too.
 
     Kept nodes are numbered level by level, so when a level's first node is
     about to be expanded, that level's nodes and their (duration, number)
@@ -117,8 +119,7 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
     pair's arcs ``(dst, weight, region table)`` are fetched once, so an
     edge costs a capped add, a bisect and an index."""
     nodes = [root]      # the kept nodes, which are the queue
-    dead = []           # the pruned nodes
-    seen = {root}
+    seen = {root}       # every node found, kept or pruned
     parent = [None]
     duration = [0]
     found = []          # accepting saturated nodes of the level being found
@@ -139,18 +140,13 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
         return [(dst, targets[top], cap) for dst, _, targets in here
                 if live.get(targets[top], -1) == top]
 
-    def check_budget():
-        if len(nodes) + len(dead) > budget:
-            raise SearchBudgetExceeded(f"product exploration exceeded {budget} nodes")
-
     for idx, (state, location, clock) in enumerate(nodes):  # nodes is the queue
-        check_budget()
         if idx == level_end:
             if found:
                 for n in sorted(found, key=duration.__getitem__):
                     cycle = _shortest_cycle(saturated_successors, nodes[n])
                     if cycle is not None:
-                        return nodes, dead, [nodes[i] for i in _path_to(parent, n)], cycle
+                        return nodes, seen, [nodes[i] for i in _path_to(parent, n)], cycle
                 found.clear()
             level_end = len(nodes)
         for dst, weight, targets in arcs.get((state, location)) or arcs_of(state, location):
@@ -162,7 +158,6 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
             if child not in seen:
                 seen.add(child)
                 if region > live.get(child[1], -1):
-                    dead.append(child)
                     continue
                 # weights are positive, so only saturated nodes can recur
                 if tick == cap and child[1] in accepting:
@@ -170,17 +165,9 @@ def _bfs(table, bounds, edges, cap: int, root: tuple, accepting, live,
                 nodes.append(child)
                 parent.append(idx)
                 duration.append(duration[idx] + weight)
-    for state, location, clock in dead:  # no anchor: walk on; dead grows as read
-        check_budget()
-        for dst, weight, targets in arcs.get((state, location)) or arcs_of(state, location):
-            tick = clock + weight
-            if tick > cap:
-                tick = cap
-            child = (dst, targets[bisect_right(bounds, tick)], tick)
-            if child not in seen:
-                seen.add(child)
-                dead.append(child)
-    return nodes, dead, None, None
+        if len(seen) > budget:
+            raise SearchBudgetExceeded(f"product exploration exceeded {budget} nodes")
+    return nodes, seen, None, None
 
 
 def _path_to(parent, node):
@@ -234,17 +221,15 @@ def find_accepting_run(
         raise UnknownTransition(f"unknown state {wts.initial!r}")
     start = tba.table(tba.initial, wts.label_of(wts.initial))
     root = (wts.initial, start[bisect_right(bounds, 0)], 0)
-    nodes, dead, prefix, cycle = _bfs(tba.table, bounds, edges, cap, root,
-                                      tba.accepting, tba.live, budget)
+    _, seen, prefix, cycle = _bfs(tba.table, bounds, edges, cap, root,
+                                  tba.accepting, tba.live, budget)
     if cycle is not None:
         def run_nodes(path):
             return tuple(ProductNode(state, location, Fraction(tick, ticks))
                          for state, location, tick in path)
         return TimedRun(run_nodes(prefix), run_nodes(cycle))
-    reachable = sorted({location for _, location, _ in nodes + dead})
-    raise Unrealizable(
-        "no accepting cycle is reachable in the product", reachable
-    )
+    raise Unrealizable("no accepting cycle is reachable in the product",
+                       {location for _, location, _ in seen})
 
 
 # ---------------------------------------------------------------------------

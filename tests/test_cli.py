@@ -571,10 +571,6 @@ def _held_short(data):
     _held_of(data, "A", "B").pop()
 
 
-def _held_first_ten(data):
-    del _held_of(data, "A", "B")[10:]
-
-
 def _held_planar(data):
     for row in _held_of(data, "A", "B"):
         row.pop()
@@ -607,25 +603,6 @@ def test_malformed_held_inputs_are_rejected(workdir, wts_cache, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.count(message) == 1
     assert f"error: {bad}" in err
-
-
-def test_held_inputs_that_run_out_are_rejected(workdir, wts_cache, tmp_path, capsys,
-                                               monkeypatch):
-    # past the row-count check, a replay that runs out of held inputs is
-    # invalid input too, and names the cache (the rows of the nominal's
-    # landing are never read, so only a cut before it runs out)
-    plan = tmp_path / "plan.json"
-    assert cli.main(["synthesize", "--scenario", str(workdir / "tiny.json"),
-                     "--wts", str(wts_cache), "--out", str(plan)]) == cli.EXIT_PASS
-    bad = tmp_path / "wts.json"
-    bad.write_text(_edit_wts(_held_first_ten)(wts_cache.read_text()))
-    monkeypatch.setattr(tubeplan.abstraction, "held_problems", lambda wts, scenario: [])
-    capsys.readouterr()
-    assert cli.main(["simulate", "--scenario", str(workdir / "tiny.json"),
-                     "--wts", str(bad), "--plan", str(plan)]) == cli.EXIT_INVALID
-    err = capsys.readouterr().err
-    assert (f"error: {bad}: transition 'A' -> 'B': its 10 held inputs ran out "
-            "before its nominal ended") in err
 
 
 def _detour_through_z(data):
@@ -920,6 +897,23 @@ def test_unrealizable_prints_reachable_locations(workdir, wts_cache, capsys):
     assert len(listed) == 1
     locations = listed[0].split(": ", 1)[1].split(", ")
     assert len(locations) >= 2 and locations == sorted(locations)
+
+
+def test_unrealizable_bundled_task_stops_within_its_budget(tmp_path, capsys):
+    # a "no" is known once the search's kept nodes run out, 37 nodes in, of
+    # the product's 16,055, so a budget of 100 ends with exit 2 and the two
+    # locations the search reached, not with exit 5
+    wts = tmp_path / "wts.json"
+    wts.write_bytes((Path(__file__).resolve().parent.parent / "perfbench" / "data"
+                     / "nexus_wts.json").read_bytes())
+    formula = ("G[0,inf](!obs1 & !obs2 & !obs3 & !obs4) & F[30,50] mission2 & "
+               "F[80,110] mission1 & F[0,10] mission2")
+    code = cli.main(["synthesize", "--wts", str(wts), "--formula", formula,
+                     "--budget", "100"])
+    assert code == cli.EXIT_UNREALIZABLE
+    assert capsys.readouterr().err.splitlines() == [
+        "unrealizable: no accepting cycle is reachable in the product",
+        "reachable locations: 0:active|1:wait|2:wait|3:wait, 0:reject|1:wait|2:wait|3:wait"]
 
 
 def _readme_commands():

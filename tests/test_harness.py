@@ -53,6 +53,16 @@ def test_executed_stamps_are_the_scheduled_stamps(tiny_scenario, tiny_plan,
     assert len(tiny_trace.ts) == round(float(tiny_plan.stamps[-1]) / 0.01) + 1
 
 
+def test_held_inputs_that_run_out_are_rejected(tiny_scenario, tiny_wts, tiny_plan):
+    # held inputs without a row per step of their transition cannot drive
+    # its leg: execution names the transition before its first leg runs
+    held = dict(tiny_wts.held)
+    held["A", "B"] = held["A", "B"][:10]
+    with pytest.raises(ValidationError, match="^transition 'A' -> 'B' holds 10 rows "
+                                              "of 3 inputs, not 72 rows of 3$"):
+        execute_plan(tiny_scenario, replace(tiny_wts, held=held), tiny_plan)
+
+
 def test_verifier_passes_under_random_disturbance(tiny_scenario, tiny_plan,
                                                   tiny_trace):
     report = verify_trace(tiny_scenario, tiny_plan, tiny_trace)

@@ -13,7 +13,7 @@ from tubeplan import synthesis, tba as tba_module
 from tubeplan.abstraction import load_wts, scenario_hash, wts_from_dict
 from tubeplan.errors import (InternalError, InvalidParam, SearchBudgetExceeded,
                              Unrealizable)
-from tubeplan.mitl import monitor, parse
+from tubeplan.mitl import TimedWord, monitor, parse
 from tubeplan.scenario import default_scenario
 from tubeplan.synthesis import (
     find_accepting_run,
@@ -289,23 +289,28 @@ def _early_stop(wts, tba):
 
 
 def test_early_stop_matches_full_exploration():
-    # stopping at the first level with an anchor returns the run, or the
-    # reachable locations, that exploring the whole product returns
+    # stopping at the first level with an anchor returns the run that
+    # exploring the whole product returns; with none, stopping when no kept
+    # node is left reports some of the locations that exploration reaches
     rng = np.random.default_rng(20)
     outcomes = []
     for _ in range(300):
         wts, text = _random_system(rng), _random_formula(rng)
         tba = build_tba(parse(text))
         expected = _outcome(_full_search, wts, tba)
-        assert _outcome(_early_stop, wts, tba) == expected, text
+        outcome = _outcome(_early_stop, wts, tba)
+        if expected[0] == "unrealizable":
+            assert outcome[0] == "unrealizable" and outcome[1] <= expected[1], text
+        else:
+            assert outcome == expected, text
         outcomes.append(expected[0])
     assert 50 < outcomes.count("run") < 250
 
 
 def _searched(monkeypatch, wts, tba, args=None):
-    """The outcome of the search, its kept and pruned nodes, and the
-    locations whose arcs it fetched, which are those of the nodes it
-    expanded.  The search's other arguments are appended to ``args`` if
+    """The outcome of the search, its kept nodes, the set of nodes it
+    pruned, and the locations whose arcs it fetched, which are those of the
+    nodes it expanded.  The search's other arguments are appended to ``args`` if
     given."""
     bfs, searches, expanded = synthesis._bfs, [], set()
 
@@ -320,8 +325,8 @@ def _searched(monkeypatch, wts, tba, args=None):
 
     monkeypatch.setattr(synthesis, "_bfs", counted_bfs)
     outcome = _outcome(_early_stop, wts, tba)
-    (nodes, dead, _, _), = searches
-    return outcome, nodes, dead, expanded
+    (nodes, found, _, _), = searches
+    return outcome, nodes, found.difference(nodes), expanded
 
 
 def _doomed(wts, tba):
@@ -398,16 +403,16 @@ def test_pruned_search_expands_no_dead_node(monkeypatch):
                    for state, location, tick in dead), text
         pruned += len(dead)
         everywhere = dict.fromkeys(_reaching(tba), bisect_right(bounds, cap))
-        _, by_location, _, _ = synthesis._bfs(tba.table, bounds, edges, cap, root,
-                                               accepting, everywhere, budget)
-        pruned_by_location += len(by_location)
+        kept, found, _, _ = synthesis._bfs(tba.table, bounds, edges, cap, root,
+                                           accepting, everywhere, budget)
+        pruned_by_location += len(found) - len(kept)
     assert pruned > pruned_by_location > 0
 
 
 def test_search_from_a_violating_start_keeps_only_the_root(monkeypatch):
-    # the initial state's label already breaks the safety block: every node
-    # after the root is pruned, and the walk-on still reports every location
-    # that exploring the whole product reaches
+    # the initial state's label already breaks the safety block: the root's
+    # one child is pruned, and the search stops there, reporting the two
+    # locations that exploring the whole product reaches
     wts = wts_from_dict({
         "states": ["s0", "s1"],
         "initial": "s0",
@@ -423,7 +428,97 @@ def test_search_from_a_violating_start_keeps_only_the_root(monkeypatch):
     assert nodes == [("s0", "0:reject|1:wait", 0)]
     assert outcome == _outcome(_full_search, wts, tba)
     assert outcome == ("unrealizable", {"0:reject|1:wait", "0:reject|1:done"})
-    assert len(dead) > 1
+    assert dead == {("s1", "0:reject|1:done", 2)}
+
+
+def _walks(wts, start, most):
+    """Every path of at most ``most`` edges from ``start``, as state tuples."""
+    walks, frontier = [(start,)], [(start,)]
+    for _ in range(most):
+        frontier = [walk + (dst,) for walk in frontier for dst, _ in wts.successors(walk[-1])]
+        walks += frontier
+    return walks
+
+
+def _horizon(formula):
+    """The largest finite interval endpoint of ``formula``, 0 if none."""
+    ends, todo = [F(0)], [formula]
+    while todo:
+        node = todo.pop()
+        interval = getattr(node, "interval", None)
+        if interval is not None:
+            ends += [interval.lo] if interval.hi is None else [interval.lo, interval.hi]
+        todo += [getattr(node, k) for k in ("child", "left", "right") if hasattr(node, k)]
+    return max(ends)
+
+
+def _lasso_words(wts, horizon, most=3):
+    """The timed word of every lasso from the initial state, a prefix of at
+    most ``most`` edges and then a cycle of 1 to ``most`` edges, with the
+    cycle repeated until one whole copy of it starts after ``horizon``.
+    For a flat formula whose constants are at most ``horizon``, ``monitor``
+    judges that finite word as the infinite lasso: every bounded window
+    closes by ``horizon``, and an unbounded block needs only the cycle's
+    letters, which the last copy holds; the letter ``monitor`` holds past
+    the word's end is the cycle's last."""
+    for prefix in _walks(wts, wts.initial, most):
+        for loop in _walks(wts, prefix[-1], most):
+            if len(loop) == 1 or loop[-1] != prefix[-1]:
+                continue
+            states, stamps = list(prefix), [F(0)]
+            for a, b in zip(prefix, prefix[1:]):
+                stamps.append(stamps[-1] + wts.weight_of(a, b))
+            copy_start = F(0)
+            while copy_start <= horizon:
+                copy_start = stamps[-1] + wts.weight_of(loop[0], loop[1])
+                for a, b in zip(loop, loop[1:]):
+                    states.append(b)
+                    stamps.append(stamps[-1] + wts.weight_of(a, b))
+            yield TimedWord(tuple(map(wts.label_of, states)), tuple(stamps))
+
+
+def _oracle_verdicts(seed, pairs=300):
+    """For ``pairs`` seeded (system, formula) pairs, the search's verdict,
+    "yes" (``synthesize``'s plan, which it checks with ``monitor``) or "no",
+    and whether ``monitor`` accepts some enumerated lasso's word."""
+    rng = np.random.default_rng(seed)
+    verdicts = []
+    for _ in range(pairs):
+        wts, text = _random_system(rng), _random_formula(rng)
+        formula = parse(text)
+        try:
+            synthesize(wts, formula)
+            verdict = "yes"
+        except Unrealizable:
+            verdict = "no"
+        accepted = any(monitor(formula, word)
+                       for word in _lasso_words(wts, _horizon(formula)))
+        verdicts.append((verdict, accepted, text))
+    return verdicts
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_no_enumerated_lasso_satisfies_an_unrealizable_task(seed):
+    # the brute-force oracle knows neither the automaton nor the product: a
+    # "no" is wrong where ``monitor`` accepts a short lasso of the system
+    verdicts = _oracle_verdicts(seed)
+    assert [text for verdict, accepted, text in verdicts
+            if verdict == "no" and accepted] == []
+    yes = [accepted for verdict, accepted, _ in verdicts if verdict == "yes"]
+    assert 50 <= len(yes) <= len(verdicts) - 50
+    # and it accepts a short lasso of every realizable task here
+    assert all(yes)
+
+
+def test_oracle_flags_a_search_that_prunes_live_nodes(monkeypatch):
+    # with every location's last live region one too low, the search prunes
+    # nodes that can still reach acceptance, and says "no" wrongly
+    live = TimedAutomaton.live
+    monkeypatch.setattr(TimedAutomaton, "live", property(
+        lambda tba: {location: region - 1
+                     for location, region in live.__get__(tba).items()}))
+    assert any(verdict == "no" and accepted
+               for verdict, accepted, _ in _oracle_verdicts(3))
 
 
 def _bundled_wts(scenario):
@@ -482,17 +577,20 @@ UNREALIZABLE_BUNDLED = ("G[0,inf](!obs1 & !obs2 & !obs3 & !obs4) & F[30,50] miss
                         "F[80,110] mission1 & F[0,10] mission2")
 
 
-def test_bundled_unrealizable_search_explores_every_node(monkeypatch):
-    # no anchor, no early stop: the search finds every reachable node and
-    # reports the locations that exploring the whole product reported
+def test_bundled_unrealizable_search_stops_when_its_kept_nodes_run_out(monkeypatch):
+    # no anchor: the search keeps 6 of the 37 nodes it finds, and stops when
+    # none is left to expand.  Exploring the whole product finds 16,055 and
+    # reaches 8 locations; the search reports 2 of them
+    kept = []
     outcome, found, built, blocks = _counted_search(monkeypatch,
-                                                    parse(UNREALIZABLE_BUNDLED))
-    assert outcome == ("unrealizable", {
-        f"0:{a}|1:{b}|2:{c}|3:wait" for a in ("active", "reject")
-        for b in ("done", "wait") for c in ("done", "wait")})
-    assert found == 16_055
-    assert len(built) == len(set(built)) == 56
-    assert len(blocks) == len(set(blocks)) == 14
+                                                    parse(UNREALIZABLE_BUNDLED), kept)
+    assert outcome == ("unrealizable", {"0:active|1:wait|2:wait|3:wait",
+                                        "0:reject|1:wait|2:wait|3:wait"})
+    assert outcome[1] < {f"0:{a}|1:{b}|2:{c}|3:wait" for a in ("active", "reject")
+                         for b in ("done", "wait") for c in ("done", "wait")}
+    assert found == 37 and kept == [6]
+    assert len(built) == len(set(built)) == 5
+    assert len(blocks) == len(set(blocks)) == 9
 
 
 def _reachable_pairs(tba, letters):
@@ -573,12 +671,13 @@ def test_budget_caps_the_nodes_found_before_the_search_stops():
     assert (plan.states, plan.stamps, plan.prefix_len) == _golden(*BUNDLED_PLAN)
     with pytest.raises(SearchBudgetExceeded):
         synthesize(wts, formula, budget=420)
-    # an unrealizable search finds every reachable node before it stops
+    # an unrealizable search finds 37 nodes before its kept nodes run out,
+    # the last of them from its last expansion, which the budget caps too
     formula = parse(UNREALIZABLE_BUNDLED)
     with pytest.raises(Unrealizable):
-        synthesize(wts, formula, budget=16_055)
+        synthesize(wts, formula, budget=37)
     with pytest.raises(SearchBudgetExceeded):
-        synthesize(wts, formula, budget=16_054)
+        synthesize(wts, formula, budget=36)
 
 
 # sha256 of repr(build_tba(the bundled formula).edges) at the commit whose
